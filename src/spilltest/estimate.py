@@ -135,10 +135,15 @@ def empirical_variance_bound(assignment: HierarchicalAssignment, y: np.ndarray) 
     """Plug-in variance bound from within-bucket sample variances.
 
     ``S_t/n_t + S_c/n_c`` over the individually randomized arm plus the
-    scaled cluster-total analogue over the other arm. Its expectation
-    upper-bounds the true variance of the gap under no interference, with
-    equality for a constant treatment effect. Every bucket must hold at
-    least two observations.
+    scaled cluster-total analogue over the other arm. Under no interference
+    its expectation equals the true variance of the gap for a constant
+    treatment effect. It is not conservative in general: its expectation
+    exceeds the variance by ``(a * S_tc - (b + 1/k) * S_plus_tc) / n_cr``
+    (``a``, ``b`` the small-sample factors, ``k`` the cluster size,
+    ``S_tc``, ``S_plus_tc`` from :func:`variance_components`), which is
+    negative when treatment effects cluster together; about half of random
+    heterogeneous potential tables fall below the variance (acceptance
+    criterion 4). Every bucket must hold at least two observations.
     """
     local = _slice_outcomes(assignment, y)
     cr = assignment.unit_arm == ARM_CR
@@ -361,6 +366,9 @@ def _finish_report(
 ) -> AnalysisReport:
     if decision_rule not in ("chebyshev", "gaussian"):
         raise ValidationError(f"unknown decision rule {decision_rule!r}")
+    # A non-finite statistic supports no decision; it must not map to reject.
+    if not (math.isfinite(delta) and math.isfinite(sigma_hat_sq)):
+        raise ValidationError(f"non-finite statistic: delta={delta!r}, sigma_hat_sq={sigma_hat_sq!r}")
     if sigma_hat_sq > 0:
         t_stat = delta / math.sqrt(sigma_hat_sq)
         p_gauss = gaussian_p_value(delta, math.sqrt(sigma_hat_sq))

@@ -8,6 +8,7 @@ model, where a unit also responds to the treated fraction of its neighborhood.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -169,7 +170,12 @@ def save_outcomes(y: np.ndarray, path: str | Path) -> None:
 
 
 def load_outcomes(path: str | Path) -> np.ndarray:
-    """Read a ``unit_id,y`` CSV into a dense vector indexed by unit id."""
+    """Read a ``unit_id,y`` CSV into a dense vector indexed by unit id.
+
+    Raises:
+        ValidationError: On a duplicated ``unit_id``, a non-finite outcome,
+            or unit ids that are not contiguous from 0.
+    """
     path = Path(path)
     rows: dict[int, float] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -177,7 +183,13 @@ def load_outcomes(path: str | Path) -> np.ndarray:
         if reader.fieldnames is None or set(reader.fieldnames) < {"unit_id", "y"}:
             raise ValidationError(f"{path}: expected header unit_id,y")
         for row in reader:
-            rows[int(row["unit_id"])] = float(row["y"])
+            unit = int(row["unit_id"])
+            if unit in rows:
+                raise ValidationError(f"{path}: duplicate unit_id {unit}")
+            value = float(row["y"])
+            if not math.isfinite(value):
+                raise ValidationError(f"{path}: non-finite outcome {row['y']!r} for unit {unit}")
+            rows[unit] = value
     if not rows:
         raise ValidationError(f"{path}: no outcomes")
     n = max(rows) + 1

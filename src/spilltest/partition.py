@@ -10,6 +10,7 @@ the partition in practice.
 from __future__ import annotations
 
 import csv
+import heapq
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -138,6 +139,11 @@ def ldg_restream(
     first pull each unit out of its standing cluster and re-place it against
     the current state of the partition.
 
+    Only the clusters holding a unit's neighbors can score above zero, so a
+    unit visit costs O(deg): it scores those clusters, and when none of them
+    has room it takes the lowest-id non-full cluster, which only moves up
+    within a pass. A run costs O(iterations * (N + E) + M).
+
     Deterministic given ``seed``.
     """
     n = graph.num_units
@@ -155,30 +161,46 @@ def ldg_restream(
         raise InfeasibleError(f"capacity {capacity} x {m} clusters cannot hold {n} units")
 
     rng = np.random.default_rng(seed)
+    indptr = graph.adjacency_indptr.tolist()
+    indices = graph.adjacency_indices
+    # Keep the fill penalty as size * (-1 / capacity) + 1: an algebraically
+    # equal form rounds differently and can change which cluster wins a tie.
+    neg_inv_capacity = -1.0 / capacity
     # Each pass refills capacity from zero; a unit's neighbors count under
     # their placement from this pass if already streamed, else under the
     # previous pass's assignment.
-    previous = np.full(n, -1, dtype=np.int64)
-    assignment = np.full(n, -1, dtype=np.int64)
-    fill_penalty = np.empty(m, dtype=np.float64)
-
+    previous = [-1] * n
     for _ in range(iterations):
-        assignment.fill(-1)
-        sizes = np.zeros(m, dtype=np.int64)
-        order = rng.permutation(n)
-        for i in order:
-            nbrs = graph.neighbors(i)
-            nbr_clusters = np.where(assignment[nbrs] >= 0, assignment[nbrs], previous[nbrs])
-            counts = np.bincount(nbr_clusters[nbr_clusters >= 0], minlength=m)
-            np.multiply(sizes, -1.0 / capacity, out=fill_penalty)
-            fill_penalty += 1.0
-            scores = counts * fill_penalty
-            scores[sizes >= capacity] = -np.inf
-            best = int(np.argmax(scores))
+        assignment = [-1] * n
+        sizes = [0] * m
+        first_open = 0
+        for i in rng.permutation(n).tolist():
+            counts: dict[int, int] = {}
+            for j in indices[indptr[i] : indptr[i + 1]].tolist():
+                c = assignment[j]
+                if c < 0:
+                    c = previous[j]
+                if c >= 0:
+                    counts[c] = counts.get(c, 0) + 1
+            best = -1
+            best_score = 0.0
+            for c, k in counts.items():
+                size = sizes[c]
+                if size >= capacity:
+                    continue
+                score = k * (size * neg_inv_capacity + 1.0)
+                if score > best_score or (score == best_score and c < best):
+                    best = c
+                    best_score = score
+            if best < 0:
+                # Every non-full cluster scores zero; take the lowest id.
+                while sizes[first_open] >= capacity:
+                    first_open += 1
+                best = first_open
             assignment[i] = best
             sizes[best] += 1
-        previous, assignment = assignment, previous
-    assignment = previous
+        previous = assignment
+    assignment = np.array(previous, dtype=np.int64)
     sizes = np.bincount(assignment, minlength=m).astype(np.int64)
 
     # Greedy passes can leave clusters empty on degenerate inputs; park one
@@ -200,33 +222,50 @@ def rebalance(graph: "Graph", clustering: Clustering) -> Clustering:
     moves it to the undersized cluster where it has the most neighbors
     (lowest cluster id on ties). The analysis stage requires the resulting
     exact balance.
+
+    In-cluster neighbor counts are computed once and kept current as units
+    leave; a heap of ``(count, unit id)`` over the units of oversized
+    clusters yields each mover. A destination is never oversized, so no unit
+    moves twice and the moves equal the total excess. Cost:
+    O((N + E + moves * M) log N).
     """
     n = clustering.num_units
     m = clustering.num_clusters
+    if graph.num_units != n:
+        raise ValidationError(f"clustering covers {n} units but the graph has {graph.num_units}")
     if n % m != 0:
         raise ValidationError(f"cannot balance {n} units over {m} clusters exactly")
     target = n // m
+    oversized = np.flatnonzero(clustering.sizes > target)
+    if len(oversized) == 0:
+        return clustering
     assignment = clustering.assignment.copy()
     sizes = clustering.sizes.copy()
-    while True:
-        over = np.flatnonzero(sizes > target)
-        if len(over) == 0:
-            break
+    src = np.repeat(np.arange(n), graph.degrees)
+    same = assignment[src] == assignment[graph.adjacency_indices]
+    conn = np.bincount(src[same], minlength=n)
+    candidates = np.flatnonzero(np.isin(assignment, oversized))
+    # Entries go stale when a unit's count drops (a fresher one is pushed)
+    # or its cluster reaches the target; both are skipped on pop.
+    heap = list(zip(conn[candidates].tolist(), candidates.tolist()))
+    heapq.heapify(heap)
+    while heap:
+        unit_conn, unit = heapq.heappop(heap)
+        origin = assignment[unit]
+        if sizes[origin] <= target or unit_conn != conn[unit]:
+            continue
+        nbrs = graph.neighbors(unit)
+        nbr_clusters = assignment[nbrs]
         under = np.flatnonzero(sizes < target)
-        best_unit = -1
-        best_conn = None
-        for c in over:
-            for i in np.flatnonzero(assignment == c):
-                conn = int(np.count_nonzero(assignment[graph.neighbors(int(i))] == c))
-                if best_conn is None or conn < best_conn or (conn == best_conn and i < best_unit):
-                    best_conn = conn
-                    best_unit = int(i)
-        nbr_clusters = assignment[graph.neighbors(best_unit)]
         gains = np.bincount(nbr_clusters, minlength=m)[under]
         dest = int(under[np.argmax(gains)])
-        sizes[assignment[best_unit]] -= 1
-        assignment[best_unit] = dest
+        assignment[unit] = dest
+        sizes[origin] -= 1
         sizes[dest] += 1
+        if sizes[origin] > target:
+            for j in nbrs[nbr_clusters == origin].tolist():
+                conn[j] -= 1
+                heapq.heappush(heap, (int(conn[j]), j))
     return Clustering(num_clusters=m, assignment=assignment, sizes=sizes)
 
 

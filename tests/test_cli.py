@@ -126,6 +126,20 @@ def test_analyze_missing_outcomes_lists_units(workspace, capsys):
     assert "missing" in err and "40" in err
 
 
+@pytest.mark.parametrize("bad_row", ["5,nan", "5,inf", "5,-inf", "5,1.0\n5,2.0"])
+def test_analyze_rejects_bad_outcome_rows(workspace, capsys, bad_row):
+    edges, clusters, metrics, assignment, counts = build_pipeline(workspace)
+    rows = [f"{i},1.0" for i in range(80) if i != 5] + [bad_row]
+    outcomes = workspace / "y.csv"
+    outcomes.write_text("unit_id,y\n" + "\n".join(rows) + "\n")
+    report = workspace / "r.json"
+    code = run_cli("analyze", "--assignment", assignment, "--outcomes", outcomes,
+                   "--clusters-file", clusters, "--out-report", report)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not report.exists()
+
+
 def test_analyze_constant_outcomes_fail_to_reject(workspace):
     edges, clusters, metrics, assignment, counts = build_pipeline(workspace)
     outcomes = workspace / "y.csv"

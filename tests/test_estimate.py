@@ -281,6 +281,15 @@ def test_analyze_report_fields():
     assert "sigma_hat_sq" in payload
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_analyze_refuses_non_finite_statistic(bad):
+    a = _manual_assignment()
+    y = rng.normal(size=16)
+    y[3] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ValidationError, match="non-finite"):
+        analyze(a, y)
+
+
 def test_analyze_stratified_pools_strata():
     clustering = Clustering.from_assignment(np.repeat(np.arange(16), 2))
     strat = Stratification(

@@ -145,6 +145,21 @@ def test_outcomes_csv_missing_unit(tmp_path):
         load_outcomes(path)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0,1.0\n1,nan\n", "non-finite"),
+        ("0,inf\n1,2.0\n", "non-finite"),
+        ("0,1.0\n1,2.0\n1,3.0\n", "duplicate unit_id 1"),
+    ],
+)
+def test_outcomes_csv_rejects_bad_rows(tmp_path, body, message):
+    path = tmp_path / "y.csv"
+    path.write_text("unit_id,y\n" + body)
+    with pytest.raises(ValidationError, match=message):
+        load_outcomes(path)
+
+
 def test_potential_table_csv_round_trip(tmp_path, small_table):
     path = tmp_path / "table.csv"
     save_potential_table(small_table, path)

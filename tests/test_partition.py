@@ -118,6 +118,104 @@ def test_rebalance_requires_divisible():
         rebalance(g, c)
 
 
+def test_rebalance_rejects_mismatched_graph():
+    g = Graph.from_edges(6, [(0, 1), (4, 5)])
+    c = Clustering.from_assignment([0, 0, 0, 1])
+    with pytest.raises(ValidationError, match="graph has 6"):
+        rebalance(g, c)
+
+
+def _reference_ldg(graph, num_clusters, leniency, iterations, seed):
+    """LDG scoring every cluster for every unit: O(M) numpy work per visit."""
+    n, m = graph.num_units, num_clusters
+    capacity = int(np.ceil((n / m) * (1.0 + leniency)))
+    rng = np.random.default_rng(seed)
+    previous = np.full(n, -1, dtype=np.int64)
+    assignment = np.full(n, -1, dtype=np.int64)
+    fill_penalty = np.empty(m, dtype=np.float64)
+    for _ in range(iterations):
+        assignment.fill(-1)
+        sizes = np.zeros(m, dtype=np.int64)
+        for i in rng.permutation(n):
+            nbrs = graph.neighbors(i)
+            nbr_clusters = np.where(assignment[nbrs] >= 0, assignment[nbrs], previous[nbrs])
+            counts = np.bincount(nbr_clusters[nbr_clusters >= 0], minlength=m)
+            np.multiply(sizes, -1.0 / capacity, out=fill_penalty)
+            fill_penalty += 1.0
+            scores = counts * fill_penalty
+            scores[sizes >= capacity] = -np.inf
+            best = int(np.argmax(scores))
+            assignment[i] = best
+            sizes[best] += 1
+        previous, assignment = assignment, previous
+    assignment = previous
+    sizes = np.bincount(assignment, minlength=m)
+    for c in np.flatnonzero(sizes == 0):
+        donor = int(np.argmax(sizes))
+        moved = int(np.flatnonzero(assignment == donor)[0])
+        assignment[moved] = c
+        sizes[donor] -= 1
+        sizes[c] += 1
+    return assignment
+
+
+def _reference_rebalance(graph, clustering):
+    """Rebalance rescanning every unit of every oversized cluster per move."""
+    m = clustering.num_clusters
+    target = clustering.num_units // m
+    assignment = clustering.assignment.copy()
+    sizes = clustering.sizes.copy()
+    while True:
+        over = np.flatnonzero(sizes > target)
+        if len(over) == 0:
+            return assignment
+        under = np.flatnonzero(sizes < target)
+        best_unit, best_conn = -1, None
+        for c in over:
+            for i in np.flatnonzero(assignment == c):
+                conn = int(np.count_nonzero(assignment[graph.neighbors(int(i))] == c))
+                if best_conn is None or conn < best_conn or (conn == best_conn and i < best_unit):
+                    best_conn, best_unit = conn, int(i)
+        gains = np.bincount(assignment[graph.neighbors(best_unit)], minlength=m)[under]
+        dest = int(under[np.argmax(gains)])
+        sizes[assignment[best_unit]] -= 1
+        assignment[best_unit] = dest
+        sizes[dest] += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    num_blocks=st.integers(2, 6),
+    block_size=st.integers(2, 10),
+    p_intra=st.floats(0.0, 1.0),
+    p_inter=st.floats(0.0, 0.3),
+    graph_seed=st.integers(0, 1000),
+    cluster_pick=st.integers(0, 100),
+    leniency=st.floats(0.0, 1.5),
+    iterations=st.integers(1, 4),
+    seed=st.integers(0, 1000),
+)
+def test_partition_matches_reference_rules(
+    num_blocks, block_size, p_intra, p_inter, graph_seed, cluster_pick, leniency, iterations, seed
+):
+    spec = SbmSpec(num_blocks=num_blocks, block_size=block_size, p_intra=p_intra, p_inter=p_inter, seed=graph_seed)
+    g, _ = generate_sbm(spec)
+    n = g.num_units
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    m = divisors[cluster_pick % len(divisors)]
+    lenient = ldg_restream(g, m, leniency=leniency, iterations=iterations, seed=seed)
+    assert np.array_equal(lenient.assignment, _reference_ldg(g, m, leniency, iterations, seed))
+
+    balanced = rebalance(g, lenient)
+    assert np.array_equal(balanced.assignment, _reference_rebalance(g, lenient))
+    target = n // m
+    moved = np.flatnonzero(balanced.assignment != lenient.assignment)
+    assert len(moved) == int(np.maximum(lenient.sizes - target, 0).sum())
+    # Every mover left an oversized cluster for one that started under target.
+    assert np.all(lenient.sizes[lenient.assignment[moved]] > target)
+    assert np.all(lenient.sizes[balanced.assignment[moved]] < target)
+
+
 def test_clustering_invariants():
     with pytest.raises(ValidationError):
         Clustering.from_assignment([0, 2, 2])  # cluster 1 empty
