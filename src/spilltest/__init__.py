@@ -15,21 +15,17 @@ from .assign import (
 from .estimate import (
     AnalysisReport,
     DeltaEstimate,
-    InterferenceVarianceTerms,
     SutvaVariance,
     VarianceComponents,
     analyze,
     analyze_stratified,
     chebyshev_decision,
     delta_statistic,
-    diff_in_means,
     empirical_variance_bound,
     expected_delta_linear,
     fisher_null_variance,
     gaussian_p_value,
-    horvitz_thompson_cluster,
     interference_variance_approx,
-    neighborhood_pair_terms,
     stratified_delta,
     theoretical_sutva_variance,
     variance_components,

@@ -23,7 +23,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from ._errors import ValidationError
+from ._errors import ValidationError, field_error
 from .partition import Clustering, Stratification
 
 ARM_CR = 1  # individually randomized arm
@@ -397,13 +397,21 @@ def load_assignment_vectors(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     rows: dict[int, tuple[int, int]] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) < {"unit_id", "arm", "treatment"}:
+        if not {"unit_id", "arm", "treatment"} <= set(reader.fieldnames or ()):
             raise ValidationError(f"{path}: expected header unit_id,arm,treatment")
         for row in reader:
-            arm_text = row["arm"].strip().lower()
+            arm_text = (row["arm"] or "").strip().lower()
             if arm_text not in ("cr", "cbr"):
                 raise ValidationError(f"{path}: unknown arm {row['arm']!r}")
-            rows[int(row["unit_id"])] = (ARM_CR if arm_text == "cr" else ARM_CBR, int(row["treatment"]))
+            try:
+                unit, z = int(row["unit_id"]), int(row["treatment"])
+            except (TypeError, ValueError):
+                raise field_error(
+                    path, reader.line_num, row, {"unit_id": int, "treatment": int}
+                ) from None
+            if unit in rows:
+                raise ValidationError(f"{path}: duplicate unit_id {unit}")
+            rows[unit] = (ARM_CR if arm_text == "cr" else ARM_CBR, z)
     if not rows:
         raise ValidationError(f"{path}: no assignments")
     n = max(rows) + 1

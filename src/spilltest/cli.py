@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._errors import CheckFailure, SpilltestError, ValidationError
+from ._errors import CheckFailure, SpilltestError, ValidationError, field_error
 from .assign import (
     DesignCounts,
     _sub_clustering,
@@ -144,11 +144,24 @@ def cmd_stratify(args: argparse.Namespace) -> int:
     if args.covariates:
         with open(args.covariates, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
             if not header or header[0] != "cluster_id":
                 raise ValidationError(f"{args.covariates}: first column must be cluster_id")
-            rows = sorted((int(r[0]), [float(v) for v in r[1:]]) for r in reader)
-            covariates = np.asarray([vals for _, vals in rows], dtype=np.float64)
+            kinds = {"cluster_id": int, **{name: float for name in header[1:]}}
+            rows = []
+            for r in reader:
+                if len(r) != len(header):
+                    raise ValidationError(
+                        f"{args.covariates}: line {reader.line_num}: "
+                        f"expected {len(header)} fields, got {len(r)}"
+                    )
+                try:
+                    rows.append((int(r[0]), [float(v) for v in r[1:]]))
+                except ValueError:
+                    raise field_error(
+                        args.covariates, reader.line_num, dict(zip(header, r)), kinds
+                    ) from None
+            covariates = np.asarray([vals for _, vals in sorted(rows)], dtype=np.float64)
     features = cluster_features(graph, clustering, covariates)
     strat = stratify_clusters(features, args.strata, seed=args.seed)
     save_stratification(strat, args.out_strata)
@@ -169,8 +182,10 @@ def cmd_stratify(args: argparse.Namespace) -> int:
 def _load_counts(path: str | None, clustering) -> DesignCounts | None:
     if path is None:
         return None
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return DesignCounts(**payload)
+    try:
+        return DesignCounts(**json.loads(Path(path).read_text(encoding="utf-8")))
+    except (json.JSONDecodeError, TypeError) as exc:
+        raise ValidationError(f"{path}: bad design counts: {exc}") from exc
 
 
 def cmd_assign(args: argparse.Namespace) -> int:

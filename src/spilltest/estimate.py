@@ -4,7 +4,15 @@ The test statistic is the gap between two estimates of the same effect: a
 difference-in-means over the individually randomized arm and a scaled
 cluster-total contrast over the cluster-randomized arm. Under no
 interference both estimate the total treatment effect, so the gap has mean
-zero; a conservative variance bound turns it into a distribution-free test.
+zero. A plug-in variance bound, read through Chebyshev's inequality or a
+Gaussian approximation, turns the gap into a test. The bound is exact in
+expectation for a constant effect but not conservative in general: when
+treatment effects cluster together its expectation falls below the variance
+of the gap (acceptance criterion 4), and the test can then exceed its level.
+
+One kernel, :func:`_statistic_rows`, computes both estimates and the bound
+for stacked draws of a design: the analysis and the studies run it on one
+draw at a time, the oracle on every enumerated draw at once.
 """
 
 from __future__ import annotations
@@ -65,30 +73,6 @@ def variance_components(table: "PotentialTable", clustering: Clustering) -> Vari
     )
 
 
-def diff_in_means(y: np.ndarray, z: np.ndarray) -> float:
-    """Mean outcome of treated units minus mean outcome of control units."""
-    y = np.asarray(y, dtype=np.float64)
-    z = np.asarray(z).astype(bool)
-    if len(y) != len(z):
-        raise ValidationError("outcome and assignment lengths differ")
-    if not z.any() or z.all():
-        raise ValidationError("difference in means needs both groups non-empty")
-    return float(y[z].mean() - y[~z].mean())
-
-
-def horvitz_thompson_cluster(
-    y_plus: np.ndarray, z_clusters: np.ndarray, num_clusters: int, num_units: int
-) -> float:
-    """Scaled contrast of cluster totals: ``(M / N) * (mean_t(Y+) - mean_c(Y+))``."""
-    y_plus = np.asarray(y_plus, dtype=np.float64)
-    z = np.asarray(z_clusters).astype(bool)
-    if len(y_plus) != len(z):
-        raise ValidationError("cluster totals and cluster assignment lengths differ")
-    if not z.any() or z.all():
-        raise ValidationError("cluster contrast needs both groups non-empty")
-    return float((num_clusters / num_units) * (y_plus[z].mean() - y_plus[~z].mean()))
-
-
 @dataclass(frozen=True)
 class DeltaEstimate:
     """Both arm estimates and their gap for one assignment draw."""
@@ -98,13 +82,79 @@ class DeltaEstimate:
     delta: float
 
 
-def _slice_outcomes(assignment: HierarchicalAssignment, y: np.ndarray) -> np.ndarray:
+def _bucket(values: np.ndarray, mask: np.ndarray, size: int) -> np.ndarray:
+    # Row-major boolean gather keeps each draw's members in id order, so the
+    # reductions below see the same values in the same order as one draw.
+    picked = values[mask]
+    if picked.size != size * len(values):
+        raise ValidationError("assignment does not match its design counts")
+    return picked.reshape(len(values), size)
+
+
+def _statistic_rows(
+    counts: DesignCounts,
+    cluster_of: np.ndarray,
+    unit_arm: np.ndarray,
+    treatment: np.ndarray,
+    cluster_arm: np.ndarray,
+    cluster_treatment: np.ndarray,
+    y: np.ndarray,
+    bound: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(tau_cr, tau_cbr, sigma_hat_sq)`` for R stacked draws of one design.
+
+    Unit-level inputs are ``(R, N)``, cluster-level ones ``(R, M)``, and every
+    draw has the bucket sizes of ``counts``; ``cluster_of`` maps units to
+    clusters. ``sigma_hat_sq`` is None unless ``bound``, which raises
+    ValidationError when a bucket holds fewer than two members.
+    """
+    c = counts
+    if bound and (c.n_cr_t < 2 or c.n_cr_c < 2):
+        raise ValidationError("need >= 2 treated and >= 2 control units in the unit-randomized arm")
+    if bound and (c.m_cbr_t < 2 or c.m_cbr_c < 2):
+        raise ValidationError("need >= 2 treated and >= 2 control clusters in the cluster arm")
+    rows, m = cluster_arm.shape
+    cr = unit_arm == ARM_CR
+    z = treatment.astype(bool)
+    y_t = _bucket(y, cr & z, c.n_cr_t)
+    y_c = _bucket(y, cr & ~z, c.n_cr_c)
+    # Cluster totals of every draw from one bincount over row-offset ids.
+    ids = cluster_of + m * np.arange(rows)[:, None]
+    y_plus = np.bincount(ids.ravel(), weights=y.ravel(), minlength=rows * m).reshape(rows, m)
+    cbr = cluster_arm == ARM_CBR
+    zc = cluster_treatment == 1
+    yp_t = _bucket(y_plus, cbr & zc, c.m_cbr_t)
+    yp_c = _bucket(y_plus, cbr & ~zc, c.m_cbr_c)
+
+    scale = c.m_cbr / c.n_cbr
+    tau_cr = y_t.mean(axis=1) - y_c.mean(axis=1)
+    tau_cbr = scale * (yp_t.mean(axis=1) - yp_c.mean(axis=1))
+    if not bound:
+        return tau_cr, tau_cbr, None
+    sigma_hat_sq = (
+        y_t.var(axis=1, ddof=1) / c.n_cr_t
+        + y_c.var(axis=1, ddof=1) / c.n_cr_c
+        + scale**2 * (yp_t.var(axis=1, ddof=1) / c.m_cbr_t + yp_c.var(axis=1, ddof=1) / c.m_cbr_c)
+    )
+    return tau_cr, tau_cbr, sigma_hat_sq
+
+
+def _draw_statistics(
+    assignment: HierarchicalAssignment, y: np.ndarray, bound: bool = True
+) -> tuple[DeltaEstimate, float | None]:
+    """The kernel on one draw: its estimate and, if ``bound``, its bound."""
     y = np.asarray(y, dtype=np.float64)
     if assignment.unit_ids.max() >= len(y):
         raise ValidationError(
             f"outcomes missing for unit {int(assignment.unit_ids.max())}; got {len(y)} values"
         )
-    return y[assignment.unit_ids]
+    a = assignment
+    tau_cr, tau_cbr, sigma_hat_sq = _statistic_rows(
+        a.counts, a.clustering.assignment, a.unit_arm[None], a.treatment[None],
+        a.cluster_arm[None], a.cluster_treatment[None], y[a.unit_ids][None], bound,
+    )
+    est = DeltaEstimate(float(tau_cr[0]), float(tau_cbr[0]), float(tau_cr[0] - tau_cbr[0]))
+    return est, None if sigma_hat_sq is None else float(sigma_hat_sq[0])
 
 
 def delta_statistic(assignment: HierarchicalAssignment, y: np.ndarray) -> DeltaEstimate:
@@ -112,23 +162,9 @@ def delta_statistic(assignment: HierarchicalAssignment, y: np.ndarray) -> DeltaE
 
     The first arm's estimate is a plain difference in means over its units;
     the second is ``(m_cbr / n_cbr)`` times the treated-minus-control contrast
-    of its cluster totals.
+    of its cluster totals. Single-member buckets are allowed.
     """
-    local = _slice_outcomes(assignment, y)
-    cr = assignment.unit_arm == ARM_CR
-    z = assignment.treatment.astype(bool)
-    tau_cr = diff_in_means(local[cr], z[cr])
-
-    y_plus = assignment.clustering.cluster_sums(local)
-    cbr_clusters = assignment.cluster_arm == ARM_CBR
-    zc = assignment.cluster_treatment[cbr_clusters] == 1
-    counts = assignment.counts
-    scale = counts.m_cbr / counts.n_cbr
-    yp = y_plus[cbr_clusters]
-    if not zc.any() or zc.all():
-        raise ValidationError("cluster-randomized arm needs both groups non-empty")
-    tau_cbr = float(scale * (yp[zc].mean() - yp[~zc].mean()))
-    return DeltaEstimate(tau_cr=tau_cr, tau_cbr=tau_cbr, delta=tau_cr - tau_cbr)
+    return _draw_statistics(assignment, y, bound=False)[0]
 
 
 def empirical_variance_bound(assignment: HierarchicalAssignment, y: np.ndarray) -> float:
@@ -145,30 +181,7 @@ def empirical_variance_bound(assignment: HierarchicalAssignment, y: np.ndarray) 
     heterogeneous potential tables fall below the variance (acceptance
     criterion 4). Every bucket must hold at least two observations.
     """
-    local = _slice_outcomes(assignment, y)
-    cr = assignment.unit_arm == ARM_CR
-    z = assignment.treatment.astype(bool)
-    y_t = local[cr & z]
-    y_c = local[cr & ~z]
-    if len(y_t) < 2 or len(y_c) < 2:
-        raise ValidationError("need >= 2 treated and >= 2 control units in the unit-randomized arm")
-
-    y_plus = assignment.clustering.cluster_sums(local)
-    cbr_clusters = assignment.cluster_arm == ARM_CBR
-    zc = assignment.cluster_treatment[cbr_clusters] == 1
-    yp = y_plus[cbr_clusters]
-    yp_t = yp[zc]
-    yp_c = yp[~zc]
-    if len(yp_t) < 2 or len(yp_c) < 2:
-        raise ValidationError("need >= 2 treated and >= 2 control clusters in the cluster arm")
-
-    counts = assignment.counts
-    scale_sq = (counts.m_cbr / counts.n_cbr) ** 2
-    return (
-        _sample_var(y_t) / len(y_t)
-        + _sample_var(y_c) / len(y_c)
-        + scale_sq * (_sample_var(yp_t) / len(yp_t) + _sample_var(yp_c) / len(yp_c))
-    )
+    return _draw_statistics(assignment, y)[1]
 
 
 def _small_sample_factors(counts: DesignCounts) -> tuple[float, float]:
@@ -407,8 +420,7 @@ def analyze(
     decision_rule: str = "chebyshev",
 ) -> AnalysisReport:
     """Full single-design analysis: arm estimates, bound, p-values, decision."""
-    est = delta_statistic(assignment, y)
-    sigma_hat_sq = empirical_variance_bound(assignment, y)
+    est, sigma_hat_sq = _draw_statistics(assignment, y)
     return _finish_report(
         est.tau_cr,
         est.tau_cbr,
@@ -433,8 +445,7 @@ def analyze_stratified(
     details = []
     counts_total: dict[str, int] = {}
     for s, a in enumerate(assignments):
-        est = delta_statistic(a, y)
-        bound = empirical_variance_bound(a, y)
+        est, bound = _draw_statistics(a, y)
         details.append(
             StratumDetail(
                 stratum=s,
@@ -532,92 +543,6 @@ def expected_delta_linear(
 # ---------------------------------------------------------------------------
 # Variance of the gap under the linear interference model.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InterferenceVarianceTerms:
-    """Neighborhood-pair statistics of a clustered graph.
-
-    Ordered pairs of neighbors (repeats allowed) classified by cluster
-    membership, averaged per unit (``a_bar``..``c_bar``), over same-cluster
-    unit pairs (``d_bar``, ``e_bar``), over different-cluster unit pairs
-    (``f_bar``), and the inverse-degree pair mass ``g_bar``. Isolated units
-    contribute zero everywhere.
-    """
-
-    a_bar: float
-    b_bar: float
-    c_bar: float
-    d_bar: float
-    e_bar: float
-    f_bar: float
-    g_bar: float
-
-
-def neighborhood_pair_terms(graph: "Graph", clustering: Clustering) -> InterferenceVarianceTerms:
-    """Compute the neighborhood-pair statistics by direct counting."""
-    n = graph.num_units
-    m = clustering.num_clusters
-    assignment = clustering.assignment
-    deg = graph.degrees.astype(np.float64)
-    src = np.repeat(np.arange(n), graph.degrees)
-    dst = graph.adjacency_indices
-
-    # K[i, c] = number of i's neighbors inside cluster c, held sparsely.
-    keys = src * m + assignment[dst]
-    uniq, counts = np.unique(keys, return_counts=True)
-    k_src = uniq // m
-    k_cluster = uniq % m
-    k_count = counts.astype(np.float64)
-
-    own = np.zeros(n)
-    own_mask = k_cluster == assignment[k_src]
-    own[k_src[own_mask]] = k_count[own_mask]
-    sum_k_sq = np.bincount(k_src, weights=k_count**2, minlength=n)
-    own_sq = own**2
-
-    nz = deg > 0
-    rho = np.zeros(n)
-    rho[nz] = own[nz] / deg[nz]
-
-    a_i = np.zeros(n)
-    b_i = np.zeros(n)
-    c_i = np.zeros(n)
-    a_i[nz] = own_sq[nz] / deg[nz] ** 2
-    b_i[nz] = (deg[nz] ** 2 - sum_k_sq[nz]) / deg[nz] ** 2
-    c_i[nz] = (sum_k_sq[nz] - own_sq[nz]) / deg[nz] ** 2
-
-    cluster_rho = np.bincount(assignment, weights=rho, minlength=m)
-    cluster_rho_sq = np.bincount(assignment, weights=rho**2, minlength=m)
-    sizes = clustering.sizes.astype(np.float64)
-    # Same-cluster ordered pairs i != j of rho_j(1-rho_i) + rho_i(1-rho_j).
-    d_sum = float(np.sum(2.0 * (sizes - 1.0) * cluster_rho - 2.0 * (cluster_rho**2 - cluster_rho_sq)))
-    e_sum = float(np.sum(cluster_rho**2 - cluster_rho_sq))
-
-    # Different-cluster pairs: own-cluster x own-cluster plus the crossed
-    # in-each-other's-cluster mass, via the cluster-pair matrix of K / deg.
-    g_mat = np.zeros((m, m))
-    weights = np.zeros(n)
-    weights[nz] = 1.0 / deg[nz]
-    g_vals = k_count * weights[k_src]
-    np.add.at(g_mat, (assignment[k_src], k_cluster), g_vals)
-    cross = g_mat * g_mat.T
-    f_sum = float(np.sum(cluster_rho) ** 2 - np.sum(cluster_rho**2)) + float(
-        cross.sum() - np.trace(cross)
-    )
-
-    inv_deg = weights
-    g_sum = float(inv_deg.sum() ** 2 - np.sum(inv_deg**2))
-
-    return InterferenceVarianceTerms(
-        a_bar=float(a_i.mean()),
-        b_bar=float(b_i.mean()),
-        c_bar=float(c_i.mean()),
-        d_bar=d_sum / n**2,
-        e_bar=e_sum / n**2,
-        f_bar=f_sum / n**2,
-        g_bar=g_sum / n**2,
-    )
 
 
 def _eta_moments(m: int, s: int) -> dict[str, float]:

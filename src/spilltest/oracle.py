@@ -17,7 +17,7 @@ import numpy as np
 
 from ._errors import CheckFailure, ValidationError
 from .assign import DesignCounts
-from .estimate import chebyshev_decision
+from .estimate import _statistic_rows, chebyshev_decision
 from .outcomes import LinearInterferenceModel, PotentialTable
 from .partition import Clustering
 
@@ -153,9 +153,8 @@ def enumerate_hierarchical_assignments(
     return unit_arm, treatment, cluster_arm, cluster_treated
 
 
-def _hierarchical_statistic_rows(
-    spec: EnumerationSpec,
-) -> np.ndarray:
+def _hierarchical_statistic_rows(spec: EnumerationSpec) -> np.ndarray:
+    """The statistic on every enumerated draw, computed by the shipped estimator."""
     clustering, counts = spec.clustering, spec.counts
     if clustering is None or counts is None:
         raise ValidationError("hierarchical enumeration needs a clustering and counts")
@@ -163,70 +162,23 @@ def _hierarchical_statistic_rows(
         clustering, counts
     )
     y_rows = _realize(spec.outcomes, treatment)
-    membership = (
-        clustering.assignment[:, None] == np.arange(clustering.num_clusters)[None, :]
-    ).astype(np.float64)
-    y_plus = y_rows @ membership
-
-    w = unit_arm.astype(bool)
-    z = treatment.astype(bool)
-    t_mask = (w & z).astype(np.float64)
-    c_mask = (w & ~z).astype(np.float64)
-    tau_cr = (y_rows * t_mask).sum(axis=1) / counts.n_cr_t - (y_rows * c_mask).sum(
-        axis=1
-    ) / counts.n_cr_c
-
-    cbr_t = ((cluster_arm == 0) & (cluster_treated == 1)).astype(np.float64)
-    cbr_c = ((cluster_arm == 0) & (cluster_treated == 0)).astype(np.float64)
-    scale = counts.m_cbr / counts.n_cbr
-    tau_cbr = scale * (
-        (y_plus * cbr_t).sum(axis=1) / counts.m_cbr_t
-        - (y_plus * cbr_c).sum(axis=1) / counts.m_cbr_c
-    )
-    delta = tau_cr - tau_cbr
-
     if callable(spec.statistic):
-        values = np.array(
-            [
-                spec.statistic(unit_arm[r], treatment[r], y_rows[r])
-                for r in range(len(y_rows))
-            ],
+        return np.array(
+            [spec.statistic(unit_arm[r], treatment[r], y_rows[r]) for r in range(len(y_rows))],
             dtype=np.float64,
         )
-        return values
-    if spec.statistic == "tau_cr":
-        return tau_cr
-    if spec.statistic == "tau_cbr":
-        return tau_cbr
-    if spec.statistic == "delta":
-        return delta
-    if spec.statistic in ("sigma_hat_sq", "reject"):
-        def bucket_var(values: np.ndarray, mask: np.ndarray, count: int) -> np.ndarray:
-            if count < 2:
-                raise ValidationError("variance bucket needs at least two members")
-            s = (values * mask).sum(axis=1)
-            ss = (values**2 * mask).sum(axis=1)
-            return (ss - s**2 / count) / (count - 1)
-
-        sigma = (
-            bucket_var(y_rows, t_mask, counts.n_cr_t) / counts.n_cr_t
-            + bucket_var(y_rows, c_mask, counts.n_cr_c) / counts.n_cr_c
-            + scale**2
-            * (
-                bucket_var(y_plus, cbr_t, counts.m_cbr_t) / counts.m_cbr_t
-                + bucket_var(y_plus, cbr_c, counts.m_cbr_c) / counts.m_cbr_c
-            )
+    if spec.statistic not in ("delta", "tau_cr", "tau_cbr", "sigma_hat_sq", "reject"):
+        raise ValidationError(f"unknown statistic {spec.statistic!r}")
+    tau_cr, tau_cbr, sigma = _statistic_rows(
+        counts, clustering.assignment, unit_arm, treatment, cluster_arm, cluster_treated, y_rows,
+        bound=spec.statistic in ("sigma_hat_sq", "reject"),
+    )
+    delta = tau_cr - tau_cbr
+    if spec.statistic == "reject":
+        return np.array(
+            [float(chebyshev_decision(float(d), float(s), spec.alpha)) for d, s in zip(delta, sigma)]
         )
-        if spec.statistic == "sigma_hat_sq":
-            return sigma
-        rejects = np.array(
-            [
-                float(chebyshev_decision(float(d), float(s), spec.alpha))
-                for d, s in zip(delta, sigma)
-            ]
-        )
-        return rejects
-    raise ValidationError(f"unknown statistic {spec.statistic!r}")
+    return {"tau_cr": tau_cr, "tau_cbr": tau_cbr, "delta": delta, "sigma_hat_sq": sigma}[spec.statistic]
 
 
 def enumerate_moments(spec: EnumerationSpec) -> ExactMoments:

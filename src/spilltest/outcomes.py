@@ -15,11 +15,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._errors import ValidationError
+from ._errors import ValidationError, field_error
 
 if TYPE_CHECKING:
     from .graph import Graph
-    from .partition import Clustering
 
 
 @dataclass(frozen=True)
@@ -103,38 +102,28 @@ class LinearInterferenceModel:
 
 @dataclass(frozen=True)
 class ObservedOutcomes:
-    """Realized outcomes, with per-cluster sums when a clustering is attached."""
+    """Realized outcomes, one per unit."""
 
     y: np.ndarray
-    y_plus: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y, dtype=np.float64)
         object.__setattr__(self, "y", y)
         y.setflags(write=False)
-        if self.y_plus is not None:
-            yp = np.asarray(self.y_plus, dtype=np.float64)
-            object.__setattr__(self, "y_plus", yp)
-            yp.setflags(write=False)
 
 
-def realize_sutva(
-    table: PotentialTable, z: np.ndarray, clustering: "Clustering | None" = None
-) -> ObservedOutcomes:
+def realize_sutva(table: PotentialTable, z: np.ndarray) -> ObservedOutcomes:
     """Select each unit's outcome by its own treatment: ``z_i ? y1_i : y0_i``."""
     z = np.asarray(z)
     if len(z) != table.num_units:
         raise ValidationError("assignment length does not match the potential table")
-    y = np.where(z.astype(bool), table.y1, table.y0)
-    y_plus = clustering.cluster_sums(y) if clustering is not None else None
-    return ObservedOutcomes(y=y, y_plus=y_plus)
+    return ObservedOutcomes(y=np.where(z.astype(bool), table.y1, table.y0))
 
 
 def realize_linear(
     model: LinearInterferenceModel,
     z: np.ndarray,
     seed: int | np.random.SeedSequence | None = 0,
-    clustering: "Clustering | None" = None,
 ) -> ObservedOutcomes:
     """Draw outcomes from the linear interference model; deterministic per seed."""
     z = np.asarray(z, dtype=np.float64)
@@ -143,8 +132,7 @@ def realize_linear(
     if model.noise_sd > 0:
         rng = np.random.default_rng(seed)
         y = y + model.noise_sd * rng.standard_normal(len(y))
-    y_plus = clustering.cluster_sums(y) if clustering is not None else None
-    return ObservedOutcomes(y=y, y_plus=y_plus)
+    return ObservedOutcomes(y=y)
 
 
 def total_treatment_effect(source: PotentialTable | LinearInterferenceModel) -> float:
@@ -173,20 +161,23 @@ def load_outcomes(path: str | Path) -> np.ndarray:
     """Read a ``unit_id,y`` CSV into a dense vector indexed by unit id.
 
     Raises:
-        ValidationError: On a duplicated ``unit_id``, a non-finite outcome,
-            or unit ids that are not contiguous from 0.
+        ValidationError: On a malformed field, a duplicated ``unit_id``, a
+            non-finite outcome, or unit ids that are not contiguous from 0.
     """
     path = Path(path)
     rows: dict[int, float] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) < {"unit_id", "y"}:
+        if not {"unit_id", "y"} <= set(reader.fieldnames or ()):
             raise ValidationError(f"{path}: expected header unit_id,y")
         for row in reader:
-            unit = int(row["unit_id"])
+            try:
+                unit = int(row["unit_id"])
+                value = float(row["y"])
+            except (TypeError, ValueError):
+                raise field_error(path, reader.line_num, row, {"unit_id": int, "y": float}) from None
             if unit in rows:
                 raise ValidationError(f"{path}: duplicate unit_id {unit}")
-            value = float(row["y"])
             if not math.isfinite(value):
                 raise ValidationError(f"{path}: non-finite outcome {row['y']!r} for unit {unit}")
             rows[unit] = value
@@ -217,7 +208,7 @@ def load_potential_table(path: str | Path) -> PotentialTable:
     rows: dict[int, tuple[float, float]] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) < {"unit_id", "y1", "y0"}:
+        if not {"unit_id", "y1", "y0"} <= set(reader.fieldnames or ()):
             raise ValidationError(f"{path}: expected header unit_id,y1,y0")
         for row in reader:
             rows[int(row["unit_id"])] = (float(row["y1"]), float(row["y0"]))

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._errors import InfeasibleError, ValidationError
+from ._errors import InfeasibleError, ValidationError, field_error
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -398,13 +398,18 @@ def load_clustering(path: str | Path) -> Clustering:
     rows: dict[int, int] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) < {"unit_id", "cluster_id"}:
+        if not {"unit_id", "cluster_id"} <= set(reader.fieldnames or ()):
             raise ValidationError(f"{path}: expected header unit_id,cluster_id")
         for row in reader:
-            unit = int(row["unit_id"])
+            try:
+                unit, cluster = int(row["unit_id"]), int(row["cluster_id"])
+            except (TypeError, ValueError):
+                raise field_error(
+                    path, reader.line_num, row, {"unit_id": int, "cluster_id": int}
+                ) from None
             if unit in rows:
                 raise ValidationError(f"{path}: duplicate unit_id {unit}")
-            rows[unit] = int(row["cluster_id"])
+            rows[unit] = cluster
     if not rows:
         raise ValidationError(f"{path}: empty clustering")
     n = max(rows) + 1
@@ -431,10 +436,18 @@ def load_stratification(path: str | Path) -> Stratification:
     rows: dict[int, int] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) < {"cluster_id", "stratum_id"}:
+        if not {"cluster_id", "stratum_id"} <= set(reader.fieldnames or ()):
             raise ValidationError(f"{path}: expected header cluster_id,stratum_id")
         for row in reader:
-            rows[int(row["cluster_id"])] = int(row["stratum_id"])
+            try:
+                cluster, stratum = int(row["cluster_id"]), int(row["stratum_id"])
+            except (TypeError, ValueError):
+                raise field_error(
+                    path, reader.line_num, row, {"cluster_id": int, "stratum_id": int}
+                ) from None
+            if cluster in rows:
+                raise ValidationError(f"{path}: duplicate cluster_id {cluster}")
+            rows[cluster] = stratum
     if not rows:
         raise ValidationError(f"{path}: empty stratification")
     m = max(rows) + 1

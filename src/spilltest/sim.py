@@ -10,6 +10,12 @@ Three study types share one config and report shape:
 - ``type1``: no-interference outcomes; reports false-rejection rates under
   both decision rules.
 
+Every study runs the same replication loop, :func:`_replicate`. A study
+supplies one function that turns a replication's seed stream into an
+assignment and its outcomes; the loop runs the estimator kernel on that one
+draw and keeps the gap, the variance bound and both rules' rejection counts.
+Only one draw is alive at a time.
+
 Replications derive their seeds from (master seed, study indices), so an
 identical config reproduces an identical report bit for bit, regardless of
 worker count.
@@ -23,18 +29,17 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
 from ._errors import ParseError, ValidationError
-from .assign import DesignCounts, hierarchical_assign
+from .assign import DesignCounts, HierarchicalAssignment, hierarchical_assign
 from .estimate import (
+    _draw_statistics,
     chebyshev_decision,
-    delta_statistic,
-    empirical_variance_bound,
     gaussian_p_value,
     theoretical_sutva_variance,
 )
@@ -76,7 +81,6 @@ class SimConfig:
     y0_unit_sd: float = 1.0
     # Design counts; None means the symmetric default for the clustering.
     counts: DesignCounts | None = None
-    decision_rule: Literal["chebyshev", "gaussian"] = "chebyshev"
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -105,6 +109,8 @@ class SimConfig:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid study config JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ParseError("study config must be a JSON object")
         try:
             payload["sbm"] = tuple(SbmSpec(**s) for s in payload.get("sbm", []))
             if payload.get("counts") is not None:
@@ -137,13 +143,6 @@ class SimRow:
     ratio_q90: float
 
 
-_CSV_FIELDS = [
-    "study", "setting", "gamma", "rho_c", "replications", "rejection_rate",
-    "rejection_rate_gaussian", "mc_se", "mean_delta", "delta_se",
-    "mean_sigma_hat_sq", "ratio_mean", "ratio_q10", "ratio_q90",
-]
-
-
 @dataclass(frozen=True)
 class SimReport:
     """Study output. ``wall_clock_seconds`` is diagnostic only and excluded
@@ -162,7 +161,7 @@ class SimReport:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=[f.name for f in fields(SimRow)], lineterminator="\n")
         writer.writeheader()
         for row in self.rows:
             writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in asdict(row).items()})
@@ -180,22 +179,72 @@ def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[rank - 1])
 
 
-def _rate_se(rate: float, n: int) -> float:
-    return math.sqrt(max(rate * (1.0 - rate), 0.0) / n)
+# One replication of a study: its seed stream in, an assignment and its outcomes out.
+_Draw = Callable[[np.random.SeedSequence], tuple[HierarchicalAssignment, np.ndarray]]
 
 
-def _block_clustering(num_clusters: int, cluster_size: int) -> Clustering:
-    return Clustering.from_assignment(np.repeat(np.arange(num_clusters), cluster_size))
+def _replicate(
+    cfg: SimConfig,
+    draw: _Draw,
+    streams: list[np.random.SeedSequence],
+    setting: int = 0,
+    gamma: float = 0.0,
+    rho_c: float = 0.0,
+) -> tuple[SimRow, np.ndarray]:
+    """Run one draw per stream, test each with both decision rules, and
+    summarize the grid point; also returns the per-draw variance bounds."""
+    n = len(streams)
+    deltas = np.empty(n)
+    bounds = np.empty(n)
+    rejections = 0
+    rejections_gauss = 0
+    for r, stream in enumerate(streams):
+        est, bound = _draw_statistics(*draw(stream))
+        deltas[r] = est.delta
+        bounds[r] = bound
+        if chebyshev_decision(est.delta, bound, cfg.alpha):
+            rejections += 1
+        if bound > 0 and gaussian_p_value(est.delta, math.sqrt(bound)) < cfg.alpha:
+            rejections_gauss += 1
+    rate = rejections / n
+    row = SimRow(
+        study=cfg.study,
+        setting=setting,
+        gamma=gamma,
+        rho_c=rho_c,
+        replications=n,
+        rejection_rate=rate,
+        rejection_rate_gaussian=rejections_gauss / n,
+        mc_se=math.sqrt(max(rate * (1.0 - rate), 0.0) / n),
+        mean_delta=float(deltas.mean()),
+        delta_se=float(deltas.std(ddof=1) / math.sqrt(n)),
+        mean_sigma_hat_sq=float(bounds.mean()),
+        ratio_mean=0.0,
+        ratio_q10=0.0,
+        ratio_q90=0.0,
+    )
+    return row, bounds
 
 
-def _sutva_table(cfg: SimConfig, clustering: Clustering, stream: np.random.SeedSequence) -> PotentialTable:
-    rng = np.random.default_rng(stream)
+def _sutva_design(cfg: SimConfig) -> tuple[Clustering, DesignCounts, PotentialTable, _Draw, list]:
+    """Block clustering, counts, potential table, draw function and
+    replication streams of the ratio and type-I studies."""
+    clustering = Clustering.from_assignment(np.repeat(np.arange(cfg.num_clusters), cfg.cluster_size))
+    counts = cfg.resolved_counts(clustering)
+    table_stream, rep_root = np.random.SeedSequence(cfg.seed).spawn(2)
+    rng = np.random.default_rng(table_stream)
     cluster_effects = cfg.y0_cluster_sd * rng.standard_normal(clustering.num_clusters)
     y0 = cluster_effects[clustering.assignment] + cfg.y0_unit_sd * rng.standard_normal(
         clustering.num_units
     )
     effects = cfg.constant_effect + cfg.effect_unit_sd * rng.standard_normal(clustering.num_units)
-    return PotentialTable(y1=y0 + effects, y0=y0)
+    table = PotentialTable(y1=y0 + effects, y0=y0)
+
+    def draw(stream: np.random.SeedSequence) -> tuple[HierarchicalAssignment, np.ndarray]:
+        assignment = hierarchical_assign(clustering, counts, stream)
+        return assignment, realize_sutva(table, assignment.treatment).y
+
+    return clustering, counts, table, draw, rep_root.spawn(cfg.replications)
 
 
 def _analysis_clustering(cfg: SimConfig, graph, blocks: Clustering, stream) -> Clustering:
@@ -221,35 +270,18 @@ def run_ratio_study(cfg: SimConfig) -> SimReport:
     if cfg.study != "ratio":
         raise ValidationError("config is not a ratio study")
     start = time.perf_counter()
-    clustering = _block_clustering(cfg.num_clusters, cfg.cluster_size)
-    counts = cfg.resolved_counts(clustering)
-    root = np.random.SeedSequence(cfg.seed)
-    table_stream, rep_root = root.spawn(2)
-    table = _sutva_table(cfg, clustering, table_stream)
+    clustering, counts, table, draw, streams = _sutva_design(cfg)
     reference = theoretical_sutva_variance(table, clustering, counts).exact
     if reference <= 0:
         raise ValidationError("reference variance is zero; the ratio is undefined")
-
-    rep_streams = rep_root.spawn(cfg.replications)
-    ratios = np.empty(cfg.replications)
-    deltas = np.empty(cfg.replications)
-    for r in range(cfg.replications):
-        assignment = hierarchical_assign(clustering, counts, rep_streams[r])
-        observed = realize_sutva(table, assignment.treatment)
-        ratios[r] = empirical_variance_bound(assignment, observed.y) / reference
-        deltas[r] = delta_statistic(assignment, observed.y).delta
+    row, bounds = _replicate(cfg, draw, streams)
+    ratios = bounds / reference
     ratios_sorted = np.sort(ratios)
-    row = SimRow(
-        study="ratio",
-        setting=0,
-        gamma=0.0,
-        rho_c=0.0,
-        replications=cfg.replications,
+    row = replace(
+        row,
         rejection_rate=0.0,
         rejection_rate_gaussian=0.0,
         mc_se=float(ratios.std(ddof=1) / math.sqrt(cfg.replications)),
-        mean_delta=float(deltas.mean()),
-        delta_se=float(deltas.std(ddof=1) / math.sqrt(cfg.replications)),
         mean_sigma_hat_sq=float(ratios.mean() * reference),
         ratio_mean=float(ratios.mean()),
         ratio_q10=_nearest_rank(ratios_sorted, 0.10),
@@ -281,50 +313,20 @@ def _power_setting_rows(args: tuple[SimConfig, int]) -> list[SimRow]:
             noise_sd=cfg.noise_sd,
             graph=graph,
         )
-        rep_streams = gamma_streams[gi].spawn(cfg.replications)
-        rejections = 0
-        rejections_gauss = 0
-        deltas = np.empty(cfg.replications)
-        bounds = np.empty(cfg.replications)
-        for r in range(cfg.replications):
-            assign_stream, noise_stream, graph_stream = rep_streams[r].spawn(3)
+
+        def draw(stream: np.random.SeedSequence) -> tuple[HierarchicalAssignment, np.ndarray]:
+            assign_stream, noise_stream, graph_stream = stream.spawn(3)
+            clustering_r, model_r = clustering, model
             if cfg.regenerate_graph_per_rep:
                 rep_spec = replace(spec, seed=int(graph_stream.generate_state(1)[0]))
                 graph_r, blocks_r = generate_sbm(rep_spec)
                 clustering_r = _analysis_clustering(cfg, graph_r, blocks_r, graph_stream)
                 model_r = replace(model, graph=graph_r)
-            else:
-                graph_r, clustering_r, model_r = graph, clustering, model
             assignment = hierarchical_assign(clustering_r, counts, assign_stream)
-            observed = realize_linear(model_r, assignment.treatment, seed=noise_stream)
-            est = delta_statistic(assignment, observed.y)
-            bound = empirical_variance_bound(assignment, observed.y)
-            deltas[r] = est.delta
-            bounds[r] = bound
-            if chebyshev_decision(est.delta, bound, cfg.alpha):
-                rejections += 1
-            if bound > 0 and gaussian_p_value(est.delta, math.sqrt(bound)) < cfg.alpha:
-                rejections_gauss += 1
-        rate = rejections / cfg.replications
-        rate_gauss = rejections_gauss / cfg.replications
-        rows.append(
-            SimRow(
-                study=cfg.study,
-                setting=setting_index,
-                gamma=gamma,
-                rho_c=rho_c,
-                replications=cfg.replications,
-                rejection_rate=rate,
-                rejection_rate_gaussian=rate_gauss,
-                mc_se=_rate_se(rate, cfg.replications),
-                mean_delta=float(deltas.mean()),
-                delta_se=float(deltas.std(ddof=1) / math.sqrt(cfg.replications)),
-                mean_sigma_hat_sq=float(bounds.mean()),
-                ratio_mean=0.0,
-                ratio_q10=0.0,
-                ratio_q90=0.0,
-            )
-        )
+            return assignment, realize_linear(model_r, assignment.treatment, seed=noise_stream).y
+
+        streams = gamma_streams[gi].spawn(cfg.replications)
+        rows.append(_replicate(cfg, draw, streams, setting_index, gamma, rho_c)[0])
     return rows
 
 
@@ -352,46 +354,8 @@ def run_type1_study(cfg: SimConfig) -> SimReport:
     if cfg.study != "type1":
         raise ValidationError("config is not a type1 study")
     start = time.perf_counter()
-    clustering = _block_clustering(cfg.num_clusters, cfg.cluster_size)
-    counts = cfg.resolved_counts(clustering)
-    root = np.random.SeedSequence(cfg.seed)
-    table_stream, rep_root = root.spawn(2)
-    table = _sutva_table(cfg, clustering, table_stream)
-
-    rep_streams = rep_root.spawn(cfg.replications)
-    rejections = 0
-    rejections_gauss = 0
-    deltas = np.empty(cfg.replications)
-    bounds = np.empty(cfg.replications)
-    for r in range(cfg.replications):
-        assignment = hierarchical_assign(clustering, counts, rep_streams[r])
-        observed = realize_sutva(table, assignment.treatment)
-        est = delta_statistic(assignment, observed.y)
-        bound = empirical_variance_bound(assignment, observed.y)
-        deltas[r] = est.delta
-        bounds[r] = bound
-        if chebyshev_decision(est.delta, bound, cfg.alpha):
-            rejections += 1
-        if bound > 0 and gaussian_p_value(est.delta, math.sqrt(bound)) < cfg.alpha:
-            rejections_gauss += 1
-    rate = rejections / cfg.replications
-    rate_gauss = rejections_gauss / cfg.replications
-    row = SimRow(
-        study="type1",
-        setting=0,
-        gamma=0.0,
-        rho_c=0.0,
-        replications=cfg.replications,
-        rejection_rate=rate,
-        rejection_rate_gaussian=rate_gauss,
-        mc_se=_rate_se(rate, cfg.replications),
-        mean_delta=float(deltas.mean()),
-        delta_se=float(deltas.std(ddof=1) / math.sqrt(cfg.replications)),
-        mean_sigma_hat_sq=float(bounds.mean()),
-        ratio_mean=0.0,
-        ratio_q10=0.0,
-        ratio_q90=0.0,
-    )
+    *_, draw, streams = _sutva_design(cfg)
+    row, _ = _replicate(cfg, draw, streams)
     return SimReport(config=cfg, rows=(row,), wall_clock_seconds=time.perf_counter() - start)
 
 

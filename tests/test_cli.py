@@ -255,3 +255,82 @@ def test_stratified_cli_round_trip(tmp_path):
                    "--out-report", report) == 0
     body = json.loads(report.read_text())["report"]
     assert body["stratified"] and len(body["strata"]) == 2
+
+
+def _table_inputs(tmp_path, **override):
+    # The bundled table-check files, with one of them replaced by ``override``.
+    paths = {}
+    for kind in ("assignment", "outcomes", "clusters"):
+        paths[kind] = tmp_path / f"{kind}.csv"
+        text = fixture_path(f"table_check_{kind}.csv").read_text()
+        paths[kind].write_text(override.get(kind, lambda t: t)(text))
+    return ["analyze", "--assignment", paths["assignment"], "--outcomes", paths["outcomes"],
+            "--clusters-file", paths["clusters"], "--out-report", tmp_path / "r.json"]
+
+
+def _replace_line(number, line):
+    def edit(text):
+        lines = text.splitlines()
+        lines[number] = line
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def _stratify_with_covariates(tmp_path):
+    clusters, covariates = tmp_path / "c.csv", tmp_path / "cov.csv"
+    clusters.write_text("unit_id,cluster_id\n" + "".join(f"{i},{i // 2}\n" for i in range(8)))
+    covariates.write_text("cluster_id,x\n0,1.0\n1,abc\n2,0.5\n3,2.0\n")
+    return ["stratify", "--edges", fixture_path("cliquepair.edges"), "--clusters-file", clusters,
+            "--strata", 2, "--seed", 1, "--covariates", covariates, "--out-strata", tmp_path / "s.csv"]
+
+
+def _analyze_with_strata(tmp_path, text):
+    strata = tmp_path / "s.csv"
+    strata.write_text("cluster_id,stratum_id\n" + text)
+    return _table_inputs(tmp_path) + ["--stratification", strata]
+
+
+def _assign_with_counts(tmp_path, text):
+    counts = tmp_path / "k.json"
+    counts.write_text(text)
+    return ["assign", "--clusters-file", fixture_path("table_check_clusters.csv"), "--seed", 1,
+            "--counts", counts, "--out-assignment", tmp_path / "a.csv", "--out-counts", tmp_path / "o.json"]
+
+
+def _simulate_with_config(tmp_path):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text("[1, 2]")
+    return ["simulate", "--config", cfg, "--out-csv", tmp_path / "o.csv"]
+
+
+# Each case: the command line it builds, and what its error line must name.
+MALFORMED_INPUTS = {
+    "outcome-field": (lambda p: _table_inputs(p, outcomes=_replace_line(2, "1,abc")), "y 'abc'"),
+    "outcome-short-row": (lambda p: _table_inputs(p, outcomes=_replace_line(2, "1")), "y is missing"),
+    "outcome-header": (lambda p: _table_inputs(p, outcomes=_replace_line(0, "id,y")), "header"),
+    "assignment-treatment": (
+        lambda p: _table_inputs(p, assignment=_replace_line(2, "1,cr,x")), "treatment 'x'"
+    ),
+    "assignment-duplicate": (
+        lambda p: _table_inputs(p, assignment=lambda t: t + "4,cr,1\n"), "duplicate unit_id 4"
+    ),
+    "cluster-field": (lambda p: _table_inputs(p, clusters=_replace_line(2, "1,zz")), "cluster_id 'zz'"),
+    "stratum-field": (lambda p: _analyze_with_strata(p, "0,0\n1,q\n"), "stratum_id 'q'"),
+    "stratum-duplicate": (
+        lambda p: _analyze_with_strata(p, "".join(f"{c},{c // 4}\n" for c in range(8)) + "3,1\n"),
+        "duplicate cluster_id 3",
+    ),
+    "covariate-field": (_stratify_with_covariates, "x 'abc'"),
+    "partial-counts-json": (lambda p: _assign_with_counts(p, json.dumps({"n_cr": 8})), "counts"),
+    "non-object-counts-json": (lambda p: _assign_with_counts(p, "[8]"), "counts"),
+    "invalid-counts-json": (lambda p: _assign_with_counts(p, "{n_cr: 8"), "counts"),
+    "non-object-study-config": (_simulate_with_config, "JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_inputs_exit_1_with_error_line(tmp_path, capsys, case):
+    build, named = MALFORMED_INPUTS[case]
+    assert run_cli(*build(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err

@@ -3,6 +3,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spilltest import (
     Clustering,
@@ -16,42 +18,140 @@ from spilltest import (
     analyze_stratified,
     chebyshev_decision,
     delta_statistic,
-    diff_in_means,
     empirical_variance_bound,
     enumerate_moments,
     expected_delta_linear,
     fisher_null_variance,
     gaussian_p_value,
-    horvitz_thompson_cluster,
     hierarchical_assign,
     interference_variance_approx,
-    neighborhood_pair_terms,
     stratified_delta,
     stratified_hierarchical_assign,
     theoretical_sutva_variance,
     variance_components,
 )
-from spilltest.assign import assignment_from_vectors
-from spilltest.estimate import _eta_quadratic_moments, _small_sample_factors, chebyshev_p_value
+from spilltest.assign import ARM_CBR, ARM_CR, assignment_from_vectors
+from spilltest.estimate import (
+    _eta_quadratic_moments,
+    _small_sample_factors,
+    _statistic_rows,
+    chebyshev_p_value,
+)
+from spilltest.oracle import _hierarchical_statistic_rows, enumerate_hierarchical_assignments
 from spilltest.partition import Stratification
 
 rng = np.random.default_rng(88)
 
 
-def test_diff_in_means_arithmetic():
-    y = np.array([2.0, 4.0, 1.0, 3.0])
-    z = np.array([1, 1, 0, 0])
-    assert diff_in_means(y, z) == pytest.approx(1.0)
-    assert diff_in_means(np.full(4, 7.0), z) == 0.0
-    with pytest.raises(ValidationError):
-        diff_in_means(y, np.ones(4))
+def _reference_delta(a, y):
+    # Per-draw arm estimates written out with scalar numpy reductions.
+    local = np.asarray(y, dtype=np.float64)[a.unit_ids]
+    cr = a.unit_arm == ARM_CR
+    z = a.treatment.astype(bool)
+    y_cr, z_cr = local[cr], z[cr]
+    tau_cr = float(y_cr[z_cr].mean() - y_cr[~z_cr].mean())
+    y_plus = np.bincount(a.clustering.assignment, weights=local, minlength=a.clustering.num_clusters)
+    cbr = a.cluster_arm == ARM_CBR
+    zc = a.cluster_treatment[cbr] == 1
+    yp = y_plus[cbr]
+    tau_cbr = float(a.counts.m_cbr / a.counts.n_cbr * (yp[zc].mean() - yp[~zc].mean()))
+    return tau_cr, tau_cbr
 
 
-def test_horvitz_thompson_arithmetic():
-    assert horvitz_thompson_cluster(np.array([4.0, 2.0]), np.array([1, 0]), 2, 4) == pytest.approx(1.0)
-    assert horvitz_thompson_cluster(np.array([3.0, 3.0, 3.0]), np.array([1, 0, 1]), 3, 9) == 0.0
-    with pytest.raises(ValidationError):
-        horvitz_thompson_cluster(np.array([1.0, 2.0]), np.array([1, 1]), 2, 4)
+def _reference_bound(a, y):
+    local = np.asarray(y, dtype=np.float64)[a.unit_ids]
+    cr = a.unit_arm == ARM_CR
+    z = a.treatment.astype(bool)
+    y_t, y_c = local[cr & z], local[cr & ~z]
+    y_plus = np.bincount(a.clustering.assignment, weights=local, minlength=a.clustering.num_clusters)
+    cbr = a.cluster_arm == ARM_CBR
+    zc = a.cluster_treatment[cbr] == 1
+    yp_t, yp_c = y_plus[cbr][zc], y_plus[cbr][~zc]
+    v_t, v_c, vp_t, vp_c = (float(np.var(x, ddof=1)) for x in (y_t, y_c, yp_t, yp_c))
+    return (
+        v_t / len(y_t)
+        + v_c / len(y_c)
+        + (a.counts.m_cbr / a.counts.n_cbr) ** 2 * (vp_t / len(yp_t) + vp_c / len(yp_c))
+    )
+
+
+@st.composite
+def _designs(draw):
+    k = draw(st.integers(1, 4))
+    m_cr = draw(st.integers(2 if k == 1 else 1, 5))
+    m_cbr = draw(st.integers(2, 6))
+    n_cr_t = draw(st.integers(1, m_cr * k - 1))
+    m_cbr_t = draw(st.integers(1, m_cbr - 1))
+    counts = DesignCounts(
+        n_cr=m_cr * k, n_cbr=m_cbr * k, m_cr=m_cr, m_cbr=m_cbr,
+        n_cr_t=n_cr_t, n_cr_c=m_cr * k - n_cr_t, m_cbr_t=m_cbr_t, m_cbr_c=m_cbr - m_cbr_t,
+    )
+    clustering = Clustering.from_assignment(np.repeat(np.arange(m_cr + m_cbr), k))
+    return clustering, counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(design=_designs(), rows=st.integers(1, 6), seed=st.integers(0, 10_000))
+def test_kernel_rows_match_per_draw_formulas(design, rows, seed):
+    clustering, counts = design
+    draws = [hierarchical_assign(clustering, counts, seed=seed + r) for r in range(rows)]
+    y = np.random.default_rng(seed).normal(size=(rows, clustering.num_units)) * 10.0 + 3.0
+    stacked = [
+        np.stack([getattr(a, name) for a in draws])
+        for name in ("unit_arm", "treatment", "cluster_arm", "cluster_treatment")
+    ]
+    args = (counts, clustering.assignment, *stacked, y)
+    tau_cr, tau_cbr, none = _statistic_rows(*args, bound=False)
+    assert none is None
+    for r, a in enumerate(draws):
+        assert (tau_cr[r], tau_cbr[r]) == _reference_delta(a, y[r])
+        est = delta_statistic(a, y[r])
+        assert (est.tau_cr, est.tau_cbr, est.delta) == (tau_cr[r], tau_cbr[r], tau_cr[r] - tau_cbr[r])
+    if min(counts.n_cr_t, counts.n_cr_c, counts.m_cbr_t, counts.m_cbr_c) < 2:
+        with pytest.raises(ValidationError, match=">= 2"):
+            _statistic_rows(*args)
+        with pytest.raises(ValidationError, match=">= 2"):
+            empirical_variance_bound(draws[0], y[0])
+        return
+    _, _, sigma = _statistic_rows(*args)
+    for r, a in enumerate(draws):
+        assert sigma[r] == _reference_bound(a, y[r]) == empirical_variance_bound(a, y[r])
+
+
+def test_kernel_rejects_draw_that_disagrees_with_counts():
+    clustering = Clustering.from_assignment(np.repeat(np.arange(8), 2))
+    counts = DesignCounts.symmetric(16, 8)
+    a = hierarchical_assign(clustering, counts, seed=1)
+    treatment = a.treatment.copy()
+    treatment[np.flatnonzero(a.unit_arm == ARM_CR)[0]] ^= 1
+    with pytest.raises(ValidationError, match="design counts"):
+        _statistic_rows(counts, clustering.assignment, a.unit_arm[None], treatment[None],
+                        a.cluster_arm[None], a.cluster_treatment[None], np.ones((1, 16)))
+
+
+@pytest.mark.parametrize("statistic", ["delta", "tau_cr", "tau_cbr", "sigma_hat_sq"])
+def test_oracle_rows_are_the_shipped_estimator(oracle_design, bound_design, statistic):
+    # The bundled design has single-member cluster buckets, so the bound is
+    # checked on the smallest design where every bucket holds two.
+    _, clustering, counts, _, table = oracle_design
+    if statistic == "sigma_hat_sq":
+        clustering, counts = bound_design
+        table = PotentialTable(y1=rng.normal(size=12), y0=rng.normal(size=12))
+    values = _hierarchical_statistic_rows(
+        EnumerationSpec(design="hierarchical", outcomes=table, statistic=statistic,
+                        clustering=clustering, counts=counts)
+    )
+    unit_arm, treatment, _, _ = enumerate_hierarchical_assignments(clustering, counts)
+    assert len(values) == len(unit_arm)
+    for r in range(len(unit_arm)):
+        a = assignment_from_vectors(clustering, unit_arm[r], treatment[r])
+        y = np.where(treatment[r].astype(bool), table.y1, table.y0)
+        if statistic == "sigma_hat_sq":
+            expected = empirical_variance_bound(a, y)
+        else:
+            est = delta_statistic(a, y)
+            expected = getattr(est, statistic)
+        assert values[r] == expected
 
 
 def _manual_assignment():
@@ -335,70 +435,6 @@ def test_expected_delta_linear_with_isolated_units():
         )
     )
     assert expected_delta_linear(model, clustering, counts) == pytest.approx(mom.mean, abs=1e-12)
-
-
-def brute_force_pair_terms(graph, clustering):
-    # Straight from the definitions: ordered neighbor pairs with repeats.
-    n = graph.num_units
-    cl = clustering.assignment
-    a = b = c = 0.0
-    d = e = f = g = 0.0
-    rho = np.zeros(n)
-    for i in range(n):
-        nbrs = graph.neighbors(i)
-        if len(nbrs) == 0:
-            continue
-        rho[i] = np.mean(cl[nbrs] == cl[i])
-        for p in nbrs:
-            for q in nbrs:
-                if cl[p] == cl[i] and cl[q] == cl[i]:
-                    a += 1.0 / len(nbrs) ** 2
-                if cl[p] != cl[q]:
-                    b += 1.0 / len(nbrs) ** 2
-                if cl[p] == cl[q] and cl[p] != cl[i]:
-                    c += 1.0 / len(nbrs) ** 2
-    for i in range(n):
-        ni = graph.neighbors(i)
-        if len(ni) == 0:
-            continue
-        for j in range(n):
-            nj = graph.neighbors(j)
-            if i == j or len(nj) == 0:
-                continue
-            g += 1.0 / (len(ni) * len(nj))
-            if cl[i] == cl[j]:
-                own_i = np.sum(cl[ni] == cl[i])
-                own_j = np.sum(cl[nj] == cl[j])
-                d += (own_j * (len(ni) - own_i) + (len(nj) - own_j) * own_i) / (
-                    len(ni) * len(nj)
-                )
-                e += own_i * own_j / (len(ni) * len(nj))
-            else:
-                own_i = np.sum(cl[ni] == cl[i])
-                own_j = np.sum(cl[nj] == cl[j])
-                cross_ij = np.sum(cl[ni] == cl[j])
-                cross_ji = np.sum(cl[nj] == cl[i])
-                f += (own_i * own_j + cross_ij * cross_ji) / (len(ni) * len(nj))
-    return a / n, b / n, c / n, d / n**2, e / n**2, f / n**2, g / n**2
-
-
-def test_neighborhood_pair_terms_match_brute_force():
-    from spilltest import SbmSpec, generate_sbm
-
-    graph, clustering = generate_sbm(
-        SbmSpec(num_blocks=4, block_size=6, p_intra=0.5, p_inter=0.15, seed=17)
-    )
-    terms = neighborhood_pair_terms(graph, clustering)
-    a, b, c, d, e, f, g = brute_force_pair_terms(graph, clustering)
-    assert terms.a_bar == pytest.approx(a, abs=1e-12)
-    assert terms.b_bar == pytest.approx(b, abs=1e-12)
-    assert terms.c_bar == pytest.approx(c, abs=1e-12)
-    assert terms.d_bar == pytest.approx(d, abs=1e-12)
-    assert terms.e_bar == pytest.approx(e, abs=1e-12)
-    assert terms.f_bar == pytest.approx(f, abs=1e-12)
-    assert terms.g_bar == pytest.approx(g, abs=1e-12)
-    # Ordered pairs of neighbors partition into the three unit-level classes.
-    assert terms.a_bar + terms.b_bar + terms.c_bar == pytest.approx(1.0, abs=1e-12)
 
 
 def test_eta_quadratic_moments_brute_force():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spilltest import (
-    Clustering,
     Graph,
     LinearInterferenceModel,
     PotentialTable,
@@ -41,13 +40,6 @@ def test_realize_sutva_fisher_null_independent_of_assignment():
 def test_realize_sutva_length_mismatch(small_table):
     with pytest.raises(ValidationError):
         realize_sutva(small_table, np.array([1, 0]))
-
-
-def test_realize_sutva_cluster_sums(small_table):
-    clustering = Clustering.from_assignment([0, 0, 1, 1])
-    out = realize_sutva(small_table, np.array([1, 0, 1, 0]), clustering)
-    assert out.y_plus.tolist() == [5.0, -1.0]
-    assert out.y_plus.sum() == pytest.approx(out.y.sum())
 
 
 def test_realize_linear_noise_free_affine(cliquepair_graph):

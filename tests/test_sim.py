@@ -42,6 +42,13 @@ def test_config_explicit_counts_round_trip_and_use():
     assert len(report.rows) == 2  # the lopsided design runs end to end
 
 
+def test_config_rejects_unknown_field():
+    payload = json.loads(tiny_power_config().to_json())
+    payload["decision_rule"] = "chebyshev"
+    with pytest.raises(ValidationError, match="bad study config fields"):
+        SimConfig.from_json(json.dumps(payload))
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         SimConfig(study="power", replications=0, seed=1, sbm=(SbmSpec(2, 2, 0.5, 0.1, 0),))
