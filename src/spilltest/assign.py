@@ -16,14 +16,14 @@ the other.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Literal, Sequence
 
 import numpy as np
 
-from ._errors import ValidationError, field_error
+from ._errors import ValidationError
+from ._table import BIT, ID, read_id_table, write_table
 from .partition import Clustering, Stratification
 
 ARM_CR = 1  # individually randomized arm
@@ -60,6 +60,8 @@ class DesignCounts:
     def __post_init__(self) -> None:
         fields = asdict(self)
         for name, value in fields.items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"design count {name}={value!r} is not an integer")
             if value < 1:
                 raise ValidationError(f"design count {name}={value} must be >= 1")
         if self.n_cr_t + self.n_cr_c != self.n_cr:
@@ -309,8 +311,7 @@ def _sub_clustering(clustering: Clustering, cluster_subset: np.ndarray) -> tuple
     """Restrict to the given clusters, relabeling both units and clusters."""
     mask = np.isin(clustering.assignment, cluster_subset)
     unit_ids = np.flatnonzero(mask)
-    relabel = {int(c): i for i, c in enumerate(np.sort(cluster_subset))}
-    assignment = np.array([relabel[int(c)] for c in clustering.assignment[unit_ids]], dtype=np.int64)
+    assignment = np.searchsorted(np.sort(cluster_subset), clustering.assignment[unit_ids])
     return Clustering.from_assignment(assignment), unit_ids
 
 
@@ -379,50 +380,34 @@ def save_assignment(
     """Persist as CSV with columns ``unit_id,arm,treatment`` (arm: cr | cbr)."""
     if isinstance(assignments, HierarchicalAssignment):
         assignments = [assignments]
-    rows: list[tuple[int, str, int]] = []
-    for a in assignments:
-        for local, unit in enumerate(a.unit_ids):
-            arm = "cr" if a.unit_arm[local] == ARM_CR else "cbr"
-            rows.append((int(unit), arm, int(a.treatment[local])))
-    rows.sort()
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "arm", "treatment"])
-        writer.writerows(rows)
+    units = np.concatenate([a.unit_ids for a in assignments])
+    arms = np.concatenate([a.unit_arm for a in assignments])
+    treatment = np.concatenate([a.treatment for a in assignments])
+    order = np.lexsort((treatment, arms, units))
+    words = np.where(arms[order] == ARM_CR, "cr", "cbr")
+    write_table(
+        path,
+        ["unit_id", "arm", "treatment"],
+        [units[order].tolist(), words.tolist(), treatment[order].tolist()],
+        "%d,%s,%d\r\n",
+    )
 
 
 def load_assignment_vectors(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read ``unit_id,arm,treatment`` into dense (unit_arm, treatment) vectors."""
-    path = Path(path)
-    rows: dict[int, tuple[int, int]] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not {"unit_id", "arm", "treatment"} <= set(reader.fieldnames or ()):
-            raise ValidationError(f"{path}: expected header unit_id,arm,treatment")
-        for row in reader:
-            arm_text = (row["arm"] or "").strip().lower()
-            if arm_text not in ("cr", "cbr"):
-                raise ValidationError(f"{path}: unknown arm {row['arm']!r}")
-            try:
-                unit, z = int(row["unit_id"]), int(row["treatment"])
-            except (TypeError, ValueError):
-                raise field_error(
-                    path, reader.line_num, row, {"unit_id": int, "treatment": int}
-                ) from None
-            if unit in rows:
-                raise ValidationError(f"{path}: duplicate unit_id {unit}")
-            rows[unit] = (ARM_CR if arm_text == "cr" else ARM_CBR, z)
-    if not rows:
-        raise ValidationError(f"{path}: no assignments")
-    n = max(rows) + 1
-    if len(rows) != n:
-        raise ValidationError(f"{path}: unit ids are not contiguous from 0")
-    unit_arm = np.empty(n, dtype=np.int8)
-    treatment = np.empty(n, dtype=np.int8)
-    for unit, (w, z) in rows.items():
-        unit_arm[unit] = w
-        treatment[unit] = z
-    return unit_arm, treatment
+    """Read ``unit_id,arm,treatment`` into dense (unit_arm, treatment) vectors.
+
+    Rows may come in any order; ``arm`` is ``cr`` or ``cbr`` and
+    ``treatment`` is 0 or 1 (see ``_table`` for the accepted text).
+
+    Raises:
+        ValidationError: Naming the file, and the line and field at fault.
+    """
+    table = read_id_table(
+        path,
+        {"unit_id": ID, "arm": {"cr": ARM_CR, "cbr": ARM_CBR}, "treatment": BIT},
+        empty="no assignments",
+    )
+    return table["arm"], table["treatment"]
 
 
 def assignment_from_vectors(
@@ -446,19 +431,23 @@ def assignment_from_vectors(
     if len(unit_arm) != clustering.num_units or len(treatment) != clustering.num_units:
         raise ValidationError("assignment vectors do not match the clustering")
     m = clustering.num_clusters
+    of = clustering.assignment
+    # Each cluster's value is that of one of its units (whichever the scatter
+    # keeps); a cluster holds one value when no unit differs from it.
     cluster_arm = np.empty(m, dtype=np.int8)
-    cluster_treatment = np.full(m, -1, dtype=np.int8)
-    for c in range(m):
-        members = clustering.members(c)
-        arms = np.unique(unit_arm[members])
-        if len(arms) != 1:
+    cluster_arm[of] = unit_arm
+    mixed_arm = np.bincount(of, weights=unit_arm != cluster_arm[of], minlength=m) > 0
+    cluster_treatment = np.empty(m, dtype=np.int8)
+    cluster_treatment[of] = treatment
+    cbr = cluster_arm == ARM_CBR
+    mixed_treatment = cbr & (np.bincount(of, weights=treatment != cluster_treatment[of], minlength=m) > 0)
+    bad = np.flatnonzero(mixed_arm | mixed_treatment)
+    if len(bad):
+        c = int(bad[0])
+        if mixed_arm[c]:
             raise ValidationError(f"cluster {c} spans both arms; assignment is corrupt")
-        cluster_arm[c] = arms[0]
-        if arms[0] == ARM_CBR:
-            zs = np.unique(treatment[members])
-            if len(zs) != 1:
-                raise ValidationError(f"cluster-randomized cluster {c} has mixed treatment")
-            cluster_treatment[c] = zs[0]
+        raise ValidationError(f"cluster-randomized cluster {c} has mixed treatment")
+    cluster_treatment[~cbr] = -1
     m_cr = int(np.count_nonzero(cluster_arm == ARM_CR))
     m_cbr = m - m_cr
     cr_mask = unit_arm == ARM_CR

@@ -10,7 +10,6 @@ check ran and its assertion failed.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -22,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._errors import CheckFailure, SpilltestError, ValidationError, field_error
+from ._errors import CheckFailure, SpilltestError, ValidationError
+from ._table import FLOAT, ID, read_header, read_id_table
 from .assign import (
     DesignCounts,
     _sub_clustering,
@@ -140,28 +140,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 def cmd_stratify(args: argparse.Namespace) -> int:
     graph = load_edge_list(args.edges)
     clustering = load_clustering(args.clusters_file)
-    covariates = None
-    if args.covariates:
-        with open(args.covariates, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[0] != "cluster_id":
-                raise ValidationError(f"{args.covariates}: first column must be cluster_id")
-            kinds = {"cluster_id": int, **{name: float for name in header[1:]}}
-            rows = []
-            for r in reader:
-                if len(r) != len(header):
-                    raise ValidationError(
-                        f"{args.covariates}: line {reader.line_num}: "
-                        f"expected {len(header)} fields, got {len(r)}"
-                    )
-                try:
-                    rows.append((int(r[0]), [float(v) for v in r[1:]]))
-                except ValueError:
-                    raise field_error(
-                        args.covariates, reader.line_num, dict(zip(header, r)), kinds
-                    ) from None
-            covariates = np.asarray([vals for _, vals in sorted(rows)], dtype=np.float64)
+    covariates = _load_covariates(args.covariates) if args.covariates else None
     features = cluster_features(graph, clustering, covariates)
     strat = stratify_clusters(features, args.strata, seed=args.seed)
     save_stratification(strat, args.out_strata)
@@ -177,6 +156,17 @@ def cmd_stratify(args: argparse.Namespace) -> int:
         )
     print(f"stratified {clustering.num_clusters} clusters into {strat.num_strata} strata")
     return 0
+
+
+def _load_covariates(path: str) -> np.ndarray:
+    """The ``cluster_id,<numeric columns...>`` CSV as a matrix with one row
+    per cluster, in cluster-id order."""
+    header = read_header(path)
+    if not header or header[0] != "cluster_id":
+        raise ValidationError(f"{path}: first column must be cluster_id")
+    table = read_id_table(path, {"cluster_id": ID, **dict.fromkeys(header[1:], FLOAT)}, empty="no covariates")
+    columns = [table[name] for name in header[1:]]
+    return np.column_stack(columns) if columns else np.empty((len(table["cluster_id"]), 0))
 
 
 def _load_counts(path: str | None, clustering) -> DesignCounts | None:
@@ -223,9 +213,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     clustering = load_clustering(args.clusters_file)
     unit_arm, treatment = load_assignment_vectors(args.assignment)
     y = load_outcomes(args.outcomes)
+    if len(unit_arm) != clustering.num_units:
+        raise ValidationError(
+            f"assignment covers {len(unit_arm)} units but the clustering has {clustering.num_units}"
+        )
     if len(y) < clustering.num_units:
         missing = list(range(len(y), clustering.num_units))[:10]
         raise ValidationError(f"outcomes missing for assigned units {missing}")
+    if len(y) > clustering.num_units:
+        extra = list(range(clustering.num_units, len(y)))[:10]
+        raise ValidationError(
+            f"outcomes given for units outside the {clustering.num_units}-unit clustering: {extra}"
+        )
     inputs = [args.clusters_file, args.assignment, args.outcomes]
     if args.stratification:
         strat = load_stratification(args.stratification)
@@ -328,16 +327,40 @@ def _load_verify_design(path: str | Path):
     from .partition import Clustering
     from .graph import Graph
 
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    clustering = Clustering.from_assignment(np.asarray(payload["clustering"], dtype=np.int64))
-    graph = Graph.from_edges(clustering.num_units, np.asarray(payload["edges"], dtype=np.int64))
-    counts = DesignCounts(**payload["counts"])
-    model = LinearInterferenceModel(graph=graph, **payload["model"])
-    rng = np.random.default_rng(payload.get("table_seed", 0))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid design JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: design must be a JSON object")
+    missing = [key for key in ("clustering", "edges", "counts", "model") if key not in payload]
+    if missing:
+        raise ValidationError(f"{path}: design is missing {', '.join(missing)}")
+    for key in ("counts", "model"):
+        if not isinstance(payload[key], dict):
+            raise ValidationError(f"{path}: design {key} must be a JSON object")
+    try:
+        clustering = Clustering.from_assignment(_json_ints(payload["clustering"], "clustering"))
+        graph = Graph.from_edges(clustering.num_units, _json_ints(payload["edges"], "edges"))
+        counts = DesignCounts(**payload["counts"])
+        model = LinearInterferenceModel(graph=graph, **payload["model"])
+        rng = np.random.default_rng(payload.get("table_seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: bad design: {exc}") from exc
     table = PotentialTable(
         y1=rng.normal(size=clustering.num_units), y0=rng.normal(size=clustering.num_units)
     )
     return graph, clustering, counts, model, table
+
+
+def _json_ints(value, name: str) -> np.ndarray:
+    """A JSON list (of lists) of integers as an int64 array."""
+    arr = np.asarray(value)
+    if arr.size == 0:
+        return arr.astype(np.int64)
+    if arr.dtype.kind not in "iu":
+        raise ValidationError(f"{name} must hold integers only")
+    return arr.astype(np.int64)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

@@ -648,7 +648,7 @@ def interference_variance_approx(
     inv_deg = np.zeros(n)
     inv_deg[nz] = 1.0 / deg[nz]
 
-    src = np.repeat(np.arange(n), graph.degrees)
+    src = graph.adjacency_sources
     dst = graph.adjacency_indices
     c_src = assignment[src]
     c_dst = assignment[dst]

@@ -7,8 +7,10 @@ sorted neighbor lists so that iteration order is deterministic.
 
 from __future__ import annotations
 
+import io
 import json
 import re
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -27,6 +29,12 @@ if TYPE_CHECKING:
 _MAX_PAIRS = 500_000_000
 
 _HEADER_RE = re.compile(r"^N\s*=\s*(\d+)$")
+_UNIT_ID_RE = re.compile(r"[+-]?[0-9]+")
+# The bytes an edge line may hold; a line with any other byte is a comment,
+# a header or an error.
+_EDGE_BYTES = np.zeros(256, dtype=bool)
+_EDGE_BYTES[list(b"0123456789+-, \t\n")] = True
+_INT64 = np.iinfo(np.int64)
 
 
 class Graph:
@@ -37,13 +45,14 @@ class Graph:
     :func:`load_edge_list`.
     """
 
-    __slots__ = ("_indptr", "_indices", "_sparse")
+    __slots__ = ("_indptr", "_indices", "_sources", "_sparse")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray):
         # Internal constructor: callers are expected to pass validated CSR
         # arrays (sorted, symmetric, simple). Use from_edges() instead.
         self._indptr = indptr
         self._indices = indices
+        self._sources = None
         self._sparse = None
         indptr.setflags(write=False)
         indices.setflags(write=False)
@@ -77,13 +86,13 @@ class Graph:
 
     @classmethod
     def _from_valid_pairs(cls, num_units: int, arr: np.ndarray) -> "Graph":
-        # Symmetrize, deduplicate, and pack into CSR with sorted rows.
+        # Symmetrize, deduplicate, and pack into CSR with sorted rows. A sort
+        # and an adjacent-difference mask give np.unique's keys, much faster.
         if arr.size:
-            both = np.concatenate([arr, arr[:, ::-1]])
-            keys = both[:, 0] * num_units + both[:, 1]
-            keys = np.unique(keys)
-            src = keys // num_units
-            dst = keys % num_units
+            i, j = arr[:, 0], arr[:, 1]
+            keys = np.sort(np.concatenate([i * num_units + j, j * num_units + i]))
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            src, dst = np.divmod(keys, num_units)
         else:
             src = dst = np.empty(0, dtype=np.int64)
         counts = np.bincount(src, minlength=num_units)
@@ -120,6 +129,16 @@ class Graph:
     def adjacency_indices(self) -> np.ndarray:
         return self._indices
 
+    @property
+    def adjacency_sources(self) -> np.ndarray:
+        """Source unit of every entry of :attr:`adjacency_indices` (cached,
+        read-only): ``np.repeat(np.arange(N), degrees)``."""
+        if self._sources is None:
+            sources = np.repeat(np.arange(self.num_units), self.degrees)
+            sources.setflags(write=False)
+            self._sources = sources
+        return self._sources
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """Undirected edges as ``(i, j)`` with ``i < j``, in sorted order."""
         for i in range(self.num_units):
@@ -129,7 +148,7 @@ class Graph:
 
     def edge_array(self) -> np.ndarray:
         """All undirected edges as an ``(E, 2)`` array with ``i < j`` rows."""
-        src = np.repeat(np.arange(self.num_units), self.degrees)
+        src = self.adjacency_sources
         mask = src < self._indices
         return np.column_stack([src[mask], self._indices[mask]])
 
@@ -244,7 +263,7 @@ def neighborhood_fractions(graph: Graph, clustering: "Clustering") -> np.ndarray
     """Vector of per-unit in-cluster neighbor fractions (0 for isolated units)."""
     n = graph.num_units
     deg = graph.degrees
-    src = np.repeat(np.arange(n), deg)
+    src = graph.adjacency_sources
     same = clustering.assignment[src] == clustering.assignment[graph.adjacency_indices]
     counts = np.bincount(src[same], minlength=n)
     out = np.zeros(n, dtype=np.float64)
@@ -254,41 +273,70 @@ def neighborhood_fractions(graph: Graph, clustering: "Clustering") -> np.ndarray
 
 
 def load_edge_list(path: str | Path) -> Graph:
-    """Read a graph from a whitespace- or comma-separated edge-list file.
+    """Read a graph from an edge-list file.
 
-    One edge per line; ``#`` starts a comment line; an optional header line
-    ``N=<int>`` fixes the unit count (otherwise ``1 + max id`` is used).
-    Duplicate edges collapse to one.
+    The file is UTF-8 text in lines ended by LF, CRLF or CR. Each line, with
+    surrounding whitespace stripped, is one of:
+
+    - empty, or starting with ``#``: skipped;
+    - ``N=<int>``, with optional whitespace around ``=``: fixes the unit
+      count N (the last such line wins; otherwise N is ``1 + max id``);
+    - an edge: two unit ids separated by spaces, tabs or commas, where a
+      comma counts as a space (``0,,1`` is an edge). A unit id is ASCII
+      digits with an optional sign.
+
+    An edge line holds no other character. Duplicate edges, in either
+    direction, collapse to one.
 
     Raises:
-        ParseError: Malformed line (message carries the line number).
-        ValidationError: Negative ids, self-loops, or ids outside a declared N.
+        ParseError: A line that is none of these (message carries the line
+            number).
+        ValidationError: Negative ids, self-loops (with the line number), ids
+            outside a declared N, or no edges and no N=<int> header.
     """
     path = Path(path)
-    pairs: list[tuple[int, int]] = []
+    data = path.read_bytes()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    odd = np.flatnonzero(~_EDGE_BYTES[np.frombuffer(data, dtype=np.uint8)])
     declared_n: int | None = None
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            header = _HEADER_RE.match(line)
+    if len(odd):
+        # One step per line holding another byte (comments and headers);
+        # each is blanked, so the bulk parse below skips it.
+        blanked = bytearray(data)
+        k = 0
+        while k < len(odd):
+            start = data.rfind(b"\n", 0, odd[k]) + 1
+            end = data.find(b"\n", odd[k])
+            end = len(data) if end < 0 else end
+            try:
+                line = data[start:end].decode("utf-8").strip()
+            except UnicodeDecodeError:
+                line = None
+            header = _HEADER_RE.match(line) if line else None
             if header:
                 declared_n = int(header.group(1))
-                continue
-            tokens = line.replace(",", " ").split()
-            if len(tokens) != 2:
-                raise ParseError(f"{path}:{lineno}: expected two unit ids, got {line!r}")
-            try:
-                i, j = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer unit id in {line!r}") from None
-            if i < 0 or j < 0:
-                raise ValidationError(f"{path}:{lineno}: negative unit id in {line!r}")
-            if i == j:
-                raise ValidationError(f"{path}:{lineno}: self-loop on unit {i}")
-            pairs.append((i, j))
-    max_id = max((max(p) for p in pairs), default=-1)
+            elif line is None or (line and not line.startswith("#")):
+                raise _edge_list_error(path, data)
+            blanked[start:end] = b" " * (end - start)
+            k = int(np.searchsorted(odd, end))
+        data = bytes(blanked)
+    with warnings.catch_warnings():
+        # Older numpy reads "1.0" into an integer column with a warning.
+        warnings.simplefilter("error", DeprecationWarning)
+        # A file without edges is handled below.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            pairs = np.loadtxt(
+                io.BytesIO(data.replace(b",", b" ")), dtype=np.int64, comments=None, ndmin=2
+            )
+        except (ValueError, DeprecationWarning):
+            raise _edge_list_error(path, data) from None
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.shape[1] != 2 or np.any(pairs < 0) or np.any(pairs[:, 0] == pairs[:, 1]):
+        raise _edge_list_error(path, data)
+    max_id = int(pairs.max()) if len(pairs) else -1
     if declared_n is None:
         if max_id < 0:
             raise ValidationError(f"{path}: no edges and no N=<int> header")
@@ -297,13 +345,37 @@ def load_edge_list(path: str | Path) -> Graph:
         if max_id >= declared_n:
             raise ValidationError(f"{path}: unit id {max_id} outside declared N={declared_n}")
         num_units = declared_n
-    return Graph.from_edges(num_units, np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
+    return Graph.from_edges(num_units, pairs)
+
+
+def _edge_list_error(path: Path, data: bytes) -> ValidationError:
+    """The error of the first line of ``data`` that :func:`load_edge_list`
+    rejects, found by reading the lines one at a time."""
+    for lineno, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            return ParseError(f"{path}:{lineno}: line is not UTF-8 text")
+        if not line or line.startswith("#") or _HEADER_RE.match(line):
+            continue
+        tokens = line.replace(",", " ").split()
+        if len(tokens) != 2:
+            return ParseError(f"{path}:{lineno}: expected two unit ids, got {line!r}")
+        if not all(_UNIT_ID_RE.fullmatch(t) and _INT64.min <= int(t) <= _INT64.max for t in tokens):
+            return ParseError(f"{path}:{lineno}: non-integer unit id in {line!r}")
+        if not _EDGE_BYTES[np.frombuffer(raw, dtype=np.uint8)].all():
+            return ParseError(f"{path}:{lineno}: unsupported separator in {line!r}")
+        i, j = int(tokens[0]), int(tokens[1])
+        if i < 0 or j < 0:
+            return ValidationError(f"{path}:{lineno}: negative unit id in {line!r}")
+        if i == j:
+            return ValidationError(f"{path}:{lineno}: self-loop on unit {i}")
+    return ParseError(f"{path}: malformed edge list")
 
 
 def save_edge_list(graph: Graph, path: str | Path) -> None:
     """Write a graph in the edge-list format read by :func:`load_edge_list`."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    edges = graph.edge_array()
+    with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(f"N={graph.num_units}\n")
-        for i, j in graph.edges():
-            fh.write(f"{i} {j}\n")
+        fh.write(("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist()))

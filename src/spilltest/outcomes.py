@@ -7,15 +7,14 @@ model, where a unit also responds to the treated fraction of its neighborhood.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._errors import ValidationError, field_error
+from ._errors import ValidationError
+from ._table import FLOAT, ID, read_id_table, write_table
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -83,7 +82,7 @@ class LinearInterferenceModel:
         if len(z) != self.graph.num_units:
             raise ValidationError("assignment length does not match the graph")
         deg = self.graph.degrees
-        src = np.repeat(np.arange(self.graph.num_units), deg)
+        src = self.graph.adjacency_sources
         treated = np.bincount(src, weights=z[self.graph.adjacency_indices], minlength=self.graph.num_units)
         out = np.zeros(self.graph.num_units)
         nz = deg > 0
@@ -150,76 +149,17 @@ def total_treatment_effect(source: PotentialTable | LinearInterferenceModel) -> 
 
 def save_outcomes(y: np.ndarray, path: str | Path) -> None:
     """Persist observed outcomes as CSV with columns ``unit_id,y``."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "y"])
-        for i, value in enumerate(np.asarray(y, dtype=np.float64)):
-            writer.writerow([i, repr(float(value))])
+    values = np.asarray(y, dtype=np.float64).tolist()
+    write_table(path, ["unit_id", "y"], [list(range(len(values))), values], "%d,%r\r\n")
 
 
 def load_outcomes(path: str | Path) -> np.ndarray:
     """Read a ``unit_id,y`` CSV into a dense vector indexed by unit id.
 
+    Rows may come in any order; see ``_table`` for the accepted text.
+
     Raises:
         ValidationError: On a malformed field, a duplicated ``unit_id``, a
             non-finite outcome, or unit ids that are not contiguous from 0.
     """
-    path = Path(path)
-    rows: dict[int, float] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not {"unit_id", "y"} <= set(reader.fieldnames or ()):
-            raise ValidationError(f"{path}: expected header unit_id,y")
-        for row in reader:
-            try:
-                unit = int(row["unit_id"])
-                value = float(row["y"])
-            except (TypeError, ValueError):
-                raise field_error(path, reader.line_num, row, {"unit_id": int, "y": float}) from None
-            if unit in rows:
-                raise ValidationError(f"{path}: duplicate unit_id {unit}")
-            if not math.isfinite(value):
-                raise ValidationError(f"{path}: non-finite outcome {row['y']!r} for unit {unit}")
-            rows[unit] = value
-    if not rows:
-        raise ValidationError(f"{path}: no outcomes")
-    n = max(rows) + 1
-    if len(rows) != n:
-        missing = sorted(set(range(n)) - set(rows))[:10]
-        raise ValidationError(f"{path}: missing outcomes for units {missing}")
-    y = np.empty(n, dtype=np.float64)
-    for i, value in rows.items():
-        y[i] = value
-    return y
-
-
-def save_potential_table(table: PotentialTable, path: str | Path) -> None:
-    """Persist a potential table as CSV with columns ``unit_id,y1,y0``."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "y1", "y0"])
-        for i in range(table.num_units):
-            writer.writerow([i, repr(float(table.y1[i])), repr(float(table.y0[i]))])
-
-
-def load_potential_table(path: str | Path) -> PotentialTable:
-    """Read a ``unit_id,y1,y0`` CSV written by :func:`save_potential_table`."""
-    path = Path(path)
-    rows: dict[int, tuple[float, float]] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not {"unit_id", "y1", "y0"} <= set(reader.fieldnames or ()):
-            raise ValidationError(f"{path}: expected header unit_id,y1,y0")
-        for row in reader:
-            rows[int(row["unit_id"])] = (float(row["y1"]), float(row["y0"]))
-    if not rows:
-        raise ValidationError(f"{path}: no rows")
-    n = max(rows) + 1
-    if len(rows) != n:
-        raise ValidationError(f"{path}: unit ids are not contiguous from 0")
-    y1 = np.empty(n)
-    y0 = np.empty(n)
-    for i, (a, b) in rows.items():
-        y1[i] = a
-        y0[i] = b
-    return PotentialTable(y1=y1, y0=y0)
+    return read_id_table(path, {"unit_id": ID, "y": FLOAT}, empty="no outcomes")["y"]

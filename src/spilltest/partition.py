@@ -9,7 +9,6 @@ the partition in practice.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import json
 import math
@@ -19,7 +18,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._errors import InfeasibleError, ValidationError, field_error
+from ._errors import InfeasibleError, ValidationError
+from ._table import ID, INT, read_id_table, write_table
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -241,7 +241,7 @@ def rebalance(graph: "Graph", clustering: Clustering) -> Clustering:
         return clustering
     assignment = clustering.assignment.copy()
     sizes = clustering.sizes.copy()
-    src = np.repeat(np.arange(n), graph.degrees)
+    src = graph.adjacency_sources
     same = assignment[src] == assignment[graph.adjacency_indices]
     conn = np.bincount(src[same], minlength=n)
     candidates = np.flatnonzero(np.isin(assignment, oversized))
@@ -277,7 +277,7 @@ def clustering_metrics(graph: "Graph", clustering: Clustering) -> ClusteringMetr
         raise ValidationError("clustering does not cover the graph")
     fracs = neighborhood_fractions(graph, clustering)
     assignment = clustering.assignment
-    src = np.repeat(np.arange(graph.num_units), graph.degrees)
+    src = graph.adjacency_sources
     dst = graph.adjacency_indices
     total = len(dst) // 2
     internal = int(np.count_nonzero(assignment[src] == assignment[dst])) // 2
@@ -306,7 +306,7 @@ def cluster_features(
     """Edge-count features per cluster, plus optional user covariate columns."""
     m = clustering.num_clusters
     assignment = clustering.assignment
-    src = np.repeat(np.arange(graph.num_units), graph.degrees)
+    src = graph.adjacency_sources
     dst = graph.adjacency_indices
     same = assignment[src] == assignment[dst]
     internal = np.bincount(assignment[src[same]], minlength=m) // 2
@@ -385,77 +385,45 @@ def subsample_clusters(clustering: Clustering, fraction: float, seed: int | None
 
 def save_clustering(clustering: Clustering, path: str | Path) -> None:
     """Persist as CSV with columns ``unit_id,cluster_id``."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit_id", "cluster_id"])
-        for i, c in enumerate(clustering.assignment):
-            writer.writerow([i, int(c)])
+    assignment = clustering.assignment
+    write_table(
+        path, ["unit_id", "cluster_id"], [list(range(len(assignment))), assignment.tolist()], "%d,%d\r\n"
+    )
 
 
 def load_clustering(path: str | Path) -> Clustering:
-    """Read a ``unit_id,cluster_id`` CSV written by :func:`save_clustering`."""
-    path = Path(path)
-    rows: dict[int, int] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not {"unit_id", "cluster_id"} <= set(reader.fieldnames or ()):
-            raise ValidationError(f"{path}: expected header unit_id,cluster_id")
-        for row in reader:
-            try:
-                unit, cluster = int(row["unit_id"]), int(row["cluster_id"])
-            except (TypeError, ValueError):
-                raise field_error(
-                    path, reader.line_num, row, {"unit_id": int, "cluster_id": int}
-                ) from None
-            if unit in rows:
-                raise ValidationError(f"{path}: duplicate unit_id {unit}")
-            rows[unit] = cluster
-    if not rows:
-        raise ValidationError(f"{path}: empty clustering")
-    n = max(rows) + 1
-    if len(rows) != n:
-        raise ValidationError(f"{path}: unit ids are not contiguous from 0")
-    assignment = np.empty(n, dtype=np.int64)
-    for unit, c in rows.items():
-        assignment[unit] = c
-    return Clustering.from_assignment(assignment)
+    """Read a ``unit_id,cluster_id`` CSV written by :func:`save_clustering`.
+
+    Rows may come in any order; see ``_table`` for the accepted text.
+
+    Raises:
+        ValidationError: Naming the file, and the line and field at fault.
+    """
+    table = read_id_table(path, {"unit_id": ID, "cluster_id": INT}, empty="empty clustering")
+    return Clustering.from_assignment(table["cluster_id"])
 
 
 def save_stratification(strat: Stratification, path: str | Path) -> None:
     """Persist as CSV with columns ``cluster_id,stratum_id``."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cluster_id", "stratum_id"])
-        for c, s in enumerate(strat.stratum_of):
-            writer.writerow([c, int(s)])
+    stratum_of = strat.stratum_of
+    write_table(
+        path, ["cluster_id", "stratum_id"], [list(range(len(stratum_of))), stratum_of.tolist()], "%d,%d\r\n"
+    )
 
 
 def load_stratification(path: str | Path) -> Stratification:
-    """Read a ``cluster_id,stratum_id`` CSV written by :func:`save_stratification`."""
-    path = Path(path)
-    rows: dict[int, int] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if not {"cluster_id", "stratum_id"} <= set(reader.fieldnames or ()):
-            raise ValidationError(f"{path}: expected header cluster_id,stratum_id")
-        for row in reader:
-            try:
-                cluster, stratum = int(row["cluster_id"]), int(row["stratum_id"])
-            except (TypeError, ValueError):
-                raise field_error(
-                    path, reader.line_num, row, {"cluster_id": int, "stratum_id": int}
-                ) from None
-            if cluster in rows:
-                raise ValidationError(f"{path}: duplicate cluster_id {cluster}")
-            rows[cluster] = stratum
-    if not rows:
-        raise ValidationError(f"{path}: empty stratification")
-    m = max(rows) + 1
-    if len(rows) != m:
-        raise ValidationError(f"{path}: cluster ids are not contiguous from 0")
-    stratum_of = np.empty(m, dtype=np.int64)
-    for c, s in rows.items():
-        stratum_of[c] = s
+    """Read a ``cluster_id,stratum_id`` CSV written by :func:`save_stratification`.
+
+    Rows may come in any order; see ``_table`` for the accepted text.
+
+    Raises:
+        ValidationError: Naming the file, and the line and field at fault,
+            or a negative stratum id.
+    """
+    table = read_id_table(path, {"cluster_id": ID, "stratum_id": INT}, empty="empty stratification")
+    stratum_of = table["stratum_id"]
+    if stratum_of.min() < 0:
+        raise ValidationError(f"{path}: negative stratum_id {int(stratum_of.min())}")
     num_strata = int(stratum_of.max()) + 1
     sizes = np.bincount(stratum_of, minlength=num_strata).astype(np.int64)
     return Stratification(num_strata=num_strata, stratum_of=stratum_of, strata_sizes=sizes)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from spilltest import (
@@ -14,6 +16,8 @@ from spilltest import (
     stratified_hierarchical_assign,
 )
 from spilltest.assign import (
+    ARM_CBR,
+    ARM_CR,
     _hierarchical_from_streams,
     assignment_from_vectors,
     load_assignment_vectors,
@@ -285,3 +289,50 @@ def test_assignment_from_vectors_rejects_corrupt(clusters8):
     treatment = np.array([1, 1, 0, 0, 1, 0, 0, 0], dtype=np.int8)  # mixed cbr cluster
     with pytest.raises(ValidationError, match="mixed treatment"):
         assignment_from_vectors(clusters8, unit_arm, treatment)
+
+
+def _per_cluster_bits(clustering, unit_arm, treatment):
+    """The per-cluster loop ``assignment_from_vectors`` used before its
+    bincount checks, kept as the reference."""
+    m = clustering.num_clusters
+    cluster_arm = np.empty(m, dtype=np.int8)
+    cluster_treatment = np.full(m, -1, dtype=np.int8)
+    for c in range(m):
+        members = clustering.members(c)
+        arms = np.unique(unit_arm[members])
+        if len(arms) != 1:
+            raise ValidationError(f"cluster {c} spans both arms; assignment is corrupt")
+        cluster_arm[c] = arms[0]
+        if arms[0] == ARM_CBR:
+            zs = np.unique(treatment[members])
+            if len(zs) != 1:
+                raise ValidationError(f"cluster-randomized cluster {c} has mixed treatment")
+            cluster_treatment[c] = zs[0]
+    return cluster_arm, cluster_treatment
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_assignment_from_vectors_matches_per_cluster_loop(m, size, seed, flips):
+    rng = np.random.default_rng(seed)
+    clustering = Clustering.from_assignment(rng.permutation(np.repeat(np.arange(m), size)))
+    n = clustering.num_units
+    unit_arm = rng.integers(0, 2, m)[clustering.assignment].astype(np.int8)
+    cluster_z = rng.integers(0, 2, m)[clustering.assignment]
+    treatment = np.where(unit_arm == ARM_CR, rng.integers(0, 2, n), cluster_z).astype(np.int8)
+    for _ in range(flips):
+        vector = unit_arm if rng.random() < 0.5 else treatment
+        vector[rng.integers(n)] ^= 1
+    try:
+        cluster_arm, cluster_treatment = _per_cluster_bits(clustering, unit_arm, treatment)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=str(exc)):
+            assignment_from_vectors(clustering, unit_arm, treatment)
+        return
+    try:
+        rebuilt = assignment_from_vectors(clustering, unit_arm, treatment)
+    except ValidationError as exc:  # design counts the loop never checked
+        assert "design count" in str(exc) or "unbalanced" in str(exc) or "treated" in str(exc), str(exc)
+        return
+    assert np.array_equal(rebuilt.cluster_arm, cluster_arm)
+    assert np.array_equal(rebuilt.cluster_treatment, cluster_treatment)

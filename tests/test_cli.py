@@ -284,10 +284,10 @@ def _stratify_with_covariates(tmp_path):
             "--strata", 2, "--seed", 1, "--covariates", covariates, "--out-strata", tmp_path / "s.csv"]
 
 
-def _analyze_with_strata(tmp_path, text):
+def _analyze_with_strata(tmp_path, text, **override):
     strata = tmp_path / "s.csv"
     strata.write_text("cluster_id,stratum_id\n" + text)
-    return _table_inputs(tmp_path) + ["--stratification", strata]
+    return _table_inputs(tmp_path, **override) + ["--stratification", strata]
 
 
 def _assign_with_counts(tmp_path, text):
@@ -303,6 +303,18 @@ def _simulate_with_config(tmp_path):
     return ["simulate", "--config", cfg, "--out-csv", tmp_path / "o.csv"]
 
 
+def _design(**override):
+    # The bundled oracle design with some of its keys replaced.
+    payload = json.loads(fixture_path("oracle8.json").read_text())
+    return json.dumps({**payload, **override})
+
+
+def _oracle_with_design(tmp_path, text):
+    design = tmp_path / "d.json"
+    design.write_text(text)
+    return ["oracle", "--design", design]
+
+
 # Each case: the command line it builds, and what its error line must name.
 MALFORMED_INPUTS = {
     "outcome-field": (lambda p: _table_inputs(p, outcomes=_replace_line(2, "1,abc")), "y 'abc'"),
@@ -314,8 +326,25 @@ MALFORMED_INPUTS = {
     "assignment-duplicate": (
         lambda p: _table_inputs(p, assignment=lambda t: t + "4,cr,1\n"), "duplicate unit_id 4"
     ),
+    # Units 8 and 9 make up one cluster-randomized cluster.
+    "assignment-treatment-2": (
+        lambda p: _table_inputs(
+            p, assignment=lambda t: _replace_line(10, "9,cbr,2")(_replace_line(9, "8,cbr,2")(t))
+        ),
+        "treatment '2' is not 0 or 1",
+    ),
+    "outcomes-outside-clustering": (
+        lambda p: _table_inputs(p, outcomes=lambda t: t + f"{len(t.splitlines()) - 1},1.0\n"),
+        "outside the",
+    ),
     "cluster-field": (lambda p: _table_inputs(p, clusters=_replace_line(2, "1,zz")), "cluster_id 'zz'"),
     "stratum-field": (lambda p: _analyze_with_strata(p, "0,0\n1,q\n"), "stratum_id 'q'"),
+    "stratified-short-assignment": (
+        lambda p: _analyze_with_strata(
+            p, "".join(f"{c},{c // 4}\n" for c in range(8)), assignment=lambda t: "".join(t.splitlines(True)[:9])
+        ),
+        "assignment covers 8 units",
+    ),
     "stratum-duplicate": (
         lambda p: _analyze_with_strata(p, "".join(f"{c},{c // 4}\n" for c in range(8)) + "3,1\n"),
         "duplicate cluster_id 3",
@@ -324,7 +353,30 @@ MALFORMED_INPUTS = {
     "partial-counts-json": (lambda p: _assign_with_counts(p, json.dumps({"n_cr": 8})), "counts"),
     "non-object-counts-json": (lambda p: _assign_with_counts(p, "[8]"), "counts"),
     "invalid-counts-json": (lambda p: _assign_with_counts(p, "{n_cr: 8"), "counts"),
+    "float-counts-json": (
+        lambda p: _assign_with_counts(p, json.dumps(
+            {"n_cr": 8.0, "n_cbr": 8, "m_cr": 4, "m_cbr": 4, "n_cr_t": 4, "n_cr_c": 4, "m_cbr_t": 2, "m_cbr_c": 2}
+        )),
+        "n_cr=8.0 is not an integer",
+    ),
     "non-object-study-config": (_simulate_with_config, "JSON object"),
+    "empty-design-json": (lambda p: _oracle_with_design(p, "{}"), "design is missing clustering"),
+    "non-object-design-json": (lambda p: _oracle_with_design(p, "[1]"), "JSON object"),
+    "invalid-design-json": (lambda p: _oracle_with_design(p, "{clustering"), "invalid design JSON"),
+    "design-clustering-type": (
+        lambda p: _oracle_with_design(p, _design(clustering=["a", "b"])), "clustering must hold integers"
+    ),
+    "design-model-type": (lambda p: _oracle_with_design(p, _design(model=[1])), "model must be a JSON object"),
+    "design-model-field": (lambda p: _oracle_with_design(p, _design(model={"alpha": 1})), "bad design"),
+    "design-counts-fields": (
+        lambda p: _oracle_with_design(p, _design(counts={"n_cr": "4"})), "bad design"
+    ),
+    "design-counts-float": (
+        lambda p: _oracle_with_design(p, _design(counts={
+            **json.loads(fixture_path("oracle8.json").read_text())["counts"], "n_cr": 4.0
+        })),
+        "n_cr=4.0 is not an integer",
+    ),
 }
 
 

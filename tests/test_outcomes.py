@@ -10,12 +10,7 @@ from spilltest import (
     realize_sutva,
     total_treatment_effect,
 )
-from spilltest.outcomes import (
-    load_outcomes,
-    load_potential_table,
-    save_outcomes,
-    save_potential_table,
-)
+from spilltest.outcomes import load_outcomes, save_outcomes
 
 
 @pytest.fixture
@@ -151,10 +146,3 @@ def test_outcomes_csv_rejects_bad_rows(tmp_path, body, message):
     with pytest.raises(ValidationError, match=message):
         load_outcomes(path)
 
-
-def test_potential_table_csv_round_trip(tmp_path, small_table):
-    path = tmp_path / "table.csv"
-    save_potential_table(small_table, path)
-    loaded = load_potential_table(path)
-    assert np.array_equal(loaded.y1, small_table.y1)
-    assert np.array_equal(loaded.y0, small_table.y0)
