@@ -4,12 +4,7 @@ from ._errors import CheckFailure, InfeasibleError, ParseError, SpilltestError, 
 from .assign import (
     DesignCounts,
     HierarchicalAssignment,
-    SimpleAssignment,
-    bernoulli_rerandomized,
-    cluster_randomization,
-    complete_randomization,
     hierarchical_assign,
-    marginal_treatment_probability,
     stratified_hierarchical_assign,
 )
 from .estimate import (
@@ -35,7 +30,6 @@ from .graph import (
     SbmSpec,
     generate_sbm,
     load_edge_list,
-    neighborhood_fraction_in_cluster,
     neighborhood_fractions,
     save_edge_list,
 )
@@ -49,11 +43,9 @@ from .oracle import (
 )
 from .outcomes import (
     LinearInterferenceModel,
-    ObservedOutcomes,
     PotentialTable,
     realize_linear,
     realize_sutva,
-    total_treatment_effect,
 )
 from .partition import (
     Clustering,
@@ -62,13 +54,31 @@ from .partition import (
     Stratification,
     cluster_features,
     clustering_metrics,
-    design_score,
     ldg_restream,
     rebalance,
     stratify_clusters,
-    subsample_clusters,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # errors
+    "CheckFailure", "InfeasibleError", "ParseError", "SpilltestError", "ValidationError",
+    # graph
+    "Graph", "SbmSpec", "generate_sbm", "load_edge_list", "neighborhood_fractions", "save_edge_list",
+    # partition
+    "Clustering", "ClusteringMetrics", "ClusterFeatures", "Stratification", "cluster_features",
+    "clustering_metrics", "ldg_restream", "rebalance", "stratify_clusters",
+    # assign
+    "DesignCounts", "HierarchicalAssignment", "hierarchical_assign", "stratified_hierarchical_assign",
+    # outcomes
+    "LinearInterferenceModel", "PotentialTable", "realize_linear", "realize_sutva",
+    # estimate
+    "AnalysisReport", "DeltaEstimate", "SutvaVariance", "VarianceComponents", "analyze",
+    "analyze_stratified", "chebyshev_decision", "delta_statistic", "empirical_variance_bound",
+    "expected_delta_linear", "fisher_null_variance", "gaussian_p_value", "interference_variance_approx",
+    "stratified_delta", "theoretical_sutva_variance", "variance_components",
+    # oracle
+    "EnumerationSpec", "ExactMoments", "VarianceGap", "bernoulli_vs_cr_variance_gap",
+    "binomial_negative_moment", "enumerate_moments",
+]

@@ -1,4 +1,4 @@
-"""Randomization mechanisms: unit-level, cluster-level, and the two-arm hierarchy.
+"""The two-arm hierarchical randomization, its persisted form, and its checks.
 
 The hierarchical design first splits clusters between two arms, then
 randomizes treatment inside each arm with a different mechanism: individual
@@ -121,27 +121,14 @@ class DesignCounts:
 
 
 @dataclass(frozen=True)
-class SimpleAssignment:
-    """A single-mechanism treatment draw over N units."""
-
-    z: np.ndarray
-    n_t: int
-    n_c: int
-    p: float | None = None
-
-    def __post_init__(self) -> None:
-        self.z.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class HierarchicalAssignment:
     """One draw of the two-arm design, with enough structure to analyze it.
 
     ``cluster_arm`` and ``unit_arm`` are 1 on the individually randomized arm
     and 0 on the cluster-randomized arm. ``cluster_treatment`` is meaningful
     only for clusters in the cluster-randomized arm (-1 elsewhere).
-    ``unit_ids`` / ``cluster_ids`` map back to global ids when the assignment
-    covers a stratum rather than the whole population.
+    ``unit_ids`` maps back to global unit ids when the assignment covers a
+    stratum rather than the whole population.
     """
 
     clustering: Clustering
@@ -150,63 +137,35 @@ class HierarchicalAssignment:
     unit_arm: np.ndarray
     cluster_treatment: np.ndarray
     treatment: np.ndarray
-    mechanism: str
     provenance: str
     unit_ids: np.ndarray = field(default=None)  # type: ignore[assignment]
-    cluster_ids: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.unit_ids is None:
             object.__setattr__(self, "unit_ids", np.arange(self.clustering.num_units))
-        if self.cluster_ids is None:
-            object.__setattr__(self, "cluster_ids", np.arange(self.clustering.num_clusters))
-        for arr in (self.cluster_arm, self.unit_arm, self.cluster_treatment, self.treatment,
-                    self.unit_ids, self.cluster_ids):
+        for arr in (self.cluster_arm, self.unit_arm, self.cluster_treatment, self.treatment, self.unit_ids):
             arr.setflags(write=False)
 
-    @property
-    def num_units(self) -> int:
-        return self.clustering.num_units
 
-
-def complete_randomization(
-    num_units: int, n_t: int, seed: int | np.random.SeedSequence | None = 0
-) -> SimpleAssignment:
+def _complete_randomization(num_units: int, n_t: int, seed: int | np.random.SeedSequence) -> np.ndarray:
     """Treat exactly ``n_t`` of ``num_units`` units, uniformly at random."""
     if not 1 <= n_t <= num_units - 1:
         raise ValidationError(f"n_t={n_t} must leave both groups non-empty (N={num_units})")
-    rng = np.random.default_rng(_seed_sequence(seed))
+    rng = np.random.default_rng(seed)
     z = np.zeros(num_units, dtype=np.int8)
     z[rng.choice(num_units, size=n_t, replace=False)] = 1
-    return SimpleAssignment(z=z, n_t=n_t, n_c=num_units - n_t)
+    return z
 
 
-def bernoulli_rerandomized(
-    num_units: int, p: float, seed: int | np.random.SeedSequence | None = 0
-) -> SimpleAssignment:
+def _bernoulli_rerandomized(num_units: int, p: float, seed: int | np.random.SeedSequence) -> np.ndarray:
     """Independent coin flips, redrawn until neither group is empty."""
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p={p} must lie strictly inside (0, 1)")
-    rng = np.random.default_rng(_seed_sequence(seed))
+    rng = np.random.default_rng(seed)
     while True:
         z = (rng.random(num_units) < p).astype(np.int8)
-        n_t = int(z.sum())
-        if 0 < n_t < num_units:
-            return SimpleAssignment(z=z, n_t=n_t, n_c=num_units - n_t, p=p)
-
-
-def cluster_randomization(
-    clustering: Clustering, m_t: int, seed: int | np.random.SeedSequence | None = 0
-) -> SimpleAssignment:
-    """Treat exactly ``m_t`` whole clusters, uniformly at random."""
-    m = clustering.num_clusters
-    if not 1 <= m_t <= m - 1:
-        raise ValidationError(f"m_t={m_t} must leave both cluster groups non-empty (M={m})")
-    rng = np.random.default_rng(_seed_sequence(seed))
-    treated_clusters = np.zeros(m, dtype=np.int8)
-    treated_clusters[rng.choice(m, size=m_t, replace=False)] = 1
-    z = treated_clusters[clustering.assignment]
-    return SimpleAssignment(z=z, n_t=int(z.sum()), n_c=int((1 - z).sum()))
+        if 0 < int(z.sum()) < num_units:
+            return z
 
 
 def _require_balanced(clustering: Clustering) -> None:
@@ -226,7 +185,6 @@ def _hierarchical_from_streams(
     cr_arm_mechanism: CrArmMechanism,
     provenance: str,
     unit_ids: np.ndarray | None = None,
-    cluster_ids: np.ndarray | None = None,
 ) -> HierarchicalAssignment:
     # Draw order is fixed: arm split, then each arm from its own stream, so
     # redrawing one arm's stream cannot shift the other's outcome.
@@ -245,12 +203,11 @@ def _hierarchical_from_streams(
     treatment = np.zeros(clustering.num_units, dtype=np.int8)
     cr_units = np.flatnonzero(unit_arm == ARM_CR)
     if cr_arm_mechanism == "complete":
-        inner = complete_randomization(counts.n_cr, counts.n_cr_t, cr_stream)
+        treatment[cr_units] = _complete_randomization(counts.n_cr, counts.n_cr_t, cr_stream)
     elif cr_arm_mechanism == "bernoulli":
-        inner = bernoulli_rerandomized(counts.n_cr, counts.n_cr_t / counts.n_cr, cr_stream)
+        treatment[cr_units] = _bernoulli_rerandomized(counts.n_cr, counts.n_cr_t / counts.n_cr, cr_stream)
     else:
         raise ValidationError(f"unknown mechanism {cr_arm_mechanism!r}")
-    treatment[cr_units] = inner.z
 
     cbr_clusters = np.flatnonzero(cluster_arm == ARM_CBR)
     cbr_rng = np.random.default_rng(cbr_stream)
@@ -268,10 +225,8 @@ def _hierarchical_from_streams(
         unit_arm=unit_arm,
         cluster_treatment=cluster_treatment,
         treatment=treatment,
-        mechanism=cr_arm_mechanism,
         provenance=provenance,
         unit_ids=unit_ids,
-        cluster_ids=cluster_ids,
     )
 
 
@@ -358,20 +313,11 @@ def stratified_hierarchical_assign(
                     cr_arm_mechanism,
                     provenance=f"seed={seed}/stratum={s}",
                     unit_ids=unit_ids,
-                    cluster_ids=np.sort(cluster_subset),
                 )
             )
         except ValidationError as exc:
             raise ValidationError(f"stratum {s}: {exc}") from exc
     return out
-
-
-def marginal_treatment_probability(counts: DesignCounts) -> float:
-    """Probability any given unit ends up treated under the hierarchical draw."""
-    m = counts.num_clusters
-    return (counts.m_cr / m) * (counts.n_cr_t / counts.n_cr) + (counts.m_cbr / m) * (
-        counts.m_cbr_t / counts.m_cbr
-    )
 
 
 def save_assignment(
@@ -414,10 +360,8 @@ def assignment_from_vectors(
     clustering: Clustering,
     unit_arm: np.ndarray,
     treatment: np.ndarray,
-    mechanism: str = "complete",
     provenance: str = "loaded",
     unit_ids: np.ndarray | None = None,
-    cluster_ids: np.ndarray | None = None,
 ) -> HierarchicalAssignment:
     """Reconstruct a hierarchical assignment from persisted arm/treatment bits.
 
@@ -471,8 +415,6 @@ def assignment_from_vectors(
         unit_arm=unit_arm,
         cluster_treatment=cluster_treatment,
         treatment=treatment,
-        mechanism=mechanism,
         provenance=provenance,
         unit_ids=unit_ids,
-        cluster_ids=cluster_ids,
     )

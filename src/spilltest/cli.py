@@ -231,8 +231,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         inputs.append(args.stratification)
         assignments = []
         for s in range(strat.num_strata):
-            cluster_subset = strat.clusters_in(s)
-            sub, unit_ids = _sub_clustering(clustering, cluster_subset)
+            sub, unit_ids = _sub_clustering(clustering, strat.clusters_in(s))
             assignments.append(
                 assignment_from_vectors(
                     sub,
@@ -240,7 +239,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     treatment[unit_ids],
                     provenance=f"loaded/stratum={s}",
                     unit_ids=unit_ids,
-                    cluster_ids=np.sort(cluster_subset),
                 )
             )
         report = analyze_stratified(assignments, y, alpha=args.alpha, decision_rule=args.rule)

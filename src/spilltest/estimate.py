@@ -379,6 +379,8 @@ def _finish_report(
 ) -> AnalysisReport:
     if decision_rule not in ("chebyshev", "gaussian"):
         raise ValidationError(f"unknown decision rule {decision_rule!r}")
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha={alpha} must lie in (0, 1)")
     # A non-finite statistic supports no decision; it must not map to reject.
     if not (math.isfinite(delta) and math.isfinite(sigma_hat_sq)):
         raise ValidationError(f"non-finite statistic: delta={delta!r}, sigma_hat_sq={sigma_hat_sq!r}")
@@ -392,8 +394,6 @@ def _finish_report(
     if decision_rule == "chebyshev":
         reject = chebyshev_decision(delta, sigma_hat_sq, alpha) if sigma_hat_sq > 0 else delta != 0
     else:
-        if not 0.0 < alpha < 1.0:
-            raise ValidationError(f"alpha={alpha} must lie in (0, 1)")
         reject = p_gauss < alpha
     return AnalysisReport(
         tau_cr=tau_cr,

@@ -13,15 +13,13 @@ import re
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from ._errors import ParseError, ValidationError
 
 if TYPE_CHECKING:
-    from scipy.sparse import csr_array
-
     from .partition import Clustering
 
 # Refuse to enumerate unit pairs past this point; block-model generation is
@@ -45,7 +43,7 @@ class Graph:
     :func:`load_edge_list`.
     """
 
-    __slots__ = ("_indptr", "_indices", "_sources", "_sparse")
+    __slots__ = ("_indptr", "_indices", "_sources")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray):
         # Internal constructor: callers are expected to pass validated CSR
@@ -53,7 +51,6 @@ class Graph:
         self._indptr = indptr
         self._indices = indices
         self._sources = None
-        self._sparse = None
         indptr.setflags(write=False)
         indices.setflags(write=False)
 
@@ -114,9 +111,6 @@ class Graph:
             raise ValidationError(f"unit id {i} out of range for N={self.num_units}")
         return self._indices[self._indptr[i] : self._indptr[i + 1]]
 
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
-
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self._indptr)
@@ -139,34 +133,11 @@ class Graph:
             self._sources = sources
         return self._sources
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Undirected edges as ``(i, j)`` with ``i < j``, in sorted order."""
-        for i in range(self.num_units):
-            for j in self.neighbors(i):
-                if i < j:
-                    yield (i, int(j))
-
     def edge_array(self) -> np.ndarray:
         """All undirected edges as an ``(E, 2)`` array with ``i < j`` rows."""
         src = self.adjacency_sources
         mask = src < self._indices
         return np.column_stack([src[mask], self._indices[mask]])
-
-    def to_sparse(self) -> "csr_array":
-        """Adjacency as a scipy CSR array (cached; treat as read-only).
-
-        Requires scipy (the ``sparse`` extra); everything else in this
-        package runs on numpy alone.
-        """
-        if self._sparse is None:
-            from scipy.sparse import csr_array
-
-            data = np.ones(len(self._indices), dtype=np.float64)
-            self._sparse = csr_array(
-                (data, self._indices.copy(), self._indptr.copy()),
-                shape=(self.num_units, self.num_units),
-            )
-        return self._sparse
 
     def __repr__(self) -> str:
         return f"Graph(num_units={self.num_units}, num_edges={self.num_edges})"
@@ -245,22 +216,13 @@ def generate_sbm(spec: SbmSpec) -> tuple[Graph, "Clustering"]:
     return graph, Clustering.from_assignment(assignment)
 
 
-def neighborhood_fraction_in_cluster(graph: Graph, clustering: "Clustering", i: int) -> float:
-    """Fraction of unit ``i``'s neighbors that share its cluster.
+def neighborhood_fractions(graph: Graph, clustering: "Clustering") -> np.ndarray:
+    """Per-unit fraction of neighbors that share the unit's cluster.
 
     Isolated units have no neighborhood to average over; by convention they
     count as 0 ("no interference received"), which keeps the cluster-level
     mean well defined.
     """
-    nbrs = graph.neighbors(i)
-    if len(nbrs) == 0:
-        return 0.0
-    own = clustering.assignment[i]
-    return float(np.count_nonzero(clustering.assignment[nbrs] == own)) / len(nbrs)
-
-
-def neighborhood_fractions(graph: Graph, clustering: "Clustering") -> np.ndarray:
-    """Vector of per-unit in-cluster neighbor fractions (0 for isolated units)."""
     n = graph.num_units
     deg = graph.degrees
     src = graph.adjacency_sources

@@ -11,14 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
 from ._errors import CheckFailure, ValidationError
 from .assign import DesignCounts
 from .estimate import _statistic_rows, chebyshev_decision
-from .outcomes import LinearInterferenceModel, PotentialTable
+from .outcomes import LinearInterferenceModel, PotentialTable, realize_linear, realize_sutva
 from .partition import Clustering
 
 ENUMERATION_CAP = 10_000_000
@@ -39,14 +39,16 @@ class ExactMoments:
 class EnumerationSpec:
     """What to enumerate: a design, an outcome source, and a statistic.
 
-    ``design`` picks the randomization law; ``counts`` applies to the
-    hierarchical design, ``n_t``/``m_t`` to the single-mechanism ones.
-    Outcome noise must be zero so that every enumerated outcome is exact.
+    ``design`` picks the randomization law; ``counts`` and ``statistic``
+    apply to the hierarchical design, ``n_t``/``m_t`` to the
+    single-mechanism ones, whose statistic is their own estimate of the
+    effect. Outcome noise must be zero so that every enumerated outcome is
+    exact.
     """
 
     design: Literal["hierarchical", "complete", "cluster"]
     outcomes: OutcomeSource
-    statistic: Statistic | Callable[[np.ndarray, np.ndarray, np.ndarray], float] = "delta"
+    statistic: Statistic = "delta"
     clustering: Clustering | None = None
     counts: DesignCounts | None = None
     n_t: int | None = None
@@ -78,20 +80,13 @@ def _subset_matrix(n: int, k: int) -> np.ndarray:
 
 
 def _realize(outcomes: OutcomeSource, z_rows: np.ndarray) -> np.ndarray:
-    """Outcome matrix for every assignment row; noise-free by construction."""
+    """Outcome matrix for every assignment row, one row at a time through
+    the shipped outcome model; the model must be noise-free."""
     if isinstance(outcomes, PotentialTable):
-        return np.where(z_rows.astype(bool), outcomes.y1, outcomes.y0)
+        return np.stack([realize_sutva(outcomes, z) for z in z_rows])
     if outcomes.noise_sd != 0.0:
         raise ValidationError("enumeration requires a noise-free outcome model")
-    graph = outcomes.graph
-    n = graph.num_units
-    norm_adj = np.zeros((n, n))
-    for i in range(n):
-        nbrs = graph.neighbors(i)
-        if len(nbrs):
-            norm_adj[i, nbrs] = 1.0 / len(nbrs)
-    fractions = z_rows.astype(np.float64) @ norm_adj.T
-    return outcomes.alpha + outcomes.beta * z_rows + outcomes.gamma * fractions
+    return np.stack([realize_linear(outcomes, z) for z in z_rows])
 
 
 def hierarchical_outcome_count(counts: DesignCounts) -> int:
@@ -162,11 +157,6 @@ def _hierarchical_statistic_rows(spec: EnumerationSpec) -> np.ndarray:
         clustering, counts
     )
     y_rows = _realize(spec.outcomes, treatment)
-    if callable(spec.statistic):
-        return np.array(
-            [spec.statistic(unit_arm[r], treatment[r], y_rows[r]) for r in range(len(y_rows))],
-            dtype=np.float64,
-        )
     if spec.statistic not in ("delta", "tau_cr", "tau_cbr", "sigma_hat_sq", "reject"):
         raise ValidationError(f"unknown statistic {spec.statistic!r}")
     tau_cr, tau_cbr, sigma = _statistic_rows(
@@ -202,10 +192,6 @@ def enumerate_moments(spec: EnumerationSpec) -> ExactMoments:
         values = (y_rows * zb).sum(axis=1) / spec.n_t - (y_rows * ~zb).sum(axis=1) / (
             n - spec.n_t
         )
-        if callable(spec.statistic):
-            values = np.array(
-                [spec.statistic(np.ones(n, np.int8), z_rows[r], y_rows[r]) for r in range(len(y_rows))]
-            )
         return _fsum_moments(values)
 
     if spec.design == "cluster":

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._errors import ValidationError
-from ._table import FLOAT, ID, read_id_table, write_table
+from ._table import FLOAT, ID, read_id_table
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -89,68 +89,38 @@ class LinearInterferenceModel:
         out[nz] = treated[nz] / deg[nz]
         return out
 
-    def realized_total_effect(self) -> float:
-        """All-treated minus all-control mean outcome on this graph.
 
-        Equals ``beta + gamma`` when no unit is isolated; isolated units
-        receive no interference, shrinking the gamma share accordingly.
-        """
-        non_isolated = float(np.count_nonzero(self.graph.degrees > 0)) / self.graph.num_units
-        return self.beta + self.gamma * non_isolated
+def realize_sutva(table: PotentialTable, z: np.ndarray) -> np.ndarray:
+    """Select each unit's outcome by its own treatment: ``z_i ? y1_i : y0_i``.
 
-
-@dataclass(frozen=True)
-class ObservedOutcomes:
-    """Realized outcomes, one per unit."""
-
-    y: np.ndarray
-
-    def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=np.float64)
-        object.__setattr__(self, "y", y)
-        y.setflags(write=False)
-
-
-def realize_sutva(table: PotentialTable, z: np.ndarray) -> ObservedOutcomes:
-    """Select each unit's outcome by its own treatment: ``z_i ? y1_i : y0_i``."""
+    Returns a read-only float64 vector, one outcome per unit.
+    """
     z = np.asarray(z)
     if len(z) != table.num_units:
         raise ValidationError("assignment length does not match the potential table")
-    return ObservedOutcomes(y=np.where(z.astype(bool), table.y1, table.y0))
+    y = np.where(z.astype(bool), table.y1, table.y0)
+    y.setflags(write=False)
+    return y
 
 
 def realize_linear(
     model: LinearInterferenceModel,
     z: np.ndarray,
     seed: int | np.random.SeedSequence | None = 0,
-) -> ObservedOutcomes:
-    """Draw outcomes from the linear interference model; deterministic per seed."""
+) -> np.ndarray:
+    """Draw outcomes from the linear interference model; deterministic per seed.
+
+    Returns a read-only float64 vector, one outcome per unit. A noise-free
+    model draws nothing from ``seed``.
+    """
     z = np.asarray(z, dtype=np.float64)
     fractions = model.treated_neighbor_fractions(z)
     y = model.alpha + model.beta * z + model.gamma * fractions
     if model.noise_sd > 0:
         rng = np.random.default_rng(seed)
         y = y + model.noise_sd * rng.standard_normal(len(y))
-    return ObservedOutcomes(y=y)
-
-
-def total_treatment_effect(source: PotentialTable | LinearInterferenceModel) -> float:
-    """All-treated minus all-control mean outcome.
-
-    For a potential table this is ``mean(y1 - y0)``; for the linear model it
-    is ``beta + gamma`` (units with neighbors receive full interference when
-    everyone is treated). With isolated units the realized value is smaller;
-    see :meth:`LinearInterferenceModel.realized_total_effect`.
-    """
-    if isinstance(source, PotentialTable):
-        return float(np.mean(source.y1 - source.y0))
-    return source.beta + source.gamma
-
-
-def save_outcomes(y: np.ndarray, path: str | Path) -> None:
-    """Persist observed outcomes as CSV with columns ``unit_id,y``."""
-    values = np.asarray(y, dtype=np.float64).tolist()
-    write_table(path, ["unit_id", "y"], [list(range(len(values))), values], "%d,%r\r\n")
+    y.setflags(write=False)
+    return y
 
 
 def load_outcomes(path: str | Path) -> np.ndarray:

@@ -36,8 +36,9 @@ class Clustering:
     def __post_init__(self) -> None:
         if self.num_clusters < 1:
             raise ValidationError("clustering needs at least one cluster")
-        if np.any(self.sizes <= 0):
-            raise ValidationError("every cluster must be non-empty")
+        empty = np.flatnonzero(self.sizes <= 0)
+        if len(empty):
+            raise ValidationError(f"every cluster must be non-empty: cluster {int(empty[0])} has no units")
         if int(self.sizes.sum()) != len(self.assignment):
             raise ValidationError("cluster sizes do not sum to the unit count")
         self.assignment.setflags(write=False)
@@ -61,11 +62,6 @@ class Clustering:
     @property
     def is_balanced(self) -> bool:
         return bool(np.all(self.sizes == self.sizes[0]))
-
-    def members(self, cluster_id: int) -> np.ndarray:
-        if not 0 <= cluster_id < self.num_clusters:
-            raise ValidationError(f"cluster id {cluster_id} out of range")
-        return np.flatnonzero(self.assignment == cluster_id)
 
     def cluster_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-cluster sums of a unit-level vector."""
@@ -97,8 +93,12 @@ class Stratification:
     strata_sizes: np.ndarray = field(compare=False)
 
     def __post_init__(self) -> None:
-        if np.any(self.strata_sizes < 2):
-            raise ValidationError("every stratum needs at least two clusters")
+        short = np.flatnonzero(self.strata_sizes < 2)
+        if len(short):
+            s = int(short[0])
+            raise ValidationError(
+                f"every stratum needs at least two clusters: stratum {s} has {int(self.strata_sizes[s])}"
+            )
         if int(self.strata_sizes.sum()) != len(self.stratum_of):
             raise ValidationError("strata sizes do not sum to the cluster count")
         self.stratum_of.setflags(write=False)
@@ -289,17 +289,6 @@ def clustering_metrics(graph: "Graph", clustering: Clustering) -> ClusteringMetr
     )
 
 
-def design_score(metrics: ClusteringMetrics, sigma_hat_sq: float) -> float:
-    """Power heuristic for comparing clusterings: ``rho_c / sqrt(sigma_hat_sq)``.
-
-    Larger is better; tighter clusters raise ``rho_c`` while the variance
-    bound of the resulting design enters through ``sigma_hat_sq``.
-    """
-    if sigma_hat_sq <= 0:
-        raise ValidationError("variance bound must be positive")
-    return metrics.rho_c / math.sqrt(sigma_hat_sq)
-
-
 def cluster_features(
     graph: "Graph", clustering: Clustering, covariates: np.ndarray | None = None
 ) -> ClusterFeatures:
@@ -367,22 +356,6 @@ def stratify_clusters(features: ClusterFeatures, num_strata: int, seed: int | No
     return Stratification(num_strata=num_strata, stratum_of=stratum_of, strata_sizes=sizes)
 
 
-def subsample_clusters(clustering: Clustering, fraction: float, seed: int | None = 0) -> np.ndarray:
-    """Pick a uniformly random subset of ``round(fraction * M)`` cluster ids.
-
-    Subsampling happens at the cluster level, before any arm assignment, so
-    the surviving clusters keep their interference structure intact.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ValidationError(f"fraction {fraction} not in (0, 1]")
-    m = clustering.num_clusters
-    count = round(fraction * m)
-    if count < 2:
-        raise ValidationError(f"subsample of {count} clusters is too small to randomize")
-    rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(m, size=count, replace=False))
-
-
 def save_clustering(clustering: Clustering, path: str | Path) -> None:
     """Persist as CSV with columns ``unit_id,cluster_id``."""
     assignment = clustering.assignment
@@ -397,10 +370,14 @@ def load_clustering(path: str | Path) -> Clustering:
     Rows may come in any order; see ``_table`` for the accepted text.
 
     Raises:
-        ValidationError: Naming the file, and the line and field at fault.
+        ValidationError: Naming the file, and the line and field at fault,
+            or the cluster id the clustering lacks.
     """
     table = read_id_table(path, {"unit_id": ID, "cluster_id": INT}, empty="empty clustering")
-    return Clustering.from_assignment(table["cluster_id"])
+    try:
+        return Clustering.from_assignment(table["cluster_id"])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_stratification(strat: Stratification, path: str | Path) -> None:
@@ -418,7 +395,7 @@ def load_stratification(path: str | Path) -> Stratification:
 
     Raises:
         ValidationError: Naming the file, and the line and field at fault,
-            or a negative stratum id.
+            a negative stratum id, or a stratum of fewer than two clusters.
     """
     table = read_id_table(path, {"cluster_id": ID, "stratum_id": INT}, empty="empty stratification")
     stratum_of = table["stratum_id"]
@@ -426,4 +403,7 @@ def load_stratification(path: str | Path) -> Stratification:
         raise ValidationError(f"{path}: negative stratum_id {int(stratum_of.min())}")
     num_strata = int(stratum_of.max()) + 1
     sizes = np.bincount(stratum_of, minlength=num_strata).astype(np.int64)
-    return Stratification(num_strata=num_strata, stratum_of=stratum_of, strata_sizes=sizes)
+    try:
+        return Stratification(num_strata=num_strata, stratum_of=stratum_of, strata_sizes=sizes)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

@@ -50,6 +50,14 @@ from .partition import Clustering, ldg_restream, rebalance
 StudyKind = Literal["ratio", "power", "type1"]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One study specification; see module docstring for the study kinds."""
@@ -84,6 +92,23 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        # Annotations are strings here; a JSON config can hold any type.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_int(value):
+                raise ValidationError(f"study config {f.name}={value!r} is not an integer")
+            if f.type == "float" and not _is_finite(value):
+                raise ValidationError(f"study config {f.name}={value!r} is not a finite number")
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ValidationError(f"study config {f.name}={value!r} is not true or false")
+        if not all(_is_finite(g) for g in self.gamma_grid):
+            raise ValidationError(f"study config gamma_grid={list(self.gamma_grid)!r} holds a non-number")
+        if self.clustering_source not in ("blocks", "ldg"):
+            raise ValidationError(
+                f"study config clustering_source={self.clustering_source!r} is not blocks or ldg"
+            )
+        if self.seed < 0:
+            raise ValidationError(f"study config seed={self.seed} is negative")
         if self.replications < 1:
             raise ValidationError("need at least one replication")
         if not 0.0 < self.alpha < 1.0:
@@ -242,7 +267,7 @@ def _sutva_design(cfg: SimConfig) -> tuple[Clustering, DesignCounts, PotentialTa
 
     def draw(stream: np.random.SeedSequence) -> tuple[HierarchicalAssignment, np.ndarray]:
         assignment = hierarchical_assign(clustering, counts, stream)
-        return assignment, realize_sutva(table, assignment.treatment).y
+        return assignment, realize_sutva(table, assignment.treatment)
 
     return clustering, counts, table, draw, rep_root.spawn(cfg.replications)
 
@@ -323,7 +348,7 @@ def _power_setting_rows(args: tuple[SimConfig, int]) -> list[SimRow]:
                 clustering_r = _analysis_clustering(cfg, graph_r, blocks_r, graph_stream)
                 model_r = replace(model, graph=graph_r)
             assignment = hierarchical_assign(clustering_r, counts, assign_stream)
-            return assignment, realize_linear(model_r, assignment.treatment, seed=noise_stream).y
+            return assignment, realize_linear(model_r, assignment.treatment, seed=noise_stream)
 
         streams = gamma_streams[gi].spawn(cfg.replications)
         rows.append(_replicate(cfg, draw, streams, setting_index, gamma, rho_c)[0])

@@ -306,7 +306,7 @@ def test_criterion_10_variance_prediction_vs_monte_carlo():
         s_assign, s_noise = reps[r].spawn(2)
         a = hierarchical_assign(clustering, counts, s_assign)
         y = realize_linear(model, a.treatment, seed=s_noise)
-        deltas[r] = delta_statistic(a, y.y).delta
+        deltas[r] = delta_statistic(a, y).delta
     mc_var = float(deltas.var(ddof=1))
     rel_err = abs(predicted.variance - mc_var) / mc_var
     passed = rel_err <= 0.25

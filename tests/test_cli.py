@@ -303,6 +303,33 @@ def _simulate_with_config(tmp_path):
     return ["simulate", "--config", cfg, "--out-csv", tmp_path / "o.csv"]
 
 
+def _constant_outcomes(text):
+    lines = text.splitlines()
+    return "\n".join(lines[:1] + [line.split(",")[0] + ",1.0" for line in lines[1:]]) + "\n"
+
+
+def _analyze_constant_with_alpha(alpha):
+    # Constant outcomes give sigma_hat_sq == 0, where the Chebyshev rule
+    # decides without reading alpha.
+    return lambda p: _table_inputs(p, outcomes=_constant_outcomes) + ["--alpha", alpha]
+
+
+def _cluster_id_gap(text):
+    # Shift cluster ids from 3 up by one, so no unit is in cluster 3.
+    lines = text.splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    return "\n".join(lines[:1] + [f"{u},{int(c) + (int(c) >= 3)}" for u, c in rows]) + "\n"
+
+
+def _simulate_with_field(fixture, **override):
+    def build(tmp_path):
+        payload = json.loads(fixture_path(fixture).read_text())
+        cfg = tmp_path / "sim.json"
+        cfg.write_text(json.dumps({**payload, **override}))
+        return ["simulate", "--config", cfg, "--threads", 1, "--out-csv", tmp_path / "o.csv"]
+    return build
+
+
 def _design(**override):
     # The bundled oracle design with some of its keys replaced.
     payload = json.loads(fixture_path("oracle8.json").read_text())
@@ -376,6 +403,37 @@ MALFORMED_INPUTS = {
             **json.loads(fixture_path("oracle8.json").read_text())["counts"], "n_cr": 4.0
         })),
         "n_cr=4.0 is not an integer",
+    ),
+    "alpha-2-constant-outcomes": (_analyze_constant_with_alpha(2), "alpha=2.0 must lie in (0, 1)"),
+    "alpha-0-constant-outcomes": (_analyze_constant_with_alpha(0), "alpha=0.0 must lie in (0, 1)"),
+    "alpha-negative-constant-outcomes": (_analyze_constant_with_alpha(-1), "alpha=-1.0 must lie in (0, 1)"),
+    "cluster-id-gap": (
+        lambda p: _table_inputs(p, clusters=_cluster_id_gap),
+        "clusters.csv: every cluster must be non-empty: cluster 3 has no units",
+    ),
+    "one-cluster-stratum": (
+        lambda p: _analyze_with_strata(p, "".join(f"{c},{int(c == 7)}\n" for c in range(8))),
+        "s.csv: every stratum needs at least two clusters: stratum 1 has 1",
+    ),
+    "study-gamma-grid-string": (_simulate_with_field("fig1b_desk.json", gamma_grid=["a"]), "gamma_grid=['a']"),
+    "study-noise-sd-string": (_simulate_with_field("fig1b_desk.json", noise_sd="x"), "noise_sd='x'"),
+    "study-direct-effect-null": (
+        _simulate_with_field("fig1b_desk.json", direct_effect=None), "direct_effect=None"
+    ),
+    "study-replications-float": (
+        _simulate_with_field("fig1a_desk.json", replications=2.5), "replications=2.5"
+    ),
+    "study-constant-effect-string": (
+        _simulate_with_field("fig1a_desk.json", constant_effect="x"), "constant_effect='x'"
+    ),
+    "study-seed-negative": (_simulate_with_field("fig1a_desk.json", seed=-1), "seed=-1 is negative"),
+    "study-seed-string": (_simulate_with_field("fig1a_desk.json", seed="x"), "seed='x'"),
+    "study-clustering-source": (
+        _simulate_with_field("fig1b_desk.json", clustering_source="bogus"), "clustering_source='bogus'"
+    ),
+    "study-regenerate-string": (
+        _simulate_with_field("fig1b_desk.json", regenerate_graph_per_rep="false"),
+        "regenerate_graph_per_rep='false'",
     ),
 }
 

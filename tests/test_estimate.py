@@ -500,6 +500,6 @@ def test_interference_variance_tracks_monte_carlo_mid_scale():
     deltas = np.empty(draws)
     for r in range(draws):
         a = hierarchical_assign(clustering, counts, reps[r])
-        deltas[r] = delta_statistic(a, realize_linear(model, a.treatment, seed=0).y).delta
+        deltas[r] = delta_statistic(a, realize_linear(model, a.treatment, seed=0)).delta
     mc = deltas.var(ddof=1)
     assert abs(est.variance - mc) / mc < 0.15

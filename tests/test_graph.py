@@ -11,7 +11,6 @@ from spilltest import (
     ValidationError,
     generate_sbm,
     load_edge_list,
-    neighborhood_fraction_in_cluster,
     neighborhood_fractions,
     save_edge_list,
 )
@@ -59,7 +58,7 @@ def test_load_edge_list_header_override(tmp_path):
     path.write_text("# comment\nN=5\n0 1\n")
     g = load_edge_list(path)
     assert g.num_units == 5
-    assert g.degree(4) == 0
+    assert g.degrees[4] == 0
 
     bad = tmp_path / "bad.edges"
     bad.write_text("N=2\n0 3\n")
@@ -80,16 +79,6 @@ def test_save_load_round_trip(tmp_path, cliquepair_graph):
     g = load_edge_list(path)
     assert g.num_units == cliquepair_graph.num_units
     assert np.array_equal(g.edge_array(), cliquepair_graph.edge_array())
-
-
-def test_to_sparse_matches_adjacency(cliquepair_graph):
-    sparse = cliquepair_graph.to_sparse()
-    dense = sparse.toarray()
-    assert dense.shape == (8, 8)
-    assert np.array_equal(dense, dense.T)
-    for i in range(8):
-        assert np.array_equal(np.flatnonzero(dense[i]), cliquepair_graph.neighbors(i))
-    assert cliquepair_graph.to_sparse() is sparse  # cached
 
 
 def test_from_edges_validation():
@@ -171,21 +160,18 @@ def test_neighborhood_fraction_star_center():
     # Star: center 0 with leaves 1..4, all in cluster 0.
     g = Graph.from_edges(5, [(0, i) for i in range(1, 5)])
     c = Clustering.from_assignment([0, 0, 0, 0, 0])
-    assert neighborhood_fraction_in_cluster(g, c, 0) == 1.0
+    assert neighborhood_fractions(g, c)[0] == 1.0
 
 
 def test_neighborhood_fraction_isolated_unit_is_zero():
     g = Graph.from_edges(3, [(0, 1)])
     c = Clustering.from_assignment([0, 0, 0])
-    assert neighborhood_fraction_in_cluster(g, c, 2) == 0.0
+    assert neighborhood_fractions(g, c)[2] == 0.0
 
 
 def test_neighborhood_fraction_partial():
     # Unit 0 has neighbors 1, 2, 3; only 1 shares its cluster.
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     c = Clustering.from_assignment([0, 0, 1, 1])
-    assert neighborhood_fraction_in_cluster(g, c, 0) == pytest.approx(1 / 3)
     fracs = neighborhood_fractions(g, c)
-    assert fracs[0] == pytest.approx(1 / 3)
-    brute = [neighborhood_fraction_in_cluster(g, c, i) for i in range(4)]
-    assert np.allclose(fracs, brute)
+    assert fracs.tolist() == pytest.approx([1 / 3, 1.0, 0.0, 0.0])

@@ -126,7 +126,7 @@ def test_enumeration_matches_sampler_frequencies(bound_design):
 
     for r in range(draws):
         a = hierarchical_assign(clustering, counts, reps[r])
-        values[r] = delta_statistic(a, realize_sutva(table, a.treatment).y).delta
+        values[r] = delta_statistic(a, realize_sutva(table, a.treatment)).delta
     se = values.std(ddof=1) / math.sqrt(draws)
     assert abs(values.mean() - exact.mean) <= 4 * se
     var_se = exact.variance * math.sqrt(2.0 / (draws - 1))

@@ -8,9 +8,9 @@ from spilltest import (
     ValidationError,
     realize_linear,
     realize_sutva,
-    total_treatment_effect,
 )
-from spilltest.outcomes import load_outcomes, save_outcomes
+from spilltest._table import write_table
+from spilltest.outcomes import load_outcomes
 
 
 @pytest.fixture
@@ -20,8 +20,9 @@ def small_table():
 
 def test_realize_sutva_selects_elementwise(small_table):
     z = np.array([1, 0, 1, 0])
-    out = realize_sutva(small_table, z)
-    assert out.y.tolist() == [2.0, 3.0, 1.0, -2.0]
+    y = realize_sutva(small_table, z)
+    assert y.tolist() == [2.0, 3.0, 1.0, -2.0]
+    assert y.dtype == np.float64 and not y.flags.writeable
 
 
 def test_realize_sutva_fisher_null_independent_of_assignment():
@@ -29,7 +30,7 @@ def test_realize_sutva_fisher_null_independent_of_assignment():
     table = PotentialTable(y1=y, y0=y)
     a = realize_sutva(table, np.array([1, 1, 0]))
     b = realize_sutva(table, np.array([0, 0, 1]))
-    assert np.array_equal(a.y, b.y)
+    assert np.array_equal(a, b)
 
 
 def test_realize_sutva_length_mismatch(small_table):
@@ -40,22 +41,22 @@ def test_realize_sutva_length_mismatch(small_table):
 def test_realize_linear_noise_free_affine(cliquepair_graph):
     model = LinearInterferenceModel(alpha=2.0, beta=1.5, gamma=0.0, noise_sd=0.0, graph=cliquepair_graph)
     z = np.array([1, 0, 1, 0, 1, 0, 1, 0])
-    out = realize_linear(model, z, seed=0)
-    assert np.allclose(out.y, 2.0 + 1.5 * z)
+    y = realize_linear(model, z, seed=0)
+    assert np.allclose(y, 2.0 + 1.5 * z)
+    assert y.dtype == np.float64 and not y.flags.writeable
 
 
 def test_realize_linear_all_neighbors_treated():
     g = Graph.from_edges(3, [(0, 1), (0, 2)])
     model = LinearInterferenceModel(alpha=1.0, beta=2.0, gamma=0.5, noise_sd=0.0, graph=g)
-    out = realize_linear(model, np.array([0, 1, 1]), seed=0)
+    y = realize_linear(model, np.array([0, 1, 1]), seed=0)
     # Unit 0 control with every neighbor treated: alpha + gamma.
-    assert out.y[0] == pytest.approx(1.5)
+    assert y[0] == pytest.approx(1.5)
 
 
 def test_realize_linear_all_control_is_baseline(cliquepair_graph):
     model = LinearInterferenceModel(alpha=0.7, beta=9.0, gamma=3.0, noise_sd=0.0, graph=cliquepair_graph)
-    out = realize_linear(model, np.zeros(8), seed=0)
-    assert np.allclose(out.y, 0.7)
+    assert np.allclose(realize_linear(model, np.zeros(8), seed=0), 0.7)
 
 
 def test_realize_linear_seed_determinism(cliquepair_graph):
@@ -64,8 +65,8 @@ def test_realize_linear_seed_determinism(cliquepair_graph):
     a = realize_linear(model, z, seed=5)
     b = realize_linear(model, z, seed=5)
     c = realize_linear(model, z, seed=6)
-    assert np.array_equal(a.y, b.y)
-    assert not np.array_equal(a.y, c.y)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_realize_linear_locality(cliquepair_graph):
@@ -74,41 +75,41 @@ def test_realize_linear_locality(cliquepair_graph):
     z1 = np.array([1, 0, 1, 0, 0, 0, 0, 0])
     z2 = z1.copy()
     z2[5:] = 1  # flip units far from unit 0
-    y1 = realize_linear(model, z1, seed=0).y
-    y2 = realize_linear(model, z2, seed=0).y
+    y1 = realize_linear(model, z1, seed=0)
+    y2 = realize_linear(model, z2, seed=0)
     assert y1[0] == pytest.approx(y2[0])
 
 
 def test_isolated_unit_receives_no_interference():
     g = Graph.from_edges(3, [(0, 1)])
     model = LinearInterferenceModel(alpha=0.0, beta=0.0, gamma=5.0, noise_sd=0.0, graph=g)
-    out = realize_linear(model, np.array([1, 1, 0]), seed=0)
-    assert out.y[2] == 0.0
+    assert realize_linear(model, np.array([1, 1, 0]), seed=0)[2] == 0.0
+
+
+def _total_effect(realize, source, n):
+    """All-treated minus all-control mean outcome."""
+    return realize(source, np.ones(n)).mean() - realize(source, np.zeros(n)).mean()
 
 
 def test_total_treatment_effect_table(small_table):
-    assert total_treatment_effect(small_table) == pytest.approx(1.25)
+    assert _total_effect(realize_sutva, small_table, 4) == pytest.approx(1.25)
     y = np.array([0.0, 0.0])
-    assert total_treatment_effect(PotentialTable(y1=y, y0=y)) == 0.0
+    assert _total_effect(realize_sutva, PotentialTable(y1=y, y0=y), 2) == 0.0
     two = PotentialTable(y1=np.array([2.0, 0.0]), y0=np.array([0.0, 0.0]))
-    assert total_treatment_effect(two) == pytest.approx(1.0)
+    assert _total_effect(realize_sutva, two, 2) == pytest.approx(1.0)
 
 
 def test_total_treatment_effect_linear_model(cliquepair_graph):
+    # No isolated unit: every unit receives full interference when all are treated.
     model = LinearInterferenceModel(alpha=0.0, beta=1.0, gamma=0.5, noise_sd=0.0, graph=cliquepair_graph)
-    assert total_treatment_effect(model) == pytest.approx(1.5)
-    assert model.realized_total_effect() == pytest.approx(1.5)
+    assert _total_effect(realize_linear, model, 8) == pytest.approx(1.5)
 
 
 def test_realized_total_effect_with_isolated_unit():
-    g = Graph.from_edges(4, [(0, 1), (0, 2)])  # unit 3 isolated
+    # Unit 3 is isolated and receives no interference: 1 + 1 * 3/4.
+    g = Graph.from_edges(4, [(0, 1), (0, 2)])
     model = LinearInterferenceModel(alpha=0.0, beta=1.0, gamma=1.0, noise_sd=0.0, graph=g)
-    assert total_treatment_effect(model) == pytest.approx(2.0)
-    assert model.realized_total_effect() == pytest.approx(1.75)
-    # Cross-check against the definition: all-treated minus all-control mean.
-    all_treated = realize_linear(model, np.ones(4), seed=0).y.mean()
-    all_control = realize_linear(model, np.zeros(4), seed=0).y.mean()
-    assert all_treated - all_control == pytest.approx(model.realized_total_effect())
+    assert _total_effect(realize_linear, model, 4) == pytest.approx(1.75)
 
 
 def test_model_validation(cliquepair_graph):
@@ -119,9 +120,9 @@ def test_model_validation(cliquepair_graph):
 
 
 def test_outcomes_csv_round_trip(tmp_path):
-    y = np.array([1.5, -2.25, 0.0])
+    y = np.array([1.5, -2.25, 0.0, 0.1, 1e-300])
     path = tmp_path / "y.csv"
-    save_outcomes(y, path)
+    write_table(path, ["unit_id", "y"], [list(range(len(y))), y.tolist()], "%d,%r\r\n")
     assert np.array_equal(load_outcomes(path), y)
 
 

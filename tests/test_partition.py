@@ -7,19 +7,16 @@ from hypothesis import strategies as st
 
 from spilltest import (
     Clustering,
-    ClusteringMetrics,
     Graph,
     ValidationError,
     cluster_features,
     clustering_metrics,
-    design_score,
     generate_sbm,
     ldg_restream,
-    neighborhood_fraction_in_cluster,
+    neighborhood_fractions,
     rebalance,
     SbmSpec,
     stratify_clusters,
-    subsample_clusters,
 )
 from spilltest.partition import (
     load_clustering,
@@ -27,6 +24,16 @@ from spilltest.partition import (
     save_clustering,
     save_stratification,
 )
+
+
+def _neighborhood_fraction_in_cluster(graph, clustering, i):
+    """Fraction of unit ``i``'s neighbors that share its cluster, 0 for an
+    isolated unit: the per-unit reference for ``neighborhood_fractions``."""
+    nbrs = graph.neighbors(i)
+    if len(nbrs) == 0:
+        return 0.0
+    own = clustering.assignment[i]
+    return float(np.count_nonzero(clustering.assignment[nbrs] == own)) / len(nbrs)
 
 
 def brute_force_best_balanced_split(graph):
@@ -250,23 +257,9 @@ def test_metrics_match_per_unit_brute_force():
     g, _ = generate_sbm(SbmSpec(num_blocks=5, block_size=8, p_intra=0.3, p_inter=0.08, seed=21))
     c = ldg_restream(g, 5, iterations=2, seed=4)
     m = clustering_metrics(g, c)
-    brute = np.mean([neighborhood_fraction_in_cluster(g, c, i) for i in range(g.num_units)])
-    assert m.rho_c == pytest.approx(float(brute), abs=1e-12)
-
-
-def test_design_score():
-    m = ClusteringMetrics(rho_c=0.4, internal_edge_fraction=0.5, balance_ratio=1.0, isolated_units=0)
-    assert design_score(m, 4.0) == pytest.approx(0.2)
-    zero = ClusteringMetrics(rho_c=0.0, internal_edge_fraction=0.0, balance_ratio=1.0, isolated_units=0)
-    assert design_score(zero, 123.0) == 0.0
-    with pytest.raises(ValidationError):
-        design_score(m, 0.0)
-
-
-def test_design_score_prefers_clique_respecting_split(cliquepair_graph):
-    good = clustering_metrics(cliquepair_graph, Clustering.from_assignment([0, 0, 0, 0, 1, 1, 1, 1]))
-    bad = clustering_metrics(cliquepair_graph, Clustering.from_assignment([0, 1, 0, 1, 0, 1, 0, 1]))
-    assert design_score(good, 2.0) > design_score(bad, 2.0)
+    brute = [_neighborhood_fraction_in_cluster(g, c, i) for i in range(g.num_units)]
+    assert neighborhood_fractions(g, c).tolist() == pytest.approx(brute, abs=1e-15)
+    assert m.rho_c == pytest.approx(float(np.mean(brute)), abs=1e-12)
 
 
 def test_stratify_single_stratum(cliquepair_graph):
@@ -320,37 +313,6 @@ def test_stratify_partition_property(num_clusters, num_strata, seed):
         assert int((strat.strata_sizes % 2).sum()) in (0, 2) or num_strata == 1
         if num_strata <= num_clusters // 2:
             assert np.all(strat.strata_sizes % 2 == 0) or (strat.strata_sizes % 2).sum() == 2
-
-
-def test_subsample_full_fraction():
-    c = Clustering.from_assignment([0, 0, 1, 1, 2, 2, 3, 3])
-    assert subsample_clusters(c, 1.0, seed=0).tolist() == [0, 1, 2, 3]
-
-
-def test_subsample_count_contract():
-    c = Clustering.from_assignment(np.repeat(np.arange(10), 2))
-    picked = subsample_clusters(c, 0.5, seed=3)
-    assert len(picked) == 5
-    assert len(set(picked.tolist())) == 5
-
-
-def test_subsample_uniform_over_seeds():
-    c = Clustering.from_assignment(np.repeat(np.arange(10), 2))
-    hits = np.zeros(10)
-    draws = 4000
-    for seed in range(draws):
-        hits[subsample_clusters(c, 0.5, seed=seed)] += 1
-    freq = hits / draws
-    mc_sd = (0.25 / draws) ** 0.5
-    assert np.all(np.abs(freq - 0.5) <= 5 * mc_sd)
-
-
-def test_subsample_validation():
-    c = Clustering.from_assignment([0, 1])
-    with pytest.raises(ValidationError):
-        subsample_clusters(c, 0.4, seed=0)  # rounds to <2 clusters
-    with pytest.raises(ValidationError):
-        subsample_clusters(c, 1.5, seed=0)
 
 
 def test_cluster_features_edge_counts(cliquepair_graph):
