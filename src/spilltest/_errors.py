@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type checks that
+validate JSON-sourced fields before they reach numpy."""
+
+import math
 
 
 class SpilltestError(Exception):
@@ -20,3 +23,10 @@ class InfeasibleError(ValidationError):
 class CheckFailure(SpilltestError):
     """A verification check ran to completion and its assertion failed."""
 
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from ._errors import ParseError, ValidationError
+from ._errors import ParseError, ValidationError, _is_finite, _is_int
 
 if TYPE_CHECKING:
     from .partition import Clustering
@@ -159,6 +159,17 @@ class SbmSpec:
     seed: int
 
     def __post_init__(self) -> None:
+        # A spec read from JSON can hold any type.
+        for name in ("num_blocks", "block_size", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValidationError(f"block-model spec {name}={value!r} is not an integer")
+        for name in ("p_intra", "p_inter"):
+            value = getattr(self, name)
+            if not _is_finite(value):
+                raise ValidationError(f"block-model spec {name}={value!r} is not a finite number")
+        if self.seed < 0:
+            raise ValidationError(f"block-model spec seed={self.seed} is negative")
         if self.num_blocks < 1 or self.block_size < 1:
             raise ValidationError("num_blocks and block_size must be positive")
         for name in ("p_intra", "p_inter"):

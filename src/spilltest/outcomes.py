@@ -77,16 +77,29 @@ class LinearInterferenceModel:
         return self.graph.num_units
 
     def treated_neighbor_fractions(self, z: np.ndarray) -> np.ndarray:
-        """Per-unit treated fraction of the neighborhood under assignment ``z``."""
+        """Per-unit treated fraction of the neighborhood under assignment ``z``.
+
+        ``z`` holds one 0/1 treatment per unit. Isolated units get 0. Costs
+        O(N + E): one gather over the adjacency and one segmented sum over
+        the rows of units with at least one neighbor.
+
+        Raises:
+            ValidationError: If ``z`` does not match the graph's length or
+                holds a value other than 0 and 1.
+        """
         z = np.asarray(z, dtype=np.float64)
         if len(z) != self.graph.num_units:
             raise ValidationError("assignment length does not match the graph")
+        if not np.all((z == 0.0) | (z == 1.0)):
+            raise ValidationError("assignment must hold only 0 and 1")
         deg = self.graph.degrees
-        src = self.graph.adjacency_sources
-        treated = np.bincount(src, weights=z[self.graph.adjacency_indices], minlength=self.graph.num_units)
-        out = np.zeros(self.graph.num_units)
         nz = deg > 0
-        out[nz] = treated[nz] / deg[nz]
+        out = np.zeros(self.graph.num_units)
+        # reduceat returns an element, not 0, for an empty row and rejects a
+        # start past the end, so only non-empty rows start a segment. Sums
+        # of 0/1 values are exact in any order.
+        starts = self.graph.adjacency_indptr[:-1][nz]
+        out[nz] = np.add.reduceat(z[self.graph.adjacency_indices], starts) / deg[nz]
         return out
 
 
@@ -110,8 +123,9 @@ def realize_linear(
 ) -> np.ndarray:
     """Draw outcomes from the linear interference model; deterministic per seed.
 
-    Returns a read-only float64 vector, one outcome per unit. A noise-free
-    model draws nothing from ``seed``.
+    ``z`` holds one 0/1 treatment per unit. Returns a read-only float64
+    vector, one outcome per unit. A noise-free model draws nothing from
+    ``seed``.
     """
     z = np.asarray(z, dtype=np.float64)
     fractions = model.treated_neighbor_fractions(z)

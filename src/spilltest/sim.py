@@ -35,7 +35,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from ._errors import ParseError, ValidationError
+from ._errors import ParseError, ValidationError, _is_finite, _is_int
 from .assign import DesignCounts, HierarchicalAssignment, hierarchical_assign
 from .estimate import (
     _draw_statistics,
@@ -48,14 +48,6 @@ from .outcomes import LinearInterferenceModel, PotentialTable, realize_linear, r
 from .partition import Clustering, ldg_restream, rebalance
 
 StudyKind = Literal["ratio", "power", "type1"]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)

@@ -330,6 +330,23 @@ def _simulate_with_field(fixture, **override):
     return build
 
 
+def _graph_with_spec(**override):
+    def build(tmp_path):
+        spec = tmp_path / "sbm.json"
+        spec.write_text(json.dumps(
+            {"num_blocks": 4, "block_size": 5, "p_intra": 0.5, "p_inter": 0.1, "seed": 1, **override}
+        ))
+        return ["graph", "--spec", spec, "--out-edges", tmp_path / "g.edges",
+                "--out-clusters", tmp_path / "b.csv", "--out-meta", tmp_path / "meta.json"]
+    return build
+
+
+def _simulate_with_sbm(**override):
+    # The first block model of the bundled power study with some fields replaced.
+    spec = json.loads(fixture_path("fig1b_desk.json").read_text())["sbm"][0]
+    return _simulate_with_field("fig1b_desk.json", sbm=[{**spec, **override}])
+
+
 def _design(**override):
     # The bundled oracle design with some of its keys replaced.
     payload = json.loads(fixture_path("oracle8.json").read_text())
@@ -436,6 +453,20 @@ MALFORMED_INPUTS = {
         "regenerate_graph_per_rep='false'",
     ),
 }
+
+# Block-model specs of the wrong type, read by both `graph --spec` and a
+# study config's `sbm` list.
+BAD_SPEC_FIELDS = {
+    "block-size-float": ({"block_size": 2.5}, "block_size=2.5 is not an integer"),
+    "block-size-bool": ({"block_size": True}, "block_size=True is not an integer"),
+    "seed-negative": ({"seed": -1}, "block-model spec seed=-1 is negative"),
+    "seed-float": ({"seed": 1.5}, "seed=1.5 is not an integer"),
+    "p-intra-string": ({"p_intra": "x"}, "p_intra='x' is not a finite number"),
+    "p-inter-bool": ({"p_inter": False}, "p_inter=False is not a finite number"),
+}
+for _name, (_override, _named) in BAD_SPEC_FIELDS.items():
+    MALFORMED_INPUTS[f"graph-spec-{_name}"] = (_graph_with_spec(**_override), _named)
+    MALFORMED_INPUTS[f"study-sbm-{_name}"] = (_simulate_with_sbm(**_override), _named)
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spilltest import (
     Graph,
@@ -117,6 +119,60 @@ def test_model_validation(cliquepair_graph):
         LinearInterferenceModel(alpha=0.0, beta=1.0, gamma=0.0, noise_sd=-1.0, graph=cliquepair_graph)
     with pytest.raises(ValidationError):
         PotentialTable(y1=np.array([1.0, np.nan]), y0=np.array([0.0, 0.0]))
+    model = LinearInterferenceModel(alpha=0.0, beta=1.0, gamma=1.0, noise_sd=0.0, graph=cliquepair_graph)
+    for bad in (0.5, 2, -1, np.nan):
+        z = np.array([bad, 0, 1, 0, 1, 0, 1, 0])
+        with pytest.raises(ValidationError, match="only 0 and 1"):
+            model.treated_neighbor_fractions(z)
+        with pytest.raises(ValidationError, match="only 0 and 1"):
+            realize_linear(model, z, seed=0)
+
+
+def _bincount_fractions(graph, z):
+    """The weighted-bincount kernel that ``treated_neighbor_fractions`` used
+    before its segmented sum, kept as the reference it must match."""
+    z = np.asarray(z, dtype=np.float64)
+    deg = graph.degrees
+    src = graph.adjacency_sources
+    treated = np.bincount(src, weights=z[graph.adjacency_indices], minlength=graph.num_units)
+    out = np.zeros(graph.num_units)
+    nz = deg > 0
+    out[nz] = treated[nz] / deg[nz]
+    return out
+
+
+def _fractions(graph, z):
+    model = LinearInterferenceModel(alpha=0.0, beta=0.0, gamma=1.0, noise_sd=0.0, graph=graph)
+    return model.treated_neighbor_fractions(z)
+
+
+@st.composite
+def _graphs_and_assignments(draw):
+    n = draw(st.integers(1, 30))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=120))
+    # Cut every edge of the units picked among the first, middle and last.
+    cut = {u for u, pick in zip((0, n // 2, n - 1), draw(st.tuples(*[st.booleans()] * 3))) if pick}
+    graph = Graph.from_edges(n, [(i, j) for i, j in pairs if i != j and not {i, j} & cut])
+    z = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+    return graph, z
+
+
+def _case(n, edges, z):
+    return Graph.from_edges(n, edges), np.array(z, dtype=np.int8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs_and_assignments())
+@example(_case(3, [], [1, 0, 1]))
+@example(_case(1, [], [1]))
+@example(_case(4, [(1, 2), (2, 3)], [1, 1, 0, 1]))
+@example(_case(5, [(0, 1), (3, 4)], [1, 0, 1, 1, 0]))
+@example(_case(4, [(0, 1), (1, 2)], [1, 0, 1, 1]))
+@example(_case(5, [(1, 3)], [1, 1, 1, 0, 1]))
+def test_fractions_match_bincount_reference(graph_and_z):
+    graph, z = graph_and_z
+    assert np.array_equal(_fractions(graph, z), _bincount_fractions(graph, z))
+    assert np.array_equal(_fractions(graph, z.astype(bool)), _bincount_fractions(graph, z))
 
 
 def test_outcomes_csv_round_trip(tmp_path):
