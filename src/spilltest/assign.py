@@ -16,7 +16,7 @@ the other.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -206,6 +206,10 @@ def _hierarchical_from_streams(
         treatment[cr_units] = _complete_randomization(counts.n_cr, counts.n_cr_t, cr_stream)
     elif cr_arm_mechanism == "bernoulli":
         treatment[cr_units] = _bernoulli_rerandomized(counts.n_cr, counts.n_cr_t / counts.n_cr, cr_stream)
+        # The coins treat a random number of units; the draw carries the
+        # counts it realized, which the analysis checks its buckets against.
+        n_cr_t = int(treatment[cr_units].sum())
+        counts = replace(counts, n_cr_t=n_cr_t, n_cr_c=counts.n_cr - n_cr_t)
     else:
         raise ValidationError(f"unknown mechanism {cr_arm_mechanism!r}")
 
@@ -241,7 +245,8 @@ def hierarchical_assign(
     Clusters go to the individually randomized arm uniformly at random
     (``counts.m_cr`` of them). Conditional on the split, that arm's units are
     treated by complete randomization (or re-randomized Bernoulli with the
-    matching treated fraction), and the other arm's clusters are split
+    matching treated fraction, after which the draw's ``counts`` hold the
+    realized ``n_cr_t``/``n_cr_c``), and the other arm's clusters are split
     ``m_cbr_t`` treated / ``m_cbr_c`` control uniformly. The two within-arm
     draws come from independent seed substreams.
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -261,8 +262,6 @@ def _check_study_properties(cfg: SimConfig, report) -> None:
     Violations raise :class:`CheckFailure` (exit code 2). Tolerances are
     Monte Carlo slack, so honest runs pass with large margin.
     """
-    import math
-
     if cfg.study == "power":
         settings = sorted({r.setting for r in report.rows})
         for s in settings:
@@ -296,9 +295,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.study and args.study != cfg.study:
         raise ValidationError(f"config is a {cfg.study!r} study, not {args.study!r}")
     if args.threads is not None:
-        cfg = SimConfig.from_json(
-            json.dumps({**json.loads(cfg.to_json()), "threads": args.threads})
-        )
+        cfg = replace(cfg, threads=args.threads)
     report = run_study(cfg)
     _check_study_properties(cfg, report)
     outputs = []
@@ -376,7 +373,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         print(f"{status} {name}: {outcome['detail']}")
         failed = failed or not outcome["passed"]
     if args.out_report:
-        manifest = _manifest(args, [design_path], [args.out_report])
+        # The bundled design is keyed by a name that does not depend on where
+        # the package is installed, so two checkouts write the same report.
+        key = str(design_path) if args.design else "fixtures/oracle8.json"
+        manifest = replace(_manifest(args, [], [args.out_report]), input_digests={key: _digest(design_path)})
         _write_json(args.out_report, {"manifest": manifest.to_dict(), "checks": results})
     return 2 if failed else 0
 

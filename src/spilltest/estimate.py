@@ -12,7 +12,10 @@ of the gap (acceptance criterion 4), and the test can then exceed its level.
 
 One kernel, :func:`_statistic_rows`, computes both estimates and the bound
 for stacked draws of a design: the analysis and the studies run it on one
-draw at a time, the oracle on every enumerated draw at once.
+draw at a time, the oracle on every enumerated draw at once. One decision
+step, :func:`_decide`, turns a gap and its bound into the t-statistic, both
+p-values and both rules' verdicts; the analysis reports, the studies' counts
+and the oracle's ``reject`` statistic all read it.
 """
 
 from __future__ import annotations
@@ -20,17 +23,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from ._errors import ValidationError
 from .assign import ARM_CBR, ARM_CR, DesignCounts, HierarchicalAssignment
+from .outcomes import PotentialTable
 from .partition import Clustering
 
 if TYPE_CHECKING:
     from .graph import Graph
-    from .outcomes import LinearInterferenceModel, PotentialTable
+    from .outcomes import LinearInterferenceModel
 
 
 def _sample_var(x: np.ndarray) -> float:
@@ -49,18 +53,15 @@ class VarianceComponents:
     s_plus_t: float
     s_plus_c: float
     s_plus_tc: float
-    s_all: float
-    s_plus_all: float
 
 
-def variance_components(table: "PotentialTable", clustering: Clustering) -> VarianceComponents:
+def variance_components(table: PotentialTable, clustering: Clustering) -> VarianceComponents:
     """All variance components of a potential table under a clustering."""
     y1, y0 = table.y1, table.y0
     if len(y1) != clustering.num_units:
         raise ValidationError("potential table does not cover the clustering")
     y1p = clustering.cluster_sums(y1)
     y0p = clustering.cluster_sums(y0)
-    pooled = np.concatenate([y1, y0])
     return VarianceComponents(
         s_t=_sample_var(y1),
         s_c=_sample_var(y0),
@@ -68,8 +69,6 @@ def variance_components(table: "PotentialTable", clustering: Clustering) -> Vari
         s_plus_t=_sample_var(y1p),
         s_plus_c=_sample_var(y0p),
         s_plus_tc=_sample_var(y1p - y0p),
-        s_all=_sample_var(pooled),
-        s_plus_all=_sample_var(np.concatenate([y1p, y0p])),
     )
 
 
@@ -200,22 +199,14 @@ def fisher_null_variance(y: np.ndarray, clustering: Clustering, counts: DesignCo
 
     Under the sharp null (identical potential outcomes) the design is the
     only source of randomness, so the variance is computable from the
-    observed outcomes alone. Matches full enumeration exactly on balanced
+    observed outcomes alone: it is :func:`theoretical_sutva_variance` of the
+    table with ``y1 = y0 = y``. Matches full enumeration exactly on balanced
     designs.
     """
     y = np.asarray(y, dtype=np.float64)
     if len(y) != clustering.num_units or counts.num_units != clustering.num_units:
         raise ValidationError("outcomes, clustering, and counts must agree on N")
-    s = _sample_var(y)
-    s_plus = _sample_var(clustering.cluster_sums(y))
-    a, b = _small_sample_factors(counts)
-    term_cr = (counts.n_cr / (counts.n_cr_t * counts.n_cr_c)) * (a * s - b * s_plus)
-    term_cbr = (
-        (counts.m_cbr / counts.n_cbr) ** 2
-        * (counts.m_cbr / (counts.m_cbr_t * counts.m_cbr_c))
-        * s_plus
-    )
-    return term_cr + term_cbr
+    return theoretical_sutva_variance(PotentialTable(y1=y, y0=y), clustering, counts).exact
 
 
 @dataclass(frozen=True)
@@ -224,14 +215,12 @@ class SutvaVariance:
 
     ``leading`` sums the two arm variances and the cluster-level
     effect-heterogeneity term; ``correction`` is the exact small-sample
-    adjustment from sampling whole clusters into the unit-randomized arm
-    (of order ``order_bound``). ``exact`` is their sum and matches full
-    enumeration.
+    adjustment from sampling whole clusters into the unit-randomized arm.
+    ``exact`` is their sum and matches full enumeration.
     """
 
     leading: float
     correction: float
-    order_bound: float
 
     @property
     def exact(self) -> float:
@@ -239,7 +228,7 @@ class SutvaVariance:
 
 
 def theoretical_sutva_variance(
-    table: "PotentialTable", clustering: Clustering, counts: DesignCounts
+    table: PotentialTable, clustering: Clustering, counts: DesignCounts
 ) -> SutvaVariance:
     """Design variance of the gap for a fixed potential table (no interference).
 
@@ -258,12 +247,7 @@ def theoretical_sutva_variance(
         comps.s_plus_t / c.n_cr_t + comps.s_plus_c / c.n_cr_c - comps.s_plus_tc / c.n_cr
     )
     correction = (a - 1.0) * sigma2_cr - b * plus_part
-    order_bound = (c.num_clusters**2 / (c.n_cr * c.num_units**2)) * abs(sigma2_cr)
-    return SutvaVariance(
-        leading=sigma2_cr + sigma2_cbr + cross,
-        correction=correction,
-        order_bound=order_bound,
-    )
+    return SutvaVariance(leading=sigma2_cr + sigma2_cbr + cross, correction=correction)
 
 
 def stratified_delta(
@@ -320,6 +304,38 @@ def chebyshev_decision(delta: float, sigma_hat_sq: float, alpha: float) -> bool:
     if delta == 0.0:
         return False
     return abs(delta) >= math.sqrt(sigma_hat_sq / alpha)
+
+
+class _Decision(NamedTuple):
+    t_stat: float
+    p_chebyshev: float
+    p_gaussian: float
+    reject_chebyshev: bool
+    reject_gaussian: bool
+
+
+def _decide(delta: float, sigma_hat_sq: float, alpha: float) -> _Decision:
+    """The one decision step: a gap and its bound in, both rules' verdicts out.
+
+    A zero bound leaves no room for chance, so any nonzero gap rejects under
+    both rules. Raises ValidationError for alpha outside (0, 1), a negative
+    bound, or a non-finite statistic, which supports no decision.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha={alpha} must lie in (0, 1)")
+    if not (math.isfinite(delta) and math.isfinite(sigma_hat_sq)):
+        raise ValidationError(f"non-finite statistic: delta={delta!r}, sigma_hat_sq={sigma_hat_sq!r}")
+    p_cheb = chebyshev_p_value(delta, sigma_hat_sq)
+    if sigma_hat_sq > 0:
+        sigma = math.sqrt(sigma_hat_sq)
+        t_stat = delta / sigma
+        p_gauss = gaussian_p_value(delta, sigma)
+        reject_cheb = chebyshev_decision(delta, sigma_hat_sq, alpha)
+    else:
+        t_stat = 0.0 if delta == 0 else math.inf
+        p_gauss = 1.0 if delta == 0 else 0.0
+        reject_cheb = delta != 0
+    return _Decision(t_stat, p_cheb, p_gauss, reject_cheb, p_gauss < alpha)
 
 
 @dataclass(frozen=True)
@@ -379,33 +395,18 @@ def _finish_report(
 ) -> AnalysisReport:
     if decision_rule not in ("chebyshev", "gaussian"):
         raise ValidationError(f"unknown decision rule {decision_rule!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha={alpha} must lie in (0, 1)")
-    # A non-finite statistic supports no decision; it must not map to reject.
-    if not (math.isfinite(delta) and math.isfinite(sigma_hat_sq)):
-        raise ValidationError(f"non-finite statistic: delta={delta!r}, sigma_hat_sq={sigma_hat_sq!r}")
-    if sigma_hat_sq > 0:
-        t_stat = delta / math.sqrt(sigma_hat_sq)
-        p_gauss = gaussian_p_value(delta, math.sqrt(sigma_hat_sq))
-    else:
-        t_stat = 0.0 if delta == 0 else math.inf
-        p_gauss = 1.0 if delta == 0 else 0.0
-    p_cheb = chebyshev_p_value(delta, sigma_hat_sq)
-    if decision_rule == "chebyshev":
-        reject = chebyshev_decision(delta, sigma_hat_sq, alpha) if sigma_hat_sq > 0 else delta != 0
-    else:
-        reject = p_gauss < alpha
+    d = _decide(delta, sigma_hat_sq, alpha)
     return AnalysisReport(
         tau_cr=tau_cr,
         tau_cbr=tau_cbr,
         delta=delta,
         sigma_hat_sq=sigma_hat_sq,
-        t_stat=t_stat,
-        p_chebyshev=p_cheb,
-        p_gaussian=p_gauss,
+        t_stat=d.t_stat,
+        p_chebyshev=d.p_chebyshev,
+        p_gaussian=d.p_gaussian,
         alpha=alpha,
         decision_rule=decision_rule,
-        reject=reject,
+        reject=d.reject_chebyshev if decision_rule == "chebyshev" else d.reject_gaussian,
         counts=counts,
         provenance=provenance,
         stratified=stratified,
@@ -600,16 +601,14 @@ class InterferenceVarianceEstimate:
 
     ``structural`` carries the interference-driven part (scales with
     ``gamma**2``), ``noise`` the exact observation-noise part; ``variance``
-    is their sum. ``expected_delta`` is the exact mean of the gap.
+    is their sum. ``expected_delta`` is the exact mean of the gap, from
+    :func:`expected_delta_linear`.
     """
 
     variance: float
     structural: float
     noise: float
     expected_delta: float
-
-    def __float__(self) -> float:
-        return self.variance
 
 
 def interference_variance_approx(
@@ -659,7 +658,7 @@ def interference_variance_approx(
     # quadratic form below; its split variance is exact.
     g_mat = np.zeros((m, m))
     np.add.at(g_mat, (c_src, c_dst), w_src)
-    mean_g, var_g = _eta_quadratic_moments(-g_mat, m, s)
+    _, var_g = _eta_quadratic_moments(-g_mat, m, s)
 
     mom = _eta_moments(m, s)
 
@@ -693,17 +692,9 @@ def interference_variance_approx(
         + 1.0 / (c.cluster_size * c.m_cbr_c)
     )
 
-    # Exact mean of the gap: cluster-arm quadratic plus the finite-sample
-    # drag of the unit-randomized arm.
-    cr_mass = float(
-        p_same_cr * w_src[same_mask].sum() + p_diff_cr * w_src[diff_mask].sum()
-    )
-    mean_t = mean_g - cr_mass / (c.n_cr - 1)
-    expected_delta = model.gamma * (2.0 / n) * mean_t
-
     return InterferenceVarianceEstimate(
         variance=structural + noise,
         structural=structural,
         noise=noise,
-        expected_delta=expected_delta,
+        expected_delta=expected_delta_linear(model, clustering, counts),
     )

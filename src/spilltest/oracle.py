@@ -17,7 +17,7 @@ import numpy as np
 
 from ._errors import CheckFailure, ValidationError
 from .assign import DesignCounts
-from .estimate import _statistic_rows, chebyshev_decision
+from .estimate import _decide, _statistic_rows
 from .outcomes import LinearInterferenceModel, PotentialTable, realize_linear, realize_sutva
 from .partition import Clustering
 
@@ -166,7 +166,7 @@ def _hierarchical_statistic_rows(spec: EnumerationSpec) -> np.ndarray:
     delta = tau_cr - tau_cbr
     if spec.statistic == "reject":
         return np.array(
-            [float(chebyshev_decision(float(d), float(s), spec.alpha)) for d, s in zip(delta, sigma)]
+            [float(_decide(float(d), float(s), spec.alpha).reject_chebyshev) for d, s in zip(delta, sigma)]
         )
     return {"tau_cr": tau_cr, "tau_cbr": tau_cbr, "delta": delta, "sigma_hat_sq": sigma}[spec.statistic]
 

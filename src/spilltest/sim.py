@@ -13,8 +13,10 @@ Three study types share one config and report shape:
 Every study runs the same replication loop, :func:`_replicate`. A study
 supplies one function that turns a replication's seed stream into an
 assignment and its outcomes; the loop runs the estimator kernel on that one
-draw and keeps the gap, the variance bound and both rules' rejection counts.
-Only one draw is alive at a time.
+draw, decides it through ``estimate._decide`` (the step ``analyze`` uses, so
+a study counts exactly what ``analyze`` would decide on each draw, and a
+non-finite statistic raises), and keeps the gap, the variance bound and both
+rules' rejection counts. Only one draw is alive at a time.
 
 Replications derive their seeds from (master seed, study indices), so an
 identical config reproduces an identical report bit for bit, regardless of
@@ -37,12 +39,7 @@ import numpy as np
 
 from ._errors import ParseError, ValidationError, _is_finite, _is_int
 from .assign import DesignCounts, HierarchicalAssignment, hierarchical_assign
-from .estimate import (
-    _draw_statistics,
-    chebyshev_decision,
-    gaussian_p_value,
-    theoretical_sutva_variance,
-)
+from .estimate import _decide, _draw_statistics, theoretical_sutva_variance
 from .graph import SbmSpec, generate_sbm, neighborhood_fractions
 from .outcomes import LinearInterferenceModel, PotentialTable, realize_linear, realize_sutva
 from .partition import Clustering, ldg_restream, rebalance
@@ -219,10 +216,9 @@ def _replicate(
         est, bound = _draw_statistics(*draw(stream))
         deltas[r] = est.delta
         bounds[r] = bound
-        if chebyshev_decision(est.delta, bound, cfg.alpha):
-            rejections += 1
-        if bound > 0 and gaussian_p_value(est.delta, math.sqrt(bound)) < cfg.alpha:
-            rejections_gauss += 1
+        decision = _decide(est.delta, bound, cfg.alpha)
+        rejections += decision.reject_chebyshev
+        rejections_gauss += decision.reject_gaussian
     rate = rejections / n
     row = SimRow(
         study=cfg.study,

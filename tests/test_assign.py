@@ -111,6 +111,27 @@ def test_hierarchical_bernoulli_mechanism(clusters8, counts8):
         assert 0 < treated < 4
 
 
+def test_bernoulli_draw_records_realized_counts():
+    # The coins treat a random number of units; the draw's counts must say how
+    # many, or the analysis refuses the draw as not matching its design.
+    from spilltest import analyze
+
+    clustering = Clustering.from_assignment(np.repeat(np.arange(8), 10))
+    counts = DesignCounts.symmetric(80, 8)
+    y = np.random.default_rng(3).normal(size=80)
+    realized = set()
+    for seed in range(20):
+        a = hierarchical_assign(clustering, counts, seed=seed, cr_arm_mechanism="bernoulli")
+        n_cr_t = int(a.treatment[a.unit_arm == ARM_CR].sum())
+        realized.add(n_cr_t)
+        assert (a.counts.n_cr_t, a.counts.n_cr_c) == (n_cr_t, counts.n_cr - n_cr_t)
+        assert a.counts.m_cbr_t == counts.m_cbr_t and a.counts.n_cr == counts.n_cr
+        loaded = assignment_from_vectors(clustering, a.unit_arm, a.treatment)
+        assert loaded.counts == a.counts
+        assert analyze(a, y).to_dict() == {**analyze(loaded, y).to_dict(), "provenance": a.provenance}
+    assert len(realized) > 1
+
+
 def test_hierarchical_rejects_unbalanced(counts8):
     lopsided = Clustering.from_assignment([0, 0, 0, 1, 2, 2, 3, 3])
     with pytest.raises(ValidationError, match="equal cluster sizes"):

@@ -227,6 +227,43 @@ def test_oracle_failure_exit_code(monkeypatch):
     assert run_cli("oracle", "--check", "means") == 2
 
 
+def test_oracle_report_keys_bundled_design_by_name(tmp_path):
+    # Two installs of one commit must write the same report, so the bundled
+    # design's digest is keyed by a name and not by where it is installed.
+    report = tmp_path / "checks.json"
+    assert run_cli("oracle", "--check", "law", "--out-report", report) == 0
+    digests = json.loads(report.read_text())["manifest"]["input_digests"]
+    assert list(digests) == ["fixtures/oracle8.json"]
+    design = tmp_path / "d.json"
+    design.write_text(fixture_path("oracle8.json").read_text())
+    assert run_cli("oracle", "--check", "law", "--design", design, "--out-report", report) == 0
+    digests_given = json.loads(report.read_text())["manifest"]["input_digests"]
+    assert digests_given == {str(design): digests["fixtures/oracle8.json"]}
+
+
+@pytest.mark.parametrize("stratified", [False, True])
+def test_bernoulli_counts_match_assignment(tmp_path, stratified):
+    # counts.json must record the units the coins actually treated.
+    clusters = tmp_path / "c.csv"
+    clusters.write_text("unit_id,cluster_id\n" + "".join(f"{i},{i // 10}\n" for i in range(160)))
+    args = ["assign", "--clusters-file", clusters, "--seed", 5, "--mechanism", "bernoulli",
+            "--out-assignment", tmp_path / "a.csv", "--out-counts", tmp_path / "k.json"]
+    if stratified:
+        strata = tmp_path / "s.csv"
+        strata.write_text("cluster_id,stratum_id\n" + "".join(f"{c},{c // 8}\n" for c in range(16)))
+        args += ["--stratification", strata]
+    assert run_cli(*args) == 0
+    payload = json.loads((tmp_path / "k.json").read_text())["counts"]
+    recorded = payload["strata"] if stratified else [payload]
+    rows = [line.split(",") for line in (tmp_path / "a.csv").read_text().splitlines()[1:]]
+    stratum_of_unit = [(int(u) // 10) // 8 if stratified else 0 for u, _, _ in rows]
+    for s, counts in enumerate(recorded):
+        mine = [(arm, int(t)) for (_, arm, t), k in zip(rows, stratum_of_unit) if k == s]
+        assert counts["n_cr_t"] == sum(t for arm, t in mine if arm == "cr")
+        assert counts["n_cr_c"] == sum(1 - t for arm, t in mine if arm == "cr")
+    assert any(c["n_cr_t"] != c["n_cr"] // 2 for c in recorded)
+
+
 def test_stratified_cli_round_trip(tmp_path):
     # 16 clusters so each of 2 strata supports the per-stratum bound.
     spec = tmp_path / "sbm.json"
@@ -447,6 +484,13 @@ MALFORMED_INPUTS = {
     "study-seed-string": (_simulate_with_field("fig1a_desk.json", seed="x"), "seed='x'"),
     "study-clustering-source": (
         _simulate_with_field("fig1b_desk.json", clustering_source="bogus"), "clustering_source='bogus'"
+    ),
+    "study-statistic-overflow": (
+        _simulate_with_field(
+            "fig1a_desk.json", study="type1", replications=50, seed=1, num_clusters=8, cluster_size=20,
+            constant_effect=1e307, y0_cluster_sd=0.0, y0_unit_sd=0.0,
+        ),
+        "non-finite statistic: delta=nan",
     ),
     "study-regenerate-string": (
         _simulate_with_field("fig1b_desk.json", regenerate_graph_per_rep="false"),

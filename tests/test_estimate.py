@@ -32,6 +32,7 @@ from spilltest import (
 )
 from spilltest.assign import ARM_CBR, ARM_CR, assignment_from_vectors
 from spilltest.estimate import (
+    _decide,
     _eta_quadratic_moments,
     _small_sample_factors,
     _statistic_rows,
@@ -207,6 +208,19 @@ def test_empirical_variance_bound_needs_two_per_bucket(oracle_design):
         empirical_variance_bound(a, np.arange(8, dtype=np.float64))
 
 
+def _reference_fisher_null_variance(y, clustering, counts):
+    # The sharp-null variance as its own closed form, before it became the
+    # y1 = y0 case of theoretical_sutva_variance.
+    s = float(np.var(y, ddof=1))
+    s_plus = float(np.var(clustering.cluster_sums(y), ddof=1))
+    a, b = _small_sample_factors(counts)
+    term_cr = (counts.n_cr / (counts.n_cr_t * counts.n_cr_c)) * (a * s - b * s_plus)
+    term_cbr = (
+        (counts.m_cbr / counts.n_cbr) ** 2 * (counts.m_cbr / (counts.m_cbr_t * counts.m_cbr_c)) * s_plus
+    )
+    return term_cr + term_cbr
+
+
 def test_fisher_null_variance_constant_outcome(bound_design):
     clustering, counts = bound_design
     assert fisher_null_variance(np.full(12, 2.0), clustering, counts) == pytest.approx(0.0, abs=1e-15)
@@ -264,12 +278,22 @@ def test_sutva_variance_constant_effect_drops_heterogeneity_terms(bound_design):
     assert sv.leading == pytest.approx(sigma2_cr + sigma2_cbr, abs=1e-12)
 
 
-def test_sutva_variance_agrees_with_fisher_null_when_no_effect(bound_design):
-    clustering, counts = bound_design
-    y = rng.normal(size=12)
-    table = PotentialTable(y1=y, y0=y)
-    sv = theoretical_sutva_variance(table, clustering, counts)
-    assert sv.exact == pytest.approx(fisher_null_variance(y, clustering, counts), abs=1e-12)
+def test_sutva_variance_agrees_with_fisher_null_when_no_effect(oracle_design, bound_design):
+    # fisher_null_variance is the y1 = y0 case of theoretical_sutva_variance;
+    # both must match the sharp-null closed form on its own.
+    designs = [oracle_design[1:3], bound_design]
+    designs.append((Clustering.from_assignment(np.repeat(np.arange(10), 3)), DesignCounts(
+        n_cr=12, n_cbr=18, m_cr=4, m_cbr=6, n_cr_t=5, n_cr_c=7, m_cbr_t=2, m_cbr_c=4
+    )))
+    for clustering, counts in designs:
+        for _ in range(5):
+            y = rng.normal(size=clustering.num_units) * 4.0 + 1.0
+            sv = theoretical_sutva_variance(PotentialTable(y1=y, y0=y), clustering, counts)
+            reference = _reference_fisher_null_variance(y, clustering, counts)
+            assert sv.exact == fisher_null_variance(y, clustering, counts)
+            assert sv.exact == pytest.approx(reference, rel=1e-12, abs=1e-14)
+    with pytest.raises(ValidationError, match="agree on N"):
+        fisher_null_variance(np.ones(5), *bound_design)
 
 
 def test_bound_gap_identity(bound_design):
@@ -345,6 +369,71 @@ def test_chebyshev_rule():
     assert chebyshev_p_value(0.5, 1.0) == 1.0
     with pytest.raises(ValidationError):
         chebyshev_decision(1.0, 1.0, 1.5)
+
+
+def _reference_report_decision(delta, sigma_hat_sq, alpha):
+    # The analysis report's decision branches before the one decision step:
+    # t-statistic, both p-values and both rules' verdicts.
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha={alpha} must lie in (0, 1)")
+    if not (math.isfinite(delta) and math.isfinite(sigma_hat_sq)):
+        raise ValidationError(f"non-finite statistic: delta={delta!r}, sigma_hat_sq={sigma_hat_sq!r}")
+    if sigma_hat_sq > 0:
+        t_stat = delta / math.sqrt(sigma_hat_sq)
+        p_gauss = gaussian_p_value(delta, math.sqrt(sigma_hat_sq))
+    else:
+        t_stat = 0.0 if delta == 0 else math.inf
+        p_gauss = 1.0 if delta == 0 else 0.0
+    p_cheb = chebyshev_p_value(delta, sigma_hat_sq)
+    reject_cheb = chebyshev_decision(delta, sigma_hat_sq, alpha) if sigma_hat_sq > 0 else delta != 0
+    return t_stat, p_cheb, p_gauss, reject_cheb, p_gauss < alpha
+
+
+def _reference_study_counts(delta, bound, alpha):
+    # How the study loop counted one draw before the one decision step:
+    # (Chebyshev rejects, Gaussian rejects).
+    cheb = chebyshev_decision(delta, bound, alpha)
+    gauss = bound > 0 and gaussian_p_value(delta, math.sqrt(bound)) < alpha
+    return bool(cheb), bool(gauss)
+
+
+def _outcome(fn, *args):
+    try:
+        return tuple(fn(*args))
+    except ValidationError as exc:
+        return f"error: {exc}"
+
+
+def _decide_cases():
+    non_finite = (math.nan, math.inf, -math.inf)
+    for alpha in (0.05, 0.5):
+        for delta in (0.0, 1e-17, -1e-17, 1.0, -1.0) + non_finite:
+            for bound in (0.0, 1e-36, 1.0, math.nan, math.inf):
+                yield delta, bound, alpha
+    for alpha in (0.0, 1.0, -0.1, 1.5, math.nan):
+        for delta, bound in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (math.nan, 1.0)):
+            yield delta, bound, alpha
+
+
+def test_decide_matches_report_reference_and_study_counts():
+    study_differs = 0
+    for delta, bound, alpha in _decide_cases():
+        case = (delta, bound, alpha)
+        decided = _outcome(_decide, *case)
+        assert decided == _outcome(_reference_report_decision, *case), case
+        counted = _outcome(_reference_study_counts, *case)
+        if not 0.0 < alpha < 1.0:
+            assert decided.startswith("error: alpha=") and counted.startswith("error: alpha="), case
+        elif not (math.isfinite(delta) and math.isfinite(bound)):
+            # The study loop counted these as numbers; the decision step refuses them.
+            assert decided.startswith("error: non-finite statistic") and isinstance(counted, tuple), case
+        elif bound == 0 and delta != 0:
+            # The study loop skipped the Gaussian count at a zero bound.
+            assert counted == (decided[3], False) and decided[3] and decided[4], case
+            study_differs += 1
+        else:
+            assert counted == decided[3:], case
+    assert study_differs == 2 * 4
 
 
 def test_translation_and_scale_equivariance():
@@ -476,12 +565,48 @@ def test_interference_variance_empty_graph_is_noise_only():
     assert est.expected_delta == 0.0
 
 
+def _reference_interference_mean(model, graph, clustering, counts):
+    # interference_variance_approx's own mean of the gap before it read
+    # expected_delta_linear: the cluster-arm quadratic form's exact mean plus
+    # the unit arm's finite-sample drag over the directed neighbor mass.
+    n, m, s = graph.num_units, clustering.num_clusters, counts.m_cbr
+    deg = graph.degrees.astype(np.float64)
+    inv_deg = np.zeros(n)
+    inv_deg[deg > 0] = 1.0 / deg[deg > 0]
+    c_src = clustering.assignment[graph.adjacency_sources]
+    c_dst = clustering.assignment[graph.adjacency_indices]
+    w_src = inv_deg[graph.adjacency_sources]
+    g_mat = np.zeros((m, m))
+    np.add.at(g_mat, (c_src, c_dst), w_src)
+    mean_g, _ = _eta_quadratic_moments(-g_mat, m, s)
+    diff = c_src != c_dst
+    p_same_cr = (m - s) / m
+    p_diff_cr = (m - s) * (m - s - 1) / (m * (m - 1))
+    cr_mass = float(p_same_cr * w_src[~diff].sum() + p_diff_cr * w_src[diff].sum())
+    return model.gamma * (2.0 / n) * (mean_g - cr_mass / (counts.n_cr - 1))
+
+
 def test_interference_variance_exact_mean(oracle_design):
-    graph, clustering, counts, model, _ = oracle_design
-    est = interference_variance_approx(model, graph, clustering, counts)
-    assert est.expected_delta == pytest.approx(
-        expected_delta_linear(model, clustering, counts), abs=1e-12
-    )
+    from spilltest import SbmSpec, generate_sbm
+
+    designs = [oracle_design[:2]]
+    for spec in (
+        SbmSpec(num_blocks=8, block_size=10, p_intra=0.4, p_inter=0.04, seed=2),
+        SbmSpec(num_blocks=12, block_size=8, p_intra=0.06, p_inter=0.002, seed=5),
+        SbmSpec(num_blocks=16, block_size=6, p_intra=0.9, p_inter=0.05, seed=9),
+    ):
+        designs.append(generate_sbm(spec))
+    isolated = 0
+    for graph, clustering in designs:
+        isolated = max(isolated, int(np.count_nonzero(graph.degrees == 0)))
+        counts = DesignCounts.symmetric(graph.num_units, clustering.num_clusters)
+        model = LinearInterferenceModel(alpha=0.3, beta=1.0, gamma=1.7, noise_sd=0.5, graph=graph)
+        est = interference_variance_approx(model, graph, clustering, counts)
+        assert est.expected_delta == expected_delta_linear(model, clustering, counts)
+        assert est.expected_delta == pytest.approx(
+            _reference_interference_mean(model, graph, clustering, counts), abs=1e-12
+        )
+    assert isolated > 0
 
 
 def test_interference_variance_tracks_monte_carlo_mid_scale():

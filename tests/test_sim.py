@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from spilltest import SbmSpec, ValidationError
@@ -76,6 +77,32 @@ def test_type1_constant_outcomes_never_reject():
     report = run_type1_study(cfg)
     assert report.rows[0].rejection_rate == 0.0
     assert report.rows[0].mean_delta == 0.0
+
+
+def test_type1_counts_what_analyze_decides():
+    # Noise-free constant effect: gaps and bounds sit at rounding level, and
+    # the study must count exactly the draws that analyze rejects.
+    from spilltest import analyze
+    from spilltest.sim import _sutva_design
+
+    cfg = SimConfig(
+        study="type1", replications=50, seed=1, num_clusters=8, cluster_size=20,
+        constant_effect=0.1, y0_cluster_sd=0.0, y0_unit_sd=0.0,
+    )
+    row = run_type1_study(cfg).rows[0]
+    *_, draw, streams = _sutva_design(cfg)
+    for rule, rate in (("chebyshev", row.rejection_rate), ("gaussian", row.rejection_rate_gaussian)):
+        decided = [analyze(*draw(s), alpha=cfg.alpha, decision_rule=rule).reject for s in streams]
+        assert rate == sum(decided) / len(decided)
+
+
+def test_study_refuses_non_finite_statistic():
+    cfg = SimConfig(
+        study="type1", replications=5, seed=1, num_clusters=8, cluster_size=20,
+        constant_effect=1e307, y0_cluster_sd=0.0, y0_unit_sd=0.0,
+    )
+    with np.errstate(all="ignore"), pytest.raises(ValidationError, match="non-finite statistic"):
+        run_type1_study(cfg)
 
 
 def test_ratio_study_centers_on_one():
