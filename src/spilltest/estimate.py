@@ -126,15 +126,18 @@ def _statistic_rows(
     yp_c = _bucket(y_plus, cbr & ~zc, c.m_cbr_c)
 
     scale = c.m_cbr / c.n_cbr
-    tau_cr = y_t.mean(axis=1) - y_c.mean(axis=1)
-    tau_cbr = scale * (yp_t.mean(axis=1) - yp_c.mean(axis=1))
-    if not bound:
-        return tau_cr, tau_cbr, None
-    sigma_hat_sq = (
-        y_t.var(axis=1, ddof=1) / c.n_cr_t
-        + y_c.var(axis=1, ddof=1) / c.n_cr_c
-        + scale**2 * (yp_t.var(axis=1, ddof=1) / c.m_cbr_t + yp_c.var(axis=1, ddof=1) / c.m_cbr_c)
-    )
+    # Outcomes near the float maximum overflow to inf and nan here; _decide
+    # reports that as a non-finite statistic, so numpy need not warn too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau_cr = y_t.mean(axis=1) - y_c.mean(axis=1)
+        tau_cbr = scale * (yp_t.mean(axis=1) - yp_c.mean(axis=1))
+        if not bound:
+            return tau_cr, tau_cbr, None
+        sigma_hat_sq = (
+            y_t.var(axis=1, ddof=1) / c.n_cr_t
+            + y_c.var(axis=1, ddof=1) / c.n_cr_c
+            + scale**2 * (yp_t.var(axis=1, ddof=1) / c.m_cbr_t + yp_c.var(axis=1, ddof=1) / c.m_cbr_c)
+        )
     return tau_cr, tau_cbr, sigma_hat_sq
 
 
@@ -152,7 +155,8 @@ def _draw_statistics(
         a.counts, a.clustering.assignment, a.unit_arm[None], a.treatment[None],
         a.cluster_arm[None], a.cluster_treatment[None], y[a.unit_ids][None], bound,
     )
-    est = DeltaEstimate(float(tau_cr[0]), float(tau_cbr[0]), float(tau_cr[0] - tau_cbr[0]))
+    tau_cr, tau_cbr = float(tau_cr[0]), float(tau_cbr[0])
+    est = DeltaEstimate(tau_cr, tau_cbr, tau_cr - tau_cbr)
     return est, None if sigma_hat_sq is None else float(sigma_hat_sq[0])
 
 

@@ -22,9 +22,9 @@ from ._errors import ParseError, ValidationError, _is_finite, _is_int
 if TYPE_CHECKING:
     from .partition import Clustering
 
-# Refuse to enumerate unit pairs past this point; block-model generation is
-# quadratic in the number of units.
-_MAX_PAIRS = 500_000_000
+# Refuse block models whose units plus expected edges pass this point: a
+# build peaks near 85 bytes per edge, so this is about 9 GB.
+_MAX_UNITS_PLUS_EDGES = 100_000_000
 
 _HEADER_RE = re.compile(r"^N\s*=\s*(\d+)$")
 _UNIT_ID_RE = re.compile(r"[+-]?[0-9]+")
@@ -199,32 +199,78 @@ class SbmSpec:
 def generate_sbm(spec: SbmSpec) -> tuple[Graph, "Clustering"]:
     """Sample a stochastic block model and its ground-truth block clustering.
 
-    Deterministic given ``spec.seed``. Returns the graph together with the
-    block map as a :class:`~spilltest.partition.Clustering`.
+    Only the edges are drawn, by geometric skipping (Batagelj & Brandes,
+    Phys. Rev. E 71, 036113, 2005), so a call costs O(N + E) time and memory
+    rather than one coin per unit pair. The pairs ``i < j`` of each class
+    (intra-block, then inter-block) are numbered row by row, and the gaps
+    between kept slots are geometric draws; each pair is still an
+    independent Bernoulli draw with its class's probability.
+
+    Deterministic given ``spec.seed``: one generator draws the intra-block
+    gaps and then the inter-block gaps, in that fixed order. Returns the graph
+    together with the block map as a :class:`~spilltest.partition.Clustering`.
+
+    Raises:
+        ValidationError: When N plus the expected edge count exceeds
+            100 million.
     """
     from .partition import Clustering
 
-    n = spec.num_units
-    if n * (n - 1) // 2 > _MAX_PAIRS:
-        raise ValidationError(f"refusing to enumerate {n * (n - 1) // 2} unit pairs (N={n})")
+    n, s = spec.num_units, spec.block_size
+    intra_pairs = spec.num_blocks * (s * (s - 1) // 2)
+    inter_pairs = n * (n - 1) // 2 - intra_pairs
+    expected = intra_pairs * spec.p_intra + inter_pairs * spec.p_inter
+    if n + expected > _MAX_UNITS_PLUS_EDGES:
+        raise ValidationError(
+            f"refusing a block model of {n} units and {expected:.3g} expected edges "
+            f"(limit {_MAX_UNITS_PLUS_EDGES} in all)"
+        )
     rng = np.random.default_rng(spec.seed)
-    s = spec.block_size
-    chunks: list[np.ndarray] = []
-    for a in range(spec.num_blocks):
-        if spec.p_intra > 0.0:
-            mask = np.triu(rng.random((s, s)) < spec.p_intra, k=1)
-            ii, jj = np.nonzero(mask)
-            chunks.append(np.column_stack([ii + a * s, jj + a * s]))
-        for b in range(a + 1, spec.num_blocks):
-            if spec.p_inter <= 0.0:
-                continue
-            mask = rng.random((s, s)) < spec.p_inter
-            ii, jj = np.nonzero(mask)
-            chunks.append(np.column_stack([ii + a * s, jj + b * s]))
-    edges = np.concatenate(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
-    graph = Graph._from_valid_pairs(n, edges)
+    rows = np.arange(n, dtype=np.int64)
+    block_end = (rows // s + 1) * s
+    # Unit i owns the candidates j > i of each class, as one run of ids:
+    # (i, block_end) inside its block, [block_end, n) after it.
+    graph = Graph._from_valid_pairs(n, np.concatenate([
+        _kept_pairs(rng, spec.p_intra, rows + 1, block_end - rows - 1),
+        _kept_pairs(rng, spec.p_inter, block_end, n - block_end),
+    ]))
     assignment = np.repeat(np.arange(spec.num_blocks, dtype=np.int64), s)
     return graph, Clustering.from_assignment(assignment)
+
+
+def _kept_pairs(rng: np.random.Generator, p: float, first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Each pair ``(i, first[i] + k)``, ``0 <= k < count[i]``, kept with
+    probability ``p``, as an ``(E, 2)`` array in row-major order."""
+    starts = np.zeros(len(count) + 1, dtype=np.int64)
+    np.cumsum(count, out=starts[1:])
+    slots = _bernoulli_slots(rng, p, int(starts[-1]))
+    owner = np.repeat(np.arange(len(count)), np.diff(np.searchsorted(slots, starts)))
+    return np.column_stack([owner, first[owner] + slots - starts[owner]])
+
+
+def _bernoulli_slots(rng: np.random.Generator, p: float, total: int) -> np.ndarray:
+    """Sorted indices of the successes among ``total`` Bernoulli(p) trials.
+
+    Draws the gaps between successes in batches sized to finish in one batch
+    about every time. Each gap is clipped just past the last slot, which ends
+    the loop and keeps the cumulative sum in int64 (numpy returns the int64
+    maximum as the gap for a tiny ``p``).
+    """
+    if p <= 0.0 or total == 0:
+        return np.empty(0, dtype=np.int64)
+    found = []
+    last = -1
+    while last < total - 1:
+        left = total - 1 - last
+        mean = left * p
+        size = min(int(mean + 4.0 * mean**0.5) + 16, _INT64.max // 2 // (left + 1))
+        slots = last + np.cumsum(np.minimum(rng.geometric(p, size), left + 1))
+        kept = slots[: np.searchsorted(slots, total)]
+        found.append(kept)
+        if len(kept) < size:
+            break
+        last = int(kept[-1])
+    return np.concatenate(found)
 
 
 def neighborhood_fractions(graph: Graph, clustering: "Clustering") -> np.ndarray:

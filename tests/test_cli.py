@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spilltest
 from conftest import fixture_path
 from spilltest.cli import main
 
@@ -496,6 +501,10 @@ MALFORMED_INPUTS = {
         _simulate_with_field("fig1b_desk.json", regenerate_graph_per_rep="false"),
         "regenerate_graph_per_rep='false'",
     ),
+    # 10^13 units: refused before any array is made.
+    "graph-spec-too-large": (
+        _graph_with_spec(num_blocks=10**7, block_size=10**6), "refusing a block model of 10000000000000 units"
+    ),
 }
 
 # Block-model specs of the wrong type, read by both `graph --spec` and a
@@ -519,3 +528,36 @@ def test_malformed_inputs_exit_1_with_error_line(tmp_path, capsys, case):
     assert run_cli(*build(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+def _huge_outcomes(text):
+    # Every outcome at +-1.7e308, so the estimator's sums overflow.
+    lines = text.splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    return "\n".join(lines[:1] + [f"{u},{'-' if float(y) < 0 else ''}1.7e308" for u, y in rows]) + "\n"
+
+
+OVERFLOW_INPUTS = {
+    "simulate": (
+        MALFORMED_INPUTS["study-statistic-overflow"][0],
+        "error: non-finite statistic: delta=nan, sigma_hat_sq=nan\n",
+    ),
+    "analyze": (
+        lambda p: _table_inputs(p, outcomes=_huge_outcomes),
+        "error: non-finite statistic: delta=0.0, sigma_hat_sq=inf\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOW_INPUTS))
+def test_overflowing_statistic_prints_only_the_error_line(tmp_path, case):
+    # A child interpreter, so that numpy's warnings would reach stderr as
+    # they do for a user rather than pytest's warning capture.
+    build, expected = OVERFLOW_INPUTS[case]
+    env = {**os.environ, "PYTHONPATH": str(Path(spilltest.__file__).parents[1])}
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spilltest.cli", *map(str, build(tmp_path))],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (1, expected)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,89 @@ def test_sbm_uniform_density_matches_p():
     density = hits / total_pairs
     mc_sd = (p * (1 - p) / total_pairs) ** 0.5
     assert abs(density - p) <= 4 * mc_sd
+
+
+def test_sbm_every_pair_is_bernoulli_with_its_class_probability():
+    # 3 blocks of 4: 18 intra-block and 48 inter-block pairs, 5000 graphs.
+    reps = 5000
+    hits = np.zeros((12, 12))
+    edge_counts = np.empty(reps)
+    for seed in range(reps):
+        g, _ = generate_sbm(SbmSpec(num_blocks=3, block_size=4, p_intra=0.6, p_inter=0.2, seed=seed))
+        e = g.edge_array()
+        hits[e[:, 0], e[:, 1]] += 1
+        edge_counts[seed] = g.num_edges
+    freq = hits / reps
+    block = np.arange(12) // 4
+    upper = np.triu(np.ones((12, 12), dtype=bool), k=1)
+    same = block[:, None] == block[None, :]
+    assert not freq[~upper].any()
+    for mask, p in ((upper & same, 0.6), (upper & ~same, 0.2)):
+        se = (p * (1 - p) / reps) ** 0.5
+        assert np.abs(freq[mask] - p).max() <= 4.5 * se
+    # The edge count is Binomial(18, 0.6) + Binomial(48, 0.2).
+    mean = 18 * 0.6 + 48 * 0.2
+    var = 18 * 0.6 * 0.4 + 48 * 0.2 * 0.8
+    assert abs(edge_counts.mean() - mean) <= 4.5 * (var / reps) ** 0.5
+    centered = edge_counts - edge_counts.mean()
+    m4 = (centered**4).mean()
+    var_se = ((m4 - var**2 * (reps - 3) / (reps - 1)) / reps) ** 0.5
+    assert abs(edge_counts.var(ddof=1) - var) <= 4.5 * var_se
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, 5e-324])
+def test_sbm_extreme_probabilities_are_exact(p):
+    # 5e-324 makes numpy's geometric gaps the int64 maximum; the sampler
+    # must still stop, with no edge, on a model of 5*10^11 pairs too.
+    for num_blocks, block_size in ((3, 4), (1000, 1000)):
+        for p_intra, p_inter in ((p, p), (p, 0.0), (0.0, p)):
+            if p == 1.0 and num_blocks == 1000:
+                continue
+            spec = SbmSpec(num_blocks=num_blocks, block_size=block_size, p_intra=p_intra, p_inter=p_inter, seed=5)
+            g, c = generate_sbm(spec)
+            n = spec.num_units
+            e = g.edge_array()
+            same = c.assignment[e[:, 0]] == c.assignment[e[:, 1]]
+            intra = num_blocks * block_size * (block_size - 1) // 2
+            expected_intra = intra if p_intra == 1.0 else 0
+            expected_inter = n * (n - 1) // 2 - intra if p_inter == 1.0 else 0
+            assert (int(same.sum()), int((~same).sum())) == (expected_intra, expected_inter)
+
+
+def test_sbm_single_unit_blocks_and_single_block():
+    # block_size=1 has no intra-block pair; num_blocks=1 no inter-block pair.
+    g, c = generate_sbm(SbmSpec(num_blocks=6, block_size=1, p_intra=1.0, p_inter=1.0, seed=3))
+    assert g.num_edges == 15 and c.num_clusters == 6
+    g, _ = generate_sbm(SbmSpec(num_blocks=6, block_size=1, p_intra=1.0, p_inter=0.0, seed=3))
+    assert g.num_edges == 0
+    g, c = generate_sbm(SbmSpec(num_blocks=1, block_size=6, p_intra=1.0, p_inter=1.0, seed=3))
+    assert g.num_edges == 15 and c.num_clusters == 1
+    g, _ = generate_sbm(SbmSpec(num_blocks=1, block_size=6, p_intra=0.0, p_inter=1.0, seed=3))
+    assert g.num_edges == 0
+    g, _ = generate_sbm(SbmSpec(num_blocks=1, block_size=1, p_intra=1.0, p_inter=1.0, seed=3))
+    assert (g.num_units, g.num_edges) == (1, 0)
+
+
+def test_sbm_large_model_is_fast_and_deterministic():
+    # 10^5 units, about 300k edges: quadratic generation needs 5*10^9 coins.
+    spec = SbmSpec(num_blocks=1000, block_size=100, p_intra=0.05, p_inter=1e-5, seed=8)
+    start = time.perf_counter()
+    g1, c1 = generate_sbm(spec)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0
+    mean = 1000 * 4950 * 0.05 + (10**5 * (10**5 - 1) // 2 - 1000 * 4950) * 1e-5
+    assert abs(g1.num_edges - mean) <= 6 * mean**0.5
+    g2, c2 = generate_sbm(spec)
+    assert np.array_equal(g1.adjacency_indptr, g2.adjacency_indptr)
+    assert np.array_equal(g1.adjacency_indices, g2.adjacency_indices)
+    assert np.array_equal(c1.assignment, c2.assignment)
+
+
+def test_sbm_refuses_models_too_large_to_build():
+    # 10^5 units but 5*10^8 expected edges; a spec with too many units is a
+    # case of test_cli::test_malformed_inputs_exit_1_with_error_line.
+    with pytest.raises(ValidationError, match="5e[+]08 expected edges"):
+        generate_sbm(SbmSpec(num_blocks=10, block_size=10**4, p_intra=1.0, p_inter=0.0, seed=1))
 
 
 def test_sbm_spec_validation_and_json():
