@@ -14,14 +14,12 @@ from .estimate import (
     VarianceComponents,
     analyze,
     analyze_stratified,
-    chebyshev_decision,
     delta_statistic,
     empirical_variance_bound,
     expected_delta_linear,
     fisher_null_variance,
     gaussian_p_value,
     interference_variance_approx,
-    stratified_delta,
     theoretical_sutva_variance,
     variance_components,
 )
@@ -75,9 +73,9 @@ __all__ = [
     "LinearInterferenceModel", "PotentialTable", "realize_linear", "realize_sutva",
     # estimate
     "AnalysisReport", "DeltaEstimate", "SutvaVariance", "VarianceComponents", "analyze",
-    "analyze_stratified", "chebyshev_decision", "delta_statistic", "empirical_variance_bound",
-    "expected_delta_linear", "fisher_null_variance", "gaussian_p_value", "interference_variance_approx",
-    "stratified_delta", "theoretical_sutva_variance", "variance_components",
+    "analyze_stratified", "delta_statistic", "empirical_variance_bound", "expected_delta_linear",
+    "fisher_null_variance", "gaussian_p_value", "interference_variance_approx",
+    "theoretical_sutva_variance", "variance_components",
     # oracle
     "EnumerationSpec", "ExactMoments", "VarianceGap", "bernoulli_vs_cr_variance_gap",
     "binomial_negative_moment", "enumerate_moments",

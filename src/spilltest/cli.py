@@ -107,7 +107,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         args.out_meta,
         {
             "manifest": manifest.to_dict(),
-            "spec": json.loads(spec.to_json()),
+            "spec": asdict(spec),
             "num_units": graph.num_units,
             "num_edges": graph.num_edges,
         },
@@ -128,7 +128,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     manifest = _manifest(args, [args.edges], [args.out_clusters, args.out_metrics])
     _write_json(
         args.out_metrics,
-        {"manifest": manifest.to_dict(), "metrics": json.loads(metrics.to_json())},
+        {"manifest": manifest.to_dict(), "metrics": asdict(metrics)},
     )
     print(
         f"clustered {graph.num_units} units into {clustering.num_clusters} clusters "
@@ -170,7 +170,7 @@ def _load_covariates(path: str) -> np.ndarray:
     return np.column_stack(columns) if columns else np.empty((len(table["cluster_id"]), 0))
 
 
-def _load_counts(path: str | None, clustering) -> DesignCounts | None:
+def _load_counts(path: str | None) -> DesignCounts | None:
     if path is None:
         return None
     try:
@@ -182,7 +182,7 @@ def _load_counts(path: str | None, clustering) -> DesignCounts | None:
 def cmd_assign(args: argparse.Namespace) -> int:
     clustering = load_clustering(args.clusters_file)
     inputs: list[str | Path] = [args.clusters_file]
-    counts = _load_counts(args.counts, clustering)
+    counts = _load_counts(args.counts)
     if args.counts:
         inputs.append(args.counts)
     if args.stratification:

@@ -13,14 +13,14 @@ of the gap (acceptance criterion 4), and the test can then exceed its level.
 One kernel, :func:`_statistic_rows`, computes both estimates and the bound
 for stacked draws of a design: the analysis and the studies run it on one
 draw at a time, the oracle on every enumerated draw at once. One decision
-step, :func:`_decide`, turns a gap and its bound into the t-statistic, both
-p-values and both rules' verdicts; the analysis reports, the studies' counts
-and the oracle's ``reject`` statistic all read it.
+step, :func:`_decide`, is the whole decision: it checks its inputs and turns
+a gap and its bound into the t-statistic, both p-values and both rules'
+verdicts. The analysis reports, the studies' counts and the oracle's
+``reject`` statistic all read it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
@@ -254,60 +254,11 @@ def theoretical_sutva_variance(
     return SutvaVariance(leading=sigma2_cr + sigma2_cbr + cross, correction=correction)
 
 
-def stratified_delta(
-    deltas: Sequence[float],
-    sigma_hat_sqs: Sequence[float],
-    strata_cluster_counts: Sequence[int],
-) -> tuple[float, float]:
-    """Pool per-stratum gaps by cluster-count weights.
-
-    Returns ``(delta_prime, sigma_prime_sq)`` where the gap is the weighted
-    average with weights ``M(s)/M`` and the variance bound picks up squared
-    weights.
-    """
-    if not (len(deltas) == len(sigma_hat_sqs) == len(strata_cluster_counts)):
-        raise ValidationError("per-stratum inputs must align")
-    if len(deltas) == 0:
-        raise ValidationError("no strata to pool")
-    total = float(sum(strata_cluster_counts))
-    weights = [m / total for m in strata_cluster_counts]
-    delta_prime = float(sum(w * d for w, d in zip(weights, deltas)))
-    sigma_prime_sq = float(sum(w * w * s for w, s in zip(weights, sigma_hat_sqs)))
-    return delta_prime, sigma_prime_sq
-
-
 def gaussian_p_value(delta: float, sigma: float) -> float:
     """Two-tailed standard-normal p-value of ``|delta| / sigma``."""
     if sigma <= 0:
         raise ValidationError("sigma must be positive")
     return math.erfc(abs(delta) / (sigma * math.sqrt(2.0)))
-
-
-def chebyshev_p_value(delta: float, sigma_hat_sq: float) -> float:
-    """Distribution-free tail bound ``min(1, sigma_hat_sq / delta**2)``."""
-    if sigma_hat_sq < 0:
-        raise ValidationError("variance bound cannot be negative")
-    if delta == 0:
-        return 1.0
-    if sigma_hat_sq == 0:
-        return 0.0
-    return min(1.0, sigma_hat_sq / (delta * delta))
-
-
-def chebyshev_decision(delta: float, sigma_hat_sq: float, alpha: float) -> bool:
-    """Reject no-interference iff ``|delta| >= sqrt(sigma_hat_sq / alpha)``.
-
-    Guarantees a false-rejection rate of at most ``alpha`` whenever the
-    variance bound dominates the true variance, with no distributional
-    assumptions.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha={alpha} must lie in (0, 1)")
-    if sigma_hat_sq < 0:
-        raise ValidationError("variance bound cannot be negative")
-    if delta == 0.0:
-        return False
-    return abs(delta) >= math.sqrt(sigma_hat_sq / alpha)
 
 
 class _Decision(NamedTuple):
@@ -319,26 +270,35 @@ class _Decision(NamedTuple):
 
 
 def _decide(delta: float, sigma_hat_sq: float, alpha: float) -> _Decision:
-    """The one decision step: a gap and its bound in, both rules' verdicts out.
+    """The whole decision: a gap and its bound in, both rules' verdicts out.
 
-    A zero bound leaves no room for chance, so any nonzero gap rejects under
-    both rules. Raises ValidationError for alpha outside (0, 1), a negative
-    bound, or a non-finite statistic, which supports no decision.
+    Chebyshev's p-value is ``min(1, sigma_hat_sq / delta**2)``, and its rule
+    rejects iff ``|delta| >= sqrt(sigma_hat_sq / alpha)``; the Gaussian rule
+    reads ``delta / sqrt(sigma_hat_sq)`` as a standard normal. A zero bound
+    leaves no room for chance, so any nonzero gap rejects under both rules.
+    Raises ValidationError for alpha outside (0, 1), a non-finite statistic,
+    which supports no decision, or a negative bound.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha={alpha} must lie in (0, 1)")
     if not (math.isfinite(delta) and math.isfinite(sigma_hat_sq)):
         raise ValidationError(f"non-finite statistic: delta={delta!r}, sigma_hat_sq={sigma_hat_sq!r}")
-    p_cheb = chebyshev_p_value(delta, sigma_hat_sq)
+    if sigma_hat_sq < 0:
+        raise ValidationError("variance bound cannot be negative")
+    if delta == 0:
+        p_cheb = 1.0
+    elif sigma_hat_sq == 0:
+        p_cheb = 0.0
+    else:
+        p_cheb = min(1.0, sigma_hat_sq / (delta * delta))
     if sigma_hat_sq > 0:
         sigma = math.sqrt(sigma_hat_sq)
         t_stat = delta / sigma
         p_gauss = gaussian_p_value(delta, sigma)
-        reject_cheb = chebyshev_decision(delta, sigma_hat_sq, alpha)
     else:
         t_stat = 0.0 if delta == 0 else math.inf
         p_gauss = 1.0 if delta == 0 else 0.0
-        reject_cheb = delta != 0
+    reject_cheb = delta != 0 and abs(delta) >= math.sqrt(sigma_hat_sq / alpha)
     return _Decision(t_stat, p_cheb, p_gauss, reject_cheb, p_gauss < alpha)
 
 
@@ -380,9 +340,6 @@ class AnalysisReport:
         payload["decision"] = self.decision
         payload["strata"] = [asdict(s) for s in self.strata]
         return payload
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _finish_report(
@@ -444,7 +401,11 @@ def analyze_stratified(
     alpha: float = 0.05,
     decision_rule: str = "chebyshev",
 ) -> AnalysisReport:
-    """Pool independent per-stratum analyses into one decision."""
+    """Pool independent per-stratum analyses into one decision.
+
+    Stratum ``s`` with ``M(s)`` of the ``M`` clusters weighs its gap and arm
+    estimates by ``M(s)/M`` and its variance bound by ``(M(s)/M)**2``.
+    """
     if len(assignments) == 0:
         raise ValidationError("no strata to analyze")
     details = []
@@ -463,20 +424,16 @@ def analyze_stratified(
         )
         for key, value in a.counts.to_dict().items():
             counts_total[key] = counts_total.get(key, 0) + value
-    delta_prime, sigma_prime_sq = stratified_delta(
-        [d.delta for d in details],
-        [d.sigma_hat_sq for d in details],
-        [d.num_clusters for d in details],
-    )
     weights = [d.num_clusters for d in details]
     total = float(sum(weights))
+    shares = [m / total for m in weights]
     tau_cr = float(sum(w * d.tau_cr for w, d in zip(weights, details)) / total)
     tau_cbr = float(sum(w * d.tau_cbr for w, d in zip(weights, details)) / total)
     return _finish_report(
         tau_cr,
         tau_cbr,
-        delta_prime,
-        sigma_prime_sq,
+        float(sum(w * d.delta for w, d in zip(shares, details))),
+        float(sum(w * w * d.sigma_hat_sq for w, d in zip(shares, details))),
         alpha,
         decision_rule,
         counts_total,

@@ -11,7 +11,7 @@ import io
 import json
 import re
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -180,9 +180,6 @@ class SbmSpec:
     @property
     def num_units(self) -> int:
         return self.num_blocks * self.block_size
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SbmSpec":

@@ -10,9 +10,8 @@ the partition in practice.
 from __future__ import annotations
 
 import heapq
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -79,9 +78,6 @@ class ClusteringMetrics:
     internal_edge_fraction: float
     balance_ratio: float
     isolated_units: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """Monte Carlo studies: variance-bound tightness, power, and type-I control.
 
-Three study types share one config and report shape:
+Three study types share one config, one report shape and one runner,
+:func:`run_study`:
 
-- ``ratio``: no-interference outcomes with a constant effect, where the
-  variance bound is exactly tight in expectation; reports the distribution
-  of the bound over its exact design variance.
-- ``power``: the linear interference model over a grid of interference
-  strengths; reports rejection rates with Monte Carlo error bars.
 - ``type1``: no-interference outcomes; reports false-rejection rates under
   both decision rules.
+- ``ratio``: the ``type1`` draws of a constant-effect table, where the
+  variance bound is exactly tight in expectation. Its row carries the same
+  false-rejection rates plus the distribution of the bound over its exact
+  design variance; its ``mc_se`` is the standard error of ``ratio_mean``.
+- ``power``: the linear interference model over a grid of interference
+  strengths; reports rejection rates with Monte Carlo error bars.
 
 Every study runs the same replication loop, :func:`_replicate`. A study
 supplies one function that turns a replication's seed stream into an
@@ -32,8 +34,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from pathlib import Path
-from typing import Callable, Literal
+from typing import Callable, Literal, get_args
 
 import numpy as np
 
@@ -92,6 +93,8 @@ class SimConfig:
                 raise ValidationError(f"study config {f.name}={value!r} is not true or false")
         if not all(_is_finite(g) for g in self.gamma_grid):
             raise ValidationError(f"study config gamma_grid={list(self.gamma_grid)!r} holds a non-number")
+        if self.study not in get_args(StudyKind):
+            raise ValidationError(f"unknown study {self.study!r}")
         if self.clustering_source not in ("blocks", "ldg"):
             raise ValidationError(
                 f"study config clustering_source={self.clustering_source!r} is not blocks or ldg"
@@ -139,7 +142,13 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimRow:
-    """One grid point of a study."""
+    """One grid point of a study.
+
+    ``rejection_rate`` and ``rejection_rate_gaussian`` are the shares of draws
+    each decision rule rejects, in every study kind; a ratio row keeps them
+    too. ``mc_se`` is the Monte Carlo standard error of ``rejection_rate``,
+    except in a ratio row, where it is that of ``ratio_mean``.
+    """
 
     study: str
     setting: int
@@ -180,12 +189,6 @@ class SimReport:
         for row in self.rows:
             writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in asdict(row).items()})
         return buf.getvalue()
-
-    def save(self, json_path: str | Path | None = None, csv_path: str | Path | None = None) -> None:
-        if json_path is not None:
-            Path(json_path).write_text(self.to_json() + "\n", encoding="utf-8")
-        if csv_path is not None:
-            Path(csv_path).write_text(self.to_csv(), encoding="utf-8")
 
 
 def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
@@ -273,36 +276,6 @@ def _analysis_clustering(cfg: SimConfig, graph, blocks: Clustering, stream) -> C
     return rebalance(graph, clustered)
 
 
-def run_ratio_study(cfg: SimConfig) -> SimReport:
-    """Distribution of the variance bound over the exact design variance.
-
-    Outcomes follow a constant-effect table, the regime where the bound is
-    exactly tight in expectation, so the reference variance is computable in
-    closed form (validated against enumeration in the test suite).
-    """
-    if cfg.study != "ratio":
-        raise ValidationError("config is not a ratio study")
-    start = time.perf_counter()
-    clustering, counts, table, draw, streams = _sutva_design(cfg)
-    reference = theoretical_sutva_variance(table, clustering, counts).exact
-    if reference <= 0:
-        raise ValidationError("reference variance is zero; the ratio is undefined")
-    row, bounds = _replicate(cfg, draw, streams)
-    ratios = bounds / reference
-    ratios_sorted = np.sort(ratios)
-    row = replace(
-        row,
-        rejection_rate=0.0,
-        rejection_rate_gaussian=0.0,
-        mc_se=float(ratios.std(ddof=1) / math.sqrt(cfg.replications)),
-        mean_sigma_hat_sq=float(ratios.mean() * reference),
-        ratio_mean=float(ratios.mean()),
-        ratio_q10=_nearest_rank(ratios_sorted, 0.10),
-        ratio_q90=_nearest_rank(ratios_sorted, 0.90),
-    )
-    return SimReport(config=cfg, rows=(row,), wall_clock_seconds=time.perf_counter() - start)
-
-
 def _power_setting_rows(args: tuple[SimConfig, int]) -> list[SimRow]:
     cfg, setting_index = args
     spec = cfg.sbm[setting_index]
@@ -343,41 +316,42 @@ def _power_setting_rows(args: tuple[SimConfig, int]) -> list[SimRow]:
     return rows
 
 
-def run_power_study(cfg: SimConfig) -> SimReport:
-    """Rejection rate of the interference test under the linear model.
-
-    Each block-model setting generates one graph; assignments, noise, and
-    the decision re-randomize across replications.
-    """
-    if cfg.study != "power":
-        raise ValidationError("config is not a power study")
-    start = time.perf_counter()
-    tasks = [(cfg, i) for i in range(len(cfg.sbm))]
-    if cfg.threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.threads, len(tasks))) as pool:
-            chunks = list(pool.map(_power_setting_rows, tasks))
-    else:
-        chunks = [_power_setting_rows(t) for t in tasks]
-    rows = tuple(row for chunk in chunks for row in chunk)
-    return SimReport(config=cfg, rows=rows, wall_clock_seconds=time.perf_counter() - start)
-
-
-def run_type1_study(cfg: SimConfig) -> SimReport:
-    """False-rejection rates under no interference, for both decision rules."""
-    if cfg.study != "type1":
-        raise ValidationError("config is not a type1 study")
-    start = time.perf_counter()
-    *_, draw, streams = _sutva_design(cfg)
-    row, _ = _replicate(cfg, draw, streams)
-    return SimReport(config=cfg, rows=(row,), wall_clock_seconds=time.perf_counter() - start)
-
-
 def run_study(cfg: SimConfig) -> SimReport:
-    """Dispatch on ``cfg.study``."""
-    if cfg.study == "ratio":
-        return run_ratio_study(cfg)
+    """Run the study ``cfg.study`` names; see the module docstring.
+
+    A power study generates one graph per block-model setting, over up to
+    ``cfg.threads`` worker processes; assignments, noise, and the decision
+    re-randomize across replications. Ratio and type-I studies draw from one
+    no-interference table. A ratio study also divides each draw's bound by
+    the table's exact design variance, computable in closed form
+    (validated against enumeration in the test suite).
+    """
+    start = time.perf_counter()
     if cfg.study == "power":
-        return run_power_study(cfg)
-    if cfg.study == "type1":
-        return run_type1_study(cfg)
-    raise ValidationError(f"unknown study {cfg.study!r}")
+        tasks = [(cfg, i) for i in range(len(cfg.sbm))]
+        if cfg.threads > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=min(cfg.threads, len(tasks))) as pool:
+                chunks = list(pool.map(_power_setting_rows, tasks))
+        else:
+            chunks = [_power_setting_rows(t) for t in tasks]
+        rows = tuple(row for chunk in chunks for row in chunk)
+        return SimReport(config=cfg, rows=rows, wall_clock_seconds=time.perf_counter() - start)
+
+    clustering, counts, table, draw, streams = _sutva_design(cfg)
+    if cfg.study == "ratio":
+        reference = theoretical_sutva_variance(table, clustering, counts).exact
+        if reference <= 0:
+            raise ValidationError("reference variance is zero; the ratio is undefined")
+    row, bounds = _replicate(cfg, draw, streams)
+    if cfg.study == "ratio":
+        ratios = bounds / reference
+        ratios_sorted = np.sort(ratios)
+        row = replace(
+            row,
+            mc_se=float(ratios.std(ddof=1) / math.sqrt(cfg.replications)),
+            mean_sigma_hat_sq=float(ratios.mean() * reference),
+            ratio_mean=float(ratios.mean()),
+            ratio_q10=_nearest_rank(ratios_sorted, 0.10),
+            ratio_q90=_nearest_rank(ratios_sorted, 0.90),
+        )
+    return SimReport(config=cfg, rows=(row,), wall_clock_seconds=time.perf_counter() - start)

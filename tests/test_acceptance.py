@@ -40,7 +40,7 @@ from spilltest.estimate import (
     expected_cluster_estimate_linear,
     expected_diff_in_means_linear,
 )
-from spilltest.sim import SimConfig, run_power_study, run_ratio_study
+from spilltest.sim import SimConfig, run_study
 
 rng = np.random.default_rng(160_000)
 
@@ -48,7 +48,7 @@ rng = np.random.default_rng(160_000)
 @pytest.fixture(scope="module")
 def power_report():
     cfg = SimConfig.from_json(fixture_path("fig1b_desk.json").read_text())
-    return run_power_study(cfg)
+    return run_study(cfg)
 
 
 def test_criterion_1_exact_unbiasedness(oracle_design):
@@ -70,9 +70,7 @@ def test_criterion_1_exact_unbiasedness(oracle_design):
     errs = (abs(cr.mean - tau), abs(cbr.mean - tau), abs(delta.mean))
     passed = max(errs) <= 1e-12 and elapsed < 1.0
     record_criterion(
-        1, passed,
-        f"|E-tau| errors {errs[0]:.2e}/{errs[1]:.2e}, |E(delta)|={errs[2]:.2e}, "
-        f"{elapsed * 1000:.0f} ms",
+        1, passed, f"|E-tau| errors {errs[0]:.2e}/{errs[1]:.2e}, |E(delta)|={errs[2]:.2e}"
     )
     assert passed
 
@@ -95,10 +93,7 @@ def test_criterion_2_linear_model_closed_forms(oracle_design):
     assert closed_cr == pytest.approx(expected_diff_in_means_linear(model, n // 2), abs=1e-15)
     assert closed_cbr == pytest.approx(expected_cluster_estimate_linear(model, clustering), abs=1e-15)
     passed = max(err_cr, err_cbr) <= 1e-12 and elapsed < 1.0
-    record_criterion(
-        2, passed,
-        f"unit-arm err {err_cr:.2e}, cluster-arm err {err_cbr:.2e}, {elapsed * 1000:.0f} ms",
-    )
+    record_criterion(2, passed, f"unit-arm err {err_cr:.2e}, cluster-arm err {err_cbr:.2e}")
     assert passed
 
 
@@ -201,7 +196,7 @@ def test_criterion_5_bernoulli_vs_complete():
 
 def test_criterion_6_variance_ratio_desk_study():
     cfg = SimConfig.from_json(fixture_path("fig1a_desk.json").read_text())
-    report = run_ratio_study(cfg)
+    report = run_study(cfg)
     row = report.rows[0]
     passed = 0.97 <= row.ratio_mean <= 1.03 and row.ratio_q10 <= 1.0 <= row.ratio_q90
     record_criterion(
@@ -274,7 +269,7 @@ def test_criterion_8_mean_gap_tracks_containment():
         study="power", replications=2000, seed=11003, sbm=(spec,),
         gamma_grid=(0.05,), baseline=0.0, direct_effect=1.0, noise_sd=1.0,
     )
-    row = run_power_study(cfg).rows[0]
+    row = run_study(cfg).rows[0]
     target = row.gamma * row.rho_c
     gap = abs(-row.mean_delta - target)
     passed = gap <= 3 * row.delta_se

@@ -1,7 +1,9 @@
 """The package's public surface: exactly the names the pipeline, the studies
-and the oracle use, listed explicitly."""
+and the oracle use, listed explicitly; and the README's library example."""
 
 import importlib
+import re
+from pathlib import Path
 
 import spilltest
 
@@ -13,20 +15,24 @@ PUBLIC = [
     "DesignCounts", "HierarchicalAssignment", "hierarchical_assign", "stratified_hierarchical_assign",
     "LinearInterferenceModel", "PotentialTable", "realize_linear", "realize_sutva",
     "AnalysisReport", "DeltaEstimate", "SutvaVariance", "VarianceComponents", "analyze",
-    "analyze_stratified", "chebyshev_decision", "delta_statistic", "empirical_variance_bound",
-    "expected_delta_linear", "fisher_null_variance", "gaussian_p_value", "interference_variance_approx",
-    "stratified_delta", "theoretical_sutva_variance", "variance_components",
+    "analyze_stratified", "delta_statistic", "empirical_variance_bound", "expected_delta_linear",
+    "fisher_null_variance", "gaussian_p_value", "interference_variance_approx",
+    "theoretical_sutva_variance", "variance_components",
     "EnumerationSpec", "ExactMoments", "VarianceGap", "bernoulli_vs_cr_variance_gap",
     "binomial_negative_moment", "enumerate_moments",
 ]
 
-# Names that only tests called; none may come back.
+# Names that only tests called, or that repeated the one entry point of
+# their operation; none may come back.
 REMOVED = {
     "spilltest": [
         "neighborhood_fraction_in_cluster", "design_score", "subsample_clusters", "SimpleAssignment",
         "cluster_randomization", "complete_randomization", "bernoulli_rerandomized",
         "marginal_treatment_probability", "ObservedOutcomes", "save_outcomes", "total_treatment_effect",
+        "chebyshev_p_value", "chebyshev_decision", "stratified_delta",
     ],
+    "spilltest.estimate": ["chebyshev_p_value", "chebyshev_decision", "stratified_delta"],
+    "spilltest.sim": ["run_ratio_study", "run_power_study", "run_type1_study"],
     "spilltest.graph": ["neighborhood_fraction_in_cluster"],
     "spilltest.partition": ["design_score", "subsample_clusters"],
     "spilltest.assign": [
@@ -37,10 +43,14 @@ REMOVED = {
 }
 
 REMOVED_ATTRIBUTES = {
-    "Graph": ["edges", "degree", "to_sparse"],
-    "Clustering": ["members"],
-    "HierarchicalAssignment": ["mechanism", "cluster_ids", "num_units"],
-    "LinearInterferenceModel": ["realized_total_effect"],
+    "spilltest.Graph": ["edges", "degree", "to_sparse"],
+    "spilltest.Clustering": ["members"],
+    "spilltest.HierarchicalAssignment": ["mechanism", "cluster_ids", "num_units"],
+    "spilltest.LinearInterferenceModel": ["realized_total_effect"],
+    "spilltest.SbmSpec": ["to_json"],
+    "spilltest.ClusteringMetrics": ["to_json"],
+    "spilltest.AnalysisReport": ["to_json"],
+    "spilltest.sim.SimReport": ["save"],
 }
 
 
@@ -56,9 +66,23 @@ def test_removed_names_are_gone():
         module = importlib.import_module(module_name)
         for name in names:
             assert not hasattr(module, name), f"{module_name}.{name}"
-    for class_name, attributes in REMOVED_ATTRIBUTES.items():
-        cls = getattr(spilltest, class_name)
+    for path, attributes in REMOVED_ATTRIBUTES.items():
+        module_name, _, class_name = path.rpartition(".")
+        cls = getattr(importlib.import_module(module_name), class_name)
         fields = getattr(cls, "__dataclass_fields__", {})
         for attribute in attributes:
-            assert not hasattr(cls, attribute) and attribute not in fields, f"{class_name}.{attribute}"
+            assert not hasattr(cls, attribute) and attribute not in fields, f"{path}.{attribute}"
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, flags=re.M | re.S)
+    assert len(blocks) == 1
+    namespace: dict = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["report"].decision in ("reject", "fail-to-reject")
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 2
+    assert printed[1].split()[-1] == namespace["report"].decision
 

@@ -16,7 +16,6 @@ from spilltest import (
     ValidationError,
     analyze,
     analyze_stratified,
-    chebyshev_decision,
     delta_statistic,
     empirical_variance_bound,
     enumerate_moments,
@@ -25,7 +24,6 @@ from spilltest import (
     gaussian_p_value,
     hierarchical_assign,
     interference_variance_approx,
-    stratified_delta,
     stratified_hierarchical_assign,
     theoretical_sutva_variance,
     variance_components,
@@ -36,7 +34,6 @@ from spilltest.estimate import (
     _eta_quadratic_moments,
     _small_sample_factors,
     _statistic_rows,
-    chebyshev_p_value,
 )
 from spilltest.oracle import _hierarchical_statistic_rows, enumerate_hierarchical_assignments
 from spilltest.partition import Stratification
@@ -341,16 +338,37 @@ def test_bound_tight_for_constant_effect(bound_design):
     assert bound_mom.mean == pytest.approx(var_mom.variance, abs=1e-10)
 
 
-def test_stratified_delta_identity_and_pooling():
-    assert stratified_delta([1.5], [0.3], [10]) == (1.5, 0.3)
-    delta, var = stratified_delta([1.0, -1.0], [0.4, 0.8], [5, 5])
-    assert delta == pytest.approx(0.0)
-    assert var == pytest.approx((0.4 + 0.8) / 4)
-    # Weights sum to one: pooling a constant gap returns it unchanged.
-    delta, _ = stratified_delta([2.0, 2.0, 2.0], [0.1, 0.1, 0.1], [3, 5, 9])
-    assert delta == pytest.approx(2.0)
-    with pytest.raises(ValidationError):
-        stratified_delta([1.0], [0.1], [2, 3])
+def test_analyze_stratified_weights_strata_by_cluster_count():
+    # Strata of 8, 12 and 16 two-unit clusters: the pooled gap weighs each
+    # stratum's gap by M(s)/M and its bound by (M(s)/M)**2.
+    local = np.random.default_rng(5)
+    sizes = [8, 12, 16]
+    clustering = Clustering.from_assignment(np.repeat(np.arange(sum(sizes)), 2))
+    strat = Stratification(
+        num_strata=3, stratum_of=np.repeat(np.arange(3), sizes), strata_sizes=np.array(sizes)
+    )
+    parts = stratified_hierarchical_assign(clustering, strat, seed=4)
+    y = local.normal(size=clustering.num_units)
+    report = analyze_stratified(parts, y)
+    weights = [m / sum(sizes) for m in sizes]
+    deltas = [delta_statistic(p, y).delta for p in parts]
+    bounds = [empirical_variance_bound(p, y) for p in parts]
+    assert [d.num_clusters for d in report.strata] == sizes
+    assert report.delta == pytest.approx(sum(w * d for w, d in zip(weights, deltas)), rel=1e-12)
+    assert report.sigma_hat_sq == pytest.approx(
+        sum(w * w * b for w, b in zip(weights, bounds)), rel=1e-12
+    )
+    # Two equal strata: the mean gap, and a quarter of the summed bounds.
+    halves = analyze_stratified(parts[1:2] * 2, y)
+    assert halves.delta == pytest.approx(deltas[1], rel=1e-12)
+    assert halves.sigma_hat_sq == pytest.approx(bounds[1] / 2, rel=1e-12)
+    # One stratum: its own analysis, unchanged.
+    alone = analyze_stratified(parts[:1], y)
+    single = analyze(parts[0], y)
+    assert (alone.delta, alone.sigma_hat_sq) == (single.delta, single.sigma_hat_sq)
+    assert alone.reject == single.reject
+    with pytest.raises(ValidationError, match="no strata"):
+        analyze_stratified([], y)
 
 
 def test_gaussian_p_value_reference_points():
@@ -361,14 +379,26 @@ def test_gaussian_p_value_reference_points():
         gaussian_p_value(1.0, 0.0)
 
 
-def test_chebyshev_rule():
-    assert chebyshev_decision(4.48, 1.0, 0.05)  # threshold sqrt(20) ~ 4.4721
-    assert not chebyshev_decision(4.47, 1.0, 0.05)
-    assert not chebyshev_decision(0.0, 1.0, 0.05)
-    assert chebyshev_p_value(2.0, 1.0) == pytest.approx(0.25)
-    assert chebyshev_p_value(0.5, 1.0) == 1.0
-    with pytest.raises(ValidationError):
-        chebyshev_decision(1.0, 1.0, 1.5)
+def _reference_chebyshev_p_value(delta, sigma_hat_sq):
+    # Distribution-free tail bound min(1, sigma_hat_sq / delta**2).
+    if sigma_hat_sq < 0:
+        raise ValidationError("variance bound cannot be negative")
+    if delta == 0:
+        return 1.0
+    if sigma_hat_sq == 0:
+        return 0.0
+    return min(1.0, sigma_hat_sq / (delta * delta))
+
+
+def _reference_chebyshev_decision(delta, sigma_hat_sq, alpha):
+    # Reject no-interference iff |delta| >= sqrt(sigma_hat_sq / alpha).
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha={alpha} must lie in (0, 1)")
+    if sigma_hat_sq < 0:
+        raise ValidationError("variance bound cannot be negative")
+    if delta == 0.0:
+        return False
+    return abs(delta) >= math.sqrt(sigma_hat_sq / alpha)
 
 
 def _reference_report_decision(delta, sigma_hat_sq, alpha):
@@ -384,15 +414,15 @@ def _reference_report_decision(delta, sigma_hat_sq, alpha):
     else:
         t_stat = 0.0 if delta == 0 else math.inf
         p_gauss = 1.0 if delta == 0 else 0.0
-    p_cheb = chebyshev_p_value(delta, sigma_hat_sq)
-    reject_cheb = chebyshev_decision(delta, sigma_hat_sq, alpha) if sigma_hat_sq > 0 else delta != 0
+    p_cheb = _reference_chebyshev_p_value(delta, sigma_hat_sq)
+    reject_cheb = _reference_chebyshev_decision(delta, sigma_hat_sq, alpha) if sigma_hat_sq > 0 else delta != 0
     return t_stat, p_cheb, p_gauss, reject_cheb, p_gauss < alpha
 
 
 def _reference_study_counts(delta, bound, alpha):
     # How the study loop counted one draw before the one decision step:
     # (Chebyshev rejects, Gaussian rejects).
-    cheb = chebyshev_decision(delta, bound, alpha)
+    cheb = _reference_chebyshev_decision(delta, bound, alpha)
     gauss = bound > 0 and gaussian_p_value(delta, math.sqrt(bound)) < alpha
     return bool(cheb), bool(gauss)
 
@@ -407,12 +437,26 @@ def _outcome(fn, *args):
 def _decide_cases():
     non_finite = (math.nan, math.inf, -math.inf)
     for alpha in (0.05, 0.5):
-        for delta in (0.0, 1e-17, -1e-17, 1.0, -1.0) + non_finite:
-            for bound in (0.0, 1e-36, 1.0, math.nan, math.inf):
+        for delta in (0.0, -0.0, 1e-17, -1e-17, 1.0, -1.0, 1e308) + non_finite:
+            for bound in (0.0, 5e-324, 1e-36, 1.0, 1e308, -1.0, math.nan, math.inf):
                 yield delta, bound, alpha
     for alpha in (0.0, 1.0, -0.1, 1.5, math.nan):
         for delta, bound in ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (math.nan, 1.0)):
             yield delta, bound, alpha
+
+
+def test_chebyshev_rule():
+    # At bound 1 and alpha 0.05 the threshold is sqrt(20) ~ 4.4721, and the
+    # p-value is min(1, 1 / delta**2).
+    assert _decide(4.48, 1.0, 0.05).reject_chebyshev
+    assert not _decide(4.47, 1.0, 0.05).reject_chebyshev
+    assert not _decide(0.0, 1.0, 0.05).reject_chebyshev
+    assert _decide(2.0, 1.0, 0.05).p_chebyshev == pytest.approx(0.25)
+    assert _decide(0.5, 1.0, 0.05).p_chebyshev == 1.0
+    with pytest.raises(ValidationError, match="alpha=1.5"):
+        _decide(1.0, 1.0, 1.5)
+    with pytest.raises(ValidationError, match="cannot be negative"):
+        _decide(1.0, -1.0, 0.05)
 
 
 def test_decide_matches_report_reference_and_study_counts():
@@ -424,6 +468,8 @@ def test_decide_matches_report_reference_and_study_counts():
         counted = _outcome(_reference_study_counts, *case)
         if not 0.0 < alpha < 1.0:
             assert decided.startswith("error: alpha=") and counted.startswith("error: alpha="), case
+        elif bound < 0:
+            assert decided.startswith("error: ") and counted == "error: variance bound cannot be negative", case
         elif not (math.isfinite(delta) and math.isfinite(bound)):
             # The study loop counted these as numbers; the decision step refuses them.
             assert decided.startswith("error: non-finite statistic") and isinstance(counted, tuple), case
@@ -433,7 +479,7 @@ def test_decide_matches_report_reference_and_study_counts():
             study_differs += 1
         else:
             assert counted == decided[3:], case
-    assert study_differs == 2 * 4
+    assert study_differs == 2 * 5
 
 
 def test_translation_and_scale_equivariance():
@@ -466,8 +512,8 @@ def test_analyze_report_fields():
     assert report.counts["n_cr"] == 8
     gaussian = analyze(a, y, alpha=0.05, decision_rule="gaussian")
     assert gaussian.reject == (gaussian.p_gaussian < 0.05)
-    payload = report.to_json()
-    assert "sigma_hat_sq" in payload
+    payload = report.to_dict()
+    assert "sigma_hat_sq" in payload and payload["decision"] == report.decision
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -1,4 +1,6 @@
+import json
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -238,7 +240,7 @@ def test_sbm_spec_validation_and_json():
     with pytest.raises(ValidationError):
         SbmSpec(num_blocks=2, block_size=5, p_intra=1.5, p_inter=0.1, seed=0)
     spec = SbmSpec(num_blocks=2, block_size=5, p_intra=0.5, p_inter=0.1, seed=3)
-    assert SbmSpec.from_json(spec.to_json()) == spec
+    assert SbmSpec.from_json(json.dumps(asdict(spec))) == spec
 
 
 def test_neighborhood_fraction_star_center():

@@ -1,16 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import fixture_path
 from spilltest import SbmSpec, ValidationError
-from spilltest.sim import (
-    SimConfig,
-    run_power_study,
-    run_ratio_study,
-    run_study,
-    run_type1_study,
-)
+from spilltest.sim import SimConfig, run_study
 
 
 def tiny_power_config(**overrides):
@@ -39,7 +35,7 @@ def test_config_explicit_counts_round_trip_and_use():
     )
     cfg = tiny_power_config(counts=counts, replications=15)
     assert SimConfig.from_json(cfg.to_json()) == cfg
-    report = run_power_study(cfg)
+    report = run_study(cfg)
     assert len(report.rows) == 2  # the lopsided design runs end to end
 
 
@@ -57,13 +53,13 @@ def test_config_validation():
         SimConfig(study="power", replications=5, seed=1)  # no block model
     with pytest.raises(ValidationError):
         SimConfig(study="ratio", replications=5, seed=1)  # no clustering shape
-    with pytest.raises(ValidationError):
-        run_ratio_study(tiny_power_config())
+    with pytest.raises(ValidationError, match="unknown study 'bogus'"):
+        SimConfig(study="bogus", replications=1, seed=0)
 
 
 def test_type1_chebyshev_is_conservative():
     cfg = SimConfig(study="type1", replications=400, seed=9, num_clusters=8, cluster_size=4)
-    report = run_type1_study(cfg)
+    report = run_study(cfg)
     row = report.rows[0]
     assert row.rejection_rate <= cfg.alpha + 3 * max(row.mc_se, (cfg.alpha / cfg.replications) ** 0.5)
     assert 0.0 <= row.rejection_rate_gaussian <= 1.0
@@ -74,7 +70,7 @@ def test_type1_constant_outcomes_never_reject():
         study="type1", replications=50, seed=9, num_clusters=8, cluster_size=4,
         y0_cluster_sd=0.0, y0_unit_sd=0.0, constant_effect=0.0,
     )
-    report = run_type1_study(cfg)
+    report = run_study(cfg)
     assert report.rows[0].rejection_rate == 0.0
     assert report.rows[0].mean_delta == 0.0
 
@@ -89,7 +85,7 @@ def test_type1_counts_what_analyze_decides():
         study="type1", replications=50, seed=1, num_clusters=8, cluster_size=20,
         constant_effect=0.1, y0_cluster_sd=0.0, y0_unit_sd=0.0,
     )
-    row = run_type1_study(cfg).rows[0]
+    row = run_study(cfg).rows[0]
     *_, draw, streams = _sutva_design(cfg)
     for rule, rate in (("chebyshev", row.rejection_rate), ("gaussian", row.rejection_rate_gaussian)):
         decided = [analyze(*draw(s), alpha=cfg.alpha, decision_rule=rule).reject for s in streams]
@@ -102,7 +98,7 @@ def test_study_refuses_non_finite_statistic():
         constant_effect=1e307, y0_cluster_sd=0.0, y0_unit_sd=0.0,
     )
     with np.errstate(all="ignore"), pytest.raises(ValidationError, match="non-finite statistic"):
-        run_type1_study(cfg)
+        run_study(cfg)
 
 
 def test_ratio_study_centers_on_one():
@@ -110,7 +106,7 @@ def test_ratio_study_centers_on_one():
         study="ratio", replications=800, seed=21, num_clusters=16, cluster_size=4,
         constant_effect=1.0,
     )
-    report = run_ratio_study(cfg)
+    report = run_study(cfg)
     row = report.rows[0]
     assert abs(row.ratio_mean - 1.0) <= 4 * row.mc_se
     assert row.ratio_q10 <= row.ratio_mean <= row.ratio_q90
@@ -123,13 +119,13 @@ def test_ratio_study_degenerate_reference_errors():
         y0_cluster_sd=0.0, y0_unit_sd=0.0,
     )
     with pytest.raises(ValidationError, match="reference variance"):
-        run_ratio_study(cfg)
+        run_study(cfg)
 
 
 def test_power_study_rows_and_reproducibility():
     cfg = tiny_power_config()
-    a = run_power_study(cfg)
-    b = run_power_study(cfg)
+    a = run_study(cfg)
+    b = run_study(cfg)
     assert a.to_json() == b.to_json()
     assert a.to_csv() == b.to_csv()
     assert [r.gamma for r in a.rows] == [0.0, 1.0]
@@ -145,20 +141,20 @@ def test_power_study_threads_do_not_change_results():
         ),
         replications=30,
     )
-    serial = run_power_study(cfg)
-    parallel = run_power_study(SimConfig.from_json(json.dumps({**json.loads(cfg.to_json()), "threads": 2})))
+    serial = run_study(cfg)
+    parallel = run_study(SimConfig.from_json(json.dumps({**json.loads(cfg.to_json()), "threads": 2})))
     assert serial.to_csv() == parallel.to_csv()
 
 
 def test_power_study_ldg_clustering_source():
     cfg = tiny_power_config(clustering_source="ldg", ldg_iterations=3, replications=20)
-    report = run_power_study(cfg)
+    report = run_study(cfg)
     assert len(report.rows) == 2
 
 
 def test_power_study_regenerate_graph_flag():
     cfg = tiny_power_config(replications=10, regenerate_graph_per_rep=True)
-    report = run_power_study(cfg)
+    report = run_study(cfg)
     assert len(report.rows) == 2
 
 
@@ -170,14 +166,14 @@ def test_ratio_study_heterogeneous_effects_stay_near_one():
         study="ratio", replications=1500, seed=33, num_clusters=100, cluster_size=10,
         constant_effect=1.0, effect_unit_sd=0.5,
     )
-    report = run_ratio_study(cfg)
+    report = run_study(cfg)
     row = report.rows[0]
     assert row.ratio_mean >= 1.0 - 4 * row.mc_se
 
 
 def test_wall_clock_excluded_from_serialization():
     cfg = SimConfig(study="type1", replications=20, seed=2, num_clusters=8, cluster_size=2)
-    report = run_type1_study(cfg)
+    report = run_study(cfg)
     assert report.wall_clock_seconds > 0.0
     assert "wall_clock" not in report.to_json()
     assert "wall_clock" not in report.to_csv()
@@ -186,13 +182,21 @@ def test_wall_clock_excluded_from_serialization():
 def test_run_study_dispatch():
     cfg = SimConfig(study="type1", replications=10, seed=2, num_clusters=8, cluster_size=2)
     assert run_study(cfg).rows[0].study == "type1"
+    assert run_study(replace(cfg, study="ratio")).rows[0].study == "ratio"
+    assert [r.study for r in run_study(tiny_power_config(replications=5)).rows] == ["power", "power"]
 
 
-def test_report_save(tmp_path):
-    cfg = SimConfig(study="type1", replications=10, seed=2, num_clusters=8, cluster_size=2)
-    report = run_type1_study(cfg)
-    jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
-    report.save(json_path=jpath, csv_path=cpath)
-    payload = json.loads(jpath.read_text())
-    assert payload["rows"][0]["study"] == "type1"
-    assert cpath.read_text().startswith("study,")
+def test_ratio_row_keeps_the_type1_rejection_rates():
+    # A ratio study decides the same draws as a type1 study of the same
+    # table, so its row reports the same rates; only mc_se and the ratio
+    # summary differ.
+    cfg = replace(SimConfig.from_json(fixture_path("fig1a_desk.json").read_text()), replications=2000)
+    ratio = run_study(cfg).rows[0]
+    type1 = run_study(replace(cfg, study="type1")).rows[0]
+    assert (ratio.rejection_rate, ratio.rejection_rate_gaussian) == (
+        type1.rejection_rate,
+        type1.rejection_rate_gaussian,
+    )
+    assert ratio.rejection_rate_gaussian > 0.0
+    assert (ratio.mean_delta, ratio.delta_se) == (type1.mean_delta, type1.delta_se)
+    assert ratio.mc_se != type1.mc_se
