@@ -10,7 +10,6 @@ from .assign import (
 from .estimate import (
     AnalysisReport,
     DeltaEstimate,
-    SutvaVariance,
     VarianceComponents,
     analyze,
     analyze_stratified,
@@ -72,7 +71,7 @@ __all__ = [
     # outcomes
     "LinearInterferenceModel", "PotentialTable", "realize_linear", "realize_sutva",
     # estimate
-    "AnalysisReport", "DeltaEstimate", "SutvaVariance", "VarianceComponents", "analyze",
+    "AnalysisReport", "DeltaEstimate", "VarianceComponents", "analyze",
     "analyze_stratified", "delta_statistic", "empirical_variance_bound", "expected_delta_linear",
     "fisher_null_variance", "gaussian_p_value", "interference_variance_approx",
     "theoretical_sutva_variance", "variance_components",

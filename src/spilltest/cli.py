@@ -300,7 +300,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _check_study_properties(cfg, report)
     outputs = []
     if args.out_json:
-        payload = json.loads(report.to_json())
+        payload = report.to_dict()
         payload["manifest"] = _manifest(args, [args.config], [args.out_json]).to_dict()
         _write_json(args.out_json, payload)
         outputs.append(args.out_json)

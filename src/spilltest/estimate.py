@@ -210,34 +210,19 @@ def fisher_null_variance(y: np.ndarray, clustering: Clustering, counts: DesignCo
     y = np.asarray(y, dtype=np.float64)
     if len(y) != clustering.num_units or counts.num_units != clustering.num_units:
         raise ValidationError("outcomes, clustering, and counts must agree on N")
-    return theoretical_sutva_variance(PotentialTable(y1=y, y0=y), clustering, counts).exact
-
-
-@dataclass(frozen=True)
-class SutvaVariance:
-    """Variance of the gap under no interference, split into leading terms.
-
-    ``leading`` sums the two arm variances and the cluster-level
-    effect-heterogeneity term; ``correction`` is the exact small-sample
-    adjustment from sampling whole clusters into the unit-randomized arm.
-    ``exact`` is their sum and matches full enumeration.
-    """
-
-    leading: float
-    correction: float
-
-    @property
-    def exact(self) -> float:
-        return self.leading + self.correction
+    return theoretical_sutva_variance(PotentialTable(y1=y, y0=y), clustering, counts)
 
 
 def theoretical_sutva_variance(
     table: PotentialTable, clustering: Clustering, counts: DesignCounts
-) -> SutvaVariance:
+) -> float:
     """Design variance of the gap for a fixed potential table (no interference).
 
-    Needs the full table, so this is an oracle/simulation quantity rather
-    than something estimable from one experiment.
+    The two arm variances and the cluster-level effect-heterogeneity term,
+    plus the exact small-sample correction from sampling whole clusters into
+    the unit-randomized arm; matches full enumeration. Needs the full table,
+    so this is an oracle/simulation quantity rather than something estimable
+    from one experiment.
     """
     comps = variance_components(table, clustering)
     c = counts
@@ -251,7 +236,7 @@ def theoretical_sutva_variance(
         comps.s_plus_t / c.n_cr_t + comps.s_plus_c / c.n_cr_c - comps.s_plus_tc / c.n_cr
     )
     correction = (a - 1.0) * sigma2_cr - b * plus_part
-    return SutvaVariance(leading=sigma2_cr + sigma2_cbr + cross, correction=correction)
+    return (sigma2_cr + sigma2_cbr + cross) + correction
 
 
 def gaussian_p_value(delta: float, sigma: float) -> float:
@@ -285,14 +270,16 @@ def _decide(delta: float, sigma_hat_sq: float, alpha: float) -> _Decision:
         raise ValidationError(f"non-finite statistic: delta={delta!r}, sigma_hat_sq={sigma_hat_sq!r}")
     if sigma_hat_sq < 0:
         raise ValidationError("variance bound cannot be negative")
-    if delta == 0:
+    sigma = math.sqrt(sigma_hat_sq)
+    # Below sigma the p-value is 1; from sigma up, delta * delta is at least
+    # about sigma_hat_sq, so the square cannot underflow to zero.
+    if delta == 0 or abs(delta) < sigma:
         p_cheb = 1.0
     elif sigma_hat_sq == 0:
         p_cheb = 0.0
     else:
         p_cheb = min(1.0, sigma_hat_sq / (delta * delta))
     if sigma_hat_sq > 0:
-        sigma = math.sqrt(sigma_hat_sq)
         t_stat = delta / sigma
         p_gauss = gaussian_p_value(delta, sigma)
     else:

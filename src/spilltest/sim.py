@@ -12,6 +12,12 @@ Three study types share one config, one report shape and one runner,
 - ``power``: the linear interference model over a grid of interference
   strengths; reports rejection rates with Monte Carlo error bars.
 
+As in the paper, each study tests one fixed design: a power study generates
+each of its block models once and analyzes it under that model's block
+clustering, and the other two use ``num_clusters`` blocks of
+``cluster_size`` units. Replications re-draw only the assignment and the
+noise.
+
 Every study runs the same replication loop, :func:`_replicate`. A study
 supplies one function that turns a replication's seed stream into an
 assignment and its outcomes; the loop runs the estimator kernel on that one
@@ -43,7 +49,7 @@ from .assign import DesignCounts, HierarchicalAssignment, hierarchical_assign
 from .estimate import _decide, _draw_statistics, theoretical_sutva_variance
 from .graph import SbmSpec, generate_sbm, neighborhood_fractions
 from .outcomes import LinearInterferenceModel, PotentialTable, realize_linear, realize_sutva
-from .partition import Clustering, ldg_restream, rebalance
+from .partition import Clustering
 
 StudyKind = Literal["ratio", "power", "type1"]
 
@@ -56,13 +62,9 @@ class SimConfig:
     replications: int
     seed: int
     alpha: float = 0.05
-    # Graph / clustering source. Ratio and type1 studies need only the block
-    # structure; power studies generate each listed block model once.
+    # Block models of a power study. Each is generated once and analyzed
+    # under its own block clustering.
     sbm: tuple[SbmSpec, ...] = ()
-    clustering_source: Literal["blocks", "ldg"] = "blocks"
-    ldg_iterations: int = 10
-    ldg_leniency: float = 0.0
-    regenerate_graph_per_rep: bool = False
     # Outcome model for power studies.
     baseline: float = 0.0
     direct_effect: float = 1.0
@@ -89,16 +91,10 @@ class SimConfig:
                 raise ValidationError(f"study config {f.name}={value!r} is not an integer")
             if f.type == "float" and not _is_finite(value):
                 raise ValidationError(f"study config {f.name}={value!r} is not a finite number")
-            if f.type == "bool" and not isinstance(value, bool):
-                raise ValidationError(f"study config {f.name}={value!r} is not true or false")
         if not all(_is_finite(g) for g in self.gamma_grid):
             raise ValidationError(f"study config gamma_grid={list(self.gamma_grid)!r} holds a non-number")
         if self.study not in get_args(StudyKind):
             raise ValidationError(f"unknown study {self.study!r}")
-        if self.clustering_source not in ("blocks", "ldg"):
-            raise ValidationError(
-                f"study config clustering_source={self.clustering_source!r} is not blocks or ldg"
-            )
         if self.seed < 0:
             raise ValidationError(f"study config seed={self.seed} is negative")
         if self.replications < 1:
@@ -116,9 +112,7 @@ class SimConfig:
         return DesignCounts.symmetric(clustering.num_units, clustering.num_clusters)
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["sbm"] = [asdict(s) for s in self.sbm]
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SimConfig":
@@ -175,12 +169,8 @@ class SimReport:
     rows: tuple[SimRow, ...]
     wall_clock_seconds: float = field(compare=False, default=0.0)
 
-    def to_json(self) -> str:
-        payload = {
-            "config": json.loads(self.config.to_json()),
-            "rows": [asdict(r) for r in self.rows],
-        }
-        return json.dumps(payload, sort_keys=True)
+    def to_dict(self) -> dict:
+        return {"config": asdict(self.config), "rows": [asdict(r) for r in self.rows]}
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -263,29 +253,13 @@ def _sutva_design(cfg: SimConfig) -> tuple[Clustering, DesignCounts, PotentialTa
     return clustering, counts, table, draw, rep_root.spawn(cfg.replications)
 
 
-def _analysis_clustering(cfg: SimConfig, graph, blocks: Clustering, stream) -> Clustering:
-    if cfg.clustering_source == "blocks":
-        return blocks
-    clustered = ldg_restream(
-        graph,
-        blocks.num_clusters,
-        leniency=cfg.ldg_leniency,
-        iterations=cfg.ldg_iterations,
-        seed=stream,
-    )
-    return rebalance(graph, clustered)
-
-
 def _power_setting_rows(args: tuple[SimConfig, int]) -> list[SimRow]:
     cfg, setting_index = args
-    spec = cfg.sbm[setting_index]
-    root = np.random.SeedSequence(cfg.seed)
-    streams = root.spawn(len(cfg.sbm))
-    setting_stream = streams[setting_index]
-    cluster_stream, gamma_root = setting_stream.spawn(2)
+    # Child ``setting_index`` of the master seed is the setting's stream, and
+    # its child 1 roots the gamma streams; its child 0 is left unused.
+    gamma_root = np.random.SeedSequence(cfg.seed, spawn_key=(setting_index, 1))
 
-    graph, blocks = generate_sbm(spec)
-    clustering = _analysis_clustering(cfg, graph, blocks, cluster_stream)
+    graph, clustering = generate_sbm(cfg.sbm[setting_index])
     counts = cfg.resolved_counts(clustering)
     rho_c = float(neighborhood_fractions(graph, clustering).mean())
 
@@ -301,15 +275,9 @@ def _power_setting_rows(args: tuple[SimConfig, int]) -> list[SimRow]:
         )
 
         def draw(stream: np.random.SeedSequence) -> tuple[HierarchicalAssignment, np.ndarray]:
-            assign_stream, noise_stream, graph_stream = stream.spawn(3)
-            clustering_r, model_r = clustering, model
-            if cfg.regenerate_graph_per_rep:
-                rep_spec = replace(spec, seed=int(graph_stream.generate_state(1)[0]))
-                graph_r, blocks_r = generate_sbm(rep_spec)
-                clustering_r = _analysis_clustering(cfg, graph_r, blocks_r, graph_stream)
-                model_r = replace(model, graph=graph_r)
-            assignment = hierarchical_assign(clustering_r, counts, assign_stream)
-            return assignment, realize_linear(model_r, assignment.treatment, seed=noise_stream)
+            assign_stream, noise_stream = stream.spawn(2)
+            assignment = hierarchical_assign(clustering, counts, assign_stream)
+            return assignment, realize_linear(model, assignment.treatment, seed=noise_stream)
 
         streams = gamma_streams[gi].spawn(cfg.replications)
         rows.append(_replicate(cfg, draw, streams, setting_index, gamma, rho_c)[0])
@@ -339,7 +307,7 @@ def run_study(cfg: SimConfig) -> SimReport:
 
     clustering, counts, table, draw, streams = _sutva_design(cfg)
     if cfg.study == "ratio":
-        reference = theoretical_sutva_variance(table, clustering, counts).exact
+        reference = theoretical_sutva_variance(table, clustering, counts)
         if reference <= 0:
             raise ValidationError("reference variance is zero; the ratio is undefined")
     row, bounds = _replicate(cfg, draw, streams)

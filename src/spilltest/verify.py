@@ -169,7 +169,7 @@ def check_variance_bound(graph, clustering, counts, model, table) -> dict:
             clustering=clustering, counts=counts,
         )
     )
-    exact = theoretical_sutva_variance(const, clustering, counts).exact
+    exact = theoretical_sutva_variance(const, clustering, counts)
     err_eq = abs(bound_mom.mean - var_mom.variance)
     err_exact = abs(exact - var_mom.variance)
     passed = err_eq <= VARIANCE_TOL and err_exact <= VARIANCE_TOL

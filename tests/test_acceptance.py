@@ -15,6 +15,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from conftest import fixture_path, record_criterion
 from spilltest import (
@@ -37,6 +40,7 @@ from spilltest import (
 )
 from spilltest.cli import main as cli_main
 from spilltest.estimate import (
+    _decide,
     expected_cluster_estimate_linear,
     expected_diff_in_means_linear,
 )
@@ -286,6 +290,43 @@ def test_criterion_9_reported_p_value_arithmetic():
     passed = abs(p - 0.684) <= 0.01
     record_criterion(9, passed, f"two-tailed p({-3.3}/{8.1}) = {p:.4f} = 0.684 +- 0.01")
     assert passed
+
+
+@hypothesis_settings(max_examples=500, deadline=None)
+@example(delta=5e-324, sigma_hat_sq=1.0, alpha=0.05)
+@example(delta=-1e-162, sigma_hat_sq=5e-324, alpha=0.5)
+@given(
+    delta=st.floats(allow_nan=False, allow_infinity=False),
+    sigma_hat_sq=st.floats(min_value=0.0, allow_infinity=False),
+    alpha=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+def test_criterion_9_p_values_at_every_scale(delta, sigma_hat_sq, alpha):
+    # A gap too small to square (delta * delta underflows to 0.0) still gets
+    # a p-value, and the Chebyshev verdict is the threshold rule.
+    decision = _decide(delta, sigma_hat_sq, alpha)
+    assert 0.0 <= decision.p_chebyshev <= 1.0
+    assert 0.0 <= decision.p_gaussian <= 1.0
+    assert decision.reject_chebyshev == (delta != 0 and abs(delta) >= math.sqrt(sigma_hat_sq / alpha))
+
+
+def test_criterion_9_cli_analyze_at_subnormal_scale(tmp_path):
+    # 8 clusters of 4 units under the symmetric design; outcomes near 1e-161
+    # give a gap whose square underflows and a bound of a few subnormals.
+    clusters = tmp_path / "c.csv"
+    clusters.write_text("unit_id,cluster_id\n" + "".join(f"{u},{u // 4}\n" for u in range(32)))
+    assignment, counts = tmp_path / "a.csv", tmp_path / "k.json"
+    assert cli_main(["assign", "--clusters-file", str(clusters), "--seed", "3",
+                     "--out-assignment", str(assignment), "--out-counts", str(counts)]) == 0
+    y = 1e-161 * np.random.default_rng(1).standard_normal(32)
+    outcomes = tmp_path / "y.csv"
+    outcomes.write_text("unit_id,y\n" + "".join(f"{u},{float(v)!r}\n" for u, v in enumerate(y)))
+    report = tmp_path / "r.json"
+    assert cli_main(["analyze", "--assignment", str(assignment), "--outcomes", str(outcomes),
+                     "--clusters-file", str(clusters), "--out-report", str(report)]) == 0
+    payload = json.loads(report.read_text())["report"]
+    assert payload["delta"] != 0.0 and payload["delta"] * payload["delta"] == 0.0
+    assert payload["sigma_hat_sq"] > 0.0
+    assert payload["p_chebyshev"] == 1.0 and payload["decision"] == "fail-to-reject"
 
 
 def test_criterion_10_variance_prediction_vs_monte_carlo():

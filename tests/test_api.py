@@ -14,7 +14,7 @@ PUBLIC = [
     "clustering_metrics", "ldg_restream", "rebalance", "stratify_clusters",
     "DesignCounts", "HierarchicalAssignment", "hierarchical_assign", "stratified_hierarchical_assign",
     "LinearInterferenceModel", "PotentialTable", "realize_linear", "realize_sutva",
-    "AnalysisReport", "DeltaEstimate", "SutvaVariance", "VarianceComponents", "analyze",
+    "AnalysisReport", "DeltaEstimate", "VarianceComponents", "analyze",
     "analyze_stratified", "delta_statistic", "empirical_variance_bound", "expected_delta_linear",
     "fisher_null_variance", "gaussian_p_value", "interference_variance_approx",
     "theoretical_sutva_variance", "variance_components",
@@ -29,9 +29,9 @@ REMOVED = {
         "neighborhood_fraction_in_cluster", "design_score", "subsample_clusters", "SimpleAssignment",
         "cluster_randomization", "complete_randomization", "bernoulli_rerandomized",
         "marginal_treatment_probability", "ObservedOutcomes", "save_outcomes", "total_treatment_effect",
-        "chebyshev_p_value", "chebyshev_decision", "stratified_delta",
+        "chebyshev_p_value", "chebyshev_decision", "stratified_delta", "SutvaVariance",
     ],
-    "spilltest.estimate": ["chebyshev_p_value", "chebyshev_decision", "stratified_delta"],
+    "spilltest.estimate": ["chebyshev_p_value", "chebyshev_decision", "stratified_delta", "SutvaVariance"],
     "spilltest.sim": ["run_ratio_study", "run_power_study", "run_type1_study"],
     "spilltest.graph": ["neighborhood_fraction_in_cluster"],
     "spilltest.partition": ["design_score", "subsample_clusters"],
@@ -50,7 +50,7 @@ REMOVED_ATTRIBUTES = {
     "spilltest.SbmSpec": ["to_json"],
     "spilltest.ClusteringMetrics": ["to_json"],
     "spilltest.AnalysisReport": ["to_json"],
-    "spilltest.sim.SimReport": ["save"],
+    "spilltest.sim.SimReport": ["save", "to_json"],
 }
 
 

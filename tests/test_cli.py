@@ -488,7 +488,7 @@ MALFORMED_INPUTS = {
     "study-seed-negative": (_simulate_with_field("fig1a_desk.json", seed=-1), "seed=-1 is negative"),
     "study-seed-string": (_simulate_with_field("fig1a_desk.json", seed="x"), "seed='x'"),
     "study-clustering-source": (
-        _simulate_with_field("fig1b_desk.json", clustering_source="bogus"), "clustering_source='bogus'"
+        _simulate_with_field("fig1b_desk.json", clustering_source="bogus"), "bad study config fields"
     ),
     "study-statistic-overflow": (
         _simulate_with_field(
@@ -499,7 +499,7 @@ MALFORMED_INPUTS = {
     ),
     "study-regenerate-string": (
         _simulate_with_field("fig1b_desk.json", regenerate_graph_per_rep="false"),
-        "regenerate_graph_per_rep='false'",
+        "bad study config fields",
     ),
     # 10^13 units: refused before any array is made.
     "graph-spec-too-large": (
