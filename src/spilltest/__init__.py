@@ -30,14 +30,6 @@ from .graph import (
     neighborhood_fractions,
     save_edge_list,
 )
-from .oracle import (
-    EnumerationSpec,
-    ExactMoments,
-    VarianceGap,
-    bernoulli_vs_cr_variance_gap,
-    binomial_negative_moment,
-    enumerate_moments,
-)
 from .outcomes import (
     LinearInterferenceModel,
     PotentialTable,
@@ -58,6 +50,13 @@ from .partition import (
 
 __version__ = "0.1.0"
 
+# The oracle's names load with it on first use: the pipeline and the studies
+# never call it, and its import is a measurable share of `import spilltest`.
+_ORACLE = (
+    "EnumerationSpec", "ExactMoments", "VarianceGap", "bernoulli_vs_cr_variance_gap",
+    "binomial_negative_moment", "enumerate_moments",
+)
+
 __all__ = [
     # errors
     "CheckFailure", "InfeasibleError", "ParseError", "SpilltestError", "ValidationError",
@@ -76,6 +75,13 @@ __all__ = [
     "fisher_null_variance", "gaussian_p_value", "interference_variance_approx",
     "theoretical_sutva_variance", "variance_components",
     # oracle
-    "EnumerationSpec", "ExactMoments", "VarianceGap", "bernoulli_vs_cr_variance_gap",
-    "binomial_negative_moment", "enumerate_moments",
+    *_ORACLE,
 ]
+
+
+def __getattr__(name: str):
+    if name in _ORACLE:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

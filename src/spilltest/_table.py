@@ -49,6 +49,8 @@ _FLOAT_RE = re.compile(
     re.IGNORECASE,
 )
 _INT64 = np.iinfo(np.int64)
+# Characters that no number or word field holds: neither ASCII nor whitespace.
+_FOREIGN = re.compile(r"[^\x00-\x7f\s]")
 
 
 def _text(path: Path) -> str:
@@ -94,6 +96,12 @@ def read_id_table(path: str | Path, kinds: dict, empty: str) -> dict[str, np.nda
     # np.loadtxt ends rows at LF or CRLF; csv also ends them at a lone CR.
     if body.count("\r") != body.count("\r\n"):
         body = body.replace("\r\n", "\n").replace("\r", "\n")
+    if not body.isascii():
+        # np.loadtxt reads some non-ASCII letters in an integer field as
+        # digits (numpy 2.4 reads "\u01fe" as 462) and crashes on some past
+        # U+7FFFF, so the bulk parse sees "?", which every kind rejects, in
+        # their place.
+        body = _FOREIGN.sub("?", body)
     # Columns not asked for are read as one character and dropped.
     dtype = [(f"f{i}", _dtype(kinds.get(name))) for i, name in enumerate(header)]
     with warnings.catch_warnings():

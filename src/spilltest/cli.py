@@ -1,4 +1,4 @@
-"""Command-line pipeline: generate, cluster, stratify, assign, analyze, simulate, verify.
+"""Command-line pipeline: graph, cluster, stratify, assign, analyze, simulate, oracle.
 
 Every command is a pure function of its inputs, flags, and an explicit seed;
 reruns produce byte-identical outputs. Each JSON artifact embeds a manifest
@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -35,6 +35,7 @@ from .assign import (
 )
 from .estimate import analyze, analyze_stratified
 from .graph import SbmSpec, generate_sbm, load_edge_list, save_edge_list
+from .oracle import CHECKS, load_design
 from .outcomes import load_outcomes
 from .partition import (
     cluster_features,
@@ -50,43 +51,29 @@ from .partition import (
 from .sim import SimConfig, run_study
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance block embedded in every JSON artifact.
-
-    Deliberately excludes wall-clock timestamps so reruns with the same seed
-    are byte-identical.
-    """
-
-    command: str
-    arguments: dict[str, object]
-    seed: int | None
-    input_digests: dict[str, str]
-    artifacts: list[str]
-    version: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def _digest(path: str | Path) -> str:
     h = hashlib.sha256()
     h.update(Path(path).read_bytes())
     return h.hexdigest()
 
 
-def _manifest(args: argparse.Namespace, inputs: list[str | Path], outputs: list[str | Path]) -> RunManifest:
+def _manifest(args: argparse.Namespace, inputs: list[str | Path], outputs: list[str | Path]) -> dict:
+    """Provenance block embedded in every JSON artifact.
+
+    Deliberately excludes wall-clock timestamps so reruns with the same seed
+    are byte-identical.
+    """
     arguments = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func",) and v is not None
     }
-    return RunManifest(
-        command=args.command,
-        arguments={k: str(v) for k, v in arguments.items()},
-        seed=getattr(args, "seed", None),
-        input_digests={str(p): _digest(p) for p in inputs},
-        artifacts=[str(p) for p in outputs],
-        version=__version__,
-    )
+    return {
+        "command": args.command,
+        "arguments": {k: str(v) for k, v in arguments.items()},
+        "seed": getattr(args, "seed", None),
+        "input_digests": {str(p): _digest(p) for p in inputs},
+        "artifacts": [str(p) for p in outputs],
+        "version": __version__,
+    }
 
 
 def _write_json(path: str | Path, payload: dict) -> None:
@@ -106,7 +93,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     _write_json(
         args.out_meta,
         {
-            "manifest": manifest.to_dict(),
+            "manifest": manifest,
             "spec": asdict(spec),
             "num_units": graph.num_units,
             "num_edges": graph.num_edges,
@@ -128,7 +115,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     manifest = _manifest(args, [args.edges], [args.out_clusters, args.out_metrics])
     _write_json(
         args.out_metrics,
-        {"manifest": manifest.to_dict(), "metrics": asdict(metrics)},
+        {"manifest": manifest, "metrics": asdict(metrics)},
     )
     print(
         f"clustered {graph.num_units} units into {clustering.num_clusters} clusters "
@@ -151,7 +138,7 @@ def cmd_stratify(args: argparse.Namespace) -> int:
         _write_json(
             args.out_meta,
             {
-                "manifest": manifest.to_dict(),
+                "manifest": manifest,
                 "strata_sizes": strat.strata_sizes.tolist(),
             },
         )
@@ -205,7 +192,7 @@ def cmd_assign(args: argparse.Namespace) -> int:
         save_assignment(assignment, args.out_assignment)
         counts_payload = assignment.counts.to_dict()
     manifest = _manifest(args, inputs, [args.out_assignment, args.out_counts])
-    _write_json(args.out_counts, {"manifest": manifest.to_dict(), "counts": counts_payload})
+    _write_json(args.out_counts, {"manifest": manifest, "counts": counts_payload})
     print(f"wrote {args.out_assignment}")
     return 0
 
@@ -247,7 +234,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         assignment = assignment_from_vectors(clustering, unit_arm, treatment)
         report = analyze(assignment, y, alpha=args.alpha, decision_rule=args.rule)
     manifest = _manifest(args, inputs, [args.out_report])
-    _write_json(args.out_report, {"manifest": manifest.to_dict(), "report": report.to_dict()})
+    _write_json(args.out_report, {"manifest": manifest, "report": report.to_dict()})
     print(
         f"delta={report.delta:.6g} sigma_hat_sq={report.sigma_hat_sq:.6g} "
         f"t={report.t_stat:.4g} p_chebyshev={report.p_chebyshev:.4g} "
@@ -301,7 +288,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     outputs = []
     if args.out_json:
         payload = report.to_dict()
-        payload["manifest"] = _manifest(args, [args.config], [args.out_json]).to_dict()
+        payload["manifest"] = _manifest(args, [args.config], [args.out_json])
         _write_json(args.out_json, payload)
         outputs.append(args.out_json)
     if args.out_csv:
@@ -317,57 +304,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_verify_design(path: str | Path):
-    from .outcomes import LinearInterferenceModel, PotentialTable
-    from .partition import Clustering
-    from .graph import Graph
-
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid design JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: design must be a JSON object")
-    missing = [key for key in ("clustering", "edges", "counts", "model") if key not in payload]
-    if missing:
-        raise ValidationError(f"{path}: design is missing {', '.join(missing)}")
-    for key in ("counts", "model"):
-        if not isinstance(payload[key], dict):
-            raise ValidationError(f"{path}: design {key} must be a JSON object")
-    try:
-        clustering = Clustering.from_assignment(_json_ints(payload["clustering"], "clustering"))
-        graph = Graph.from_edges(clustering.num_units, _json_ints(payload["edges"], "edges"))
-        counts = DesignCounts(**payload["counts"])
-        model = LinearInterferenceModel(graph=graph, **payload["model"])
-        rng = np.random.default_rng(payload.get("table_seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: bad design: {exc}") from exc
-    table = PotentialTable(
-        y1=rng.normal(size=clustering.num_units), y0=rng.normal(size=clustering.num_units)
-    )
-    return graph, clustering, counts, model, table
-
-
-def _json_ints(value, name: str) -> np.ndarray:
-    """A JSON list (of lists) of integers as an int64 array."""
-    arr = np.asarray(value)
-    if arr.size == 0:
-        return arr.astype(np.int64)
-    if arr.dtype.kind not in "iu":
-        raise ValidationError(f"{name} must hold integers only")
-    return arr.astype(np.int64)
-
-
 def cmd_oracle(args: argparse.Namespace) -> int:
-    from .verify import CHECKS, run_check
-
     design_path = Path(args.design) if args.design else _fixture_path("oracle8.json")
-    graph, clustering, counts, model, table = _load_verify_design(design_path)
+    design = load_design(design_path)
     names = list(CHECKS) if args.check == "all" else [args.check]
     results = []
     failed = False
     for name in names:
-        outcome = run_check(name, graph, clustering, counts, model, table)
+        outcome = CHECKS[name](design)
         results.append(outcome)
         status = "PASS" if outcome["passed"] else "FAIL"
         print(f"{status} {name}: {outcome['detail']}")
@@ -376,8 +320,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         # The bundled design is keyed by a name that does not depend on where
         # the package is installed, so two checkouts write the same report.
         key = str(design_path) if args.design else "fixtures/oracle8.json"
-        manifest = replace(_manifest(args, [], [args.out_report]), input_digests={key: _digest(design_path)})
-        _write_json(args.out_report, {"manifest": manifest.to_dict(), "checks": results})
+        manifest = {**_manifest(args, [], [args.out_report]), "input_digests": {key: _digest(design_path)}}
+        _write_json(args.out_report, {"manifest": manifest, "checks": results})
     return 2 if failed else 0
 
 
@@ -446,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("oracle", help="exact verification checks on a small design")
-    from .verify import CHECKS
-
     p.add_argument("--check", choices=list(CHECKS) + ["all"], default="all")
     p.add_argument("--design", help="design JSON (default: bundled 8-unit/4-cluster design)")
     p.add_argument("--out-report")

@@ -516,15 +516,20 @@ def _eta_moments(m: int, s: int) -> dict[str, float]:
     }
 
 
-def _eta_quadratic_moments(h: np.ndarray, m: int, s: int) -> tuple[float, float]:
-    """Exact mean and variance of ``sum_{a,b} h[a,b] eta_a eta_b``."""
+def _eta_quadratic_moments(a: np.ndarray, b: np.ndarray, w: np.ndarray, m: int, s: int) -> tuple[float, float]:
+    """Exact mean and variance of ``sum_{x,y} h[x,y] eta_x eta_y``, where
+    ``h[x, y]`` sums the weights ``w`` of the links ``x = a[k], y = b[k]``;
+    O(M + links), with no M x M matrix."""
     mom = _eta_moments(m, s)
-    diag = h.diagonal().astype(np.float64)
-    sym = (h + h.T) / 2.0
-    np.fill_diagonal(sym, 0.0)
-    p2 = float(sym.sum())
-    q2 = float((sym**2).sum())
-    rows = sym.sum(axis=1)
+    same = a == b
+    diag = np.bincount(a[same], weights=w[same], minlength=m)
+    a, b, w_off = a[~same], b[~same], w[~same]
+    p2 = float(w_off.sum())
+    # Each unordered pair {x, y} holds (h[x, y] + h[y, x]) / 2 twice in the
+    # symmetrized matrix.
+    _, pair = np.unique(np.minimum(a, b) * m + np.maximum(a, b), return_inverse=True)
+    q2 = float(0.5 * (np.bincount(pair, weights=w_off) ** 2).sum())
+    rows = (np.bincount(a, weights=w_off, minlength=m) + np.bincount(b, weights=w_off, minlength=m)) / 2.0
     sum_r_sq = float((rows**2).sum())
     diag_sum = float(diag.sum())
     diag_sq = float((diag**2).sum())
@@ -604,9 +609,7 @@ def interference_variance_approx(
     # Cluster-pair mass of directed neighbor links, g[a, b] = sum 1/d_i over
     # edges i in a -> j in b. Both-cluster-randomized links contribute the
     # quadratic form below; its split variance is exact.
-    g_mat = np.zeros((m, m))
-    np.add.at(g_mat, (c_src, c_dst), w_src)
-    _, var_g = _eta_quadratic_moments(-g_mat, m, s)
+    _, var_g = _eta_quadratic_moments(c_src, c_dst, -w_src, m, s)
 
     mom = _eta_moments(m, s)
 

@@ -4,20 +4,35 @@ Everything here trades scale for exactness: designs are enumerated outcome
 by outcome (uniform law, compensated summation), so expectations and
 variances carry no Monte Carlo error and can pin down the analytical
 formulas to near machine precision.
+
+The named checks in :data:`CHECKS` pair each closed form with this
+enumeration on one :class:`OracleDesign`, read by :func:`load_design`; they
+back the ``spilltest oracle`` command, and the test suite runs them too.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Literal
+from pathlib import Path
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
 from ._errors import CheckFailure, ValidationError
 from .assign import DesignCounts
-from .estimate import _decide, _statistic_rows
+from .estimate import (
+    _decide,
+    _statistic_rows,
+    expected_cluster_estimate_linear,
+    expected_delta_linear,
+    expected_diff_in_means_linear,
+    fisher_null_variance,
+    theoretical_sutva_variance,
+)
+from .graph import Graph
 from .outcomes import LinearInterferenceModel, PotentialTable, realize_linear, realize_sutva
 from .partition import Clustering
 
@@ -153,12 +168,12 @@ def _hierarchical_statistic_rows(spec: EnumerationSpec) -> np.ndarray:
     clustering, counts = spec.clustering, spec.counts
     if clustering is None or counts is None:
         raise ValidationError("hierarchical enumeration needs a clustering and counts")
+    if spec.statistic not in ("delta", "tau_cr", "tau_cbr", "sigma_hat_sq", "reject"):
+        raise ValidationError(f"unknown statistic {spec.statistic!r}")
     unit_arm, treatment, cluster_arm, cluster_treated = enumerate_hierarchical_assignments(
         clustering, counts
     )
     y_rows = _realize(spec.outcomes, treatment)
-    if spec.statistic not in ("delta", "tau_cr", "tau_cbr", "sigma_hat_sq", "reject"):
-        raise ValidationError(f"unknown statistic {spec.statistic!r}")
     tau_cr, tau_cbr, sigma = _statistic_rows(
         counts, clustering.assignment, unit_arm, treatment, cluster_arm, cluster_treated, y_rows,
         bound=spec.statistic in ("sigma_hat_sq", "reject"),
@@ -268,11 +283,7 @@ def bernoulli_vs_cr_variance_gap(table: PotentialTable, n_t: int) -> VarianceGap
             f"p^N + (1-p)^N <= {1.0 / n**2:.3g}"
         )
 
-    z_cr = _subset_matrix(n, n_t).astype(bool)
-    tau_cr = (np.where(z_cr, table.y1, 0).sum(axis=1) / n_t) - (
-        np.where(~z_cr, table.y0, 0).sum(axis=1) / (n - n_t)
-    )
-    cr_moments = _fsum_moments(tau_cr)
+    cr_moments = enumerate_moments(EnumerationSpec(design="complete", outcomes=table, n_t=n_t))
 
     codes = np.arange(2**n, dtype=np.uint32)
     bits = ((codes[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
@@ -298,3 +309,285 @@ def bernoulli_vs_cr_variance_gap(table: PotentialTable, n_t: int) -> VarianceGap
     return VarianceGap(
         var_bernoulli=var_br, var_complete=cr_moments.variance, gap=gap, bound=bound
     )
+
+
+# ---------------------------------------------------------------------------
+# Named checks: each recomputes a formula-side value and an enumeration-side
+# value by independent routes and compares them at a stated tolerance.
+# ---------------------------------------------------------------------------
+
+EXACT_TOL = 1e-12
+VARIANCE_TOL = 1e-10
+
+
+class OracleDesign(NamedTuple):
+    """One small design that every check reads."""
+
+    graph: Graph
+    clustering: Clustering
+    counts: DesignCounts
+    model: LinearInterferenceModel
+    table: PotentialTable
+
+
+def load_design(path: str | Path) -> OracleDesign:
+    """Read a design JSON object.
+
+    Its keys are ``clustering`` (one cluster id per unit), ``edges`` (unit-id
+    pairs), ``counts`` (the :class:`DesignCounts` fields), ``model`` (the
+    :class:`LinearInterferenceModel` fields other than the graph) and an
+    optional ``table_seed`` (default 0), which draws the potential table.
+
+    Raises:
+        ValidationError: Naming the file and what is wrong with it.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid design JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: design must be a JSON object")
+    missing = [key for key in ("clustering", "edges", "counts", "model") if key not in payload]
+    if missing:
+        raise ValidationError(f"{path}: design is missing {', '.join(missing)}")
+    for key in ("counts", "model"):
+        if not isinstance(payload[key], dict):
+            raise ValidationError(f"{path}: design {key} must be a JSON object")
+    try:
+        clustering = Clustering.from_assignment(_json_ints(payload["clustering"], "clustering"))
+        graph = Graph.from_edges(clustering.num_units, _json_ints(payload["edges"], "edges"))
+        counts = DesignCounts(**payload["counts"])
+        model = LinearInterferenceModel(graph=graph, **payload["model"])
+        rng = np.random.default_rng(payload.get("table_seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: bad design: {exc}") from exc
+    table = PotentialTable(
+        y1=rng.normal(size=clustering.num_units), y0=rng.normal(size=clustering.num_units)
+    )
+    return OracleDesign(graph, clustering, counts, model, table)
+
+
+def _json_ints(value, name: str) -> np.ndarray:
+    """A JSON list (of lists) of integers as an int64 array."""
+    arr = np.asarray(value)
+    if arr.size == 0:
+        return arr.astype(np.int64)
+    if arr.dtype.kind not in "iu":
+        raise ValidationError(f"{name} must hold integers only")
+    return arr.astype(np.int64)
+
+
+def _result(name: str, passed: bool, detail: str, values: dict) -> dict:
+    return {"name": name, "passed": bool(passed), "detail": detail, "values": values}
+
+
+def _bound_capable(counts: DesignCounts) -> bool:
+    return min(counts.n_cr_t, counts.n_cr_c, counts.m_cbr_t, counts.m_cbr_c) >= 2
+
+
+def _fallback_bound_design() -> tuple[Clustering, DesignCounts]:
+    # Smallest layout where every variance bucket holds >= 2 members.
+    clustering = Clustering.from_assignment(np.repeat(np.arange(6), 2))
+    counts = DesignCounts(
+        n_cr=4, n_cbr=8, m_cr=2, m_cbr=4, n_cr_t=2, n_cr_c=2, m_cbr_t=2, m_cbr_c=2
+    )
+    return clustering, counts
+
+
+def check_means(design: OracleDesign) -> dict:
+    """Both arm estimators are exactly unbiased and their gap is mean zero."""
+    clustering, table = design.clustering, design.table
+    tau = float(np.mean(table.y1 - table.y0))
+    cr = enumerate_moments(
+        EnumerationSpec(design="complete", outcomes=table, n_t=table.num_units // 2)
+    )
+    cbr = enumerate_moments(
+        EnumerationSpec(
+            design="cluster", outcomes=table, clustering=clustering,
+            m_t=clustering.num_clusters // 2,
+        )
+    )
+    delta = enumerate_moments(
+        EnumerationSpec(
+            design="hierarchical", outcomes=table, statistic="delta",
+            clustering=clustering, counts=design.counts,
+        )
+    )
+    errs = (abs(cr.mean - tau), abs(cbr.mean - tau), abs(delta.mean))
+    passed = max(errs) <= EXACT_TOL
+    return _result(
+        "means",
+        passed,
+        f"E(unit-arm)={cr.mean:.15g}, E(cluster-arm)={cbr.mean:.15g}, tau={tau:.15g}, "
+        f"E(gap)={delta.mean:.3g} (tolerance {EXACT_TOL})",
+        {"tau": tau, "mean_cr": cr.mean, "mean_cbr": cbr.mean, "mean_delta": delta.mean},
+    )
+
+
+def check_interference_means(design: OracleDesign) -> dict:
+    """Closed-form estimator means under the linear model match enumeration."""
+    clustering, counts, model = design.clustering, design.counts, design.model
+    n = design.graph.num_units
+    cr = enumerate_moments(EnumerationSpec(design="complete", outcomes=model, n_t=n // 2))
+    cbr = enumerate_moments(
+        EnumerationSpec(
+            design="cluster", outcomes=model, clustering=clustering,
+            m_t=clustering.num_clusters // 2,
+        )
+    )
+    delta = enumerate_moments(
+        EnumerationSpec(
+            design="hierarchical", outcomes=model, statistic="delta",
+            clustering=clustering, counts=counts,
+        )
+    )
+    closed_cr = expected_diff_in_means_linear(model, n // 2)
+    closed_cbr = expected_cluster_estimate_linear(model, clustering)
+    closed_delta = expected_delta_linear(model, clustering, counts)
+    errs = (
+        abs(cr.mean - closed_cr),
+        abs(cbr.mean - closed_cbr),
+        abs(delta.mean - closed_delta),
+    )
+    passed = max(errs) <= EXACT_TOL
+    return _result(
+        "interference-means",
+        passed,
+        f"unit-arm {cr.mean:.15g} vs {closed_cr:.15g}; "
+        f"cluster-arm {cbr.mean:.15g} vs {closed_cbr:.15g}; "
+        f"gap {delta.mean:.15g} vs {closed_delta:.15g}",
+        {
+            "enum_cr": cr.mean, "closed_cr": closed_cr,
+            "enum_cbr": cbr.mean, "closed_cbr": closed_cbr,
+            "enum_delta": delta.mean, "closed_delta": closed_delta,
+        },
+    )
+
+
+def check_null_variance(design: OracleDesign) -> dict:
+    """Sharp-null variance formula equals the enumerated variance exactly."""
+    clustering, counts = design.clustering, design.counts
+    rng = np.random.default_rng(1234)
+    worst = 0.0
+    example = {}
+    for _ in range(5):
+        y = rng.normal(size=clustering.num_units)
+        null_table = PotentialTable(y1=y, y0=y)
+        mom = enumerate_moments(
+            EnumerationSpec(
+                design="hierarchical", outcomes=null_table, statistic="delta",
+                clustering=clustering, counts=counts,
+            )
+        )
+        formula = fisher_null_variance(y, clustering, counts)
+        err = abs(mom.variance - formula)
+        if err >= worst:
+            worst = err
+            example = {"enumerated": mom.variance, "formula": formula}
+    passed = worst <= VARIANCE_TOL
+    return _result(
+        "null-variance",
+        passed,
+        f"max |enumerated - formula| = {worst:.3g} over 5 outcome vectors "
+        f"(example {example['enumerated']:.12g} vs {example['formula']:.12g})",
+        {"max_error": worst, **example},
+    )
+
+
+def check_variance_bound(design: OracleDesign) -> dict:
+    """Bound is exactly tight for constant effects; exact variance matches too."""
+    clustering, counts = design.clustering, design.counts
+    if not _bound_capable(counts):
+        clustering, counts = _fallback_bound_design()
+    rng = np.random.default_rng(4321)
+    base = rng.normal(size=clustering.num_units)
+    const = PotentialTable.constant_effect(base, tau=1.3)
+    var_mom = enumerate_moments(
+        EnumerationSpec(
+            design="hierarchical", outcomes=const, statistic="delta",
+            clustering=clustering, counts=counts,
+        )
+    )
+    bound_mom = enumerate_moments(
+        EnumerationSpec(
+            design="hierarchical", outcomes=const, statistic="sigma_hat_sq",
+            clustering=clustering, counts=counts,
+        )
+    )
+    exact = theoretical_sutva_variance(const, clustering, counts)
+    err_eq = abs(bound_mom.mean - var_mom.variance)
+    err_exact = abs(exact - var_mom.variance)
+    passed = err_eq <= VARIANCE_TOL and err_exact <= VARIANCE_TOL
+    return _result(
+        "variance-bound",
+        passed,
+        f"constant effect: E(bound)={bound_mom.mean:.12g}, var(gap)={var_mom.variance:.12g}, "
+        f"closed-form exact={exact:.12g}",
+        {"e_bound": bound_mom.mean, "var_delta": var_mom.variance, "exact": exact},
+    )
+
+
+def check_bernoulli(design: OracleDesign) -> dict:
+    """Coin-flip vs fixed-count variance gap and the negative-moment bound."""
+    n, n_t = 12, 6
+    rng = np.random.default_rng(777)
+    worst_ratio = 0.0
+    for _ in range(20):
+        t = PotentialTable(y1=rng.normal(size=n), y0=rng.normal(size=n))
+        gap = bernoulli_vs_cr_variance_gap(t, n_t)  # raises CheckFailure if violated
+        worst_ratio = max(worst_ratio, gap.gap / gap.bound if gap.bound else 0.0)
+    moment = binomial_negative_moment(n, 0.5)
+    moment_err = abs(moment - 1.0 / n_t)
+    moment_ok = moment_err <= 5.0 / n_t**2
+    passed = moment_ok
+    return _result(
+        "bernoulli",
+        passed,
+        f"gap/bound worst ratio {worst_ratio:.3f} over 20 tables; "
+        f"|E(1/eta) - 1/{n_t}| = {moment_err:.3g} <= {5.0 / n_t**2:.3g}",
+        {"worst_gap_ratio": worst_ratio, "negative_moment": moment, "moment_error": moment_err},
+    )
+
+
+def check_law(design: OracleDesign) -> dict:
+    """Enumeration visits every design outcome once; marginals are exact."""
+    counts = design.counts
+    unit_arm, treatment, cluster_arm, cluster_treated = enumerate_hierarchical_assignments(
+        design.clustering, counts
+    )
+    expected = hierarchical_outcome_count(counts)
+    rows = {bytes(np.concatenate([unit_arm[r], treatment[r]])) for r in range(len(unit_arm))}
+    unique_ok = len(rows) == expected == len(unit_arm)
+    marginal = treatment.mean(axis=0)
+    closed = (counts.m_cr / counts.num_clusters) * (counts.n_cr_t / counts.n_cr) + (
+        counts.m_cbr / counts.num_clusters
+    ) * (counts.m_cbr_t / counts.m_cbr)
+    marg_err = float(np.max(np.abs(marginal - closed)))
+    # Conditional independence: within each arm split, the treatment pattern
+    # pairs form a full product set.
+    factorizes = True
+    arm_keys = [bytes(row) for row in cluster_arm]
+    for key in set(arm_keys):
+        idx = [r for r, k in enumerate(arm_keys) if k == key]
+        cr_patterns = {bytes(treatment[r][unit_arm[r] == 1]) for r in idx}
+        cbr_patterns = {bytes(cluster_treated[r]) for r in idx}
+        if len(cr_patterns) * len(cbr_patterns) != len(idx):
+            factorizes = False
+    passed = unique_ok and marg_err <= EXACT_TOL and factorizes
+    return _result(
+        "law",
+        passed,
+        f"{len(unit_arm)} outcomes, all distinct={unique_ok}, "
+        f"max |P(treated) - {closed:.6g}| = {marg_err:.3g}, factorizes={factorizes}",
+        {"outcomes": len(unit_arm), "marginal_error": marg_err, "closed_marginal": closed},
+    )
+
+
+CHECKS: dict[str, Callable[[OracleDesign], dict]] = {
+    "means": check_means,
+    "interference-means": check_interference_means,
+    "null-variance": check_null_variance,
+    "variance-bound": check_variance_bound,
+    "bernoulli": check_bernoulli,
+    "law": check_law,
+}

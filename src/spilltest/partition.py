@@ -51,6 +51,10 @@ class Clustering:
         if arr.min() < 0:
             raise ValidationError("negative cluster id")
         m = int(arr.max()) + 1
+        if m > len(arr):
+            # Some cluster is empty; name it without one counter per id.
+            empty = _first_unused(np.unique(arr))
+            raise ValidationError(f"every cluster must be non-empty: cluster {empty} has no units")
         sizes = np.bincount(arr, minlength=m).astype(np.int64)
         return cls(num_clusters=m, assignment=arr, sizes=sizes)
 
@@ -68,6 +72,12 @@ class Clustering:
         if len(values) != self.num_units:
             raise ValidationError("value vector length does not match unit count")
         return np.bincount(self.assignment, weights=values, minlength=self.num_clusters)
+
+
+def _first_unused(ids: np.ndarray) -> int:
+    """The smallest non-negative integer missing from sorted, distinct ``ids``."""
+    gaps = np.flatnonzero(ids != np.arange(len(ids)))
+    return int(gaps[0]) if len(gaps) else len(ids)
 
 
 @dataclass(frozen=True)
@@ -398,6 +408,13 @@ def load_stratification(path: str | Path) -> Stratification:
     if stratum_of.min() < 0:
         raise ValidationError(f"{path}: negative stratum_id {int(stratum_of.min())}")
     num_strata = int(stratum_of.max()) + 1
+    if num_strata > len(stratum_of):
+        # Some stratum is empty; name the first short one without one
+        # counter per id.
+        ids, sizes = np.unique(stratum_of, return_counts=True)
+        s = min([_first_unused(ids), *ids[sizes < 2].tolist()])
+        count = int(sizes[ids == s].sum())
+        raise ValidationError(f"{path}: every stratum needs at least two clusters: stratum {s} has {count}")
     sizes = np.bincount(stratum_of, minlength=num_strata).astype(np.int64)
     try:
         return Stratification(num_strata=num_strata, stratum_of=stratum_of, strata_sizes=sizes)

@@ -47,7 +47,7 @@ import numpy as np
 from ._errors import ParseError, ValidationError, _is_finite, _is_int
 from .assign import DesignCounts, HierarchicalAssignment, hierarchical_assign
 from .estimate import _decide, _draw_statistics, theoretical_sutva_variance
-from .graph import SbmSpec, generate_sbm, neighborhood_fractions
+from .graph import _MAX_UNITS_PLUS_EDGES, SbmSpec, generate_sbm, neighborhood_fractions
 from .outcomes import LinearInterferenceModel, PotentialTable, realize_linear, realize_sutva
 from .partition import Clustering
 
@@ -105,6 +105,11 @@ class SimConfig:
             raise ValidationError("power study needs at least one block-model spec")
         if self.study in ("ratio", "type1") and (self.num_clusters < 2 or self.cluster_size < 1):
             raise ValidationError("ratio/type1 studies need num_clusters and cluster_size")
+        if self.study in ("ratio", "type1") and self.num_clusters * self.cluster_size > _MAX_UNITS_PLUS_EDGES:
+            raise ValidationError(
+                f"refusing a study of {self.num_clusters * self.cluster_size} units "
+                f"(limit {_MAX_UNITS_PLUS_EDGES})"
+            )
 
     def resolved_counts(self, clustering: Clustering) -> DesignCounts:
         if self.counts is not None:

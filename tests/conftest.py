@@ -1,17 +1,11 @@
-import json
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spilltest import (
-    Clustering,
-    DesignCounts,
-    Graph,
-    LinearInterferenceModel,
-    PotentialTable,
-)
+from spilltest import Clustering, DesignCounts, Graph
+from spilltest.oracle import load_design
 
 # One (criterion, passed, detail) entry per acceptance criterion, printed at
 # the end of the run so the acceptance suite reads as a checklist.
@@ -44,15 +38,10 @@ def cliquepair_graph() -> Graph:
 
 
 @pytest.fixture(scope="session")
-def oracle_design(cliquepair_graph):
-    """The bundled 8-unit / 4-cluster verification design."""
-    payload = json.loads(fixture_path("oracle8.json").read_text())
-    clustering = Clustering.from_assignment(np.asarray(payload["clustering"]))
-    counts = DesignCounts(**payload["counts"])
-    model = LinearInterferenceModel(graph=cliquepair_graph, **payload["model"])
-    rng = np.random.default_rng(payload["table_seed"])
-    table = PotentialTable(y1=rng.normal(size=8), y0=rng.normal(size=8))
-    return cliquepair_graph, clustering, counts, model, table
+def oracle_design():
+    """The bundled 8-unit / 4-cluster verification design, read by the
+    loader that ``spilltest oracle`` uses."""
+    return load_design(fixture_path("oracle8.json"))
 
 
 @pytest.fixture(scope="session")

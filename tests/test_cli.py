@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spilltest
 from conftest import fixture_path
@@ -223,12 +228,12 @@ def test_oracle_command_passes_and_writes_report(tmp_path):
 
 
 def test_oracle_failure_exit_code(monkeypatch):
-    from spilltest import verify
+    from spilltest import oracle
 
-    def broken(graph, clustering, counts, model, table):
+    def broken(design):
         return {"name": "means", "passed": False, "detail": "forced", "values": {}}
 
-    monkeypatch.setitem(verify.CHECKS, "means", broken)
+    monkeypatch.setitem(oracle.CHECKS, "means", broken)
     assert run_cli("oracle", "--check", "means") == 2
 
 
@@ -395,6 +400,28 @@ def _design(**override):
     return json.dumps({**payload, **override})
 
 
+def _assign_with(tmp_path, clusters=None, strata=None):
+    # ``assign`` on the bundled table-check clusters, or on ``clusters``, and
+    # with ``strata`` as its stratification CSV when given.
+    clusters_file = fixture_path("table_check_clusters.csv")
+    if clusters is not None:
+        clusters_file = tmp_path / "c.csv"
+        clusters_file.write_text(clusters(fixture_path("table_check_clusters.csv").read_text()))
+    args = ["assign", "--clusters-file", clusters_file, "--seed", 1,
+            "--out-assignment", tmp_path / "a.csv", "--out-counts", tmp_path / "o.json"]
+    if strata is not None:
+        (tmp_path / "s.csv").write_text("cluster_id,stratum_id\n" + strata)
+        args += ["--stratification", tmp_path / "s.csv"]
+    return args
+
+
+def _cluster_edges(tmp_path, text):
+    edges = tmp_path / "g.edges"
+    edges.write_text(text)
+    return ["cluster", "--edges", edges, "--clusters", 2, "--seed", 1,
+            "--out-clusters", tmp_path / "c.csv", "--out-metrics", tmp_path / "m.json"]
+
+
 def _oracle_with_design(tmp_path, text):
     design = tmp_path / "d.json"
     design.write_text(text)
@@ -501,6 +528,28 @@ MALFORMED_INPUTS = {
         _simulate_with_field("fig1b_desk.json", regenerate_graph_per_rep="false"),
         "bad study config fields",
     ),
+    # Ids and unit counts of 10^17: each is refused before an array with one
+    # entry per id is made.
+    "cluster-id-huge": (
+        lambda p: _assign_with(p, clusters=_replace_line(2, f"1,{10**17}")),
+        "c.csv: every cluster must be non-empty: cluster 8 has no units",
+    ),
+    "stratum-id-huge": (
+        lambda p: _assign_with(p, strata="".join(f"{c},{int(c >= 4)}\n" for c in range(7)) + f"7,{10**17}\n"),
+        "s.csv: every stratum needs at least two clusters: stratum 2 has 0",
+    ),
+    "edge-list-declared-n-huge": (
+        lambda p: _cluster_edges(p, f"N={10**17}\n0 1\n"),
+        f"refusing a graph of {10**17} units and 1 edges (limit 100000000 in all)",
+    ),
+    "design-clustering-id-huge": (
+        lambda p: _oracle_with_design(p, _design(clustering=[0, 0, 1, 1, 2, 2, 3, 10**17])),
+        "bad design: every cluster must be non-empty: cluster 4 has no units",
+    ),
+    "study-units-huge": (
+        _simulate_with_field("fig1a_desk.json", num_clusters=10**17),
+        f"refusing a study of {20 * 10**17} units (limit 100000000)",
+    ),
     # 10^13 units: refused before any array is made.
     "graph-spec-too-large": (
         _graph_with_spec(num_blocks=10**7, block_size=10**6), "refusing a block model of 10000000000000 units"
@@ -528,6 +577,55 @@ def test_malformed_inputs_exit_1_with_error_line(tmp_path, capsys, case):
     assert run_cli(*build(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+TABLE_KINDS = ("assignment", "outcomes", "clusters")
+_DIGIT_FREE = st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=6)
+
+
+@st.composite
+def _edited_table(draw):
+    # One table-check file with one random edit, as the bytes to write.
+    kind = draw(st.sampled_from(TABLE_KINDS))
+    rows = [line.split(",") for line in fixture_path(f"table_check_{kind}.csv").read_text().splitlines()]
+    body = st.integers(1, len(rows) - 1)
+    edit = draw(st.sampled_from(["field", "drop-row", "duplicate-row", "add-field", "drop-field", "header", "bytes"]))
+    if edit == "field":
+        r = draw(body)
+        rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(
+            st.one_of(_DIGIT_FREE, st.integers(-5, 5000).map(str))
+        )
+    elif edit == "drop-row":
+        del rows[draw(body)]
+    elif edit == "duplicate-row":
+        r = draw(body)
+        rows.insert(draw(st.integers(1, len(rows))), list(rows[r]))
+    elif edit == "add-field":
+        rows[draw(st.integers(0, len(rows) - 1))].append(draw(st.integers(-5, 5000).map(str)))
+    elif edit == "drop-field":
+        rows[draw(st.integers(0, len(rows) - 1))].pop()
+    elif edit == "header":
+        rows[0][draw(st.integers(0, len(rows[0]) - 1))] = draw(_DIGIT_FREE)
+    data = "".join(",".join(row) + "\n" for row in rows).encode("utf-8")
+    if edit == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bytes(draw(st.lists(st.integers(0x80, 0xFF), min_size=1, max_size=4))) + data[at:]
+    return kind, data
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edited_table())
+def test_edited_tables_exit_0_or_1_with_error_line(edited):
+    kind, data = edited
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {k: Path(tmp) / f"{k}.csv" for k in TABLE_KINDS}
+        for k, path in paths.items():
+            path.write_bytes(data if k == kind else fixture_path(f"table_check_{k}.csv").read_bytes())
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run_cli("analyze", "--assignment", paths["assignment"], "--outcomes", paths["outcomes"],
+                           "--clusters-file", paths["clusters"], "--out-report", Path(tmp) / "r.json")
+    assert code == 0 or (code == 1 and err.getvalue().startswith("error:")), (code, err.getvalue())
 
 
 def _huge_outcomes(text):

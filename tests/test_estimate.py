@@ -13,6 +13,7 @@ from spilltest import (
     Graph,
     LinearInterferenceModel,
     PotentialTable,
+    SbmSpec,
     ValidationError,
     analyze,
     analyze_stratified,
@@ -22,6 +23,7 @@ from spilltest import (
     expected_delta_linear,
     fisher_null_variance,
     gaussian_p_value,
+    generate_sbm,
     hierarchical_assign,
     interference_variance_approx,
     stratified_hierarchical_assign,
@@ -31,6 +33,7 @@ from spilltest import (
 from spilltest.assign import ARM_CBR, ARM_CR, assignment_from_vectors
 from spilltest.estimate import (
     _decide,
+    _eta_moments,
     _eta_quadratic_moments,
     _small_sample_factors,
     _statistic_rows,
@@ -569,12 +572,53 @@ def test_expected_delta_linear_with_isolated_units():
     assert expected_delta_linear(model, clustering, counts) == pytest.approx(mom.mean, abs=1e-12)
 
 
+def _dense_eta_quadratic_moments(h, m, s):
+    # The M x M form of _eta_quadratic_moments, kept as its reference.
+    mom = _eta_moments(m, s)
+    diag = h.diagonal().astype(np.float64)
+    sym = (h + h.T) / 2.0
+    np.fill_diagonal(sym, 0.0)
+    p2 = float(sym.sum())
+    q2 = float((sym**2).sum())
+    rows = sym.sum(axis=1)
+    sum_r_sq = float((rows**2).sum())
+    diag_sum = float(diag.sum())
+    diag_sq = float((diag**2).sum())
+    diag_row = float((diag * rows).sum())
+    mean = mom["m2"] * diag_sum + mom["m11"] * p2
+    t1 = mom["m2"] * diag_sq + mom["m22"] * (diag_sum**2 - diag_sq)
+    t2 = 2.0 * (2.0 * diag_row * mom["m11"] + (diag_sum * p2 - 2.0 * diag_row) * mom["m211"])
+    share_one = sum_r_sq - q2
+    t3 = (
+        2.0 * q2 * mom["m22"]
+        + 4.0 * share_one * mom["m211"]
+        + (p2**2 - 2.0 * q2 - 4.0 * share_one) * mom["m1111"]
+    )
+    return mean, t1 + t2 + t3 - mean**2
+
+
+def _cluster_links(graph, clustering):
+    # Each directed neighbor link i -> j as (cluster of i, cluster of j, 1/d_i),
+    # and the dense matrix g that sums them.
+    deg = graph.degrees.astype(np.float64)
+    inv_deg = np.zeros(graph.num_units)
+    inv_deg[deg > 0] = 1.0 / deg[deg > 0]
+    a = clustering.assignment[graph.adjacency_sources]
+    b = clustering.assignment[graph.adjacency_indices]
+    w = inv_deg[graph.adjacency_sources]
+    g_mat = np.zeros((clustering.num_clusters, clustering.num_clusters))
+    np.add.at(g_mat, (a, b), w)
+    return a, b, w, g_mat
+
+
 def test_eta_quadratic_moments_brute_force():
     import itertools
 
     for m, s in [(4, 2), (8, 4)]:
         h = rng.normal(size=(m, m))
-        mean_f, var_f = _eta_quadratic_moments(h, m, s)
+        a, b = np.indices((m, m)).reshape(2, -1)
+        mean_f, var_f = _eta_quadratic_moments(a, b, h.ravel(), m, s)
+        assert (mean_f, var_f) == pytest.approx(_dense_eta_quadratic_moments(h, m, s), rel=1e-12)
         vals = []
         for support in itertools.combinations(range(m), s):
             for treated in itertools.combinations(support, s // 2):
@@ -613,15 +657,8 @@ def _reference_interference_mean(model, graph, clustering, counts):
     # expected_delta_linear: the cluster-arm quadratic form's exact mean plus
     # the unit arm's finite-sample drag over the directed neighbor mass.
     n, m, s = graph.num_units, clustering.num_clusters, counts.m_cbr
-    deg = graph.degrees.astype(np.float64)
-    inv_deg = np.zeros(n)
-    inv_deg[deg > 0] = 1.0 / deg[deg > 0]
-    c_src = clustering.assignment[graph.adjacency_sources]
-    c_dst = clustering.assignment[graph.adjacency_indices]
-    w_src = inv_deg[graph.adjacency_sources]
-    g_mat = np.zeros((m, m))
-    np.add.at(g_mat, (c_src, c_dst), w_src)
-    mean_g, _ = _eta_quadratic_moments(-g_mat, m, s)
+    c_src, c_dst, w_src, g_mat = _cluster_links(graph, clustering)
+    mean_g, _ = _dense_eta_quadratic_moments(-g_mat, m, s)
     diff = c_src != c_dst
     p_same_cr = (m - s) / m
     p_diff_cr = (m - s) * (m - s - 1) / (m * (m - 1))
@@ -629,16 +666,15 @@ def _reference_interference_mean(model, graph, clustering, counts):
     return model.gamma * (2.0 / n) * (mean_g - cr_mass / (counts.n_cr - 1))
 
 
-def test_interference_variance_exact_mean(oracle_design):
-    from spilltest import SbmSpec, generate_sbm
+EXACT_MEAN_SPECS = (
+    SbmSpec(num_blocks=8, block_size=10, p_intra=0.4, p_inter=0.04, seed=2),
+    SbmSpec(num_blocks=12, block_size=8, p_intra=0.06, p_inter=0.002, seed=5),
+    SbmSpec(num_blocks=16, block_size=6, p_intra=0.9, p_inter=0.05, seed=9),
+)
 
-    designs = [oracle_design[:2]]
-    for spec in (
-        SbmSpec(num_blocks=8, block_size=10, p_intra=0.4, p_inter=0.04, seed=2),
-        SbmSpec(num_blocks=12, block_size=8, p_intra=0.06, p_inter=0.002, seed=5),
-        SbmSpec(num_blocks=16, block_size=6, p_intra=0.9, p_inter=0.05, seed=9),
-    ):
-        designs.append(generate_sbm(spec))
+
+def test_interference_variance_exact_mean(oracle_design):
+    designs = [oracle_design[:2]] + [generate_sbm(spec) for spec in EXACT_MEAN_SPECS]
     isolated = 0
     for graph, clustering in designs:
         isolated = max(isolated, int(np.count_nonzero(graph.degrees == 0)))
@@ -650,6 +686,20 @@ def test_interference_variance_exact_mean(oracle_design):
             _reference_interference_mean(model, graph, clustering, counts), abs=1e-12
         )
     assert isolated > 0
+
+
+def test_eta_quadratic_moments_match_the_dense_matrix(oracle_design):
+    # The planner reads the cluster-pair links without building the M x M
+    # matrix; the dense form must agree, up to summation order.
+    designs = [oracle_design[:2]] + [generate_sbm(spec) for spec in EXACT_MEAN_SPECS]
+    designs.append(generate_sbm(SbmSpec(num_blocks=2000, block_size=2, p_intra=0.5, p_inter=0.001, seed=3)))
+    for graph, clustering in designs:
+        m = clustering.num_clusters
+        s = DesignCounts.symmetric(graph.num_units, m).m_cbr
+        a, b, w, g_mat = _cluster_links(graph, clustering)
+        sparse = _eta_quadratic_moments(a, b, -w, m, s)
+        assert sparse == pytest.approx(_dense_eta_quadratic_moments(-g_mat, m, s), rel=1e-12)
+    assert m == 2000 and len(a) > 4000
 
 
 def test_interference_variance_tracks_monte_carlo_mid_scale():

@@ -620,6 +620,19 @@ def test_table_reader_names_line_and_field(tmp_path, body, message):
         load_assignment_vectors(path)
 
 
+@pytest.mark.parametrize("letter", ["\u01fe", "\U00080000"])
+def test_table_reader_rejects_letters_in_integer_fields(tmp_path, letter):
+    # np.loadtxt reads "\u01fe" in an integer field as 462 and crashes on
+    # "\U00080000"; in a 500-unit clustering, either in place of unit id 462
+    # must be named as the faulty field.
+    path = tmp_path / "c.csv"
+    rows = [f"{i},{i // 2}" for i in range(500)]
+    rows[462] = f"{letter},231"
+    path.write_text("unit_id,cluster_id\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(f"line 464: unit_id {letter!r} is not an integer")):
+        load_clustering(path)
+
+
 def test_edge_list_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "g.edges"
     path.write_text("# c\nN=4\n0 1\r\n2,3\n1 1\n")

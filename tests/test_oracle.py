@@ -14,8 +14,7 @@ from spilltest import (
     enumerate_moments,
     hierarchical_assign,
 )
-from spilltest.oracle import enumerate_hierarchical_assignments, hierarchical_outcome_count
-from spilltest.verify import CHECKS, run_check
+from spilltest.oracle import CHECKS, enumerate_hierarchical_assignments, hierarchical_outcome_count
 
 rng = np.random.default_rng(20240810)
 
@@ -210,9 +209,8 @@ def test_variance_gap_preconditions():
 
 
 def test_all_verify_checks_pass(oracle_design):
-    graph, clustering, counts, model, table = oracle_design
-    for name in CHECKS:
-        outcome = run_check(name, graph, clustering, counts, model, table)
+    for name, check in CHECKS.items():
+        outcome = check(oracle_design)
         assert outcome["passed"], f"{name}: {outcome['detail']}"
 
 

@@ -337,3 +337,20 @@ def test_stratification_csv_round_trip(tmp_path):
     save_stratification(strat, path)
     loaded = load_stratification(path)
     assert np.array_equal(loaded.stratum_of, strat.stratum_of)
+
+
+def test_ids_past_the_row_count_name_the_first_short_group(tmp_path):
+    # Ids of 10^17 are refused without one counter per id, with the message
+    # the dense count would give.
+    for small, huge, empty in (([0, 2, 2], [0, 2, 10**17], 1), ([0, 1, 3, 3], [0, 1, 3, 10**17], 2)):
+        for assignment in (small, huge):
+            with pytest.raises(ValidationError, match=f"cluster {empty} has no units"):
+                Clustering.from_assignment(assignment)
+    for last, message in ((3, "stratum 0 has 1"), (10**17, "stratum 0 has 1")):
+        path = tmp_path / "s.csv"
+        path.write_text(f"cluster_id,stratum_id\n0,0\n1,1\n2,1\n3,{last}\n")
+        with pytest.raises(ValidationError, match=message):
+            load_stratification(path)
+    path.write_text(f"cluster_id,stratum_id\n0,0\n1,0\n2,1\n3,1\n4,{10**17}\n")
+    with pytest.raises(ValidationError, match="stratum 2 has 0"):
+        load_stratification(path)
