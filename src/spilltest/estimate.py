@@ -11,12 +11,13 @@ treatment effects cluster together its expectation falls below the variance
 of the gap (acceptance criterion 4), and the test can then exceed its level.
 
 One kernel, :func:`_statistic_rows`, computes both estimates and the bound
-for stacked draws of a design: the analysis and the studies run it on one
-draw at a time, the oracle on every enumerated draw at once. One decision
-step, :func:`_decide`, is the whole decision: it checks its inputs and turns
-a gap and its bound into the t-statistic, both p-values and both rules'
-verdicts. The analysis reports, the studies' counts and the oracle's
-``reject`` statistic all read it.
+for stacked draws of a design: the analysis runs it on its one draw, the
+studies on a few consecutive draws at a time, and the oracle on every
+enumerated draw at once. Each row of the result is bit for bit what the
+kernel gives on that draw alone. One decision step, :func:`_decide`, is the
+whole decision: it checks its inputs and turns a gap and its bound into the
+t-statistic, both p-values and both rules' verdicts. The analysis reports,
+the studies' counts and the oracle's ``reject`` statistic all read it.
 """
 
 from __future__ import annotations
@@ -141,19 +142,24 @@ def _statistic_rows(
     return tau_cr, tau_cbr, sigma_hat_sq
 
 
-def _draw_statistics(
-    assignment: HierarchicalAssignment, y: np.ndarray, bound: bool = True
-) -> tuple[DeltaEstimate, float | None]:
-    """The kernel on one draw: its estimate and, if ``bound``, its bound."""
+def _unit_outcomes(assignment: HierarchicalAssignment, y: np.ndarray) -> np.ndarray:
+    """The outcomes of the assignment's units, in its unit order."""
     y = np.asarray(y, dtype=np.float64)
     if assignment.unit_ids.max() >= len(y):
         raise ValidationError(
             f"outcomes missing for unit {int(assignment.unit_ids.max())}; got {len(y)} values"
         )
+    return y[assignment.unit_ids]
+
+
+def _draw_statistics(
+    assignment: HierarchicalAssignment, y: np.ndarray, bound: bool = True
+) -> tuple[DeltaEstimate, float | None]:
+    """The kernel on one draw: its estimate and, if ``bound``, its bound."""
     a = assignment
     tau_cr, tau_cbr, sigma_hat_sq = _statistic_rows(
         a.counts, a.clustering.assignment, a.unit_arm[None], a.treatment[None],
-        a.cluster_arm[None], a.cluster_treatment[None], y[a.unit_ids][None], bound,
+        a.cluster_arm[None], a.cluster_treatment[None], _unit_outcomes(a, y)[None], bound,
     )
     tau_cr, tau_cbr = float(tau_cr[0]), float(tau_cbr[0])
     est = DeltaEstimate(tau_cr, tau_cbr, tau_cr - tau_cbr)
@@ -272,20 +278,27 @@ def _decide(delta: float, sigma_hat_sq: float, alpha: float) -> _Decision:
         raise ValidationError("variance bound cannot be negative")
     sigma = math.sqrt(sigma_hat_sq)
     # Below sigma the p-value is 1; from sigma up, delta * delta is at least
-    # about sigma_hat_sq, so the square cannot underflow to zero.
+    # about sigma_hat_sq, so the square cannot underflow to zero. Where the
+    # square or the threshold's quotient overflows, the scaled form takes
+    # over; every finite plain result is kept as it is.
+    delta_sq = delta * delta
     if delta == 0 or abs(delta) < sigma:
         p_cheb = 1.0
     elif sigma_hat_sq == 0:
         p_cheb = 0.0
+    elif math.isinf(delta_sq):
+        p_cheb = min(1.0, (sigma / abs(delta)) ** 2)
     else:
-        p_cheb = min(1.0, sigma_hat_sq / (delta * delta))
+        p_cheb = min(1.0, sigma_hat_sq / delta_sq)
     if sigma_hat_sq > 0:
         t_stat = delta / sigma
         p_gauss = gaussian_p_value(delta, sigma)
     else:
         t_stat = 0.0 if delta == 0 else math.inf
         p_gauss = 1.0 if delta == 0 else 0.0
-    reject_cheb = delta != 0 and abs(delta) >= math.sqrt(sigma_hat_sq / alpha)
+    quotient = sigma_hat_sq / alpha
+    threshold = math.sqrt(quotient) if math.isfinite(quotient) else sigma / math.sqrt(alpha)
+    reject_cheb = delta != 0 and abs(delta) >= threshold
     return _Decision(t_stat, p_cheb, p_gauss, reject_cheb, p_gauss < alpha)
 
 

@@ -26,7 +26,7 @@ if TYPE_CHECKING:
 # build peaks near 85 bytes per edge, so this is about 9 GB.
 _MAX_UNITS_PLUS_EDGES = 100_000_000
 
-_HEADER_RE = re.compile(r"^N\s*=\s*(\d+)$")
+_HEADER_RE = re.compile(r"^N\s*=\s*([0-9]+)$")
 _UNIT_ID_RE = re.compile(r"[+-]?[0-9]+")
 # The bytes an edge line may hold; a line with any other byte is a comment,
 # a header or an error.

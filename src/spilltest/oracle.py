@@ -335,8 +335,9 @@ def load_design(path: str | Path) -> OracleDesign:
 
     Its keys are ``clustering`` (one cluster id per unit), ``edges`` (unit-id
     pairs), ``counts`` (the :class:`DesignCounts` fields), ``model`` (the
-    :class:`LinearInterferenceModel` fields other than the graph) and an
-    optional ``table_seed`` (default 0), which draws the potential table.
+    :class:`LinearInterferenceModel` fields other than the graph; the checks
+    enumerate it, so its ``noise_sd`` must be 0) and an optional
+    ``table_seed`` (default 0), which draws the potential table.
 
     Raises:
         ValidationError: Naming the file and what is wrong with it.
@@ -361,6 +362,10 @@ def load_design(path: str | Path) -> OracleDesign:
         rng = np.random.default_rng(payload.get("table_seed", 0))
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: bad design: {exc}") from exc
+    if model.noise_sd != 0.0:
+        raise ValidationError(
+            f"{path}: bad design: model noise_sd={model.noise_sd!r}; the checks enumerate a noise-free model"
+        )
     table = PotentialTable(
         y1=rng.normal(size=clustering.num_units), y0=rng.normal(size=clustering.num_units)
     )

@@ -8,6 +8,7 @@ model, where a unit also responds to the treated fraction of its neighborhood.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -92,15 +93,26 @@ class LinearInterferenceModel:
             raise ValidationError("assignment length does not match the graph")
         if not np.all((z == 0.0) | (z == 1.0)):
             raise ValidationError("assignment must hold only 0 and 1")
+        nz, starts, deg = self._neighbor_rows
+        out = np.zeros(self.graph.num_units)
+        # Sums of 0/1 values are exact in any order.
+        out[nz] = np.add.reduceat(z[self.graph.adjacency_indices], starts) / deg
+        return out
+
+    @cached_property
+    def _neighbor_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Which units have a neighbor, where their adjacency rows start, and
+        their degrees; the same for every assignment, so built once.
+
+        reduceat returns an element, not 0, for an empty row and rejects a
+        start past the end, so only non-empty rows start a segment.
+        """
         deg = self.graph.degrees
         nz = deg > 0
-        out = np.zeros(self.graph.num_units)
-        # reduceat returns an element, not 0, for an empty row and rejects a
-        # start past the end, so only non-empty rows start a segment. Sums
-        # of 0/1 values are exact in any order.
-        starts = self.graph.adjacency_indptr[:-1][nz]
-        out[nz] = np.add.reduceat(z[self.graph.adjacency_indices], starts) / deg[nz]
-        return out
+        rows = (nz, self.graph.adjacency_indptr[:-1][nz], deg[nz])
+        for arr in rows:
+            arr.setflags(write=False)
+        return rows
 
 
 def realize_sutva(table: PotentialTable, z: np.ndarray) -> np.ndarray:

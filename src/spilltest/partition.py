@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -62,7 +63,7 @@ class Clustering:
     def num_units(self) -> int:
         return len(self.assignment)
 
-    @property
+    @cached_property
     def is_balanced(self) -> bool:
         return bool(np.all(self.sizes == self.sizes[0]))
 

@@ -20,11 +20,14 @@ noise.
 
 Every study runs the same replication loop, :func:`_replicate`. A study
 supplies one function that turns a replication's seed stream into an
-assignment and its outcomes; the loop runs the estimator kernel on that one
-draw, decides it through ``estimate._decide`` (the step ``analyze`` uses, so
-a study counts exactly what ``analyze`` would decide on each draw, and a
-non-finite statistic raises), and keeps the gap, the variance bound and both
-rules' rejection counts. Only one draw is alive at a time.
+assignment and its outcomes. The loop gathers a few consecutive draws into a
+stack (as many as fit a 256 KiB float array of outcomes, 8 at N = 4000, at
+least one), runs the estimator kernel once on the stack, and then decides
+each draw in stream order through ``estimate._decide``, the step ``analyze``
+uses. Each draw's gap and bound are those of the kernel on that draw alone,
+so a study counts exactly what ``analyze`` would decide on each draw, and a
+non-finite statistic raises. The loop keeps the gaps, the variance bounds and
+both rules' rejection counts; at most one stack of draws is alive at a time.
 
 Replications derive their seeds from (master seed, study indices), so an
 identical config reproduces an identical report bit for bit, regardless of
@@ -46,7 +49,7 @@ import numpy as np
 
 from ._errors import ParseError, ValidationError, _is_finite, _is_int
 from .assign import DesignCounts, HierarchicalAssignment, hierarchical_assign
-from .estimate import _decide, _draw_statistics, theoretical_sutva_variance
+from .estimate import _decide, _statistic_rows, _unit_outcomes, theoretical_sutva_variance
 from .graph import _MAX_UNITS_PLUS_EDGES, SbmSpec, generate_sbm, neighborhood_fractions
 from .outcomes import LinearInterferenceModel, PotentialTable, realize_linear, realize_sutva
 from .partition import Clustering
@@ -195,6 +198,35 @@ def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
 _Draw = Callable[[np.random.SeedSequence], tuple[HierarchicalAssignment, np.ndarray]]
 
 
+# A stack of draws goes to the estimator kernel in one call. Its height is
+# the number of (R, N) float rows that fit in this many bytes, at least one:
+# 8 rows at N = 4000. Taller stacks ran no faster and raised peak memory.
+_STACK_BYTES = 2**18
+
+
+def _stack_statistics(stack: list[tuple[HierarchicalAssignment, np.ndarray]]) -> list[tuple[float, float]]:
+    """Each draw's gap and variance bound, from one kernel call over the
+    stacked draws of one design; ``stack`` holds (assignment, unit outcomes)."""
+    first = stack[0][0]
+    for assignment, _ in stack:
+        if assignment.counts != first.counts:
+            raise ValidationError(
+                f"a draw's design counts {assignment.counts.to_dict()} differ from "
+                f"its stack's first draw {first.counts.to_dict()}"
+            )
+    tau_cr, tau_cbr, sigma_hat_sq = _statistic_rows(
+        first.counts,
+        first.clustering.assignment,
+        np.stack([a.unit_arm for a, _ in stack]),
+        np.stack([a.treatment for a, _ in stack]),
+        np.stack([a.cluster_arm for a, _ in stack]),
+        np.stack([a.cluster_treatment for a, _ in stack]),
+        np.stack([y for _, y in stack]),
+    )
+    # The gap of two Python floats, as the one-draw path subtracts them.
+    return [(float(tau_cr[j]) - float(tau_cbr[j]), float(sigma_hat_sq[j])) for j in range(len(stack))]
+
+
 def _replicate(
     cfg: SimConfig,
     draw: _Draw,
@@ -204,19 +236,35 @@ def _replicate(
     rho_c: float = 0.0,
 ) -> tuple[SimRow, np.ndarray]:
     """Run one draw per stream, test each with both decision rules, and
-    summarize the grid point; also returns the per-draw variance bounds."""
+    summarize the grid point; also returns the per-draw variance bounds.
+
+    Consecutive draws share one kernel call (see ``_STACK_BYTES``) and are
+    then decided one by one in stream order, each exactly as ``analyze``
+    would decide it alone.
+    """
     n = len(streams)
     deltas = np.empty(n)
     bounds = np.empty(n)
     rejections = 0
     rejections_gauss = 0
+    height = 1
+    stack: list[tuple[HierarchicalAssignment, np.ndarray]] = []
+    decided = 0
     for r, stream in enumerate(streams):
-        est, bound = _draw_statistics(*draw(stream))
-        deltas[r] = est.delta
-        bounds[r] = bound
-        decision = _decide(est.delta, bound, cfg.alpha)
-        rejections += decision.reject_chebyshev
-        rejections_gauss += decision.reject_gaussian
+        assignment, y = draw(stream)
+        if r == 0:
+            height = max(1, _STACK_BYTES // (8 * assignment.clustering.num_units))
+        stack.append((assignment, _unit_outcomes(assignment, y)))
+        if len(stack) < height and r + 1 < n:
+            continue
+        for delta, bound in _stack_statistics(stack):
+            deltas[decided] = delta
+            bounds[decided] = bound
+            decision = _decide(delta, bound, cfg.alpha)
+            rejections += decision.reject_chebyshev
+            rejections_gauss += decision.reject_gaussian
+            decided += 1
+        stack = []
     rate = rejections / n
     row = SimRow(
         study=cfg.study,

@@ -302,11 +302,27 @@ def test_criterion_9_reported_p_value_arithmetic():
 )
 def test_criterion_9_p_values_at_every_scale(delta, sigma_hat_sq, alpha):
     # A gap too small to square (delta * delta underflows to 0.0) still gets
-    # a p-value, and the Chebyshev verdict is the threshold rule.
+    # a p-value, and the Chebyshev verdict is the threshold rule, with the
+    # threshold taken as sqrt(sigma_hat_sq) / sqrt(alpha) where the plain
+    # quotient overflows.
     decision = _decide(delta, sigma_hat_sq, alpha)
     assert 0.0 <= decision.p_chebyshev <= 1.0
     assert 0.0 <= decision.p_gaussian <= 1.0
-    assert decision.reject_chebyshev == (delta != 0 and abs(delta) >= math.sqrt(sigma_hat_sq / alpha))
+    quotient = sigma_hat_sq / alpha
+    threshold = math.sqrt(quotient) if math.isfinite(quotient) else math.sqrt(sigma_hat_sq) / math.sqrt(alpha)
+    assert decision.reject_chebyshev == (delta != 0 and abs(delta) >= threshold)
+
+
+@pytest.mark.parametrize(
+    "delta, p_chebyshev",
+    [(1e155, 1e308 / 1e155 / 1e155), (1e308, 1e308 / 1e308 / 1e308), (-1e308, 1e308 / 1e308 / 1e308)],
+)
+def test_criterion_9_decision_at_the_float_maximum(delta, p_chebyshev):
+    # sigma_hat_sq / alpha and delta * delta overflow to inf here; the gap
+    # lies ten or more bound-widths out, so both rules reject.
+    decision = _decide(delta, 1e308, 0.05)
+    assert decision.p_chebyshev == pytest.approx(p_chebyshev, rel=1e-12)
+    assert decision.reject_chebyshev and decision.reject_gaussian
 
 
 def test_criterion_9_cli_analyze_at_subnormal_scale(tmp_path):

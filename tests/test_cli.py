@@ -481,6 +481,13 @@ MALFORMED_INPUTS = {
     ),
     "design-model-type": (lambda p: _oracle_with_design(p, _design(model=[1])), "model must be a JSON object"),
     "design-model-field": (lambda p: _oracle_with_design(p, _design(model={"alpha": 1})), "bad design"),
+    # The checks enumerate the model, so a noisy one is refused before any runs.
+    "design-model-noisy": (
+        lambda p: _oracle_with_design(p, _design(model={
+            **json.loads(fixture_path("oracle8.json").read_text())["model"], "noise_sd": 1.0
+        })),
+        "bad design: model noise_sd=1.0",
+    ),
     "design-counts-fields": (
         lambda p: _oracle_with_design(p, _design(counts={"n_cr": "4"})), "bad design"
     ),
@@ -575,8 +582,9 @@ for _name, (_override, _named) in BAD_SPEC_FIELDS.items():
 def test_malformed_inputs_exit_1_with_error_line(tmp_path, capsys, case):
     build, named = MALFORMED_INPUTS[case]
     assert run_cli(*build(tmp_path)) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error:") and named in err
+    assert out == ""
 
 
 TABLE_KINDS = ("assignment", "outcomes", "clusters")

@@ -461,9 +461,21 @@ def test_chebyshev_rule():
 
 def test_decide_matches_report_reference_and_study_counts():
     study_differs = 0
+    overflow_differs = 0
     for delta, bound, alpha in _decide_cases():
         case = (delta, bound, alpha)
         decided = _outcome(_decide, *case)
+        if delta == bound == 1e308:
+            # delta * delta and bound / alpha overflow to inf, so both
+            # references read a gap 1e154 bound-widths out as no evidence;
+            # the decision step rejects it, with p_chebyshev = 1e-308.
+            reference = _outcome(_reference_report_decision, *case)
+            assert reference[1] == 0.0 and not reference[3], case
+            assert decided[1] == pytest.approx(1e-308) and decided[3], case
+            assert decided[:1] + decided[2:3] + decided[4:] == reference[:1] + reference[2:3] + reference[4:], case
+            assert _reference_study_counts(*case) == (False, True), case
+            overflow_differs += 1
+            continue
         assert decided == _outcome(_reference_report_decision, *case), case
         counted = _outcome(_reference_study_counts, *case)
         if not 0.0 < alpha < 1.0:
@@ -480,6 +492,7 @@ def test_decide_matches_report_reference_and_study_counts():
         else:
             assert counted == decided[3:], case
     assert study_differs == 2 * 5
+    assert overflow_differs == 2
 
 
 def test_translation_and_scale_equivariance():

@@ -483,7 +483,7 @@ def test_table_readers_match_row_by_row_readers(tmp_path, name, data):
 # Generated edge lists.
 # ---------------------------------------------------------------------------
 
-EDGE_REJECTS = {"underscore_digits", "unicode_digits", "unicode_space", "big_int"}
+EDGE_REJECTS = {"underscore_digits", "unicode_digits", "unicode_header", "unicode_space", "big_int"}
 
 
 @st.composite
@@ -505,13 +505,14 @@ def edge_lists(draw):
                      draw(st.sampled_from(["# comment", "  # indented, with 1 2", "", "   ", "#N=3", " # x"])))
     fault = draw(st.sampled_from([
         None, None, "three", "one", "word", "negative", "inline_comment", "float", "header_junk",
-        "underscore_digits", "unicode_digits", "unicode_space", "big_int", "bad_utf8",
+        "underscore_digits", "unicode_digits", "unicode_header", "unicode_space", "big_int", "bad_utf8",
     ]))
     at = draw(st.integers(0, len(lines)))
     bad = {
         "three": "1 2 3", "one": "4", "word": "a b", "negative": "-1 2", "inline_comment": "1 2 # c",
         "float": "1.0 2", "header_junk": "N=3 4", "underscore_digits": "1_0 2",
-        "unicode_digits": "١ 2", "unicode_space": "1 2", "big_int": "99999999999999999999 1",
+        "unicode_digits": "١ 2", "unicode_header": "N=٣", "unicode_space": "1 2",
+        "big_int": "99999999999999999999 1",
     }.get(fault)
     if bad is not None:
         lines.insert(at, bad)
@@ -631,6 +632,22 @@ def test_table_reader_rejects_letters_in_integer_fields(tmp_path, letter):
     path.write_text("unit_id,cluster_id\n" + "\n".join(rows) + "\n", encoding="utf-8")
     with pytest.raises(ValidationError, match=re.escape(f"line 464: unit_id {letter!r} is not an integer")):
         load_clustering(path)
+
+
+def test_edge_list_header_takes_ascii_digits_only(tmp_path, capsys):
+    # "N=" and an Arabic-Indic three: unit ids are ASCII digits, and so is N.
+    from spilltest.cli import main
+
+    path = tmp_path / "g.edges"
+    path.write_text("N=\u0663\n0 1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=":1: expected two unit ids"):
+        load_edge_list(path)
+    out_clusters, out_metrics = tmp_path / "c.csv", tmp_path / "m.json"
+    args = ["cluster", "--edges", path, "--clusters", 1, "--seed", 1,
+            "--out-clusters", out_clusters, "--out-metrics", out_metrics]
+    assert main([str(a) for a in args]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out_clusters.exists()
 
 
 def test_edge_list_errors_carry_line_numbers(tmp_path):

@@ -1,12 +1,15 @@
 import json
-from dataclasses import fields, replace
+import math
+import warnings
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import fixture_path
-from spilltest import SbmSpec, ValidationError
-from spilltest.sim import SimConfig, run_study
+from spilltest import SbmSpec, ValidationError, sim
+from spilltest.estimate import _decide, _draw_statistics
+from spilltest.sim import SimConfig, SimRow, run_study
 
 
 def tiny_power_config(**overrides):
@@ -199,3 +202,142 @@ def test_ratio_row_keeps_the_type1_rejection_rates():
     assert ratio.rejection_rate_gaussian > 0.0
     assert (ratio.mean_delta, ratio.delta_se) == (type1.mean_delta, type1.delta_se)
     assert ratio.mc_se != type1.mc_se
+
+
+# ---------------------------------------------------------------------------
+# The stacked replication loop against the one-draw loop it replaced.
+# ---------------------------------------------------------------------------
+
+
+def _one_draw_replicate(cfg, draw, streams, setting=0, gamma=0.0, rho_c=0.0):
+    """The replication loop as it was before draws were stacked: one kernel
+    call and one decision per draw."""
+    n = len(streams)
+    deltas = np.empty(n)
+    bounds = np.empty(n)
+    rejections = 0
+    rejections_gauss = 0
+    for r, stream in enumerate(streams):
+        est, bound = _draw_statistics(*draw(stream))
+        deltas[r] = est.delta
+        bounds[r] = bound
+        decision = _decide(est.delta, bound, cfg.alpha)
+        rejections += decision.reject_chebyshev
+        rejections_gauss += decision.reject_gaussian
+    rate = rejections / n
+    row = SimRow(
+        study=cfg.study,
+        setting=setting,
+        gamma=gamma,
+        rho_c=rho_c,
+        replications=n,
+        rejection_rate=rate,
+        rejection_rate_gaussian=rejections_gauss / n,
+        mc_se=math.sqrt(max(rate * (1.0 - rate), 0.0) / n),
+        mean_delta=float(deltas.mean()),
+        delta_se=float(deltas.std(ddof=1) / math.sqrt(n)),
+        mean_sigma_hat_sq=float(bounds.mean()),
+        ratio_mean=0.0,
+        ratio_q10=0.0,
+        ratio_q90=0.0,
+    )
+    return row, bounds
+
+
+def _row_bits(row):
+    # Floats by their bytes, so that rows with a nan spread compare too.
+    return tuple(np.float64(v).tobytes() if isinstance(v, float) else v for v in astuple(row))
+
+
+def _stack_height(num_units):
+    return max(1, sim._STACK_BYTES // (8 * num_units))
+
+
+def _rows_both_ways(monkeypatch, cfg):
+    with warnings.catch_warnings():
+        # One replication has no spread: its delta_se is nan either way.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        stacked = run_study(cfg).rows
+        monkeypatch.setattr(sim, "_replicate", _one_draw_replicate)
+        one_draw = run_study(cfg).rows
+        monkeypatch.undo()
+    return [_row_bits(r) for r in stacked], [_row_bits(r) for r in one_draw]
+
+
+# 64 clusters of 64 units: 8 draws to a stack.
+SUTVA_STACKED = dict(seed=4, num_clusters=64, cluster_size=64, effect_unit_sd=0.5)
+
+
+def test_kernel_sees_stacks_of_eight_at_4096_units(monkeypatch):
+    heights = []
+
+    def spy(counts, cluster_of, unit_arm, *rest):
+        heights.append(len(unit_arm))
+        return kernel(counts, cluster_of, unit_arm, *rest)
+
+    kernel = sim._statistic_rows
+    monkeypatch.setattr(sim, "_statistic_rows", spy)
+    run_study(SimConfig(study="type1", replications=21, **SUTVA_STACKED))
+    assert heights == [8, 8, 5]
+
+
+@pytest.mark.parametrize("study", ["ratio", "type1"])
+@pytest.mark.parametrize("extra", [0, 1, 2, 13])
+def test_stacked_sutva_studies_equal_the_one_draw_loop(monkeypatch, study, extra):
+    # 1 replication, one full stack, a stack and one, and a partial last stack.
+    height = _stack_height(64 * 64)
+    replications = {0: 1, 1: height, 2: height + 1, 13: 2 * height + 5}[extra]
+    cfg = SimConfig(study=study, replications=replications, **SUTVA_STACKED)
+    stacked, one_draw = _rows_both_ways(monkeypatch, cfg)
+    assert stacked == one_draw
+
+
+@pytest.mark.parametrize("extra", [0, 1, 2, 13])
+def test_stacked_power_study_equals_the_one_draw_loop(monkeypatch, extra):
+    # The 960-unit model stacks 34 draws; the 80-unit one fills no stack.
+    height = _stack_height(8 * 120)
+    replications = {0: 1, 1: height, 2: height + 1, 13: 2 * height + 5}[extra]
+    cfg = tiny_power_config(replications=replications, sbm=(
+        SbmSpec(num_blocks=8, block_size=10, p_intra=0.4, p_inter=0.04, seed=2),
+        SbmSpec(num_blocks=8, block_size=120, p_intra=0.05, p_inter=0.005, seed=3),
+    ))
+    stacked, one_draw = _rows_both_ways(monkeypatch, cfg)
+    assert stacked == one_draw
+
+
+def _sutva_draws(cfg, poison=None, **assign_kwargs):
+    # The study's draw function, with one draw's outcomes poisoned.
+    from spilltest import hierarchical_assign, realize_sutva
+
+    clustering, counts, table, _, streams = sim._sutva_design(cfg)
+    drawn = []
+
+    def draw(stream):
+        assignment = hierarchical_assign(clustering, counts, stream, **assign_kwargs)
+        y = np.array(realize_sutva(table, assignment.treatment))
+        if len(drawn) == poison:
+            y[3] = np.inf
+        drawn.append(stream)
+        return assignment, y
+
+    return draw, streams
+
+
+def test_non_finite_outcome_mid_stack_raises_as_one_draw_loop():
+    cfg = SimConfig(study="type1", replications=30, **SUTVA_STACKED)
+    poison = _stack_height(64 * 64) + 3  # inside the second stack
+    errors = []
+    for replicate in (sim._replicate, _one_draw_replicate):
+        draw, streams = _sutva_draws(cfg, poison=poison)
+        with pytest.raises(ValidationError, match="non-finite statistic") as exc:
+            replicate(cfg, draw, streams)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+
+
+def test_stack_refuses_draws_with_different_counts():
+    # Bernoulli draws realize their own treated counts.
+    cfg = SimConfig(study="type1", replications=16, **SUTVA_STACKED)
+    draw, streams = _sutva_draws(cfg, cr_arm_mechanism="bernoulli")
+    with pytest.raises(ValidationError, match="differ from its stack's first draw"):
+        sim._replicate(cfg, draw, streams)
