@@ -53,8 +53,8 @@ __version__ = "0.1.0"
 # The oracle's names load with it on first use: the pipeline and the studies
 # never call it, and its import is a measurable share of `import spilltest`.
 _ORACLE = (
-    "EnumerationSpec", "ExactMoments", "VarianceGap", "bernoulli_vs_cr_variance_gap",
-    "binomial_negative_moment", "enumerate_moments",
+    "ExactMoments", "VarianceGap", "bernoulli_vs_cr_variance_gap", "binomial_negative_moment",
+    "enumerate_cluster", "enumerate_complete", "enumerate_hierarchical",
 )
 
 __all__ = [

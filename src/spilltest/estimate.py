@@ -11,8 +11,13 @@ treatment effects cluster together its expectation falls below the variance
 of the gap (acceptance criterion 4), and the test can then exceed its level.
 
 One kernel, :func:`_statistic_rows`, computes both estimates and the bound
-for stacked draws of a design: the analysis runs it on its one draw, the
-studies on a few consecutive draws at a time, and the oracle on every
+for stacked draws of a design. It is two arm contrasts (:func:`_contrast`, a
+difference in means and its plug-in variance): one over the unit arm's
+outcomes, one over the cluster arm's :func:`_cluster_totals`, scaled by
+``m_cbr / n_cbr``. The oracle's single-mechanism designs run those same two
+functions. :func:`_estimate_draws` stacks (assignment, outcomes) draws
+into one kernel call: the analysis passes its one draw, the studies a few
+consecutive draws at a time, and the oracle calls the kernel on every
 enumerated draw at once. Each row of the result is bit for bit what the
 kernel gives on that draw alone. One decision step, :func:`_decide`, is the
 whole decision: it checks its inputs and turns a gap and its bound into the
@@ -91,6 +96,34 @@ def _bucket(values: np.ndarray, mask: np.ndarray, size: int) -> np.ndarray:
     return picked.reshape(len(values), size)
 
 
+def _contrast(
+    values: np.ndarray, treated: np.ndarray, control: np.ndarray, n_t: int, n_c: int, bound: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Treated-minus-control difference in means of each row of ``values``
+    and, if ``bound``, its plug-in variance ``S_t/n_t + S_c/n_c``.
+
+    ``treated`` and ``control`` are boolean masks shaped like ``values``
+    that pick ``n_t`` and ``n_c`` members of every row.
+    """
+    v_t = _bucket(values, treated, n_t)
+    v_c = _bucket(values, control, n_c)
+    # Outcomes near the float maximum overflow to inf and nan here; _decide
+    # reports that as a non-finite statistic, so numpy need not warn too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = v_t.mean(axis=1) - v_c.mean(axis=1)
+        if not bound:
+            return diff, None
+        return diff, v_t.var(axis=1, ddof=1) / n_t + v_c.var(axis=1, ddof=1) / n_c
+
+
+def _cluster_totals(y: np.ndarray, cluster_of: np.ndarray, m: int) -> np.ndarray:
+    """The ``(R, m)`` cluster totals of ``(R, N)`` outcome rows, from one
+    bincount over row-offset cluster ids."""
+    rows = len(y)
+    ids = cluster_of + m * np.arange(rows)[:, None]
+    return np.bincount(ids.ravel(), weights=y.ravel(), minlength=rows * m).reshape(rows, m)
+
+
 def _statistic_rows(
     counts: DesignCounts,
     cluster_of: np.ndarray,
@@ -113,33 +146,19 @@ def _statistic_rows(
         raise ValidationError("need >= 2 treated and >= 2 control units in the unit-randomized arm")
     if bound and (c.m_cbr_t < 2 or c.m_cbr_c < 2):
         raise ValidationError("need >= 2 treated and >= 2 control clusters in the cluster arm")
-    rows, m = cluster_arm.shape
     cr = unit_arm == ARM_CR
     z = treatment.astype(bool)
-    y_t = _bucket(y, cr & z, c.n_cr_t)
-    y_c = _bucket(y, cr & ~z, c.n_cr_c)
-    # Cluster totals of every draw from one bincount over row-offset ids.
-    ids = cluster_of + m * np.arange(rows)[:, None]
-    y_plus = np.bincount(ids.ravel(), weights=y.ravel(), minlength=rows * m).reshape(rows, m)
+    tau_cr, bound_cr = _contrast(y, cr & z, cr & ~z, c.n_cr_t, c.n_cr_c, bound)
     cbr = cluster_arm == ARM_CBR
     zc = cluster_treatment == 1
-    yp_t = _bucket(y_plus, cbr & zc, c.m_cbr_t)
-    yp_c = _bucket(y_plus, cbr & ~zc, c.m_cbr_c)
-
+    y_plus = _cluster_totals(y, cluster_of, cluster_arm.shape[1])
+    diff_cbr, bound_cbr = _contrast(y_plus, cbr & zc, cbr & ~zc, c.m_cbr_t, c.m_cbr_c, bound)
     scale = c.m_cbr / c.n_cbr
-    # Outcomes near the float maximum overflow to inf and nan here; _decide
-    # reports that as a non-finite statistic, so numpy need not warn too.
     with np.errstate(over="ignore", invalid="ignore"):
-        tau_cr = y_t.mean(axis=1) - y_c.mean(axis=1)
-        tau_cbr = scale * (yp_t.mean(axis=1) - yp_c.mean(axis=1))
+        tau_cbr = scale * diff_cbr
         if not bound:
             return tau_cr, tau_cbr, None
-        sigma_hat_sq = (
-            y_t.var(axis=1, ddof=1) / c.n_cr_t
-            + y_c.var(axis=1, ddof=1) / c.n_cr_c
-            + scale**2 * (yp_t.var(axis=1, ddof=1) / c.m_cbr_t + yp_c.var(axis=1, ddof=1) / c.m_cbr_c)
-        )
-    return tau_cr, tau_cbr, sigma_hat_sq
+        return tau_cr, tau_cbr, bound_cr + scale**2 * bound_cbr
 
 
 def _unit_outcomes(assignment: HierarchicalAssignment, y: np.ndarray) -> np.ndarray:
@@ -152,18 +171,37 @@ def _unit_outcomes(assignment: HierarchicalAssignment, y: np.ndarray) -> np.ndar
     return y[assignment.unit_ids]
 
 
-def _draw_statistics(
-    assignment: HierarchicalAssignment, y: np.ndarray, bound: bool = True
-) -> tuple[DeltaEstimate, float | None]:
-    """The kernel on one draw: its estimate and, if ``bound``, its bound."""
-    a = assignment
+def _estimate_draws(
+    draws: Sequence[tuple[HierarchicalAssignment, np.ndarray]], bound: bool = True
+) -> list[tuple[float, float, float, float | None]]:
+    """``(tau_cr, tau_cbr, delta, sigma_hat_sq)`` of each (assignment,
+    outcomes) draw, from one kernel call over the stacked draws.
+
+    Every draw must have the design counts of the first; ``sigma_hat_sq``
+    is None unless ``bound``. Each draw's values are those of the kernel on
+    that draw alone, and ``delta`` is the difference of the two floats.
+    """
+    first = draws[0][0]
+    for assignment, _ in draws:
+        if assignment.counts != first.counts:
+            raise ValidationError(
+                f"a draw's design counts {assignment.counts.to_dict()} differ from "
+                f"its stack's first draw {first.counts.to_dict()}"
+            )
     tau_cr, tau_cbr, sigma_hat_sq = _statistic_rows(
-        a.counts, a.clustering.assignment, a.unit_arm[None], a.treatment[None],
-        a.cluster_arm[None], a.cluster_treatment[None], _unit_outcomes(a, y)[None], bound,
+        first.counts,
+        first.clustering.assignment,
+        np.stack([a.unit_arm for a, _ in draws]),
+        np.stack([a.treatment for a, _ in draws]),
+        np.stack([a.cluster_arm for a, _ in draws]),
+        np.stack([a.cluster_treatment for a, _ in draws]),
+        np.stack([_unit_outcomes(a, y) for a, y in draws]),
+        bound,
     )
-    tau_cr, tau_cbr = float(tau_cr[0]), float(tau_cbr[0])
-    est = DeltaEstimate(tau_cr, tau_cbr, tau_cr - tau_cbr)
-    return est, None if sigma_hat_sq is None else float(sigma_hat_sq[0])
+    bounds = [None] * len(draws) if sigma_hat_sq is None else sigma_hat_sq.tolist()
+    return [
+        (t_cr, t_cbr, t_cr - t_cbr, b) for t_cr, t_cbr, b in zip(tau_cr.tolist(), tau_cbr.tolist(), bounds)
+    ]
 
 
 def delta_statistic(assignment: HierarchicalAssignment, y: np.ndarray) -> DeltaEstimate:
@@ -173,7 +211,8 @@ def delta_statistic(assignment: HierarchicalAssignment, y: np.ndarray) -> DeltaE
     the second is ``(m_cbr / n_cbr)`` times the treated-minus-control contrast
     of its cluster totals. Single-member buckets are allowed.
     """
-    return _draw_statistics(assignment, y, bound=False)[0]
+    tau_cr, tau_cbr, delta, _ = _estimate_draws([(assignment, y)], bound=False)[0]
+    return DeltaEstimate(tau_cr, tau_cbr, delta)
 
 
 def empirical_variance_bound(assignment: HierarchicalAssignment, y: np.ndarray) -> float:
@@ -190,7 +229,7 @@ def empirical_variance_bound(assignment: HierarchicalAssignment, y: np.ndarray) 
     heterogeneous potential tables fall below the variance (acceptance
     criterion 4). Every bucket must hold at least two observations.
     """
-    return _draw_statistics(assignment, y)[1]
+    return _estimate_draws([(assignment, y)])[0][3]
 
 
 def _small_sample_factors(counts: DesignCounts) -> tuple[float, float]:
@@ -382,11 +421,11 @@ def analyze(
     decision_rule: str = "chebyshev",
 ) -> AnalysisReport:
     """Full single-design analysis: arm estimates, bound, p-values, decision."""
-    est, sigma_hat_sq = _draw_statistics(assignment, y)
+    tau_cr, tau_cbr, delta, sigma_hat_sq = _estimate_draws([(assignment, y)])[0]
     return _finish_report(
-        est.tau_cr,
-        est.tau_cbr,
-        est.delta,
+        tau_cr,
+        tau_cbr,
+        delta,
         sigma_hat_sq,
         alpha,
         decision_rule,
@@ -411,13 +450,13 @@ def analyze_stratified(
     details = []
     counts_total: dict[str, int] = {}
     for s, a in enumerate(assignments):
-        est, bound = _draw_statistics(a, y)
+        tau_cr, tau_cbr, delta, bound = _estimate_draws([(a, y)])[0]
         details.append(
             StratumDetail(
                 stratum=s,
-                tau_cr=est.tau_cr,
-                tau_cbr=est.tau_cbr,
-                delta=est.delta,
+                tau_cr=tau_cr,
+                tau_cbr=tau_cbr,
+                delta=delta,
                 sigma_hat_sq=bound,
                 num_clusters=a.clustering.num_clusters,
             )

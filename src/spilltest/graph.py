@@ -26,7 +26,8 @@ if TYPE_CHECKING:
 # build peaks near 85 bytes per edge, so this is about 9 GB.
 _MAX_UNITS_PLUS_EDGES = 100_000_000
 
-_HEADER_RE = re.compile(r"^N\s*=\s*([0-9]+)$")
+# Only ASCII spaces and tabs may pad the "=", as between the ids of an edge.
+_HEADER_RE = re.compile(r"^N[ \t]*=[ \t]*([0-9]+)$")
 _UNIT_ID_RE = re.compile(r"[+-]?[0-9]+")
 # The bytes an edge line may hold; a line with any other byte is a comment,
 # a header or an error.
@@ -295,7 +296,7 @@ def load_edge_list(path: str | Path) -> Graph:
     surrounding whitespace stripped, is one of:
 
     - empty, or starting with ``#``: skipped;
-    - ``N=<int>``, with optional whitespace around ``=``: fixes the unit
+    - ``N=<int>``, with optional ASCII spaces or tabs around ``=``: fixes the unit
       count N (the last such line wins; otherwise N is ``1 + max id``);
     - an edge: two unit ids separated by spaces, tabs or commas, where a
       comma counts as a space (``0,,1`` is an edge). A unit id is ASCII

@@ -17,13 +17,15 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, Literal, NamedTuple, get_args
 
 import numpy as np
 
 from ._errors import CheckFailure, ValidationError
 from .assign import DesignCounts
 from .estimate import (
+    _cluster_totals,
+    _contrast,
     _decide,
     _statistic_rows,
     expected_cluster_estimate_linear,
@@ -48,27 +50,6 @@ class ExactMoments:
     mean: float
     variance: float
     count: int
-
-
-@dataclass(frozen=True)
-class EnumerationSpec:
-    """What to enumerate: a design, an outcome source, and a statistic.
-
-    ``design`` picks the randomization law; ``counts`` and ``statistic``
-    apply to the hierarchical design, ``n_t``/``m_t`` to the
-    single-mechanism ones, whose statistic is their own estimate of the
-    effect. Outcome noise must be zero so that every enumerated outcome is
-    exact.
-    """
-
-    design: Literal["hierarchical", "complete", "cluster"]
-    outcomes: OutcomeSource
-    statistic: Statistic = "delta"
-    clustering: Clustering | None = None
-    counts: DesignCounts | None = None
-    n_t: int | None = None
-    m_t: int | None = None
-    alpha: float = 0.05
 
 
 def _fsum_moments(values: np.ndarray) -> ExactMoments:
@@ -163,76 +144,69 @@ def enumerate_hierarchical_assignments(
     return unit_arm, treatment, cluster_arm, cluster_treated
 
 
-def _hierarchical_statistic_rows(spec: EnumerationSpec) -> np.ndarray:
+def _hierarchical_statistic_rows(
+    outcomes: OutcomeSource, clustering: Clustering, counts: DesignCounts, statistic: Statistic, alpha: float
+) -> np.ndarray:
     """The statistic on every enumerated draw, computed by the shipped estimator."""
-    clustering, counts = spec.clustering, spec.counts
-    if clustering is None or counts is None:
-        raise ValidationError("hierarchical enumeration needs a clustering and counts")
-    if spec.statistic not in ("delta", "tau_cr", "tau_cbr", "sigma_hat_sq", "reject"):
-        raise ValidationError(f"unknown statistic {spec.statistic!r}")
+    if statistic not in get_args(Statistic):
+        raise ValidationError(f"unknown statistic {statistic!r}")
     unit_arm, treatment, cluster_arm, cluster_treated = enumerate_hierarchical_assignments(
         clustering, counts
     )
-    y_rows = _realize(spec.outcomes, treatment)
+    y_rows = _realize(outcomes, treatment)
     tau_cr, tau_cbr, sigma = _statistic_rows(
         counts, clustering.assignment, unit_arm, treatment, cluster_arm, cluster_treated, y_rows,
-        bound=spec.statistic in ("sigma_hat_sq", "reject"),
+        bound=statistic in ("sigma_hat_sq", "reject"),
     )
     delta = tau_cr - tau_cbr
-    if spec.statistic == "reject":
+    if statistic == "reject":
         return np.array(
-            [float(_decide(float(d), float(s), spec.alpha).reject_chebyshev) for d, s in zip(delta, sigma)]
+            [float(_decide(float(d), float(s), alpha).reject_chebyshev) for d, s in zip(delta, sigma)]
         )
-    return {"tau_cr": tau_cr, "tau_cbr": tau_cbr, "delta": delta, "sigma_hat_sq": sigma}[spec.statistic]
+    return {"tau_cr": tau_cr, "tau_cbr": tau_cbr, "delta": delta, "sigma_hat_sq": sigma}[statistic]
 
 
-def enumerate_moments(spec: EnumerationSpec) -> ExactMoments:
-    """Exact mean and variance of a statistic over the full design law.
+def enumerate_hierarchical(
+    outcomes: OutcomeSource,
+    clustering: Clustering,
+    counts: DesignCounts,
+    statistic: Statistic = "delta",
+    alpha: float = 0.05,
+) -> ExactMoments:
+    """Exact mean and variance of ``statistic`` over every equiprobable draw
+    of the two-arm design; ``reject`` is the Chebyshev verdict at ``alpha``.
+    The outcome model must be noise-free."""
+    return _fsum_moments(_hierarchical_statistic_rows(outcomes, clustering, counts, statistic, alpha))
 
-    All outcomes are equiprobable under the supported designs, so moments
-    are plain averages accumulated with compensated summation.
-    """
-    if spec.design == "hierarchical":
-        values = _hierarchical_statistic_rows(spec)
-        return _fsum_moments(values)
 
-    if spec.design == "complete":
-        n = spec.outcomes.num_units
-        if spec.n_t is None or not 1 <= spec.n_t <= n - 1:
-            raise ValidationError("complete design needs 1 <= n_t <= N-1")
-        _check_cap(math.comb(n, spec.n_t))
-        z_rows = _subset_matrix(n, spec.n_t)
-        y_rows = _realize(spec.outcomes, z_rows)
-        zb = z_rows.astype(bool)
-        values = (y_rows * zb).sum(axis=1) / spec.n_t - (y_rows * ~zb).sum(axis=1) / (
-            n - spec.n_t
-        )
-        return _fsum_moments(values)
+def enumerate_complete(outcomes: OutcomeSource, n_t: int) -> ExactMoments:
+    """Exact mean and variance of the difference in means over every draw of
+    ``n_t`` treated units, computed by the shipped arm contrast."""
+    n = outcomes.num_units
+    if not 1 <= n_t <= n - 1:
+        raise ValidationError("complete design needs 1 <= n_t <= N-1")
+    _check_cap(math.comb(n, n_t))
+    z_rows = _subset_matrix(n, n_t)
+    treated = z_rows.astype(bool)
+    diff, _ = _contrast(_realize(outcomes, z_rows), treated, ~treated, n_t, n - n_t, bound=False)
+    return _fsum_moments(diff)
 
-    if spec.design == "cluster":
-        clustering = spec.clustering
-        if clustering is None:
-            raise ValidationError("cluster design needs a clustering")
-        m = clustering.num_clusters
-        n = clustering.num_units
-        if spec.m_t is None or not 1 <= spec.m_t <= m - 1:
-            raise ValidationError("cluster design needs 1 <= m_t <= M-1")
-        _check_cap(math.comb(m, spec.m_t))
-        zc_rows = _subset_matrix(m, spec.m_t)
-        z_rows = zc_rows[:, clustering.assignment]
-        y_rows = _realize(spec.outcomes, z_rows)
-        membership = (clustering.assignment[:, None] == np.arange(m)[None, :]).astype(
-            np.float64
-        )
-        y_plus = y_rows @ membership
-        zb = zc_rows.astype(bool)
-        values = (m / n) * (
-            (y_plus * zb).sum(axis=1) / spec.m_t
-            - (y_plus * ~zb).sum(axis=1) / (m - spec.m_t)
-        )
-        return _fsum_moments(values)
 
-    raise ValidationError(f"unknown design {spec.design!r}")
+def enumerate_cluster(outcomes: OutcomeSource, clustering: Clustering, m_t: int) -> ExactMoments:
+    """Exact mean and variance of the scaled cluster-total contrast over
+    every draw of ``m_t`` treated clusters, computed by the shipped arm
+    contrast over the shipped cluster totals."""
+    m, n = clustering.num_clusters, clustering.num_units
+    if not 1 <= m_t <= m - 1:
+        raise ValidationError("cluster design needs 1 <= m_t <= M-1")
+    _check_cap(math.comb(m, m_t))
+    zc_rows = _subset_matrix(m, m_t)
+    y_rows = _realize(outcomes, zc_rows[:, clustering.assignment])
+    treated = zc_rows.astype(bool)
+    diff, _ = _contrast(
+        _cluster_totals(y_rows, clustering.assignment, m), treated, ~treated, m_t, m - m_t, bound=False
+    )
+    return _fsum_moments((m / n) * diff)
 
 
 def binomial_negative_moment(n: int, p: float) -> float:
@@ -283,7 +257,7 @@ def bernoulli_vs_cr_variance_gap(table: PotentialTable, n_t: int) -> VarianceGap
             f"p^N + (1-p)^N <= {1.0 / n**2:.3g}"
         )
 
-    cr_moments = enumerate_moments(EnumerationSpec(design="complete", outcomes=table, n_t=n_t))
+    cr_moments = enumerate_complete(table, n_t)
 
     codes = np.arange(2**n, dtype=np.uint32)
     bits = ((codes[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
@@ -403,21 +377,9 @@ def check_means(design: OracleDesign) -> dict:
     """Both arm estimators are exactly unbiased and their gap is mean zero."""
     clustering, table = design.clustering, design.table
     tau = float(np.mean(table.y1 - table.y0))
-    cr = enumerate_moments(
-        EnumerationSpec(design="complete", outcomes=table, n_t=table.num_units // 2)
-    )
-    cbr = enumerate_moments(
-        EnumerationSpec(
-            design="cluster", outcomes=table, clustering=clustering,
-            m_t=clustering.num_clusters // 2,
-        )
-    )
-    delta = enumerate_moments(
-        EnumerationSpec(
-            design="hierarchical", outcomes=table, statistic="delta",
-            clustering=clustering, counts=design.counts,
-        )
-    )
+    cr = enumerate_complete(table, table.num_units // 2)
+    cbr = enumerate_cluster(table, clustering, clustering.num_clusters // 2)
+    delta = enumerate_hierarchical(table, clustering, design.counts)
     errs = (abs(cr.mean - tau), abs(cbr.mean - tau), abs(delta.mean))
     passed = max(errs) <= EXACT_TOL
     return _result(
@@ -433,19 +395,9 @@ def check_interference_means(design: OracleDesign) -> dict:
     """Closed-form estimator means under the linear model match enumeration."""
     clustering, counts, model = design.clustering, design.counts, design.model
     n = design.graph.num_units
-    cr = enumerate_moments(EnumerationSpec(design="complete", outcomes=model, n_t=n // 2))
-    cbr = enumerate_moments(
-        EnumerationSpec(
-            design="cluster", outcomes=model, clustering=clustering,
-            m_t=clustering.num_clusters // 2,
-        )
-    )
-    delta = enumerate_moments(
-        EnumerationSpec(
-            design="hierarchical", outcomes=model, statistic="delta",
-            clustering=clustering, counts=counts,
-        )
-    )
+    cr = enumerate_complete(model, n // 2)
+    cbr = enumerate_cluster(model, clustering, clustering.num_clusters // 2)
+    delta = enumerate_hierarchical(model, clustering, counts)
     closed_cr = expected_diff_in_means_linear(model, n // 2)
     closed_cbr = expected_cluster_estimate_linear(model, clustering)
     closed_delta = expected_delta_linear(model, clustering, counts)
@@ -478,12 +430,7 @@ def check_null_variance(design: OracleDesign) -> dict:
     for _ in range(5):
         y = rng.normal(size=clustering.num_units)
         null_table = PotentialTable(y1=y, y0=y)
-        mom = enumerate_moments(
-            EnumerationSpec(
-                design="hierarchical", outcomes=null_table, statistic="delta",
-                clustering=clustering, counts=counts,
-            )
-        )
+        mom = enumerate_hierarchical(null_table, clustering, counts)
         formula = fisher_null_variance(y, clustering, counts)
         err = abs(mom.variance - formula)
         if err >= worst:
@@ -507,18 +454,8 @@ def check_variance_bound(design: OracleDesign) -> dict:
     rng = np.random.default_rng(4321)
     base = rng.normal(size=clustering.num_units)
     const = PotentialTable.constant_effect(base, tau=1.3)
-    var_mom = enumerate_moments(
-        EnumerationSpec(
-            design="hierarchical", outcomes=const, statistic="delta",
-            clustering=clustering, counts=counts,
-        )
-    )
-    bound_mom = enumerate_moments(
-        EnumerationSpec(
-            design="hierarchical", outcomes=const, statistic="sigma_hat_sq",
-            clustering=clustering, counts=counts,
-        )
-    )
+    var_mom = enumerate_hierarchical(const, clustering, counts)
+    bound_mom = enumerate_hierarchical(const, clustering, counts, "sigma_hat_sq")
     exact = theoretical_sutva_variance(const, clustering, counts)
     err_eq = abs(bound_mom.mean - var_mom.variance)
     err_exact = abs(exact - var_mom.variance)

@@ -22,12 +22,13 @@ Every study runs the same replication loop, :func:`_replicate`. A study
 supplies one function that turns a replication's seed stream into an
 assignment and its outcomes. The loop gathers a few consecutive draws into a
 stack (as many as fit a 256 KiB float array of outcomes, 8 at N = 4000, at
-least one), runs the estimator kernel once on the stack, and then decides
-each draw in stream order through ``estimate._decide``, the step ``analyze``
-uses. Each draw's gap and bound are those of the kernel on that draw alone,
-so a study counts exactly what ``analyze`` would decide on each draw, and a
-non-finite statistic raises. The loop keeps the gaps, the variance bounds and
-both rules' rejection counts; at most one stack of draws is alive at a time.
+least one), runs the estimator kernel once on the stack through
+``estimate._estimate_draws``, and then decides each draw in stream order
+through ``estimate._decide``; ``analyze`` uses both steps too. Each draw's
+gap and bound are those of the kernel on that draw alone, so a study counts
+exactly what ``analyze`` would decide on each draw, and a non-finite
+statistic raises. The loop keeps the gaps, the variance bounds and both
+rules' rejection counts; at most one stack of draws is alive at a time.
 
 Replications derive their seeds from (master seed, study indices), so an
 identical config reproduces an identical report bit for bit, regardless of
@@ -49,7 +50,7 @@ import numpy as np
 
 from ._errors import ParseError, ValidationError, _is_finite, _is_int
 from .assign import DesignCounts, HierarchicalAssignment, hierarchical_assign
-from .estimate import _decide, _statistic_rows, _unit_outcomes, theoretical_sutva_variance
+from .estimate import _decide, _estimate_draws, theoretical_sutva_variance
 from .graph import _MAX_UNITS_PLUS_EDGES, SbmSpec, generate_sbm, neighborhood_fractions
 from .outcomes import LinearInterferenceModel, PotentialTable, realize_linear, realize_sutva
 from .partition import Clustering
@@ -100,8 +101,9 @@ class SimConfig:
             raise ValidationError(f"unknown study {self.study!r}")
         if self.seed < 0:
             raise ValidationError(f"study config seed={self.seed} is negative")
-        if self.replications < 1:
-            raise ValidationError("need at least one replication")
+        # A study reports the spread of its draws, which one draw lacks.
+        if self.replications < 2:
+            raise ValidationError(f"study config replications={self.replications} is below 2")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie in (0, 1)")
         if self.study == "power" and not self.sbm:
@@ -204,29 +206,6 @@ _Draw = Callable[[np.random.SeedSequence], tuple[HierarchicalAssignment, np.ndar
 _STACK_BYTES = 2**18
 
 
-def _stack_statistics(stack: list[tuple[HierarchicalAssignment, np.ndarray]]) -> list[tuple[float, float]]:
-    """Each draw's gap and variance bound, from one kernel call over the
-    stacked draws of one design; ``stack`` holds (assignment, unit outcomes)."""
-    first = stack[0][0]
-    for assignment, _ in stack:
-        if assignment.counts != first.counts:
-            raise ValidationError(
-                f"a draw's design counts {assignment.counts.to_dict()} differ from "
-                f"its stack's first draw {first.counts.to_dict()}"
-            )
-    tau_cr, tau_cbr, sigma_hat_sq = _statistic_rows(
-        first.counts,
-        first.clustering.assignment,
-        np.stack([a.unit_arm for a, _ in stack]),
-        np.stack([a.treatment for a, _ in stack]),
-        np.stack([a.cluster_arm for a, _ in stack]),
-        np.stack([a.cluster_treatment for a, _ in stack]),
-        np.stack([y for _, y in stack]),
-    )
-    # The gap of two Python floats, as the one-draw path subtracts them.
-    return [(float(tau_cr[j]) - float(tau_cbr[j]), float(sigma_hat_sq[j])) for j in range(len(stack))]
-
-
 def _replicate(
     cfg: SimConfig,
     draw: _Draw,
@@ -251,13 +230,12 @@ def _replicate(
     stack: list[tuple[HierarchicalAssignment, np.ndarray]] = []
     decided = 0
     for r, stream in enumerate(streams):
-        assignment, y = draw(stream)
+        stack.append(draw(stream))
         if r == 0:
-            height = max(1, _STACK_BYTES // (8 * assignment.clustering.num_units))
-        stack.append((assignment, _unit_outcomes(assignment, y)))
+            height = max(1, _STACK_BYTES // (8 * stack[0][0].clustering.num_units))
         if len(stack) < height and r + 1 < n:
             continue
-        for delta, bound in _stack_statistics(stack):
+        for _, _, delta, bound in _estimate_draws(stack):
             deltas[decided] = delta
             bounds[decided] = bound
             decision = _decide(delta, bound, cfg.alpha)

@@ -22,14 +22,15 @@ from hypothesis import strategies as st
 from conftest import fixture_path, record_criterion
 from spilltest import (
     DesignCounts,
-    EnumerationSpec,
     LinearInterferenceModel,
     PotentialTable,
     SbmSpec,
     bernoulli_vs_cr_variance_gap,
     binomial_negative_moment,
     delta_statistic,
-    enumerate_moments,
+    enumerate_cluster,
+    enumerate_complete,
+    enumerate_hierarchical,
     fisher_null_variance,
     gaussian_p_value,
     generate_sbm,
@@ -60,16 +61,9 @@ def test_criterion_1_exact_unbiasedness(oracle_design):
     _, clustering, counts, _, _ = oracle_design
     table = PotentialTable(y1=rng.normal(size=8), y0=rng.normal(size=8))
     tau = float(np.mean(table.y1 - table.y0))
-    cr = enumerate_moments(EnumerationSpec(design="complete", outcomes=table, n_t=4))
-    cbr = enumerate_moments(
-        EnumerationSpec(design="cluster", outcomes=table, clustering=clustering, m_t=2)
-    )
-    delta = enumerate_moments(
-        EnumerationSpec(
-            design="hierarchical", outcomes=table, statistic="delta",
-            clustering=clustering, counts=counts,
-        )
-    )
+    cr = enumerate_complete(table, 4)
+    cbr = enumerate_cluster(table, clustering, 2)
+    delta = enumerate_hierarchical(table, clustering, counts)
     elapsed = time.perf_counter() - start
     errs = (abs(cr.mean - tau), abs(cbr.mean - tau), abs(delta.mean))
     passed = max(errs) <= 1e-12 and elapsed < 1.0
@@ -84,10 +78,8 @@ def test_criterion_2_linear_model_closed_forms(oracle_design):
     graph, clustering, _, model, _ = oracle_design
     n, m = graph.num_units, clustering.num_clusters
     rho = float(neighborhood_fractions(graph, clustering).mean())
-    cr = enumerate_moments(EnumerationSpec(design="complete", outcomes=model, n_t=n // 2))
-    cbr = enumerate_moments(
-        EnumerationSpec(design="cluster", outcomes=model, clustering=clustering, m_t=m // 2)
-    )
+    cr = enumerate_complete(model, n // 2)
+    cbr = enumerate_cluster(model, clustering, m // 2)
     closed_cr = model.beta - model.gamma / (n - 1)
     closed_cbr = model.beta + model.gamma * (rho * m - 1) / (m - 1)
     elapsed = time.perf_counter() - start
@@ -106,12 +98,7 @@ def test_criterion_3_null_variance_exact(bound_design):
     worst = 0.0
     for _ in range(5):
         y = rng.normal(size=12)
-        mom = enumerate_moments(
-            EnumerationSpec(
-                design="hierarchical", outcomes=PotentialTable(y1=y, y0=y),
-                statistic="delta", clustering=clustering, counts=counts,
-            )
-        )
+        mom = enumerate_hierarchical(PotentialTable(y1=y, y0=y), clustering, counts)
         worst = max(worst, abs(mom.variance - fisher_null_variance(y, clustering, counts)))
     passed = worst <= 1e-10
     record_criterion(3, passed, f"max |enum var - formula| = {worst:.2e} (tol 1e-10)")
@@ -121,18 +108,8 @@ def test_criterion_3_null_variance_exact(bound_design):
 def test_criterion_4_constant_effect_equality(bound_design):
     clustering, counts = bound_design
     table = PotentialTable.constant_effect(rng.normal(size=12), tau=0.75)
-    var_mom = enumerate_moments(
-        EnumerationSpec(
-            design="hierarchical", outcomes=table, statistic="delta",
-            clustering=clustering, counts=counts,
-        )
-    )
-    bound_mom = enumerate_moments(
-        EnumerationSpec(
-            design="hierarchical", outcomes=table, statistic="sigma_hat_sq",
-            clustering=clustering, counts=counts,
-        )
-    )
+    var_mom = enumerate_hierarchical(table, clustering, counts)
+    bound_mom = enumerate_hierarchical(table, clustering, counts, "sigma_hat_sq")
     err = abs(bound_mom.mean - var_mom.variance)
     passed = err <= 1e-10
     record_criterion(4, passed, f"constant effect: |E(bound) - var| = {err:.2e} (tol 1e-10)")
@@ -151,18 +128,8 @@ def test_criterion_4_random_table_inequality(bound_design):
     violations = 0
     for _ in range(100):
         table = PotentialTable(y1=table_rng.normal(size=12), y0=table_rng.normal(size=12))
-        var_mom = enumerate_moments(
-            EnumerationSpec(
-                design="hierarchical", outcomes=table, statistic="delta",
-                clustering=clustering, counts=counts,
-            )
-        )
-        bound_mom = enumerate_moments(
-            EnumerationSpec(
-                design="hierarchical", outcomes=table, statistic="sigma_hat_sq",
-                clustering=clustering, counts=counts,
-            )
-        )
+        var_mom = enumerate_hierarchical(table, clustering, counts)
+        bound_mom = enumerate_hierarchical(table, clustering, counts, "sigma_hat_sq")
         gap = bound_mom.mean - var_mom.variance
         worst = min(worst, gap)
         violations += gap < -1e-10

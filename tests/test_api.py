@@ -18,8 +18,8 @@ PUBLIC = [
     "analyze_stratified", "delta_statistic", "empirical_variance_bound", "expected_delta_linear",
     "fisher_null_variance", "gaussian_p_value", "interference_variance_approx",
     "theoretical_sutva_variance", "variance_components",
-    "EnumerationSpec", "ExactMoments", "VarianceGap", "bernoulli_vs_cr_variance_gap",
-    "binomial_negative_moment", "enumerate_moments",
+    "ExactMoments", "VarianceGap", "bernoulli_vs_cr_variance_gap", "binomial_negative_moment",
+    "enumerate_cluster", "enumerate_complete", "enumerate_hierarchical",
 ]
 
 # Names that only tests called, or that repeated the one entry point of
@@ -30,9 +30,11 @@ REMOVED = {
         "cluster_randomization", "complete_randomization", "bernoulli_rerandomized",
         "marginal_treatment_probability", "ObservedOutcomes", "save_outcomes", "total_treatment_effect",
         "chebyshev_p_value", "chebyshev_decision", "stratified_delta", "SutvaVariance",
+        "EnumerationSpec", "enumerate_moments",
     ],
     "spilltest.estimate": ["chebyshev_p_value", "chebyshev_decision", "stratified_delta", "SutvaVariance"],
     "spilltest.sim": ["run_ratio_study", "run_power_study", "run_type1_study"],
+    "spilltest.oracle": ["EnumerationSpec", "enumerate_moments"],
     "spilltest.graph": ["neighborhood_fraction_in_cluster"],
     "spilltest.partition": ["design_score", "subsample_clusters"],
     "spilltest.assign": [

@@ -520,6 +520,13 @@ MALFORMED_INPUTS = {
         _simulate_with_field("fig1a_desk.json", constant_effect="x"), "constant_effect='x'"
     ),
     "study-seed-negative": (_simulate_with_field("fig1a_desk.json", seed=-1), "seed=-1 is negative"),
+    # One draw has no spread, so its delta_se would be nan, which is not JSON.
+    "study-replications-one": (
+        _simulate_with_field(
+            "fig1a_desk.json", study="type1", replications=1, seed=1, num_clusters=8, cluster_size=4
+        ),
+        "replications=1 is below 2",
+    ),
     "study-seed-string": (_simulate_with_field("fig1a_desk.json", seed="x"), "seed='x'"),
     "study-clustering-source": (
         _simulate_with_field("fig1b_desk.json", clustering_source="bogus"), "bad study config fields"
@@ -548,6 +555,10 @@ MALFORMED_INPUTS = {
     "edge-list-declared-n-huge": (
         lambda p: _cluster_edges(p, f"N={10**17}\n0 1\n"),
         f"refusing a graph of {10**17} units and 1 edges (limit 100000000 in all)",
+    ),
+    # A no-break space pads no header, as it separates no edge.
+    "edge-list-header-nbsp": (
+        lambda p: _cluster_edges(p, "N\u00a0=3\n0 1\n"), "g.edges:1: non-integer unit id in 'N\\xa0=3'"
     ),
     "design-clustering-id-huge": (
         lambda p: _oracle_with_design(p, _design(clustering=[0, 0, 1, 1, 2, 2, 3, 10**17])),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from spilltest import (
     Clustering,
     DesignCounts,
-    EnumerationSpec,
     Graph,
     LinearInterferenceModel,
     PotentialTable,
@@ -19,7 +18,7 @@ from spilltest import (
     analyze_stratified,
     delta_statistic,
     empirical_variance_bound,
-    enumerate_moments,
+    enumerate_hierarchical,
     expected_delta_linear,
     fisher_null_variance,
     gaussian_p_value,
@@ -138,10 +137,7 @@ def test_oracle_rows_are_the_shipped_estimator(oracle_design, bound_design, stat
     if statistic == "sigma_hat_sq":
         clustering, counts = bound_design
         table = PotentialTable(y1=rng.normal(size=12), y0=rng.normal(size=12))
-    values = _hierarchical_statistic_rows(
-        EnumerationSpec(design="hierarchical", outcomes=table, statistic=statistic,
-                        clustering=clustering, counts=counts)
-    )
+    values = _hierarchical_statistic_rows(table, clustering, counts, statistic, 0.05)
     unit_arm, treatment, _, _ = enumerate_hierarchical_assignments(clustering, counts)
     assert len(values) == len(unit_arm)
     for r in range(len(unit_arm)):
@@ -230,12 +226,7 @@ def test_fisher_null_variance_matches_enumeration(bound_design):
     clustering, counts = bound_design
     for _ in range(5):
         y = rng.normal(size=12)
-        mom = enumerate_moments(
-            EnumerationSpec(
-                design="hierarchical", outcomes=PotentialTable(y1=y, y0=y),
-                statistic="delta", clustering=clustering, counts=counts,
-            )
-        )
+        mom = enumerate_hierarchical(PotentialTable(y1=y, y0=y), clustering, counts)
         assert fisher_null_variance(y, clustering, counts) == pytest.approx(
             mom.variance, abs=1e-12
         )
@@ -253,12 +244,7 @@ def test_sutva_variance_exact_matches_enumeration(bound_design):
     clustering, counts = bound_design
     for _ in range(5):
         table = PotentialTable(y1=rng.normal(size=12), y0=rng.normal(size=12))
-        mom = enumerate_moments(
-            EnumerationSpec(
-                design="hierarchical", outcomes=table, statistic="delta",
-                clustering=clustering, counts=counts,
-            )
-        )
+        mom = enumerate_hierarchical(table, clustering, counts)
         assert theoretical_sutva_variance(table, clustering, counts) == pytest.approx(mom.variance, abs=1e-10)
 
 
@@ -303,18 +289,8 @@ def test_bound_gap_identity(bound_design):
     k = counts.cluster_size
     for _ in range(5):
         table = PotentialTable(y1=rng.normal(size=12), y0=rng.normal(size=12))
-        var_mom = enumerate_moments(
-            EnumerationSpec(
-                design="hierarchical", outcomes=table, statistic="delta",
-                clustering=clustering, counts=counts,
-            )
-        )
-        bound_mom = enumerate_moments(
-            EnumerationSpec(
-                design="hierarchical", outcomes=table, statistic="sigma_hat_sq",
-                clustering=clustering, counts=counts,
-            )
-        )
+        var_mom = enumerate_hierarchical(table, clustering, counts)
+        bound_mom = enumerate_hierarchical(table, clustering, counts, "sigma_hat_sq")
         comps = variance_components(table, clustering)
         predicted_gap = (a_fac * comps.s_tc - (b_fac + 1.0 / k) * comps.s_plus_tc) / counts.n_cr
         assert bound_mom.mean - var_mom.variance == pytest.approx(predicted_gap, abs=1e-10)
@@ -323,18 +299,8 @@ def test_bound_gap_identity(bound_design):
 def test_bound_tight_for_constant_effect(bound_design):
     clustering, counts = bound_design
     table = PotentialTable.constant_effect(rng.normal(size=12), tau=-2.0)
-    var_mom = enumerate_moments(
-        EnumerationSpec(
-            design="hierarchical", outcomes=table, statistic="delta",
-            clustering=clustering, counts=counts,
-        )
-    )
-    bound_mom = enumerate_moments(
-        EnumerationSpec(
-            design="hierarchical", outcomes=table, statistic="sigma_hat_sq",
-            clustering=clustering, counts=counts,
-        )
-    )
+    var_mom = enumerate_hierarchical(table, clustering, counts)
+    bound_mom = enumerate_hierarchical(table, clustering, counts, "sigma_hat_sq")
     assert bound_mom.mean == pytest.approx(var_mom.variance, abs=1e-10)
 
 
@@ -555,12 +521,7 @@ def test_analyze_stratified_pools_strata():
 
 def test_expected_delta_linear_matches_enumeration(oracle_design):
     graph, clustering, counts, model, _ = oracle_design
-    mom = enumerate_moments(
-        EnumerationSpec(
-            design="hierarchical", outcomes=model, statistic="delta",
-            clustering=clustering, counts=counts,
-        )
-    )
+    mom = enumerate_hierarchical(model, clustering, counts)
     assert expected_delta_linear(model, clustering, counts) == pytest.approx(mom.mean, abs=1e-12)
 
 
@@ -576,12 +537,7 @@ def test_expected_delta_linear_with_isolated_units():
         n_cr=4, n_cbr=6, m_cr=2, m_cbr=3, n_cr_t=2, n_cr_c=2, m_cbr_t=1, m_cbr_c=2
     )
     model = LinearInterferenceModel(alpha=0.1, beta=1.0, gamma=0.7, noise_sd=0.0, graph=graph)
-    mom = enumerate_moments(
-        EnumerationSpec(
-            design="hierarchical", outcomes=model, statistic="delta",
-            clustering=clustering, counts=counts,
-        )
-    )
+    mom = enumerate_hierarchical(model, clustering, counts)
     assert expected_delta_linear(model, clustering, counts) == pytest.approx(mom.mean, abs=1e-12)
 
 

@@ -483,7 +483,9 @@ def test_table_readers_match_row_by_row_readers(tmp_path, name, data):
 # Generated edge lists.
 # ---------------------------------------------------------------------------
 
-EDGE_REJECTS = {"underscore_digits", "unicode_digits", "unicode_header", "unicode_space", "big_int"}
+EDGE_REJECTS = {
+    "underscore_digits", "unicode_digits", "unicode_header", "unicode_header_space", "unicode_space", "big_int",
+}
 
 
 @st.composite
@@ -505,13 +507,15 @@ def edge_lists(draw):
                      draw(st.sampled_from(["# comment", "  # indented, with 1 2", "", "   ", "#N=3", " # x"])))
     fault = draw(st.sampled_from([
         None, None, "three", "one", "word", "negative", "inline_comment", "float", "header_junk",
-        "underscore_digits", "unicode_digits", "unicode_header", "unicode_space", "big_int", "bad_utf8",
+        "underscore_digits", "unicode_digits", "unicode_header", "unicode_header_space", "unicode_space",
+        "big_int", "bad_utf8",
     ]))
     at = draw(st.integers(0, len(lines)))
     bad = {
         "three": "1 2 3", "one": "4", "word": "a b", "negative": "-1 2", "inline_comment": "1 2 # c",
         "float": "1.0 2", "header_junk": "N=3 4", "underscore_digits": "1_0 2",
-        "unicode_digits": "١ 2", "unicode_header": "N=٣", "unicode_space": "1 2",
+        "unicode_digits": "١ 2", "unicode_header": "N=٣", "unicode_header_space": "N\u00a0=3",
+        "unicode_space": "1 2",
         "big_int": "99999999999999999999 1",
     }.get(fault)
     if bad is not None:

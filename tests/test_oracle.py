@@ -6,15 +6,23 @@ import pytest
 from spilltest import (
     Clustering,
     DesignCounts,
-    EnumerationSpec,
     PotentialTable,
     ValidationError,
     bernoulli_vs_cr_variance_gap,
     binomial_negative_moment,
-    enumerate_moments,
+    enumerate_cluster,
+    enumerate_complete,
+    enumerate_hierarchical,
     hierarchical_assign,
 )
-from spilltest.oracle import CHECKS, enumerate_hierarchical_assignments, hierarchical_outcome_count
+from spilltest.oracle import (
+    CHECKS,
+    _fsum_moments,
+    _realize,
+    _subset_matrix,
+    enumerate_hierarchical_assignments,
+    hierarchical_outcome_count,
+)
 
 rng = np.random.default_rng(20240810)
 
@@ -42,7 +50,7 @@ def test_complete_design_moments_match_closed_forms():
     # difference in means have known closed forms; enumeration must hit both.
     table = PotentialTable(y1=rng.normal(size=8), y0=rng.normal(size=8))
     tau = float(np.mean(table.y1 - table.y0))
-    mom = enumerate_moments(EnumerationSpec(design="complete", outcomes=table, n_t=3))
+    mom = enumerate_complete(table, 3)
     assert mom.count == math.comb(8, 3)
     assert mom.mean == pytest.approx(tau, abs=1e-12)
     assert mom.variance == pytest.approx(neyman_cr_variance(table, 3), abs=1e-12)
@@ -51,11 +59,68 @@ def test_complete_design_moments_match_closed_forms():
 def test_cluster_design_moments_match_closed_forms(oracle_design):
     _, clustering, _, _, table = oracle_design
     tau = float(np.mean(table.y1 - table.y0))
-    mom = enumerate_moments(
-        EnumerationSpec(design="cluster", outcomes=table, clustering=clustering, m_t=2)
-    )
+    mom = enumerate_cluster(table, clustering, 2)
     assert mom.mean == pytest.approx(tau, abs=1e-12)
     assert mom.variance == pytest.approx(cluster_variance(table, clustering, 2), abs=1e-12)
+
+
+def _masked_sum_complete(outcomes, n_t):
+    # The complete design's own difference in means, from masked sums over
+    # every unit; enumerate_complete runs the shipped arm contrast instead.
+    n = outcomes.num_units
+    z_rows = _subset_matrix(n, n_t)
+    y_rows = _realize(outcomes, z_rows)
+    zb = z_rows.astype(bool)
+    values = (y_rows * zb).sum(axis=1) / n_t - (y_rows * ~zb).sum(axis=1) / (n - n_t)
+    return _fsum_moments(values)
+
+
+def _membership_cluster(outcomes, clustering, m_t):
+    # The cluster design's own contrast, with cluster totals from a dense
+    # N x M membership matrix; enumerate_cluster runs the shipped cluster
+    # totals and arm contrast instead.
+    m, n = clustering.num_clusters, clustering.num_units
+    zc_rows = _subset_matrix(m, m_t)
+    y_rows = _realize(outcomes, zc_rows[:, clustering.assignment])
+    membership = (clustering.assignment[:, None] == np.arange(m)[None, :]).astype(np.float64)
+    y_plus = y_rows @ membership
+    zb = zc_rows.astype(bool)
+    values = (m / n) * ((y_plus * zb).sum(axis=1) / m_t - (y_plus * ~zb).sum(axis=1) / (m - m_t))
+    return _fsum_moments(values)
+
+
+def test_single_mechanism_designs_match_their_own_estimators(oracle_design, bound_design):
+    # Every treated count of the oracle8 table, the oracle8 linear model and
+    # a table on the 12-unit bound design; that table has its own generator,
+    # so that the module's tables stay as they were.
+    _, clustering, _, model, table = oracle_design
+    local = np.random.default_rng(12)
+    bound_table = PotentialTable(y1=local.normal(size=12), y0=local.normal(size=12))
+    sources = [(table, clustering), (model, clustering), (bound_table, bound_design[0])]
+    for outcomes, clustering in sources:
+        for n_t in range(1, clustering.num_units):
+            mom, ref = enumerate_complete(outcomes, n_t), _masked_sum_complete(outcomes, n_t)
+            assert mom.count == ref.count == math.comb(clustering.num_units, n_t)
+            assert mom.mean == pytest.approx(ref.mean, rel=1e-12)
+            assert mom.variance == pytest.approx(ref.variance, rel=1e-12)
+        for m_t in range(1, clustering.num_clusters):
+            mom = enumerate_cluster(outcomes, clustering, m_t)
+            ref = _membership_cluster(outcomes, clustering, m_t)
+            assert mom.count == ref.count == math.comb(clustering.num_clusters, m_t)
+            assert mom.mean == pytest.approx(ref.mean, rel=1e-12)
+            assert mom.variance == pytest.approx(ref.variance, rel=1e-12)
+
+
+def test_enumeration_refuses_out_of_range_counts_and_unknown_statistic(oracle_design):
+    _, clustering, counts, _, table = oracle_design
+    for n_t in (0, 8):
+        with pytest.raises(ValidationError, match="1 <= n_t <= N-1"):
+            enumerate_complete(table, n_t)
+    for m_t in (0, 4):
+        with pytest.raises(ValidationError, match="1 <= m_t <= M-1"):
+            enumerate_cluster(table, clustering, m_t)
+    with pytest.raises(ValidationError, match="unknown statistic 'gap'"):
+        enumerate_hierarchical(table, clustering, counts, "gap")
 
 
 def test_hierarchical_outcome_count(oracle_design):
@@ -70,12 +135,7 @@ def test_hierarchical_outcome_count(oracle_design):
 
 def test_hierarchical_sutva_mean_is_zero(oracle_design):
     _, clustering, counts, _, table = oracle_design
-    mom = enumerate_moments(
-        EnumerationSpec(
-            design="hierarchical", outcomes=table, statistic="delta",
-            clustering=clustering, counts=counts,
-        )
-    )
+    mom = enumerate_hierarchical(table, clustering, counts)
     assert abs(mom.mean) <= 1e-12
 
 
@@ -85,12 +145,7 @@ def test_enumeration_requires_noise_free_model(oracle_design):
 
     noisy = LinearInterferenceModel(alpha=0.0, beta=1.0, gamma=0.5, noise_sd=1.0, graph=graph)
     with pytest.raises(ValidationError, match="noise-free"):
-        enumerate_moments(
-            EnumerationSpec(
-                design="hierarchical", outcomes=noisy, statistic="delta",
-                clustering=clustering, counts=counts,
-            )
-        )
+        enumerate_hierarchical(noisy, clustering, counts)
 
 
 def test_enumeration_cap_reports_required_count():
@@ -100,24 +155,14 @@ def test_enumeration_cap_reports_required_count():
     )
     table = PotentialTable(y1=np.zeros(30), y0=np.zeros(30))
     with pytest.raises(ValidationError, match=r"\d+ outcomes"):
-        enumerate_moments(
-            EnumerationSpec(
-                design="hierarchical", outcomes=table, statistic="delta",
-                clustering=clustering, counts=counts,
-            )
-        )
+        enumerate_hierarchical(table, clustering, counts)
 
 
 def test_enumeration_matches_sampler_frequencies(bound_design):
     # Internal consistency: exact moments vs the actual sampler, 2e4 draws.
     clustering, counts = bound_design
     table = PotentialTable(y1=rng.normal(size=12), y0=rng.normal(size=12))
-    exact = enumerate_moments(
-        EnumerationSpec(
-            design="hierarchical", outcomes=table, statistic="delta",
-            clustering=clustering, counts=counts,
-        )
-    )
+    exact = enumerate_hierarchical(table, clustering, counts)
     draws = 20_000
     reps = np.random.SeedSequence(42).spawn(draws)
     values = np.empty(draws)
@@ -137,12 +182,7 @@ def test_enumerated_rejection_rate_is_conservative(bound_design):
     # interference; enumerate the exact rejection frequency.
     clustering, counts = bound_design
     table = PotentialTable(y1=rng.normal(size=12) + 1.0, y0=rng.normal(size=12))
-    rate = enumerate_moments(
-        EnumerationSpec(
-            design="hierarchical", outcomes=table, statistic="reject",
-            clustering=clustering, counts=counts, alpha=0.05,
-        )
-    )
+    rate = enumerate_hierarchical(table, clustering, counts, "reject", alpha=0.05)
     assert 0.0 <= rate.mean <= 0.05
 
 
@@ -216,8 +256,6 @@ def test_all_verify_checks_pass(oracle_design):
 
 def test_enumeration_is_deterministic(oracle_design):
     _, clustering, counts, _, table = oracle_design
-    spec = EnumerationSpec(
-        design="hierarchical", outcomes=table, statistic="delta",
-        clustering=clustering, counts=counts,
+    assert enumerate_hierarchical(table, clustering, counts) == enumerate_hierarchical(
+        table, clustering, counts
     )
-    assert enumerate_moments(spec) == enumerate_moments(spec)

@@ -1,14 +1,13 @@
 import json
 import math
-import warnings
 from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import fixture_path
-from spilltest import SbmSpec, ValidationError, sim
-from spilltest.estimate import _decide, _draw_statistics
+from spilltest import SbmSpec, ValidationError, estimate, sim
+from spilltest.estimate import _decide, _estimate_draws
 from spilltest.sim import SimConfig, SimRow, run_study
 
 
@@ -218,10 +217,10 @@ def _one_draw_replicate(cfg, draw, streams, setting=0, gamma=0.0, rho_c=0.0):
     rejections = 0
     rejections_gauss = 0
     for r, stream in enumerate(streams):
-        est, bound = _draw_statistics(*draw(stream))
-        deltas[r] = est.delta
+        _, _, delta, bound = _estimate_draws([draw(stream)])[0]
+        deltas[r] = delta
         bounds[r] = bound
-        decision = _decide(est.delta, bound, cfg.alpha)
+        decision = _decide(delta, bound, cfg.alpha)
         rejections += decision.reject_chebyshev
         rejections_gauss += decision.reject_gaussian
     rate = rejections / n
@@ -245,7 +244,7 @@ def _one_draw_replicate(cfg, draw, streams, setting=0, gamma=0.0, rho_c=0.0):
 
 
 def _row_bits(row):
-    # Floats by their bytes, so that rows with a nan spread compare too.
+    # Floats by their bytes, so that rows must agree to the last bit.
     return tuple(np.float64(v).tobytes() if isinstance(v, float) else v for v in astuple(row))
 
 
@@ -254,13 +253,10 @@ def _stack_height(num_units):
 
 
 def _rows_both_ways(monkeypatch, cfg):
-    with warnings.catch_warnings():
-        # One replication has no spread: its delta_se is nan either way.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        stacked = run_study(cfg).rows
-        monkeypatch.setattr(sim, "_replicate", _one_draw_replicate)
-        one_draw = run_study(cfg).rows
-        monkeypatch.undo()
+    stacked = run_study(cfg).rows
+    monkeypatch.setattr(sim, "_replicate", _one_draw_replicate)
+    one_draw = run_study(cfg).rows
+    monkeypatch.undo()
     return [_row_bits(r) for r in stacked], [_row_bits(r) for r in one_draw]
 
 
@@ -275,8 +271,8 @@ def test_kernel_sees_stacks_of_eight_at_4096_units(monkeypatch):
         heights.append(len(unit_arm))
         return kernel(counts, cluster_of, unit_arm, *rest)
 
-    kernel = sim._statistic_rows
-    monkeypatch.setattr(sim, "_statistic_rows", spy)
+    kernel = estimate._statistic_rows
+    monkeypatch.setattr(estimate, "_statistic_rows", spy)
     run_study(SimConfig(study="type1", replications=21, **SUTVA_STACKED))
     assert heights == [8, 8, 5]
 
@@ -284,9 +280,9 @@ def test_kernel_sees_stacks_of_eight_at_4096_units(monkeypatch):
 @pytest.mark.parametrize("study", ["ratio", "type1"])
 @pytest.mark.parametrize("extra", [0, 1, 2, 13])
 def test_stacked_sutva_studies_equal_the_one_draw_loop(monkeypatch, study, extra):
-    # 1 replication, one full stack, a stack and one, and a partial last stack.
+    # 2 replications, one full stack, a stack and one, and a partial last stack.
     height = _stack_height(64 * 64)
-    replications = {0: 1, 1: height, 2: height + 1, 13: 2 * height + 5}[extra]
+    replications = {0: 2, 1: height, 2: height + 1, 13: 2 * height + 5}[extra]
     cfg = SimConfig(study=study, replications=replications, **SUTVA_STACKED)
     stacked, one_draw = _rows_both_ways(monkeypatch, cfg)
     assert stacked == one_draw
@@ -296,7 +292,7 @@ def test_stacked_sutva_studies_equal_the_one_draw_loop(monkeypatch, study, extra
 def test_stacked_power_study_equals_the_one_draw_loop(monkeypatch, extra):
     # The 960-unit model stacks 34 draws; the 80-unit one fills no stack.
     height = _stack_height(8 * 120)
-    replications = {0: 1, 1: height, 2: height + 1, 13: 2 * height + 5}[extra]
+    replications = {0: 2, 1: height, 2: height + 1, 13: 2 * height + 5}[extra]
     cfg = tiny_power_config(replications=replications, sbm=(
         SbmSpec(num_blocks=8, block_size=10, p_intra=0.4, p_inter=0.04, seed=2),
         SbmSpec(num_blocks=8, block_size=120, p_intra=0.05, p_inter=0.005, seed=3),
