@@ -22,7 +22,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from ._errors import ValidationError
+from ._errors import ValidationError, check_fields
 from ._table import BIT, ID, read_id_table, write_table
 from .partition import Clustering, Stratification
 
@@ -58,10 +58,8 @@ class DesignCounts:
     m_cbr_c: int
 
     def __post_init__(self) -> None:
-        fields = asdict(self)
-        for name, value in fields.items():
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"design count {name}={value!r} is not an integer")
+        check_fields(self, "design count")
+        for name, value in asdict(self).items():
             if value < 1:
                 raise ValidationError(f"design count {name}={value} must be >= 1")
         if self.n_cr_t + self.n_cr_c != self.n_cr:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._errors import CheckFailure, SpilltestError, ValidationError
+from ._errors import CheckFailure, SpilltestError, ValidationError, build_record, read_json
 from ._table import FLOAT, ID, read_header, read_id_table
 from .assign import (
     DesignCounts,
@@ -85,7 +85,7 @@ def _fixture_path(name: str) -> Path:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    spec = SbmSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
+    spec = SbmSpec.from_json(Path(args.spec).read_bytes())
     graph, clustering = generate_sbm(spec)
     save_edge_list(graph, args.out_edges)
     save_clustering(clustering, args.out_clusters)
@@ -160,10 +160,11 @@ def _load_covariates(path: str) -> np.ndarray:
 def _load_counts(path: str | None) -> DesignCounts | None:
     if path is None:
         return None
+    data = Path(path).read_bytes()
     try:
-        return DesignCounts(**json.loads(Path(path).read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise ValidationError(f"{path}: bad design counts: {exc}") from exc
+        return build_record(DesignCounts, read_json(data, "design counts"), "design counts")
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def cmd_assign(args: argparse.Namespace) -> int:
@@ -278,7 +279,7 @@ def _check_study_properties(cfg: SimConfig, report) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = SimConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+    cfg = SimConfig.from_json(Path(args.config).read_bytes())
     if args.study and args.study != cfg.study:
         raise ValidationError(f"config is a {cfg.study!r} study, not {args.study!r}")
     if args.threads is not None:

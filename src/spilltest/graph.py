@@ -8,7 +8,6 @@ sorted neighbor lists so that iteration order is deterministic.
 from __future__ import annotations
 
 import io
-import json
 import re
 import warnings
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from ._errors import ParseError, ValidationError, _is_finite, _is_int
+from ._errors import ParseError, ValidationError, build_record, check_fields, read_json
 
 if TYPE_CHECKING:
     from .partition import Clustering
@@ -160,19 +159,13 @@ class SbmSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        # A spec read from JSON can hold any type.
-        for name in ("num_blocks", "block_size", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValidationError(f"block-model spec {name}={value!r} is not an integer")
-        for name in ("p_intra", "p_inter"):
-            value = getattr(self, name)
-            if not _is_finite(value):
-                raise ValidationError(f"block-model spec {name}={value!r} is not a finite number")
+        check_fields(self, "block-model spec")
         if self.seed < 0:
             raise ValidationError(f"block-model spec seed={self.seed} is negative")
         if self.num_blocks < 1 or self.block_size < 1:
             raise ValidationError("num_blocks and block_size must be positive")
+        if self.num_units > _MAX_UNITS_PLUS_EDGES:  # its pair count might pass the float range
+            raise ValidationError(f"refusing a block model of {self.num_units} units (limit {_MAX_UNITS_PLUS_EDGES})")
         for name in ("p_intra", "p_inter"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -183,15 +176,8 @@ class SbmSpec:
         return self.num_blocks * self.block_size
 
     @classmethod
-    def from_json(cls, text: str) -> "SbmSpec":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid block-model spec JSON: {exc}") from exc
-        try:
-            return cls(**payload)
-        except TypeError as exc:
-            raise ValidationError(f"bad block-model spec fields: {exc}") from exc
+    def from_json(cls, text: str | bytes) -> "SbmSpec":
+        return build_record(cls, read_json(text, "block-model spec"), "block-model spec")
 
 
 def generate_sbm(spec: SbmSpec) -> tuple[Graph, "Clustering"]:
@@ -293,7 +279,7 @@ def load_edge_list(path: str | Path) -> Graph:
     """Read a graph from an edge-list file.
 
     The file is UTF-8 text in lines ended by LF, CRLF or CR. Each line, with
-    surrounding whitespace stripped, is one of:
+    surrounding ASCII whitespace stripped, is one of:
 
     - empty, or starting with ``#``: skipped;
     - ``N=<int>``, with optional ASCII spaces or tabs around ``=``: fixes the unit
@@ -328,7 +314,7 @@ def load_edge_list(path: str | Path) -> Graph:
             end = data.find(b"\n", odd[k])
             end = len(data) if end < 0 else end
             try:
-                line = data[start:end].decode("utf-8").strip()
+                line = data[start:end].strip().decode("utf-8")
             except UnicodeDecodeError:
                 line = None
             header = _HEADER_RE.match(line) if line else None
@@ -376,7 +362,7 @@ def _edge_list_error(path: Path, data: bytes) -> ValidationError:
     rejects, found by reading the lines one at a time."""
     for lineno, raw in enumerate(data.split(b"\n"), start=1):
         try:
-            line = raw.decode("utf-8").strip()
+            line = raw.strip().decode("utf-8")
         except UnicodeDecodeError:
             return ParseError(f"{path}:{lineno}: line is not UTF-8 text")
         if not line or line.startswith("#") or _HEADER_RE.match(line):

@@ -12,7 +12,6 @@ back the ``spilltest oracle`` command, and the test suite runs them too.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -21,7 +20,7 @@ from typing import Callable, Literal, NamedTuple, get_args
 
 import numpy as np
 
-from ._errors import CheckFailure, ValidationError
+from ._errors import CheckFailure, ValidationError, build_record, check_fields, read_json
 from .assign import DesignCounts
 from .estimate import (
     _cluster_totals,
@@ -304,6 +303,22 @@ class OracleDesign(NamedTuple):
     table: PotentialTable
 
 
+@dataclass(frozen=True)
+class _DesignFile:
+    """The keys of a design file, as decoded."""
+
+    clustering: list
+    edges: list
+    counts: dict
+    model: dict
+    table_seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_fields(self, "design")
+        if self.table_seed < 0:
+            raise ValidationError(f"design table_seed={self.table_seed} is negative")
+
+
 def load_design(path: str | Path) -> OracleDesign:
     """Read a design JSON object.
 
@@ -311,35 +326,29 @@ def load_design(path: str | Path) -> OracleDesign:
     pairs), ``counts`` (the :class:`DesignCounts` fields), ``model`` (the
     :class:`LinearInterferenceModel` fields other than the graph; the checks
     enumerate it, so its ``noise_sd`` must be 0) and an optional
-    ``table_seed`` (default 0), which draws the potential table.
+    ``table_seed`` (a non-negative integer, default 0), which draws the
+    potential table. Any other key is refused.
 
     Raises:
         ValidationError: Naming the file and what is wrong with it.
     """
+    data = Path(path).read_bytes()
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid design JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: design must be a JSON object")
-    missing = [key for key in ("clustering", "edges", "counts", "model") if key not in payload]
-    if missing:
-        raise ValidationError(f"{path}: design is missing {', '.join(missing)}")
-    for key in ("counts", "model"):
-        if not isinstance(payload[key], dict):
-            raise ValidationError(f"{path}: design {key} must be a JSON object")
+        design = build_record(_DesignFile, read_json(data, "design"), "design")
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     try:
-        clustering = Clustering.from_assignment(_json_ints(payload["clustering"], "clustering"))
-        graph = Graph.from_edges(clustering.num_units, _json_ints(payload["edges"], "edges"))
-        counts = DesignCounts(**payload["counts"])
-        model = LinearInterferenceModel(graph=graph, **payload["model"])
-        rng = np.random.default_rng(payload.get("table_seed", 0))
+        clustering = Clustering.from_assignment(_json_ints(design.clustering, "clustering"))
+        graph = Graph.from_edges(clustering.num_units, _json_ints(design.edges, "edges"))
+        counts = build_record(DesignCounts, design.counts, "design counts")
+        model = build_record(LinearInterferenceModel, design.model, "design model", graph=graph)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: bad design: {exc}") from exc
     if model.noise_sd != 0.0:
         raise ValidationError(
             f"{path}: bad design: model noise_sd={model.noise_sd!r}; the checks enumerate a noise-free model"
         )
+    rng = np.random.default_rng(design.table_seed)
     table = PotentialTable(
         y1=rng.normal(size=clustering.num_units), y0=rng.normal(size=clustering.num_units)
     )
@@ -447,10 +456,17 @@ def check_null_variance(design: OracleDesign) -> dict:
 
 
 def check_variance_bound(design: OracleDesign) -> dict:
-    """Bound is exactly tight for constant effects; exact variance matches too."""
+    """Bound is exactly tight for constant effects; exact variance matches too.
+
+    The bound needs two members in every variance bucket. A design with a
+    bucket of one is checked on :func:`_fallback_bound_design` instead, and
+    the result names the design it ran on.
+    """
     clustering, counts = design.clustering, design.counts
+    ran_on = "input"
     if not _bound_capable(counts):
         clustering, counts = _fallback_bound_design()
+        ran_on = "fallback, 6 clusters of 2 (the input has a variance bucket of one)"
     rng = np.random.default_rng(4321)
     base = rng.normal(size=clustering.num_units)
     const = PotentialTable.constant_effect(base, tau=1.3)
@@ -464,8 +480,8 @@ def check_variance_bound(design: OracleDesign) -> dict:
         "variance-bound",
         passed,
         f"constant effect: E(bound)={bound_mom.mean:.12g}, var(gap)={var_mom.variance:.12g}, "
-        f"closed-form exact={exact:.12g}",
-        {"e_bound": bound_mom.mean, "var_delta": var_mom.variance, "exact": exact},
+        f"closed-form exact={exact:.12g} (design: {ran_on})",
+        {"e_bound": bound_mom.mean, "var_delta": var_mom.variance, "exact": exact, "design": ran_on},
     )
 
 

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._errors import ValidationError
+from ._errors import ValidationError, check_fields
 from ._table import FLOAT, ID, read_id_table
 
 if TYPE_CHECKING:
@@ -67,11 +67,9 @@ class LinearInterferenceModel:
     graph: "Graph"
 
     def __post_init__(self) -> None:
+        check_fields(self, "model")
         if self.noise_sd < 0:
             raise ValidationError("noise_sd must be non-negative")
-        for name in ("alpha", "beta", "gamma", "noise_sd"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
 
     @property
     def num_units(self) -> int:

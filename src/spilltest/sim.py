@@ -48,7 +48,7 @@ from typing import Callable, Literal, get_args
 
 import numpy as np
 
-from ._errors import ParseError, ValidationError, _is_finite, _is_int
+from ._errors import ValidationError, build_record, check_fields, read_json
 from .assign import DesignCounts, HierarchicalAssignment, hierarchical_assign
 from .estimate import _decide, _estimate_draws, theoretical_sutva_variance
 from .graph import _MAX_UNITS_PLUS_EDGES, SbmSpec, generate_sbm, neighborhood_fractions
@@ -88,15 +88,7 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        # Annotations are strings here; a JSON config can hold any type.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and not _is_int(value):
-                raise ValidationError(f"study config {f.name}={value!r} is not an integer")
-            if f.type == "float" and not _is_finite(value):
-                raise ValidationError(f"study config {f.name}={value!r} is not a finite number")
-        if not all(_is_finite(g) for g in self.gamma_grid):
-            raise ValidationError(f"study config gamma_grid={list(self.gamma_grid)!r} holds a non-number")
+        check_fields(self, "study config")
         if self.study not in get_args(StudyKind):
             raise ValidationError(f"unknown study {self.study!r}")
         if self.seed < 0:
@@ -108,6 +100,8 @@ class SimConfig:
             raise ValidationError("alpha must lie in (0, 1)")
         if self.study == "power" and not self.sbm:
             raise ValidationError("power study needs at least one block-model spec")
+        if self.study == "power" and not self.gamma_grid:
+            raise ValidationError("power study needs at least one gamma in gamma_grid")
         if self.study in ("ratio", "type1") and (self.num_clusters < 2 or self.cluster_size < 1):
             raise ValidationError("ratio/type1 studies need num_clusters and cluster_size")
         if self.study in ("ratio", "type1") and self.num_clusters * self.cluster_size > _MAX_UNITS_PLUS_EDGES:
@@ -125,23 +119,15 @@ class SimConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "SimConfig":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid study config JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ParseError("study config must be a JSON object")
-        try:
-            payload["sbm"] = tuple(SbmSpec(**s) for s in payload.get("sbm", []))
-            if payload.get("counts") is not None:
-                payload["counts"] = DesignCounts(**payload["counts"])
-            for key in ("gamma_grid",):
-                if key in payload:
-                    payload[key] = tuple(payload[key])
-            return cls(**payload)
-        except TypeError as exc:
-            raise ValidationError(f"bad study config fields: {exc}") from exc
+    def from_json(cls, text: str | bytes) -> "SimConfig":
+        payload = read_json(text, "study config")
+        specs = payload.get("sbm", [])
+        if not isinstance(specs, list):
+            raise ValidationError(f"study config sbm={specs!r} is not a list of block-model specs")
+        payload["sbm"] = tuple(build_record(SbmSpec, spec, "block-model spec") for spec in specs)
+        if payload.get("counts") is not None:
+            payload["counts"] = build_record(DesignCounts, payload["counts"], "design counts")
+        return build_record(cls, payload, "study config")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import os
@@ -368,24 +369,30 @@ def _cluster_id_gap(text):
     return "\n".join(lines[:1] + [f"{u},{int(c) + (int(c) >= 3)}" for u, c in rows]) + "\n"
 
 
+TABLE_CHECK_COUNTS = {"n_cr": 8, "n_cbr": 8, "m_cr": 4, "m_cbr": 4, "n_cr_t": 4, "n_cr_c": 4, "m_cbr_t": 2, "m_cbr_c": 2}
+TINY_SPEC = {"num_blocks": 4, "block_size": 5, "p_intra": 0.5, "p_inter": 0.1, "seed": 1}
+
+
+def _graph_spec_text(tmp_path, text):
+    spec = tmp_path / "sbm.json"
+    spec.write_text(text)
+    return ["graph", "--spec", spec, "--out-edges", tmp_path / "g.edges",
+            "--out-clusters", tmp_path / "b.csv", "--out-meta", tmp_path / "meta.json"]
+
+
+def _simulate_config_text(tmp_path, text):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(text)
+    return ["simulate", "--config", cfg, "--threads", 1, "--out-csv", tmp_path / "o.csv"]
+
+
 def _simulate_with_field(fixture, **override):
-    def build(tmp_path):
-        payload = json.loads(fixture_path(fixture).read_text())
-        cfg = tmp_path / "sim.json"
-        cfg.write_text(json.dumps({**payload, **override}))
-        return ["simulate", "--config", cfg, "--threads", 1, "--out-csv", tmp_path / "o.csv"]
-    return build
+    payload = json.loads(fixture_path(fixture).read_text())
+    return lambda tmp_path: _simulate_config_text(tmp_path, json.dumps({**payload, **override}))
 
 
 def _graph_with_spec(**override):
-    def build(tmp_path):
-        spec = tmp_path / "sbm.json"
-        spec.write_text(json.dumps(
-            {"num_blocks": 4, "block_size": 5, "p_intra": 0.5, "p_inter": 0.1, "seed": 1, **override}
-        ))
-        return ["graph", "--spec", spec, "--out-edges", tmp_path / "g.edges",
-                "--out-clusters", tmp_path / "b.csv", "--out-meta", tmp_path / "meta.json"]
-    return build
+    return lambda tmp_path: _graph_spec_text(tmp_path, json.dumps({**TINY_SPEC, **override}))
 
 
 def _simulate_with_sbm(**override):
@@ -398,6 +405,23 @@ def _design(**override):
     # The bundled oracle design with some of its keys replaced.
     payload = json.loads(fixture_path("oracle8.json").read_text())
     return json.dumps({**payload, **override})
+
+
+def _dumps(value, twice=None):
+    # ``value`` as JSON text; the object ``twice[0]`` (by identity) gives its
+    # key ``twice[1]`` a second time, last.
+    if isinstance(value, dict):
+        items = list(value.items()) + ([(twice[1], value[twice[1]])] if twice and value is twice[0] else [])
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dumps(v, twice)}" for k, v in items) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(_dumps(v, twice) for v in value) + "]"
+    return json.dumps(value)
+
+
+def _design_repeating(record, key):
+    # The bundled oracle design with ``key`` repeated inside its ``record``.
+    payload = json.loads(fixture_path("oracle8.json").read_text())
+    return _dumps(payload, (payload[record], key))
 
 
 def _assign_with(tmp_path, clusters=None, strata=None):
@@ -423,8 +447,9 @@ def _cluster_edges(tmp_path, text):
 
 
 def _oracle_with_design(tmp_path, text):
+    # A lone surrogate "\udcXX" in ``text`` is written as the byte 0xXX.
     design = tmp_path / "d.json"
-    design.write_text(text)
+    design.write_text(text, encoding="utf-8", errors="surrogateescape")
     return ["oracle", "--design", design]
 
 
@@ -560,6 +585,58 @@ MALFORMED_INPUTS = {
     "edge-list-header-nbsp": (
         lambda p: _cluster_edges(p, "N\u00a0=3\n0 1\n"), "g.edges:1: non-integer unit id in 'N\\xa0=3'"
     ),
+    "edge-list-header-nbsp-pad": (
+        lambda p: _cluster_edges(p, "N=3\u00a0\n0 1\n"), "g.edges:1: expected two unit ids, got 'N=3\\xa0'"
+    ),
+    "edge-list-header-nbsp-indent": (
+        lambda p: _cluster_edges(p, "\u00a0N=3\n0 1\n"), "g.edges:1: expected two unit ids, got '\\xa0N=3'"
+    ),
+    # A key given twice is refused at any depth, in each JSON input.
+    "counts-repeated-key": (
+        lambda p: _assign_with_counts(p, _dumps(counts := {**TABLE_CHECK_COUNTS, "m_cbr_t": 3}, (counts, "m_cbr_t"))),
+        "k.json: invalid design counts JSON: repeated key 'm_cbr_t'",
+    ),
+    "graph-spec-repeated-key": (
+        lambda p: _graph_spec_text(p, _dumps(TINY_SPEC, (TINY_SPEC, "seed"))),
+        "invalid block-model spec JSON: repeated key 'seed'",
+    ),
+    "study-repeated-key": (
+        lambda p: _simulate_config_text(p, _dumps(cfg := json.loads(fixture_path("fig1a_desk.json").read_text()), (cfg, "seed"))),
+        "invalid study config JSON: repeated key 'seed'",
+    ),
+    "study-sbm-repeated-key": (
+        lambda p: _simulate_config_text(p, _dumps(
+            {**json.loads(fixture_path("fig1b_desk.json").read_text()), "sbm": [TINY_SPEC]}, (TINY_SPEC, "p_intra")
+        )),
+        "invalid study config JSON: repeated key 'p_intra'",
+    ),
+    "design-model-repeated-key": (
+        lambda p: _oracle_with_design(p, _design_repeating("model", "gamma")),
+        "d.json: invalid design JSON: repeated key 'gamma'",
+    ),
+    "design-counts-repeated-key": (
+        lambda p: _oracle_with_design(p, _design_repeating("counts", "n_cr")),
+        "d.json: invalid design JSON: repeated key 'n_cr'",
+    ),
+    "design-unknown-key": (
+        lambda p: _oracle_with_design(p, _design(tabel_seed=3)), "d.json: bad design fields: unknown 'tabel_seed'"
+    ),
+    "design-model-bool": (
+        lambda p: _oracle_with_design(p, _design(model={
+            **json.loads(fixture_path("oracle8.json").read_text())["model"], "gamma": True
+        })),
+        "bad design: model gamma=True is not a finite number",
+    ),
+    "design-table-seed-bool": (
+        lambda p: _oracle_with_design(p, _design(table_seed=True)), "d.json: design table_seed=True is not an integer"
+    ),
+    "design-table-seed-negative": (
+        lambda p: _oracle_with_design(p, _design(table_seed=-1)), "d.json: design table_seed=-1 is negative"
+    ),
+    "study-gamma-grid-empty": (
+        _simulate_with_field("fig1b_desk.json", gamma_grid=[]), "power study needs at least one gamma"
+    ),
+    "design-not-utf8": (lambda p: _oracle_with_design(p, _design()[:-1] + "\udcff}"), "invalid design JSON"),
     "design-clustering-id-huge": (
         lambda p: _oracle_with_design(p, _design(clustering=[0, 0, 1, 1, 2, 2, 3, 10**17])),
         "bad design: every cluster must be non-empty: cluster 4 has no units",
@@ -571,6 +648,10 @@ MALFORMED_INPUTS = {
     # 10^13 units: refused before any array is made.
     "graph-spec-too-large": (
         _graph_with_spec(num_blocks=10**7, block_size=10**6), "refusing a block model of 10000000000000 units"
+    ),
+    # 10^200 blocks: more unit pairs than a float holds.
+    "graph-spec-beyond-float": (
+        _graph_with_spec(num_blocks=10**200), f"refusing a block model of {5 * 10**200} units"
     ),
 }
 
@@ -645,6 +726,69 @@ def test_edited_tables_exit_0_or_1_with_error_line(edited):
             code = run_cli("analyze", "--assignment", paths["assignment"], "--outcomes", paths["outcomes"],
                            "--clusters-file", paths["clusters"], "--out-report", Path(tmp) / "r.json")
     assert code == 0 or (code == 1 and err.getvalue().startswith("error:")), (code, err.getvalue())
+
+
+# Each JSON input: a valid object, and a cheap command that reads it from a
+# path and writes into a directory. The study nests a design-counts record
+# and a block-model spec (which a type1 study does not read).
+JSON_INPUTS = {
+    "counts": (TABLE_CHECK_COUNTS, lambda path, out: [
+        "assign", "--clusters-file", fixture_path("table_check_clusters.csv"), "--seed", 1, "--counts", path,
+        "--out-assignment", out / "a.csv", "--out-counts", out / "o.json"]),
+    "spec": (TINY_SPEC, lambda path, out: [
+        "graph", "--spec", path, "--out-edges", out / "g.edges", "--out-clusters", out / "b.csv",
+        "--out-meta", out / "meta.json"]),
+    "study": (
+        {"study": "type1", "replications": 20, "seed": 3, "num_clusters": 8, "cluster_size": 2,
+         "counts": TABLE_CHECK_COUNTS, "sbm": [TINY_SPEC]},
+        lambda path, out: ["simulate", "--config", path, "--threads", 1, "--out-csv", out / "o.csv"],
+    ),
+    "design": (
+        json.loads(fixture_path("oracle8.json").read_text()),
+        lambda path, out: ["oracle", "--check", "law", "--design", path],
+    ),
+}
+_BAD_VALUES = st.sampled_from([True, False, "x", "", None, float("nan"), [], [1, "a"], [[0, 1]]])
+
+
+@st.composite
+def _edited_json(draw):
+    # One JSON input with one random edit to its top object or a record
+    # nested in it, or with bytes that are not UTF-8, as the bytes to write.
+    name = draw(st.sampled_from(sorted(JSON_INPUTS)))
+    payload = copy.deepcopy(JSON_INPUTS[name][0])
+    nested = [v for v in payload.values() if isinstance(v, dict)]
+    nested += [v for items in payload.values() if isinstance(items, list) for v in items if isinstance(v, dict)]
+    record = draw(st.sampled_from([payload] + nested))
+    key = draw(st.sampled_from(sorted(record)))
+    edit = draw(st.sampled_from(["delete", "repeat", "add", "swap", "nest", "bytes"]))
+    if edit == "delete":
+        del record[key]
+    elif edit == "add":
+        record[draw(st.text(max_size=8))] = draw(_BAD_VALUES)
+    elif edit == "swap":
+        record[key] = draw(_BAD_VALUES)
+    elif edit == "nest":
+        record[key] = {draw(st.sampled_from(sorted(record))): draw(_BAD_VALUES)}
+    data = _dumps(payload, (record, key) if edit == "repeat" else None).encode("utf-8")
+    if edit == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bytes(draw(st.lists(st.integers(0x80, 0xFF), min_size=1, max_size=4))) + data[at:]
+    return name, data
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edited_json())
+def test_edited_json_inputs_exit_0_or_1_with_error_line(edited):
+    name, data = edited
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(*JSON_INPUTS[name][1](path, Path(tmp)))
+    one_error_line = err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    assert code == 0 or (code == 1 and one_error_line and out.getvalue() == ""), (code, err.getvalue())
 
 
 def _huge_outcomes(text):

@@ -1,6 +1,6 @@
 import json
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -241,6 +241,10 @@ def test_sbm_spec_validation_and_json():
         SbmSpec(num_blocks=2, block_size=5, p_intra=1.5, p_inter=0.1, seed=0)
     spec = SbmSpec(num_blocks=2, block_size=5, p_intra=0.5, p_inter=0.1, seed=3)
     assert SbmSpec.from_json(json.dumps(asdict(spec))) == spec
+    # Numpy scalars are taken, as DesignCounts takes them, and kept as Python
+    # numbers, so that the spec still serializes.
+    numpy_spec = SbmSpec(np.int64(2), np.int32(5), np.float64(0.5), np.float32(0.125), np.uint8(3))
+    assert json.dumps(asdict(numpy_spec)) == json.dumps(asdict(replace(spec, p_inter=0.125)))
 
 
 def test_neighborhood_fraction_star_center():

@@ -40,6 +40,13 @@ def test_realize_sutva_length_mismatch(small_table):
         realize_sutva(small_table, np.array([1, 0]))
 
 
+@pytest.mark.parametrize("field, value", [("alpha", "x"), ("gamma", True), ("beta", float("nan")), ("noise_sd", None)])
+def test_model_refuses_a_non_number(cliquepair_graph, field, value):
+    params = {"alpha": 0.0, "beta": 1.0, "gamma": 0.5, "noise_sd": 0.0, field: value}
+    with pytest.raises(ValidationError, match=f"model {field}={value!r} is not a finite number"):
+        LinearInterferenceModel(graph=cliquepair_graph, **params)
+
+
 def test_realize_linear_noise_free_affine(cliquepair_graph):
     model = LinearInterferenceModel(alpha=2.0, beta=1.5, gamma=0.0, noise_sd=0.0, graph=cliquepair_graph)
     z = np.array([1, 0, 1, 0, 1, 0, 1, 0])
