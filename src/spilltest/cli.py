@@ -18,6 +18,7 @@ import sys
 from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -85,7 +86,7 @@ def _fixture_path(name: str) -> Path:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    spec = SbmSpec.from_json(Path(args.spec).read_bytes())
+    spec = _read_json_input(args.spec, SbmSpec.from_json)
     graph, clustering = generate_sbm(spec)
     save_edge_list(graph, args.out_edges)
     save_clustering(clustering, args.out_clusters)
@@ -157,14 +158,21 @@ def _load_covariates(path: str) -> np.ndarray:
     return np.column_stack(columns) if columns else np.empty((len(table["cluster_id"]), 0))
 
 
+def _read_json_input(path: str, parse: Callable[[bytes], Any]) -> Any:
+    """``parse`` of the bytes of the JSON file ``path``; a refusal names the file."""
+    data = Path(path).read_bytes()
+    try:
+        return parse(data)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def _load_counts(path: str | None) -> DesignCounts | None:
     if path is None:
         return None
-    data = Path(path).read_bytes()
-    try:
-        return build_record(DesignCounts, read_json(data, "design counts"), "design counts")
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return _read_json_input(
+        path, lambda data: build_record(DesignCounts, read_json(data, "design counts"), "design counts")
+    )
 
 
 def cmd_assign(args: argparse.Namespace) -> int:
@@ -279,7 +287,7 @@ def _check_study_properties(cfg: SimConfig, report) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = SimConfig.from_json(Path(args.config).read_bytes())
+    cfg = _read_json_input(args.config, SimConfig.from_json)
     if args.study and args.study != cfg.study:
         raise ValidationError(f"config is a {cfg.study!r} study, not {args.study!r}")
     if args.threads is not None:

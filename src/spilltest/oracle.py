@@ -75,13 +75,14 @@ def _subset_matrix(n: int, k: int) -> np.ndarray:
 
 
 def _realize(outcomes: OutcomeSource, z_rows: np.ndarray) -> np.ndarray:
-    """Outcome matrix for every assignment row, one row at a time through
-    the shipped outcome model; the model must be noise-free."""
+    """Outcome matrix for every assignment row through the shipped outcome
+    model: a potential table one row at a time, a linear model (which must
+    be noise-free) in one stacked call."""
     if isinstance(outcomes, PotentialTable):
         return np.stack([realize_sutva(outcomes, z) for z in z_rows])
     if outcomes.noise_sd != 0.0:
         raise ValidationError("enumeration requires a noise-free outcome model")
-    return np.stack([realize_linear(outcomes, z) for z in z_rows])
+    return realize_linear(outcomes, z_rows)
 
 
 def hierarchical_outcome_count(counts: DesignCounts) -> int:

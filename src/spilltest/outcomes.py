@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -78,24 +78,43 @@ class LinearInterferenceModel:
     def treated_neighbor_fractions(self, z: np.ndarray) -> np.ndarray:
         """Per-unit treated fraction of the neighborhood under assignment ``z``.
 
-        ``z`` holds one 0/1 treatment per unit. Isolated units get 0. Costs
-        O(N + E): one gather over the adjacency and one segmented sum over
-        the rows of units with at least one neighbor.
+        ``z`` holds one 0/1 treatment per unit, or is an ``(R, N)`` stack of
+        such rows; the result has the shape of ``z``. Isolated units get 0.
+
+        One pass counts the treated neighbors of many rows at once. Each row
+        gets a lane of ``bits = max degree .bit_length()`` bits in a 64-bit
+        word, so a count never carries into the next lane, and each unit
+        packs ``64 // bits`` rows into one word. Each word of rows then costs
+        one gather over the adjacency and one segmented sum over the rows of
+        units with at least one neighbor, O(N + E); the counts are exact, so
+        every row equals its own one-row result bit for bit.
 
         Raises:
-            ValidationError: If ``z`` does not match the graph's length or
-                holds a value other than 0 and 1.
+            ValidationError: If a row of ``z`` does not match the graph's
+                length or holds a value other than 0 and 1.
         """
-        z = np.asarray(z, dtype=np.float64)
-        if len(z) != self.graph.num_units:
+        z = np.asarray(z)
+        rows = z[None] if z.ndim == 1 else z
+        if rows.ndim != 2 or rows.shape[1] != self.graph.num_units:
             raise ValidationError("assignment length does not match the graph")
-        if not np.all((z == 0.0) | (z == 1.0)):
+        if not np.all((rows == 0) | (rows == 1)):
             raise ValidationError("assignment must hold only 0 and 1")
         nz, starts, deg = self._neighbor_rows
-        out = np.zeros(self.graph.num_units)
-        # Sums of 0/1 values are exact in any order.
-        out[nz] = np.add.reduceat(z[self.graph.adjacency_indices], starts) / deg
-        return out
+        out = np.zeros(rows.shape)
+        if len(deg):
+            # Every shift and mask operand is uint64: numpy 1.24 turns uint64
+            # mixed with int64 into float64, which cannot be shifted.
+            bits = int(deg.max()).bit_length()
+            lanes = 64 // bits
+            shifts = np.arange(lanes, dtype=np.uint64) * np.uint64(bits)
+            mask = np.uint64((1 << bits) - 1)
+            for first in range(0, len(rows), lanes):
+                block = rows[first : first + lanes].astype(np.uint64)
+                lane = shifts[: len(block), None]
+                packed = (block << lane).sum(axis=0, dtype=np.uint64)
+                counts = np.add.reduceat(packed[self.graph.adjacency_indices], starts)
+                out[first : first + lanes, nz] = ((counts >> lane) & mask) / deg
+        return out.reshape(z.shape)
 
     @cached_property
     def _neighbor_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,20 +148,36 @@ def realize_sutva(table: PotentialTable, z: np.ndarray) -> np.ndarray:
 def realize_linear(
     model: LinearInterferenceModel,
     z: np.ndarray,
-    seed: int | np.random.SeedSequence | None = 0,
+    seed: int | np.random.SeedSequence | None | Sequence[int | np.random.SeedSequence | None] = 0,
 ) -> np.ndarray:
     """Draw outcomes from the linear interference model; deterministic per seed.
 
-    ``z`` holds one 0/1 treatment per unit. Returns a read-only float64
-    vector, one outcome per unit. A noise-free model draws nothing from
-    ``seed``.
+    ``z`` holds one 0/1 treatment per unit, with one ``seed``; or it is an
+    ``(R, N)`` stack of such rows, with a sequence of R seeds, one per row.
+    Returns a read-only float64 array of the shape of ``z``: one outcome per
+    unit and row. Row r of a stack equals the one-row call on ``z[r]`` with
+    ``seed[r]``, bit for bit: the neighbor counts of the whole stack come
+    from one lane-packed pass (see
+    :meth:`LinearInterferenceModel.treated_neighbor_fractions`), and each
+    row's noise from its own generator. A noise-free model draws nothing
+    from ``seed``.
+
+    Raises:
+        ValidationError: If ``z`` does not match the graph, or a noisy
+            model's stack does not get one seed per row.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z)
     fractions = model.treated_neighbor_fractions(z)
-    y = model.alpha + model.beta * z + model.gamma * fractions
+    y = model.alpha + model.beta * z.astype(np.float64) + model.gamma * fractions
     if model.noise_sd > 0:
-        rng = np.random.default_rng(seed)
-        y = y + model.noise_sd * rng.standard_normal(len(y))
+        if z.ndim == 1:
+            seeds = [seed]
+        elif np.ndim(seed) == 1 and len(seed) == len(z):
+            seeds = seed
+        else:
+            raise ValidationError(f"a stack of {len(z)} assignments needs one seed per row")
+        noise = [np.random.default_rng(s).standard_normal(model.num_units) for s in seeds]
+        y = y + model.noise_sd * np.reshape(noise, y.shape)
     y.setflags(write=False)
     return y
 

@@ -18,17 +18,20 @@ clustering, and the other two use ``num_clusters`` blocks of
 ``cluster_size`` units. Replications re-draw only the assignment and the
 noise.
 
-Every study runs the same replication loop, :func:`_replicate`. A study
-supplies one function that turns a replication's seed stream into an
-assignment and its outcomes. The loop gathers a few consecutive draws into a
-stack (as many as fit a 256 KiB float array of outcomes, 8 at N = 4000, at
-least one), runs the estimator kernel once on the stack through
-``estimate._estimate_draws``, and then decides each draw in stream order
-through ``estimate._decide``; ``analyze`` uses both steps too. Each draw's
-gap and bound are those of the kernel on that draw alone, so a study counts
-exactly what ``analyze`` would decide on each draw, and a non-finite
-statistic raises. The loop keeps the gaps, the variance bounds and both
-rules' rejection counts; at most one stack of draws is alive at a time.
+Every study runs the same replication loop, :func:`_replicate`. The loop
+cuts the replications' seed streams into stacks of a few consecutive draws
+(as many as fit a 256 KiB float array of outcomes, 8 at N = 4000, at least
+one). A study supplies one function that turns a stack of seed streams into
+one assignment and its outcomes per stream: a power study realizes a whole
+stack's outcomes in one ``realize_linear`` call, whose neighbor counts come
+from one lane-packed pass over the graph. The loop runs the estimator kernel
+once on the stack through ``estimate._estimate_draws``, and then decides
+each draw in stream order through ``estimate._decide``; ``analyze`` uses
+both steps too. Each draw's outcomes, gap and bound are those of that draw
+alone, so a study counts exactly what ``analyze`` would decide on each draw,
+and a non-finite statistic raises. The loop keeps the gaps, the variance
+bounds and both rules' rejection counts; at most one stack of draws is alive
+at a time.
 
 Replications derive their seeds from (master seed, study indices), so an
 identical config reproduces an identical report bit for bit, regardless of
@@ -56,6 +59,13 @@ from .outcomes import LinearInterferenceModel, PotentialTable, realize_linear, r
 from .partition import Clustering
 
 StudyKind = Literal["ratio", "power", "type1"]
+
+# The fields only a power study reads, and those only a ratio or type1 study
+# reads; a study refuses a non-default value in a field it does not read.
+_POWER_FIELDS = ("sbm", "baseline", "direct_effect", "gamma_grid", "noise_sd")
+_TABLE_FIELDS = (
+    "num_clusters", "cluster_size", "constant_effect", "effect_unit_sd", "y0_cluster_sd", "y0_unit_sd"
+)
 
 
 @dataclass(frozen=True)
@@ -98,6 +108,11 @@ class SimConfig:
             raise ValidationError(f"study config replications={self.replications} is below 2")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie in (0, 1)")
+        defaults = {f.name: f.default for f in fields(self)}
+        for name in _TABLE_FIELDS if self.study == "power" else _POWER_FIELDS:
+            value = getattr(self, name)
+            if (tuple(value) if isinstance(value, list) else value) != defaults[name]:
+                raise ValidationError(f"a {self.study} study does not read {name}={value!r}")
         if self.study == "power" and not self.sbm:
             raise ValidationError("power study needs at least one block-model spec")
         if self.study == "power" and not self.gamma_grid:
@@ -182,13 +197,15 @@ def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[rank - 1])
 
 
-# One replication of a study: its seed stream in, an assignment and its outcomes out.
-_Draw = Callable[[np.random.SeedSequence], tuple[HierarchicalAssignment, np.ndarray]]
+# A stack of replications of a study: their seed streams in, one assignment
+# and its outcomes per stream out, in stream order.
+_Draw = Callable[[list[np.random.SeedSequence]], list[tuple[HierarchicalAssignment, np.ndarray]]]
 
 
-# A stack of draws goes to the estimator kernel in one call. Its height is
-# the number of (R, N) float rows that fit in this many bytes, at least one:
-# 8 rows at N = 4000. Taller stacks ran no faster and raised peak memory.
+# A stack of draws is realized and goes to the estimator kernel in one call.
+# Its height is the number of (R, N) float rows that fit in this many bytes,
+# at least one: 8 rows at N = 4000. Taller stacks ran no faster and raised
+# peak memory.
 _STACK_BYTES = 2**18
 
 
@@ -196,6 +213,7 @@ def _replicate(
     cfg: SimConfig,
     draw: _Draw,
     streams: list[np.random.SeedSequence],
+    num_units: int,
     setting: int = 0,
     gamma: float = 0.0,
     rho_c: float = 0.0,
@@ -203,32 +221,25 @@ def _replicate(
     """Run one draw per stream, test each with both decision rules, and
     summarize the grid point; also returns the per-draw variance bounds.
 
-    Consecutive draws share one kernel call (see ``_STACK_BYTES``) and are
-    then decided one by one in stream order, each exactly as ``analyze``
-    would decide it alone.
+    Consecutive draws of ``num_units`` units share one ``draw`` call and one
+    kernel call (see ``_STACK_BYTES``) and are then decided one by one in
+    stream order, each exactly as ``analyze`` would decide it alone.
     """
     n = len(streams)
     deltas = np.empty(n)
     bounds = np.empty(n)
     rejections = 0
     rejections_gauss = 0
-    height = 1
-    stack: list[tuple[HierarchicalAssignment, np.ndarray]] = []
-    decided = 0
-    for r, stream in enumerate(streams):
-        stack.append(draw(stream))
-        if r == 0:
-            height = max(1, _STACK_BYTES // (8 * stack[0][0].clustering.num_units))
-        if len(stack) < height and r + 1 < n:
-            continue
-        for _, _, delta, bound in _estimate_draws(stack):
-            deltas[decided] = delta
-            bounds[decided] = bound
+    height = max(1, _STACK_BYTES // (8 * num_units))
+    for first in range(0, n, height):
+        # No name holds a stack, so it is freed before the next is drawn.
+        estimates = _estimate_draws(draw(streams[first : first + height]))
+        for r, (_, _, delta, bound) in enumerate(estimates, first):
+            deltas[r] = delta
+            bounds[r] = bound
             decision = _decide(delta, bound, cfg.alpha)
             rejections += decision.reject_chebyshev
             rejections_gauss += decision.reject_gaussian
-            decided += 1
-        stack = []
     rate = rejections / n
     row = SimRow(
         study=cfg.study,
@@ -263,9 +274,9 @@ def _sutva_design(cfg: SimConfig) -> tuple[Clustering, DesignCounts, PotentialTa
     effects = cfg.constant_effect + cfg.effect_unit_sd * rng.standard_normal(clustering.num_units)
     table = PotentialTable(y1=y0 + effects, y0=y0)
 
-    def draw(stream: np.random.SeedSequence) -> tuple[HierarchicalAssignment, np.ndarray]:
-        assignment = hierarchical_assign(clustering, counts, stream)
-        return assignment, realize_sutva(table, assignment.treatment)
+    def draw(streams: list[np.random.SeedSequence]) -> list[tuple[HierarchicalAssignment, np.ndarray]]:
+        assignments = [hierarchical_assign(clustering, counts, stream) for stream in streams]
+        return [(a, realize_sutva(table, a.treatment)) for a in assignments]
 
     return clustering, counts, table, draw, rep_root.spawn(cfg.replications)
 
@@ -291,13 +302,14 @@ def _power_setting_rows(args: tuple[SimConfig, int]) -> list[SimRow]:
             graph=graph,
         )
 
-        def draw(stream: np.random.SeedSequence) -> tuple[HierarchicalAssignment, np.ndarray]:
-            assign_stream, noise_stream = stream.spawn(2)
-            assignment = hierarchical_assign(clustering, counts, assign_stream)
-            return assignment, realize_linear(model, assignment.treatment, seed=noise_stream)
+        def draw(streams: list[np.random.SeedSequence]) -> list[tuple[HierarchicalAssignment, np.ndarray]]:
+            assign_streams, noise_streams = zip(*(stream.spawn(2) for stream in streams))
+            assignments = [hierarchical_assign(clustering, counts, s) for s in assign_streams]
+            y = realize_linear(model, np.stack([a.treatment for a in assignments]), seed=noise_streams)
+            return list(zip(assignments, y))
 
         streams = gamma_streams[gi].spawn(cfg.replications)
-        rows.append(_replicate(cfg, draw, streams, setting_index, gamma, rho_c)[0])
+        rows.append(_replicate(cfg, draw, streams, graph.num_units, setting_index, gamma, rho_c)[0])
     return rows
 
 
@@ -327,7 +339,7 @@ def run_study(cfg: SimConfig) -> SimReport:
         reference = theoretical_sutva_variance(table, clustering, counts)
         if reference <= 0:
             raise ValidationError("reference variance is zero; the ratio is undefined")
-    row, bounds = _replicate(cfg, draw, streams)
+    row, bounds = _replicate(cfg, draw, streams, clustering.num_units)
     if cfg.study == "ratio":
         ratios = bounds / reference
         ratios_sorted = np.sort(ratios)

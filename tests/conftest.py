@@ -29,6 +29,19 @@ def fixture_path(name: str) -> Path:
     return Path(str(resources.files("spilltest").joinpath("fixtures", name)))
 
 
+def bincount_fractions(graph: Graph, z) -> np.ndarray:
+    """The weighted-bincount kernel that ``treated_neighbor_fractions`` used
+    before its segmented sum, kept as the one-row reference it must match."""
+    z = np.asarray(z, dtype=np.float64)
+    deg = graph.degrees
+    src = graph.adjacency_sources
+    treated = np.bincount(src, weights=z[graph.adjacency_indices], minlength=graph.num_units)
+    out = np.zeros(graph.num_units)
+    nz = deg > 0
+    out[nz] = treated[nz] / deg[nz]
+    return out
+
+
 @pytest.fixture(scope="session")
 def cliquepair_graph() -> Graph:
     edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]

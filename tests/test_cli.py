@@ -598,11 +598,11 @@ MALFORMED_INPUTS = {
     ),
     "graph-spec-repeated-key": (
         lambda p: _graph_spec_text(p, _dumps(TINY_SPEC, (TINY_SPEC, "seed"))),
-        "invalid block-model spec JSON: repeated key 'seed'",
+        "sbm.json: invalid block-model spec JSON: repeated key 'seed'",
     ),
     "study-repeated-key": (
         lambda p: _simulate_config_text(p, _dumps(cfg := json.loads(fixture_path("fig1a_desk.json").read_text()), (cfg, "seed"))),
-        "invalid study config JSON: repeated key 'seed'",
+        "sim.json: invalid study config JSON: repeated key 'seed'",
     ),
     "study-sbm-repeated-key": (
         lambda p: _simulate_config_text(p, _dumps(
@@ -632,6 +632,16 @@ MALFORMED_INPUTS = {
     ),
     "design-table-seed-negative": (
         lambda p: _oracle_with_design(p, _design(table_seed=-1)), "d.json: design table_seed=-1 is negative"
+    ),
+    # A field the study kind never reads is refused, not echoed with no effect.
+    "study-ratio-gamma-grid": (
+        _simulate_with_field("fig1a_desk.json", gamma_grid=[5.0]), "sim.json: a ratio study does not read gamma_grid=(5.0,)"
+    ),
+    "study-type1-sbm": (
+        _simulate_with_field("fig1a_desk.json", study="type1", sbm=[TINY_SPEC]), "a type1 study does not read sbm="
+    ),
+    "study-power-cluster-size": (
+        _simulate_with_field("fig1b_desk.json", cluster_size=20), "a power study does not read cluster_size=20"
     ),
     "study-gamma-grid-empty": (
         _simulate_with_field("fig1b_desk.json", gamma_grid=[]), "power study needs at least one gamma"
@@ -729,8 +739,8 @@ def test_edited_tables_exit_0_or_1_with_error_line(edited):
 
 
 # Each JSON input: a valid object, and a cheap command that reads it from a
-# path and writes into a directory. The study nests a design-counts record
-# and a block-model spec (which a type1 study does not read).
+# path and writes into a directory. The power study nests a design-counts
+# record and a block-model spec of 8 blocks of 2, which the counts fit.
 JSON_INPUTS = {
     "counts": (TABLE_CHECK_COUNTS, lambda path, out: [
         "assign", "--clusters-file", fixture_path("table_check_clusters.csv"), "--seed", 1, "--counts", path,
@@ -739,8 +749,8 @@ JSON_INPUTS = {
         "graph", "--spec", path, "--out-edges", out / "g.edges", "--out-clusters", out / "b.csv",
         "--out-meta", out / "meta.json"]),
     "study": (
-        {"study": "type1", "replications": 20, "seed": 3, "num_clusters": 8, "cluster_size": 2,
-         "counts": TABLE_CHECK_COUNTS, "sbm": [TINY_SPEC]},
+        {"study": "power", "replications": 20, "seed": 3, "gamma_grid": [0.5], "counts": TABLE_CHECK_COUNTS,
+         "sbm": [{**TINY_SPEC, "num_blocks": 8, "block_size": 2}]},
         lambda path, out: ["simulate", "--config", path, "--threads", 1, "--out-csv", out / "o.csv"],
     ),
     "design": (

@@ -11,6 +11,7 @@ from spilltest import (
     realize_linear,
     realize_sutva,
 )
+from conftest import bincount_fractions
 from spilltest._table import write_table
 from spilltest.outcomes import load_outcomes
 
@@ -135,19 +136,6 @@ def test_model_validation(cliquepair_graph):
             realize_linear(model, z, seed=0)
 
 
-def _bincount_fractions(graph, z):
-    """The weighted-bincount kernel that ``treated_neighbor_fractions`` used
-    before its segmented sum, kept as the reference it must match."""
-    z = np.asarray(z, dtype=np.float64)
-    deg = graph.degrees
-    src = graph.adjacency_sources
-    treated = np.bincount(src, weights=z[graph.adjacency_indices], minlength=graph.num_units)
-    out = np.zeros(graph.num_units)
-    nz = deg > 0
-    out[nz] = treated[nz] / deg[nz]
-    return out
-
-
 def _fractions(graph, z):
     model = LinearInterferenceModel(alpha=0.0, beta=0.0, gamma=1.0, noise_sd=0.0, graph=graph)
     return model.treated_neighbor_fractions(z)
@@ -178,8 +166,61 @@ def _case(n, edges, z):
 @example(_case(5, [(1, 3)], [1, 1, 1, 0, 1]))
 def test_fractions_match_bincount_reference(graph_and_z):
     graph, z = graph_and_z
-    assert np.array_equal(_fractions(graph, z), _bincount_fractions(graph, z))
-    assert np.array_equal(_fractions(graph, z.astype(bool)), _bincount_fractions(graph, z))
+    assert np.array_equal(_fractions(graph, z), bincount_fractions(graph, z))
+    assert np.array_equal(_fractions(graph, z.astype(bool)), bincount_fractions(graph, z))
+
+
+# Stars whose center has degree 2**k - 1 or 2**k: the largest count that
+# fits a lane of k bits, and the smallest that needs k + 1. Degree 0 is a
+# graph with no edges.
+STAR_DEGREES = sorted({2**k + d for k in range(7) for d in (-1, 0)})
+
+
+@st.composite
+def _graphs_and_stacks(draw):
+    if draw(st.booleans()):
+        degree = draw(st.sampled_from(STAR_DEGREES))
+        n = degree + 1 + draw(st.integers(0, 2))
+        graph = Graph.from_edges(n, [(0, leaf) for leaf in range(1, degree + 1)])
+    else:
+        graph, _ = draw(_graphs_and_assignments())
+    rows = draw(st.integers(1, 20))
+    # Each row all control, all treated, or a coin flip per unit.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    share = rng.choice([0.0, 0.5, 1.0], size=(rows, 1))
+    return graph, (rng.random((rows, graph.num_units)) < share).astype(np.int8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs_and_stacks())
+@example((Graph.from_edges(65, [(0, leaf) for leaf in range(1, 65)]), np.ones((20, 65), dtype=np.int8)))
+@example((Graph.from_edges(64, [(0, leaf) for leaf in range(1, 64)]), np.ones((20, 64), dtype=np.int8)))
+@example((Graph.from_edges(3, []), np.ones((20, 3), dtype=np.int8)))
+def test_stacked_fractions_match_bincount_reference_row_by_row(graph_and_stack):
+    # A stack packs 64 // bits rows into a word, so 20 rows cross a word
+    # boundary at every lane width from 4 bits (degree 8 and above) up.
+    graph, z = graph_and_stack
+    fractions = _fractions(graph, z)
+    assert fractions.shape == z.shape
+    for row, reference in zip(fractions, (bincount_fractions(graph, zr) for zr in z)):
+        assert row.tobytes() == reference.tobytes()
+
+
+def test_realize_linear_stack_equals_the_per_row_calls(cliquepair_graph):
+    # Max degree 4: 3-bit lanes, 21 rows to a word, so 25 rows take two words.
+    model = LinearInterferenceModel(alpha=0.3, beta=1.5, gamma=0.7, noise_sd=2.0, graph=cliquepair_graph)
+    z = np.random.default_rng(3).integers(0, 2, size=(25, 8))
+    seeds = [*range(12), *np.random.SeedSequence(9).spawn(13)]
+    stack = realize_linear(model, z, seed=seeds)
+    assert stack.shape == z.shape and stack.dtype == np.float64 and not stack.flags.writeable
+    rows = [realize_linear(model, zr, seed=s) for zr, s in zip(z, seeds)]
+    assert stack.tobytes() == np.stack(rows).tobytes()
+    for bad in (0, seeds[:-1]):
+        with pytest.raises(ValidationError, match="needs one seed per row"):
+            realize_linear(model, z, seed=bad)
+    for shape in ((25, 7), (2, 25, 8), ()):
+        with pytest.raises(ValidationError, match="does not match the graph"):
+            model.treated_neighbor_fractions(np.zeros(shape))
 
 
 def test_outcomes_csv_round_trip(tmp_path):

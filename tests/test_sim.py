@@ -5,7 +5,7 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 import pytest
 
-from conftest import fixture_path
+from conftest import bincount_fractions, fixture_path
 from spilltest import SbmSpec, ValidationError, estimate, sim
 from spilltest.estimate import _decide, _estimate_draws
 from spilltest.sim import SimConfig, SimRow, run_study
@@ -70,6 +70,32 @@ def test_config_validation():
         SimConfig(study="bogus", replications=1, seed=0)
 
 
+# A non-default value in each field that a power study, or a ratio or type1
+# study, never reads.
+NOT_READ_BY_POWER = dict(num_clusters=8, cluster_size=2, constant_effect=2.0, effect_unit_sd=0.5,
+                         y0_cluster_sd=0.0, y0_unit_sd=0.0)
+NOT_READ_BY_TABLE = dict(sbm=tiny_power_config().sbm, baseline=1.0, direct_effect=0.0, gamma_grid=(5.0,),
+                         noise_sd=0.0)
+
+
+@pytest.mark.parametrize("study, name", [("power", name) for name in NOT_READ_BY_POWER] + [
+    (study, name) for study in ("ratio", "type1") for name in NOT_READ_BY_TABLE
+])
+def test_config_refuses_a_field_its_study_does_not_read(study, name):
+    if study == "power":
+        base, value = tiny_power_config(), NOT_READ_BY_POWER[name]
+    else:
+        base = SimConfig(study=study, replications=20, seed=1, num_clusters=8, cluster_size=2)
+        value = NOT_READ_BY_TABLE[name]
+    with pytest.raises(ValidationError, match=f"a {study} study does not read {name}="):
+        replace(base, **{name: value})
+
+
+def test_bundled_study_configs_stay_valid():
+    for name in ("fig1a_desk.json", "fig1b_desk.json"):
+        SimConfig.from_json(fixture_path(name).read_bytes())
+
+
 def test_type1_chebyshev_is_conservative():
     cfg = SimConfig(study="type1", replications=400, seed=9, num_clusters=8, cluster_size=4)
     report = run_study(cfg)
@@ -101,7 +127,7 @@ def test_type1_counts_what_analyze_decides():
     row = run_study(cfg).rows[0]
     *_, draw, streams = _sutva_design(cfg)
     for rule, rate in (("chebyshev", row.rejection_rate), ("gaussian", row.rejection_rate_gaussian)):
-        decided = [analyze(*draw(s), alpha=cfg.alpha, decision_rule=rule).reject for s in streams]
+        decided = [analyze(*draw([s])[0], alpha=cfg.alpha, decision_rule=rule).reject for s in streams]
         assert rate == sum(decided) / len(decided)
 
 
@@ -208,16 +234,16 @@ def test_ratio_row_keeps_the_type1_rejection_rates():
 # ---------------------------------------------------------------------------
 
 
-def _one_draw_replicate(cfg, draw, streams, setting=0, gamma=0.0, rho_c=0.0):
-    """The replication loop as it was before draws were stacked: one kernel
-    call and one decision per draw."""
+def _one_draw_replicate(cfg, draw, streams, num_units, setting=0, gamma=0.0, rho_c=0.0):
+    """The replication loop as it was before draws were stacked: one draw,
+    one kernel call and one decision per stream."""
     n = len(streams)
     deltas = np.empty(n)
     bounds = np.empty(n)
     rejections = 0
     rejections_gauss = 0
     for r, stream in enumerate(streams):
-        _, _, delta, bound = _estimate_draws([draw(stream)])[0]
+        _, _, delta, bound = _estimate_draws(draw([stream]))[0]
         deltas[r] = delta
         bounds[r] = bound
         decision = _decide(delta, bound, cfg.alpha)
@@ -252,9 +278,26 @@ def _stack_height(num_units):
     return max(1, sim._STACK_BYTES // (8 * num_units))
 
 
+def _per_row_realize_linear(model, z, seed):
+    """Each row's outcomes from the weighted-bincount neighbor counts and its
+    own noise generator: a reference that shares no code with the stacked
+    lane-packed kernel."""
+    rows = []
+    for zr, s in zip(z, seed):
+        fractions = bincount_fractions(model.graph, zr)
+        y = model.alpha + model.beta * zr.astype(np.float64) + model.gamma * fractions
+        if model.noise_sd > 0:
+            y = y + model.noise_sd * np.random.default_rng(s).standard_normal(len(y))
+        rows.append(y)
+    return np.stack(rows)
+
+
 def _rows_both_ways(monkeypatch, cfg):
+    # The one-draw run realizes a power study's outcomes row by row through
+    # the reference above.
     stacked = run_study(cfg).rows
     monkeypatch.setattr(sim, "_replicate", _one_draw_replicate)
+    monkeypatch.setattr(sim, "realize_linear", _per_row_realize_linear)
     one_draw = run_study(cfg).rows
     monkeypatch.undo()
     return [_row_bits(r) for r in stacked], [_row_bits(r) for r in one_draw]
@@ -275,6 +318,23 @@ def test_kernel_sees_stacks_of_eight_at_4096_units(monkeypatch):
     monkeypatch.setattr(estimate, "_statistic_rows", spy)
     run_study(SimConfig(study="type1", replications=21, **SUTVA_STACKED))
     assert heights == [8, 8, 5]
+
+
+def test_power_study_realizes_each_stack_in_one_call(monkeypatch):
+    # The 960-unit model stacks 34 draws.
+    heights = []
+
+    def spy(model, z, seed):
+        heights.append(len(z))
+        return realize(model, z, seed=seed)
+
+    realize = sim.realize_linear
+    monkeypatch.setattr(sim, "realize_linear", spy)
+    cfg = tiny_power_config(replications=40, gamma_grid=(0.5,), sbm=(
+        SbmSpec(num_blocks=8, block_size=120, p_intra=0.05, p_inter=0.005, seed=3),
+    ))
+    run_study(cfg)
+    assert heights == [34, 6]
 
 
 @pytest.mark.parametrize("study", ["ratio", "type1"])
@@ -308,13 +368,16 @@ def _sutva_draws(cfg, poison=None, **assign_kwargs):
     clustering, counts, table, _, streams = sim._sutva_design(cfg)
     drawn = []
 
-    def draw(stream):
-        assignment = hierarchical_assign(clustering, counts, stream, **assign_kwargs)
-        y = np.array(realize_sutva(table, assignment.treatment))
-        if len(drawn) == poison:
-            y[3] = np.inf
-        drawn.append(stream)
-        return assignment, y
+    def draw(streams):
+        stack = []
+        for stream in streams:
+            assignment = hierarchical_assign(clustering, counts, stream, **assign_kwargs)
+            y = np.array(realize_sutva(table, assignment.treatment))
+            if len(drawn) == poison:
+                y[3] = np.inf
+            drawn.append(stream)
+            stack.append((assignment, y))
+        return stack
 
     return draw, streams
 
@@ -326,7 +389,7 @@ def test_non_finite_outcome_mid_stack_raises_as_one_draw_loop():
     for replicate in (sim._replicate, _one_draw_replicate):
         draw, streams = _sutva_draws(cfg, poison=poison)
         with pytest.raises(ValidationError, match="non-finite statistic") as exc:
-            replicate(cfg, draw, streams)
+            replicate(cfg, draw, streams, 64 * 64)
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
 
@@ -336,4 +399,4 @@ def test_stack_refuses_draws_with_different_counts():
     cfg = SimConfig(study="type1", replications=16, **SUTVA_STACKED)
     draw, streams = _sutva_draws(cfg, cr_arm_mechanism="bernoulli")
     with pytest.raises(ValidationError, match="differ from its stack's first draw"):
-        sim._replicate(cfg, draw, streams)
+        sim._replicate(cfg, draw, streams, 64 * 64)
