@@ -15,14 +15,15 @@ for stacked draws of a design. It is two arm contrasts (:func:`_contrast`, a
 difference in means and its plug-in variance): one over the unit arm's
 outcomes, one over the cluster arm's :func:`_cluster_totals`, scaled by
 ``m_cbr / n_cbr``. The oracle's single-mechanism designs run those same two
-functions. :func:`_estimate_draws` stacks (assignment, outcomes) draws
-into one kernel call: the analysis passes its one draw, the studies a few
-consecutive draws at a time, and the oracle calls the kernel on every
-enumerated draw at once. Each row of the result is bit for bit what the
-kernel gives on that draw alone. One decision step, :func:`_decide`, is the
-whole decision: it checks its inputs and turns a gap and its bound into the
-t-statistic, both p-values and both rules' verdicts. The analysis reports,
-the studies' counts and the oracle's ``reject`` statistic all read it.
+functions. A :class:`_DrawStack` holds stacked draws for one kernel call:
+:func:`_estimate_draws` fills one with the analysis's (assignment,
+outcomes) draw, a study refills one per grid point with a few consecutive
+draws at a time, and the oracle calls the kernel on every enumerated draw
+at once. Each row of the result is bit for bit what the kernel gives on
+that draw alone. One decision step, :func:`_decide`, is the whole decision:
+it checks its inputs and turns a gap and its bound into the t-statistic,
+both p-values and both rules' verdicts. The analysis reports, the studies'
+counts and the oracle's ``reject`` statistic all read it.
 """
 
 from __future__ import annotations
@@ -116,17 +117,22 @@ def _contrast(
         return diff, v_t.var(axis=1, ddof=1) / n_t + v_c.var(axis=1, ddof=1) / n_c
 
 
-def _cluster_totals(y: np.ndarray, cluster_of: np.ndarray, m: int) -> np.ndarray:
+def _row_cluster_ids(cluster_of: np.ndarray, m: int, rows: int) -> np.ndarray:
+    """The ``(rows, N)`` cluster ids of stacked draws, row r offset by
+    ``r * m``, so that one bincount totals every row's clusters."""
+    return cluster_of + m * np.arange(rows)[:, None]
+
+
+def _cluster_totals(y: np.ndarray, cluster_ids: np.ndarray, m: int) -> np.ndarray:
     """The ``(R, m)`` cluster totals of ``(R, N)`` outcome rows, from one
-    bincount over row-offset cluster ids."""
+    bincount over their row-offset cluster ids (:func:`_row_cluster_ids`)."""
     rows = len(y)
-    ids = cluster_of + m * np.arange(rows)[:, None]
-    return np.bincount(ids.ravel(), weights=y.ravel(), minlength=rows * m).reshape(rows, m)
+    return np.bincount(cluster_ids.ravel(), weights=y.ravel(), minlength=rows * m).reshape(rows, m)
 
 
 def _statistic_rows(
     counts: DesignCounts,
-    cluster_of: np.ndarray,
+    cluster_ids: np.ndarray,
     unit_arm: np.ndarray,
     treatment: np.ndarray,
     cluster_arm: np.ndarray,
@@ -137,9 +143,10 @@ def _statistic_rows(
     """``(tau_cr, tau_cbr, sigma_hat_sq)`` for R stacked draws of one design.
 
     Unit-level inputs are ``(R, N)``, cluster-level ones ``(R, M)``, and every
-    draw has the bucket sizes of ``counts``; ``cluster_of`` maps units to
-    clusters. ``sigma_hat_sq`` is None unless ``bound``, which raises
-    ValidationError when a bucket holds fewer than two members.
+    draw has the bucket sizes of ``counts``; ``cluster_ids`` are the draws'
+    row-offset cluster ids (:func:`_row_cluster_ids`). ``sigma_hat_sq`` is
+    None unless ``bound``, which raises ValidationError when a bucket holds
+    fewer than two members.
     """
     c = counts
     if bound and (c.n_cr_t < 2 or c.n_cr_c < 2):
@@ -151,7 +158,7 @@ def _statistic_rows(
     tau_cr, bound_cr = _contrast(y, cr & z, cr & ~z, c.n_cr_t, c.n_cr_c, bound)
     cbr = cluster_arm == ARM_CBR
     zc = cluster_treatment == 1
-    y_plus = _cluster_totals(y, cluster_of, cluster_arm.shape[1])
+    y_plus = _cluster_totals(y, cluster_ids, cluster_arm.shape[1])
     diff_cbr, bound_cbr = _contrast(y_plus, cbr & zc, cbr & ~zc, c.m_cbr_t, c.m_cbr_c, bound)
     scale = c.m_cbr / c.n_cbr
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,6 +178,59 @@ def _unit_outcomes(assignment: HierarchicalAssignment, y: np.ndarray) -> np.ndar
     return y[assignment.unit_ids]
 
 
+class _DrawStack:
+    """Buffers for up to ``height`` draws of one clustering, refilled in place.
+
+    Row r holds one draw: its four assignment vectors, copied in by
+    :meth:`put`, and its outcomes in unit order, written into ``y[r]`` by
+    the caller. The row-offset cluster ids are built once. Row 0 sets the
+    design counts of a fill; a later row whose counts differ is refused.
+    :meth:`estimate` runs the kernel once on the first ``h`` rows.
+    """
+
+    def __init__(self, clustering: Clustering, height: int) -> None:
+        n, m = clustering.num_units, clustering.num_clusters
+        self.counts: DesignCounts | None = None
+        self.unit_arm = np.empty((height, n), dtype=np.int8)
+        self.treatment = np.empty((height, n), dtype=np.int8)
+        self.cluster_arm = np.empty((height, m), dtype=np.int8)
+        self.cluster_treatment = np.empty((height, m), dtype=np.int8)
+        self.y = np.empty((height, n))
+        self.cluster_ids = _row_cluster_ids(clustering.assignment, m, height)
+
+    def put(self, r: int, assignment: HierarchicalAssignment) -> None:
+        """Copy the assignment's vectors into row ``r``."""
+        if r == 0:
+            self.counts = assignment.counts
+        elif assignment.counts != self.counts:
+            raise ValidationError(
+                f"a draw's design counts {assignment.counts.to_dict()} differ from "
+                f"its stack's first draw {self.counts.to_dict()}"
+            )
+        self.unit_arm[r] = assignment.unit_arm
+        self.treatment[r] = assignment.treatment
+        self.cluster_arm[r] = assignment.cluster_arm
+        self.cluster_treatment[r] = assignment.cluster_treatment
+
+    def estimate(self, h: int, bound: bool = True) -> list[tuple[float, float, float, float | None]]:
+        """``(tau_cr, tau_cbr, delta, sigma_hat_sq)`` of each of the first
+        ``h`` rows, from one kernel call; see :func:`_estimate_draws`."""
+        tau_cr, tau_cbr, sigma_hat_sq = _statistic_rows(
+            self.counts,
+            self.cluster_ids[:h],
+            self.unit_arm[:h],
+            self.treatment[:h],
+            self.cluster_arm[:h],
+            self.cluster_treatment[:h],
+            self.y[:h],
+            bound,
+        )
+        bounds = [None] * h if sigma_hat_sq is None else sigma_hat_sq.tolist()
+        return [
+            (t_cr, t_cbr, t_cr - t_cbr, b) for t_cr, t_cbr, b in zip(tau_cr.tolist(), tau_cbr.tolist(), bounds)
+        ]
+
+
 def _estimate_draws(
     draws: Sequence[tuple[HierarchicalAssignment, np.ndarray]], bound: bool = True
 ) -> list[tuple[float, float, float, float | None]]:
@@ -181,27 +241,11 @@ def _estimate_draws(
     is None unless ``bound``. Each draw's values are those of the kernel on
     that draw alone, and ``delta`` is the difference of the two floats.
     """
-    first = draws[0][0]
-    for assignment, _ in draws:
-        if assignment.counts != first.counts:
-            raise ValidationError(
-                f"a draw's design counts {assignment.counts.to_dict()} differ from "
-                f"its stack's first draw {first.counts.to_dict()}"
-            )
-    tau_cr, tau_cbr, sigma_hat_sq = _statistic_rows(
-        first.counts,
-        first.clustering.assignment,
-        np.stack([a.unit_arm for a, _ in draws]),
-        np.stack([a.treatment for a, _ in draws]),
-        np.stack([a.cluster_arm for a, _ in draws]),
-        np.stack([a.cluster_treatment for a, _ in draws]),
-        np.stack([_unit_outcomes(a, y) for a, y in draws]),
-        bound,
-    )
-    bounds = [None] * len(draws) if sigma_hat_sq is None else sigma_hat_sq.tolist()
-    return [
-        (t_cr, t_cbr, t_cr - t_cbr, b) for t_cr, t_cbr, b in zip(tau_cr.tolist(), tau_cbr.tolist(), bounds)
-    ]
+    stack = _DrawStack(draws[0][0].clustering, len(draws))
+    for r, (assignment, y) in enumerate(draws):
+        stack.put(r, assignment)
+        stack.y[r] = _unit_outcomes(assignment, y)
+    return stack.estimate(len(draws), bound)
 
 
 def delta_statistic(assignment: HierarchicalAssignment, y: np.ndarray) -> DeltaEstimate:

@@ -26,6 +26,7 @@ from .estimate import (
     _cluster_totals,
     _contrast,
     _decide,
+    _row_cluster_ids,
     _statistic_rows,
     expected_cluster_estimate_linear,
     expected_delta_linear,
@@ -154,8 +155,9 @@ def _hierarchical_statistic_rows(
         clustering, counts
     )
     y_rows = _realize(outcomes, treatment)
+    cluster_ids = _row_cluster_ids(clustering.assignment, clustering.num_clusters, len(treatment))
     tau_cr, tau_cbr, sigma = _statistic_rows(
-        counts, clustering.assignment, unit_arm, treatment, cluster_arm, cluster_treated, y_rows,
+        counts, cluster_ids, unit_arm, treatment, cluster_arm, cluster_treated, y_rows,
         bound=statistic in ("sigma_hat_sq", "reject"),
     )
     delta = tau_cr - tau_cbr
@@ -203,9 +205,8 @@ def enumerate_cluster(outcomes: OutcomeSource, clustering: Clustering, m_t: int)
     zc_rows = _subset_matrix(m, m_t)
     y_rows = _realize(outcomes, zc_rows[:, clustering.assignment])
     treated = zc_rows.astype(bool)
-    diff, _ = _contrast(
-        _cluster_totals(y_rows, clustering.assignment, m), treated, ~treated, m_t, m - m_t, bound=False
-    )
+    y_plus = _cluster_totals(y_rows, _row_cluster_ids(clustering.assignment, m, len(y_rows)), m)
+    diff, _ = _contrast(y_plus, treated, ~treated, m_t, m - m_t, bound=False)
     return _fsum_moments((m / n) * diff)
 
 

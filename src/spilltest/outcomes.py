@@ -168,7 +168,13 @@ def realize_linear(
     """
     z = np.asarray(z)
     fractions = model.treated_neighbor_fractions(z)
-    y = model.alpha + model.beta * z.astype(np.float64) + model.gamma * fractions
+    # alpha + beta * z + gamma * fractions, built in one array: the same
+    # operations on the same operands as the expression, so the same bits.
+    y = z.astype(np.float64)
+    y *= model.beta
+    y += model.alpha
+    fractions *= model.gamma
+    y += fractions
     if model.noise_sd > 0:
         if z.ndim == 1:
             seeds = [seed]
@@ -176,8 +182,12 @@ def realize_linear(
             seeds = seed
         else:
             raise ValidationError(f"a stack of {len(z)} assignments needs one seed per row")
-        noise = [np.random.default_rng(s).standard_normal(model.num_units) for s in seeds]
-        y = y + model.noise_sd * np.reshape(noise, y.shape)
+        # One reused row, not an (R, N) array of noise.
+        noise = np.empty(model.num_units)
+        for row, s in zip(y.reshape(-1, model.num_units), seeds):
+            np.random.default_rng(s).standard_normal(out=noise)
+            noise *= model.noise_sd
+            row += noise
     y.setflags(write=False)
     return y
 

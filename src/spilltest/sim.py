@@ -21,17 +21,23 @@ noise.
 Every study runs the same replication loop, :func:`_replicate`. The loop
 cuts the replications' seed streams into stacks of a few consecutive draws
 (as many as fit a 256 KiB float array of outcomes, 8 at N = 4000, at least
-one). A study supplies one function that turns a stack of seed streams into
-one assignment and its outcomes per stream: a power study realizes a whole
-stack's outcomes in one ``realize_linear`` call, whose neighbor counts come
-from one lane-packed pass over the graph. The loop runs the estimator kernel
-once on the stack through ``estimate._estimate_draws``, and then decides
-each draw in stream order through ``estimate._decide``; ``analyze`` uses
-both steps too. Each draw's outcomes, gap and bound are those of that draw
-alone, so a study counts exactly what ``analyze`` would decide on each draw,
-and a non-finite statistic raises. The loop keeps the gaps, the variance
-bounds and both rules' rejection counts; at most one stack of draws is alive
-at a time.
+one). Each grid point allocates one set of stack buffers
+(``estimate._DrawStack``: the assignment vectors and outcomes of one stack,
+and the row-offset cluster ids of its cluster totals) and refills them in
+place for every stack. A study supplies one function that fills the buffers
+from a stack of seed streams: one ``hierarchical_assign`` call per stream,
+whose vectors are copied into that stream's row, and the rows' outcomes. A
+ratio or type1 study copies each draw's ``realize_sutva`` outcomes into its
+row; a power study realizes a whole stack's outcomes in one
+``realize_linear`` call, whose neighbor counts come from one lane-packed
+pass over the graph.
+The loop runs the estimator kernel once on the filled rows, and then
+decides each draw in stream order through ``estimate._decide``;
+``analyze`` runs the same kernel and decision. Each draw's outcomes, gap
+and bound are those of that draw alone, so a study counts exactly what
+``analyze`` would decide on each draw, and a non-finite statistic raises.
+The loop keeps the gaps, the variance bounds and both rules' rejection
+counts.
 
 Replications derive their seeds from (master seed, study indices), so an
 identical config reproduces an identical report bit for bit, regardless of
@@ -52,8 +58,8 @@ from typing import Callable, Literal, get_args
 import numpy as np
 
 from ._errors import ValidationError, build_record, check_fields, read_json
-from .assign import DesignCounts, HierarchicalAssignment, hierarchical_assign
-from .estimate import _decide, _estimate_draws, theoretical_sutva_variance
+from .assign import DesignCounts, hierarchical_assign
+from .estimate import _decide, _DrawStack, theoretical_sutva_variance
 from .graph import _MAX_UNITS_PLUS_EDGES, SbmSpec, generate_sbm, neighborhood_fractions
 from .outcomes import LinearInterferenceModel, PotentialTable, realize_linear, realize_sutva
 from .partition import Clustering
@@ -62,7 +68,9 @@ StudyKind = Literal["ratio", "power", "type1"]
 
 # The fields only a power study reads, and those only a ratio or type1 study
 # reads; a study refuses a non-default value in a field it does not read.
-_POWER_FIELDS = ("sbm", "baseline", "direct_effect", "gamma_grid", "noise_sd")
+# Only a power study's block models go to worker processes, so only it reads
+# ``threads``.
+_POWER_FIELDS = ("sbm", "baseline", "direct_effect", "gamma_grid", "noise_sd", "threads")
 _TABLE_FIELDS = (
     "num_clusters", "cluster_size", "constant_effect", "effect_unit_sd", "y0_cluster_sd", "y0_unit_sd"
 )
@@ -197,14 +205,17 @@ def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[rank - 1])
 
 
-# A stack of replications of a study: their seed streams in, one assignment
-# and its outcomes per stream out, in stream order.
-_Draw = Callable[[list[np.random.SeedSequence]], list[tuple[HierarchicalAssignment, np.ndarray]]]
+# A stack of replications of a study: fills row r of the stack buffers with
+# the draw of stream r (``_DrawStack.put`` of its assignment and its
+# outcomes in ``y[r]``), for the first ``len(streams)`` rows.
+_Draw = Callable[[list[np.random.SeedSequence], _DrawStack], None]
 
 
 # A stack of draws is realized and goes to the estimator kernel in one call.
 # Its height is the number of (R, N) float rows that fit in this many bytes,
-# at least one: 8 rows at N = 4000. Taller stacks ran no faster and raised
+# at least one: 8 rows at N = 4000. A grid point allocates the buffers of
+# one stack (about 0.6 MB at N = 4000, with the assignment vectors and the
+# cluster ids) and refills them; taller stacks ran no faster and raised
 # peak memory.
 _STACK_BYTES = 2**18
 
@@ -213,7 +224,7 @@ def _replicate(
     cfg: SimConfig,
     draw: _Draw,
     streams: list[np.random.SeedSequence],
-    num_units: int,
+    clustering: Clustering,
     setting: int = 0,
     gamma: float = 0.0,
     rho_c: float = 0.0,
@@ -221,20 +232,22 @@ def _replicate(
     """Run one draw per stream, test each with both decision rules, and
     summarize the grid point; also returns the per-draw variance bounds.
 
-    Consecutive draws of ``num_units`` units share one ``draw`` call and one
-    kernel call (see ``_STACK_BYTES``) and are then decided one by one in
-    stream order, each exactly as ``analyze`` would decide it alone.
+    Consecutive draws of the clustering's units share one ``draw`` call and
+    one kernel call (see ``_STACK_BYTES``) on one set of stack buffers, and
+    are then decided one by one in stream order, each exactly as ``analyze``
+    would decide it alone.
     """
     n = len(streams)
     deltas = np.empty(n)
     bounds = np.empty(n)
     rejections = 0
     rejections_gauss = 0
-    height = max(1, _STACK_BYTES // (8 * num_units))
+    height = max(1, _STACK_BYTES // (8 * clustering.num_units))
+    stack = _DrawStack(clustering, height)
     for first in range(0, n, height):
-        # No name holds a stack, so it is freed before the next is drawn.
-        estimates = _estimate_draws(draw(streams[first : first + height]))
-        for r, (_, _, delta, bound) in enumerate(estimates, first):
+        chunk = streams[first : first + height]
+        draw(chunk, stack)
+        for r, (_, _, delta, bound) in enumerate(stack.estimate(len(chunk)), first):
             deltas[r] = delta
             bounds[r] = bound
             decision = _decide(delta, bound, cfg.alpha)
@@ -274,9 +287,11 @@ def _sutva_design(cfg: SimConfig) -> tuple[Clustering, DesignCounts, PotentialTa
     effects = cfg.constant_effect + cfg.effect_unit_sd * rng.standard_normal(clustering.num_units)
     table = PotentialTable(y1=y0 + effects, y0=y0)
 
-    def draw(streams: list[np.random.SeedSequence]) -> list[tuple[HierarchicalAssignment, np.ndarray]]:
-        assignments = [hierarchical_assign(clustering, counts, stream) for stream in streams]
-        return [(a, realize_sutva(table, a.treatment)) for a in assignments]
+    def draw(streams: list[np.random.SeedSequence], stack: _DrawStack) -> None:
+        for r, stream in enumerate(streams):
+            assignment = hierarchical_assign(clustering, counts, stream)
+            stack.put(r, assignment)
+            stack.y[r] = realize_sutva(table, assignment.treatment)
 
     return clustering, counts, table, draw, rep_root.spawn(cfg.replications)
 
@@ -302,14 +317,15 @@ def _power_setting_rows(args: tuple[SimConfig, int]) -> list[SimRow]:
             graph=graph,
         )
 
-        def draw(streams: list[np.random.SeedSequence]) -> list[tuple[HierarchicalAssignment, np.ndarray]]:
+        def draw(streams: list[np.random.SeedSequence], stack: _DrawStack) -> None:
             assign_streams, noise_streams = zip(*(stream.spawn(2) for stream in streams))
-            assignments = [hierarchical_assign(clustering, counts, s) for s in assign_streams]
-            y = realize_linear(model, np.stack([a.treatment for a in assignments]), seed=noise_streams)
-            return list(zip(assignments, y))
+            for r, s in enumerate(assign_streams):
+                stack.put(r, hierarchical_assign(clustering, counts, s))
+            h = len(streams)
+            stack.y[:h] = realize_linear(model, stack.treatment[:h], seed=noise_streams)
 
         streams = gamma_streams[gi].spawn(cfg.replications)
-        rows.append(_replicate(cfg, draw, streams, graph.num_units, setting_index, gamma, rho_c)[0])
+        rows.append(_replicate(cfg, draw, streams, clustering, setting_index, gamma, rho_c)[0])
     return rows
 
 
@@ -339,7 +355,7 @@ def run_study(cfg: SimConfig) -> SimReport:
         reference = theoretical_sutva_variance(table, clustering, counts)
         if reference <= 0:
             raise ValidationError("reference variance is zero; the ratio is undefined")
-    row, bounds = _replicate(cfg, draw, streams, clustering.num_units)
+    row, bounds = _replicate(cfg, draw, streams, clustering)
     if cfg.study == "ratio":
         ratios = bounds / reference
         ratios_sorted = np.sort(ratios)

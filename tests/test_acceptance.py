@@ -47,9 +47,6 @@ from spilltest.estimate import (
 )
 from spilltest.sim import SimConfig, run_study
 
-rng = np.random.default_rng(160_000)
-
-
 @pytest.fixture(scope="module")
 def power_report():
     cfg = SimConfig.from_json(fixture_path("fig1b_desk.json").read_text())
@@ -59,6 +56,9 @@ def power_report():
 def test_criterion_1_exact_unbiasedness(oracle_design):
     start = time.perf_counter()
     _, clustering, counts, _, _ = oracle_design
+    # Each criterion draws from its own generator, so its tables do not
+    # depend on which tests ran before it.
+    rng = np.random.default_rng(160_000)
     table = PotentialTable(y1=rng.normal(size=8), y0=rng.normal(size=8))
     tau = float(np.mean(table.y1 - table.y0))
     cr = enumerate_complete(table, 4)
@@ -95,6 +95,7 @@ def test_criterion_2_linear_model_closed_forms(oracle_design):
 
 def test_criterion_3_null_variance_exact(bound_design):
     clustering, counts = bound_design
+    rng = np.random.default_rng(160_003)
     worst = 0.0
     for _ in range(5):
         y = rng.normal(size=12)
@@ -107,7 +108,7 @@ def test_criterion_3_null_variance_exact(bound_design):
 
 def test_criterion_4_constant_effect_equality(bound_design):
     clustering, counts = bound_design
-    table = PotentialTable.constant_effect(rng.normal(size=12), tau=0.75)
+    table = PotentialTable.constant_effect(np.random.default_rng(160_004).normal(size=12), tau=0.75)
     var_mom = enumerate_hierarchical(table, clustering, counts)
     bound_mom = enumerate_hierarchical(table, clustering, counts, "sigma_hat_sq")
     err = abs(bound_mom.mean - var_mom.variance)

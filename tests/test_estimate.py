@@ -34,6 +34,7 @@ from spilltest.estimate import (
     _decide,
     _eta_moments,
     _eta_quadratic_moments,
+    _row_cluster_ids,
     _small_sample_factors,
     _statistic_rows,
 )
@@ -100,7 +101,7 @@ def test_kernel_rows_match_per_draw_formulas(design, rows, seed):
         np.stack([getattr(a, name) for a in draws])
         for name in ("unit_arm", "treatment", "cluster_arm", "cluster_treatment")
     ]
-    args = (counts, clustering.assignment, *stacked, y)
+    args = (counts, _row_cluster_ids(clustering.assignment, clustering.num_clusters, rows), *stacked, y)
     tau_cr, tau_cbr, none = _statistic_rows(*args, bound=False)
     assert none is None
     for r, a in enumerate(draws):
@@ -125,8 +126,8 @@ def test_kernel_rejects_draw_that_disagrees_with_counts():
     treatment = a.treatment.copy()
     treatment[np.flatnonzero(a.unit_arm == ARM_CR)[0]] ^= 1
     with pytest.raises(ValidationError, match="design counts"):
-        _statistic_rows(counts, clustering.assignment, a.unit_arm[None], treatment[None],
-                        a.cluster_arm[None], a.cluster_treatment[None], np.ones((1, 16)))
+        _statistic_rows(counts, _row_cluster_ids(clustering.assignment, 8, 1), a.unit_arm[None],
+                        treatment[None], a.cluster_arm[None], a.cluster_treatment[None], np.ones((1, 16)))
 
 
 @pytest.mark.parametrize("statistic", ["delta", "tau_cr", "tau_cbr", "sigma_hat_sq"])

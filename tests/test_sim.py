@@ -4,10 +4,12 @@ from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import bincount_fractions, fixture_path
 from spilltest import SbmSpec, ValidationError, estimate, sim
-from spilltest.estimate import _decide, _estimate_draws
+from spilltest.estimate import _decide
 from spilltest.sim import SimConfig, SimRow, run_study
 
 
@@ -75,7 +77,7 @@ def test_config_validation():
 NOT_READ_BY_POWER = dict(num_clusters=8, cluster_size=2, constant_effect=2.0, effect_unit_sd=0.5,
                          y0_cluster_sd=0.0, y0_unit_sd=0.0)
 NOT_READ_BY_TABLE = dict(sbm=tiny_power_config().sbm, baseline=1.0, direct_effect=0.0, gamma_grid=(5.0,),
-                         noise_sd=0.0)
+                         noise_sd=0.0, threads=2)
 
 
 @pytest.mark.parametrize("study, name", [("power", name) for name in NOT_READ_BY_POWER] + [
@@ -118,17 +120,25 @@ def test_type1_counts_what_analyze_decides():
     # Noise-free constant effect: gaps and bounds sit at rounding level, and
     # the study must count exactly the draws that analyze rejects.
     from spilltest import analyze
-    from spilltest.sim import _sutva_design
+    from spilltest.assign import assignment_from_vectors
 
     cfg = SimConfig(
         study="type1", replications=50, seed=1, num_clusters=8, cluster_size=20,
         constant_effect=0.1, y0_cluster_sd=0.0, y0_unit_sd=0.0,
     )
     row = run_study(cfg).rows[0]
-    *_, draw, streams = _sutva_design(cfg)
-    for rule, rate in (("chebyshev", row.rejection_rate), ("gaussian", row.rejection_rate_gaussian)):
-        decided = [analyze(*draw([s])[0], alpha=cfg.alpha, decision_rule=rule).reject for s in streams]
-        assert rate == sum(decided) / len(decided)
+    # Fresh streams, each drawn once: a draw spawns from its stream, so a
+    # second draw on the same stream would be another assignment.
+    clustering, *_, draw, streams = sim._sutva_design(cfg)
+    stack = estimate._DrawStack(clustering, 1)
+    decided = {"chebyshev": [], "gaussian": []}
+    for s in streams:
+        draw([s], stack)
+        assignment = assignment_from_vectors(clustering, stack.unit_arm[0], stack.treatment[0])
+        for rule, rejects in decided.items():
+            rejects.append(analyze(assignment, stack.y[0], alpha=cfg.alpha, decision_rule=rule).reject)
+    assert row.rejection_rate == sum(decided["chebyshev"]) / len(streams)
+    assert row.rejection_rate_gaussian == sum(decided["gaussian"]) / len(streams)
 
 
 def test_study_refuses_non_finite_statistic():
@@ -234,16 +244,19 @@ def test_ratio_row_keeps_the_type1_rejection_rates():
 # ---------------------------------------------------------------------------
 
 
-def _one_draw_replicate(cfg, draw, streams, num_units, setting=0, gamma=0.0, rho_c=0.0):
-    """The replication loop as it was before draws were stacked: one draw,
-    one kernel call and one decision per stream."""
+def _one_draw_replicate(cfg, draw, streams, clustering, setting=0, gamma=0.0, rho_c=0.0):
+    """The replication loop as it was before draws were stacked: one draw
+    into fresh one-row buffers, one kernel call and one decision per
+    stream."""
     n = len(streams)
     deltas = np.empty(n)
     bounds = np.empty(n)
     rejections = 0
     rejections_gauss = 0
     for r, stream in enumerate(streams):
-        _, _, delta, bound = _estimate_draws(draw([stream]))[0]
+        stack = estimate._DrawStack(clustering, 1)
+        draw([stream], stack)
+        _, _, delta, bound = stack.estimate(1)[0]
         deltas[r] = delta
         bounds[r] = bound
         decision = _decide(delta, bound, cfg.alpha)
@@ -292,14 +305,14 @@ def _per_row_realize_linear(model, z, seed):
     return np.stack(rows)
 
 
-def _rows_both_ways(monkeypatch, cfg):
+def _rows_both_ways(cfg):
     # The one-draw run realizes a power study's outcomes row by row through
-    # the reference above.
+    # the reference above. Each run_study call spawns its own streams.
     stacked = run_study(cfg).rows
-    monkeypatch.setattr(sim, "_replicate", _one_draw_replicate)
-    monkeypatch.setattr(sim, "realize_linear", _per_row_realize_linear)
-    one_draw = run_study(cfg).rows
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_replicate", _one_draw_replicate)
+        patch.setattr(sim, "realize_linear", _per_row_realize_linear)
+        one_draw = run_study(cfg).rows
     return [_row_bits(r) for r in stacked], [_row_bits(r) for r in one_draw]
 
 
@@ -339,17 +352,36 @@ def test_power_study_realizes_each_stack_in_one_call(monkeypatch):
 
 @pytest.mark.parametrize("study", ["ratio", "type1"])
 @pytest.mark.parametrize("extra", [0, 1, 2, 13])
-def test_stacked_sutva_studies_equal_the_one_draw_loop(monkeypatch, study, extra):
+def test_stacked_sutva_studies_equal_the_one_draw_loop(study, extra):
     # 2 replications, one full stack, a stack and one, and a partial last stack.
     height = _stack_height(64 * 64)
     replications = {0: 2, 1: height, 2: height + 1, 13: 2 * height + 5}[extra]
     cfg = SimConfig(study=study, replications=replications, **SUTVA_STACKED)
-    stacked, one_draw = _rows_both_ways(monkeypatch, cfg)
+    stacked, one_draw = _rows_both_ways(cfg)
+    assert stacked == one_draw
+
+
+# Above 16384 units a stack holds one draw; 4096 units stack 8 draws, so 13
+# replications end on a partial stack.
+@settings(max_examples=30, deadline=None)
+@given(
+    study=st.sampled_from(["ratio", "type1"]),
+    num_clusters=st.integers(2, 16).map(lambda q: 4 * q),
+    cluster_size=st.integers(1, 400),
+    replications=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(study="type1", num_clusters=44, cluster_size=400, replications=3, seed=0)
+@example(study="ratio", num_clusters=64, cluster_size=64, replications=13, seed=1)
+def test_refilled_stack_buffers_equal_fresh_one_draw_buffers(study, num_clusters, cluster_size, replications, seed):
+    cfg = SimConfig(study=study, replications=replications, seed=seed, num_clusters=num_clusters,
+                    cluster_size=cluster_size, effect_unit_sd=0.5)
+    stacked, one_draw = _rows_both_ways(cfg)
     assert stacked == one_draw
 
 
 @pytest.mark.parametrize("extra", [0, 1, 2, 13])
-def test_stacked_power_study_equals_the_one_draw_loop(monkeypatch, extra):
+def test_stacked_power_study_equals_the_one_draw_loop(extra):
     # The 960-unit model stacks 34 draws; the 80-unit one fills no stack.
     height = _stack_height(8 * 120)
     replications = {0: 2, 1: height, 2: height + 1, 13: 2 * height + 5}[extra]
@@ -357,29 +389,28 @@ def test_stacked_power_study_equals_the_one_draw_loop(monkeypatch, extra):
         SbmSpec(num_blocks=8, block_size=10, p_intra=0.4, p_inter=0.04, seed=2),
         SbmSpec(num_blocks=8, block_size=120, p_intra=0.05, p_inter=0.005, seed=3),
     ))
-    stacked, one_draw = _rows_both_ways(monkeypatch, cfg)
+    stacked, one_draw = _rows_both_ways(cfg)
     assert stacked == one_draw
 
 
 def _sutva_draws(cfg, poison=None, **assign_kwargs):
-    # The study's draw function, with one draw's outcomes poisoned.
+    # The study's draw function, with one draw's outcomes poisoned, its
+    # clustering and fresh streams.
     from spilltest import hierarchical_assign, realize_sutva
 
     clustering, counts, table, _, streams = sim._sutva_design(cfg)
     drawn = []
 
-    def draw(streams):
-        stack = []
-        for stream in streams:
+    def draw(streams, stack):
+        for r, stream in enumerate(streams):
             assignment = hierarchical_assign(clustering, counts, stream, **assign_kwargs)
-            y = np.array(realize_sutva(table, assignment.treatment))
+            stack.put(r, assignment)
+            stack.y[r] = realize_sutva(table, assignment.treatment)
             if len(drawn) == poison:
-                y[3] = np.inf
+                stack.y[r, 3] = np.inf
             drawn.append(stream)
-            stack.append((assignment, y))
-        return stack
 
-    return draw, streams
+    return draw, clustering, streams
 
 
 def test_non_finite_outcome_mid_stack_raises_as_one_draw_loop():
@@ -387,9 +418,9 @@ def test_non_finite_outcome_mid_stack_raises_as_one_draw_loop():
     poison = _stack_height(64 * 64) + 3  # inside the second stack
     errors = []
     for replicate in (sim._replicate, _one_draw_replicate):
-        draw, streams = _sutva_draws(cfg, poison=poison)
+        draw, clustering, streams = _sutva_draws(cfg, poison=poison)
         with pytest.raises(ValidationError, match="non-finite statistic") as exc:
-            replicate(cfg, draw, streams, 64 * 64)
+            replicate(cfg, draw, streams, clustering)
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
 
@@ -397,6 +428,6 @@ def test_non_finite_outcome_mid_stack_raises_as_one_draw_loop():
 def test_stack_refuses_draws_with_different_counts():
     # Bernoulli draws realize their own treated counts.
     cfg = SimConfig(study="type1", replications=16, **SUTVA_STACKED)
-    draw, streams = _sutva_draws(cfg, cr_arm_mechanism="bernoulli")
+    draw, clustering, streams = _sutva_draws(cfg, cr_arm_mechanism="bernoulli")
     with pytest.raises(ValidationError, match="differ from its stack's first draw"):
-        sim._replicate(cfg, draw, streams, 64 * 64)
+        sim._replicate(cfg, draw, streams, clustering)
