@@ -290,6 +290,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _read_json_input(args.config, SimConfig.from_json)
     if args.study and args.study != cfg.study:
         raise ValidationError(f"config is a {cfg.study!r} study, not {args.study!r}")
+    if args.threads is not None and args.threads < 1:
+        raise ValidationError(f"--threads={args.threads} is below 1")
     # Only a power study reads threads; the default is the machine's core count.
     if args.threads is not None and cfg.study == "power":
         cfg = replace(cfg, threads=args.threads)

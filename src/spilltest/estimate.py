@@ -10,20 +10,21 @@ expectation for a constant effect but not conservative in general: when
 treatment effects cluster together its expectation falls below the variance
 of the gap (acceptance criterion 4), and the test can then exceed its level.
 
-One kernel, :func:`_statistic_rows`, computes both estimates and the bound
-for stacked draws of a design. It is two arm contrasts (:func:`_contrast`, a
-difference in means and its plug-in variance): one over the unit arm's
-outcomes, one over the cluster arm's :func:`_cluster_totals`, scaled by
-``m_cbr / n_cbr``. The oracle's single-mechanism designs run those same two
-functions. A :class:`_DrawStack` holds stacked draws for one kernel call:
-:func:`_estimate_draws` fills one with the analysis's (assignment,
-outcomes) draw, a study refills one per grid point with a few consecutive
-draws at a time, and the oracle calls the kernel on every enumerated draw
-at once. Each row of the result is bit for bit what the kernel gives on
-that draw alone. One decision step, :func:`_decide`, is the whole decision:
-it checks its inputs and turns a gap and its bound into the t-statistic,
-both p-values and both rules' verdicts. The analysis reports, the studies'
-counts and the oracle's ``reject`` statistic all read it.
+One kernel, :meth:`_DrawStack.estimate`, computes both estimates and the
+bound for stacked draws of a design. It is two arm contrasts
+(:func:`_contrast`, a difference in means and its plug-in variance): one
+over the unit arm's outcomes, one over the cluster arm's
+:func:`_cluster_totals`, scaled by ``m_cbr / n_cbr``. The oracle's
+single-mechanism designs run those same two functions. The kernel reads
+only a :class:`_DrawStack`, and every caller fills one: :func:`_estimate`
+puts the analysis's one (assignment, outcomes) draw in a one-row stack, a
+study refills one per grid point with a few consecutive draws at a time,
+and the oracle writes every enumerated draw into one. Each row of the
+result is bit for bit what a one-row stack of that draw gives. One decision
+step, :func:`_decide`, is the whole decision: it checks its inputs and
+turns a gap and its bound into the t-statistic, both p-values and both
+rules' verdicts. The analysis reports, the studies' counts and the oracle's
+``reject`` statistic all read it.
 """
 
 from __future__ import annotations
@@ -130,62 +131,15 @@ def _cluster_totals(y: np.ndarray, cluster_ids: np.ndarray, m: int) -> np.ndarra
     return np.bincount(cluster_ids.ravel(), weights=y.ravel(), minlength=rows * m).reshape(rows, m)
 
 
-def _statistic_rows(
-    counts: DesignCounts,
-    cluster_ids: np.ndarray,
-    unit_arm: np.ndarray,
-    treatment: np.ndarray,
-    cluster_arm: np.ndarray,
-    cluster_treatment: np.ndarray,
-    y: np.ndarray,
-    bound: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``(tau_cr, tau_cbr, sigma_hat_sq)`` for R stacked draws of one design.
-
-    Unit-level inputs are ``(R, N)``, cluster-level ones ``(R, M)``, and every
-    draw has the bucket sizes of ``counts``; ``cluster_ids`` are the draws'
-    row-offset cluster ids (:func:`_row_cluster_ids`). ``sigma_hat_sq`` is
-    None unless ``bound``, which raises ValidationError when a bucket holds
-    fewer than two members.
-    """
-    c = counts
-    if bound and (c.n_cr_t < 2 or c.n_cr_c < 2):
-        raise ValidationError("need >= 2 treated and >= 2 control units in the unit-randomized arm")
-    if bound and (c.m_cbr_t < 2 or c.m_cbr_c < 2):
-        raise ValidationError("need >= 2 treated and >= 2 control clusters in the cluster arm")
-    cr = unit_arm == ARM_CR
-    z = treatment.astype(bool)
-    tau_cr, bound_cr = _contrast(y, cr & z, cr & ~z, c.n_cr_t, c.n_cr_c, bound)
-    cbr = cluster_arm == ARM_CBR
-    zc = cluster_treatment == 1
-    y_plus = _cluster_totals(y, cluster_ids, cluster_arm.shape[1])
-    diff_cbr, bound_cbr = _contrast(y_plus, cbr & zc, cbr & ~zc, c.m_cbr_t, c.m_cbr_c, bound)
-    scale = c.m_cbr / c.n_cbr
-    with np.errstate(over="ignore", invalid="ignore"):
-        tau_cbr = scale * diff_cbr
-        if not bound:
-            return tau_cr, tau_cbr, None
-        return tau_cr, tau_cbr, bound_cr + scale**2 * bound_cbr
-
-
-def _unit_outcomes(assignment: HierarchicalAssignment, y: np.ndarray) -> np.ndarray:
-    """The outcomes of the assignment's units, in its unit order."""
-    y = np.asarray(y, dtype=np.float64)
-    if assignment.unit_ids.max() >= len(y):
-        raise ValidationError(
-            f"outcomes missing for unit {int(assignment.unit_ids.max())}; got {len(y)} values"
-        )
-    return y[assignment.unit_ids]
-
-
 class _DrawStack:
-    """Buffers for up to ``height`` draws of one clustering, refilled in place.
+    """Buffers for up to ``height`` draws of one clustering, refilled in place,
+    and the estimator kernel that reads them.
 
     Row r holds one draw: its four assignment vectors, copied in by
-    :meth:`put`, and its outcomes in unit order, written into ``y[r]`` by
-    the caller. The row-offset cluster ids are built once. Row 0 sets the
-    design counts of a fill; a later row whose counts differ is refused.
-    :meth:`estimate` runs the kernel once on the first ``h`` rows.
+    :meth:`put` (or written in the same encoding, ``cluster_treatment`` -1
+    on unit-arm clusters), and its outcomes in unit order in ``y[r]``. The
+    row-offset cluster ids are built once. Row 0 sets the design counts of
+    a fill; a later row whose counts differ is refused.
     """
 
     def __init__(self, clustering: Clustering, height: int) -> None:
@@ -212,40 +166,55 @@ class _DrawStack:
         self.cluster_arm[r] = assignment.cluster_arm
         self.cluster_treatment[r] = assignment.cluster_treatment
 
-    def estimate(self, h: int, bound: bool = True) -> list[tuple[float, float, float, float | None]]:
-        """``(tau_cr, tau_cbr, delta, sigma_hat_sq)`` of each of the first
-        ``h`` rows, from one kernel call; see :func:`_estimate_draws`."""
-        tau_cr, tau_cbr, sigma_hat_sq = _statistic_rows(
-            self.counts,
-            self.cluster_ids[:h],
-            self.unit_arm[:h],
-            self.treatment[:h],
-            self.cluster_arm[:h],
-            self.cluster_treatment[:h],
-            self.y[:h],
-            bound,
-        )
-        bounds = [None] * h if sigma_hat_sq is None else sigma_hat_sq.tolist()
-        return [
-            (t_cr, t_cbr, t_cr - t_cbr, b) for t_cr, t_cbr, b in zip(tau_cr.tolist(), tau_cbr.tolist(), bounds)
-        ]
+    def estimate(self, h: int, bound: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(tau_cr, tau_cbr, sigma_hat_sq)`` of each of the first ``h`` rows.
+
+        Every row must hold a draw with the bucket sizes of ``counts``.
+        ``sigma_hat_sq`` is None unless ``bound``, which raises
+        ValidationError when a bucket holds fewer than two members. Each
+        row's values are bit for bit those of a one-row stack of that draw.
+        """
+        c = self.counts
+        if bound and (c.n_cr_t < 2 or c.n_cr_c < 2):
+            raise ValidationError("need >= 2 treated and >= 2 control units in the unit-randomized arm")
+        if bound and (c.m_cbr_t < 2 or c.m_cbr_c < 2):
+            raise ValidationError("need >= 2 treated and >= 2 control clusters in the cluster arm")
+        y = self.y[:h]
+        cr = self.unit_arm[:h] == ARM_CR
+        z = self.treatment[:h].astype(bool)
+        tau_cr, bound_cr = _contrast(y, cr & z, cr & ~z, c.n_cr_t, c.n_cr_c, bound)
+        cbr = self.cluster_arm[:h] == ARM_CBR
+        zc = self.cluster_treatment[:h] == 1
+        y_plus = _cluster_totals(y, self.cluster_ids[:h], cbr.shape[1])
+        diff_cbr, bound_cbr = _contrast(y_plus, cbr & zc, cbr & ~zc, c.m_cbr_t, c.m_cbr_c, bound)
+        scale = c.m_cbr / c.n_cbr
+        with np.errstate(over="ignore", invalid="ignore"):
+            tau_cbr = scale * diff_cbr
+            if not bound:
+                return tau_cr, tau_cbr, None
+            return tau_cr, tau_cbr, bound_cr + scale**2 * bound_cbr
 
 
-def _estimate_draws(
-    draws: Sequence[tuple[HierarchicalAssignment, np.ndarray]], bound: bool = True
-) -> list[tuple[float, float, float, float | None]]:
-    """``(tau_cr, tau_cbr, delta, sigma_hat_sq)`` of each (assignment,
-    outcomes) draw, from one kernel call over the stacked draws.
+def _estimate(
+    assignment: HierarchicalAssignment, y: np.ndarray, bound: bool = True
+) -> tuple[float, float, float, float | None]:
+    """``(tau_cr, tau_cbr, delta, sigma_hat_sq)`` of one draw, from a one-row
+    stack holding the outcomes of the assignment's units.
 
-    Every draw must have the design counts of the first; ``sigma_hat_sq``
-    is None unless ``bound``. Each draw's values are those of the kernel on
-    that draw alone, and ``delta`` is the difference of the two floats.
+    ``sigma_hat_sq`` is None unless ``bound``; ``delta`` is the difference
+    of the two floats.
     """
-    stack = _DrawStack(draws[0][0].clustering, len(draws))
-    for r, (assignment, y) in enumerate(draws):
-        stack.put(r, assignment)
-        stack.y[r] = _unit_outcomes(assignment, y)
-    return stack.estimate(len(draws), bound)
+    y = np.asarray(y, dtype=np.float64)
+    if assignment.unit_ids.max() >= len(y):
+        raise ValidationError(
+            f"outcomes missing for unit {int(assignment.unit_ids.max())}; got {len(y)} values"
+        )
+    stack = _DrawStack(assignment.clustering, 1)
+    stack.put(0, assignment)
+    stack.y[0] = y[assignment.unit_ids]
+    tau_cr, tau_cbr, sigma_hat_sq = stack.estimate(1, bound)
+    t_cr, t_cbr = float(tau_cr[0]), float(tau_cbr[0])
+    return t_cr, t_cbr, t_cr - t_cbr, None if sigma_hat_sq is None else float(sigma_hat_sq[0])
 
 
 def delta_statistic(assignment: HierarchicalAssignment, y: np.ndarray) -> DeltaEstimate:
@@ -255,7 +224,7 @@ def delta_statistic(assignment: HierarchicalAssignment, y: np.ndarray) -> DeltaE
     the second is ``(m_cbr / n_cbr)`` times the treated-minus-control contrast
     of its cluster totals. Single-member buckets are allowed.
     """
-    tau_cr, tau_cbr, delta, _ = _estimate_draws([(assignment, y)], bound=False)[0]
+    tau_cr, tau_cbr, delta, _ = _estimate(assignment, y, bound=False)
     return DeltaEstimate(tau_cr, tau_cbr, delta)
 
 
@@ -273,7 +242,7 @@ def empirical_variance_bound(assignment: HierarchicalAssignment, y: np.ndarray) 
     heterogeneous potential tables fall below the variance (acceptance
     criterion 4). Every bucket must hold at least two observations.
     """
-    return _estimate_draws([(assignment, y)])[0][3]
+    return _estimate(assignment, y)[3]
 
 
 def _small_sample_factors(counts: DesignCounts) -> tuple[float, float]:
@@ -465,7 +434,7 @@ def analyze(
     decision_rule: str = "chebyshev",
 ) -> AnalysisReport:
     """Full single-design analysis: arm estimates, bound, p-values, decision."""
-    tau_cr, tau_cbr, delta, sigma_hat_sq = _estimate_draws([(assignment, y)])[0]
+    tau_cr, tau_cbr, delta, sigma_hat_sq = _estimate(assignment, y)
     return _finish_report(
         tau_cr,
         tau_cbr,
@@ -494,7 +463,7 @@ def analyze_stratified(
     details = []
     counts_total: dict[str, int] = {}
     for s, a in enumerate(assignments):
-        tau_cr, tau_cbr, delta, bound = _estimate_draws([(a, y)])[0]
+        tau_cr, tau_cbr, delta, bound = _estimate(a, y)
         details.append(
             StratumDetail(
                 stratum=s,

@@ -295,8 +295,8 @@ def load_edge_list(path: str | Path) -> Graph:
         ParseError: A line that is none of these (message carries the line
             number).
         ValidationError: Negative ids, self-loops (with the line number), ids
-            outside a declared N, no edges and no N=<int> header, or N plus
-            the edge count above 100 million.
+            outside a declared N, no edges and no N=<int> header, N=0, or N
+            plus the edge count above 100 million.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -349,12 +349,15 @@ def load_edge_list(path: str | Path) -> Graph:
         if max_id >= declared_n:
             raise ValidationError(f"{path}: unit id {max_id} outside declared N={declared_n}")
         num_units = declared_n
+    if num_units < 1:
+        raise ValidationError(f"{path}: graph needs at least one unit, got N={num_units}")
     if num_units + len(pairs) > _MAX_UNITS_PLUS_EDGES:
         raise ValidationError(
             f"{path}: refusing a graph of {num_units} units and {len(pairs)} edges "
             f"(limit {_MAX_UNITS_PLUS_EDGES} in all)"
         )
-    return Graph.from_edges(num_units, pairs)
+    # Ids, self-loops and N are checked above, so the pairs go straight in.
+    return Graph._from_valid_pairs(num_units, pairs)
 
 
 def _edge_list_error(path: Path, data: bytes) -> ValidationError:

@@ -21,13 +21,13 @@ from typing import Callable, Literal, NamedTuple, get_args
 import numpy as np
 
 from ._errors import CheckFailure, ValidationError, build_record, check_fields, read_json
-from .assign import DesignCounts
+from .assign import ARM_CBR, ARM_CR, DesignCounts
 from .estimate import (
     _cluster_totals,
     _contrast,
     _decide,
+    _DrawStack,
     _row_cluster_ids,
-    _statistic_rows,
     expected_cluster_estimate_linear,
     expected_delta_linear,
     expected_diff_in_means_linear,
@@ -94,14 +94,12 @@ def hierarchical_outcome_count(counts: DesignCounts) -> int:
     )
 
 
-def enumerate_hierarchical_assignments(
-    clustering: Clustering, counts: DesignCounts
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All draws of the two-arm design as stacked indicator rows.
+def enumerate_hierarchical_assignments(clustering: Clustering, counts: DesignCounts) -> _DrawStack:
+    """All draws of the two-arm design, one stack row per equiprobable
+    outcome, in deterministic lexicographic order.
 
-    Returns ``(unit_arm, treatment, cluster_arm, cluster_treated)`` matrices
-    with one row per equiprobable outcome, in deterministic lexicographic
-    order.
+    Every row's assignment vectors are written in the encoding of
+    :meth:`_DrawStack.put`; the outcome rows are left for the caller.
     """
     if not clustering.is_balanced:
         raise ValidationError("enumeration requires an exactly balanced clustering")
@@ -115,34 +113,27 @@ def enumerate_hierarchical_assignments(
     cbr_patterns = _subset_matrix(counts.m_cbr, counts.m_cbr_t)
     r1, r2 = len(cr_patterns), len(cbr_patterns)
 
-    unit_arm = np.zeros((total, n), dtype=np.int8)
-    treatment = np.zeros((total, n), dtype=np.int8)
-    cluster_arm = np.zeros((total, m), dtype=np.int8)
-    cluster_treated = np.zeros((total, m), dtype=np.int8)
-
+    stack = _DrawStack(clustering, total)
+    stack.counts = counts
     row = 0
     for omega in combinations(range(m), counts.m_cr):
-        arm = np.zeros(m, dtype=np.int8)
-        arm[list(omega)] = 1
+        arm = np.full(m, ARM_CBR, dtype=np.int8)
+        arm[list(omega)] = ARM_CR
         w_units = arm[clustering.assignment]
-        cr_units = np.flatnonzero(w_units == 1)
-        cbr_clusters = np.flatnonzero(arm == 0)
         block = slice(row, row + r1 * r2)
 
-        cluster_arm[block] = arm
-        unit_arm[block] = w_units
+        stack.cluster_arm[block] = arm
+        stack.unit_arm[block] = w_units
 
         z_cr = np.zeros((r1, n), dtype=np.int8)
-        z_cr[:, cr_units] = cr_patterns
-        treatment[block] += np.repeat(z_cr, r2, axis=0)
-
-        zc = np.zeros((r2, m), dtype=np.int8)
-        zc[:, cbr_clusters] = cbr_patterns
-        cluster_treated[block] = np.tile(zc, (r1, 1))
-        z_cbr_units = zc[:, clustering.assignment] * (w_units == 0)
-        treatment[block] += np.tile(z_cbr_units, (r1, 1))
+        z_cr[:, w_units == ARM_CR] = cr_patterns
+        zc = np.full((r2, m), -1, dtype=np.int8)
+        zc[:, arm == ARM_CBR] = cbr_patterns
+        stack.cluster_treatment[block] = np.tile(zc, (r1, 1))
+        z_cbr_units = np.maximum(zc, 0)[:, clustering.assignment]
+        stack.treatment[block] = np.repeat(z_cr, r2, axis=0) + np.tile(z_cbr_units, (r1, 1))
         row += r1 * r2
-    return unit_arm, treatment, cluster_arm, cluster_treated
+    return stack
 
 
 def _hierarchical_statistic_rows(
@@ -151,15 +142,9 @@ def _hierarchical_statistic_rows(
     """The statistic on every enumerated draw, computed by the shipped estimator."""
     if statistic not in get_args(Statistic):
         raise ValidationError(f"unknown statistic {statistic!r}")
-    unit_arm, treatment, cluster_arm, cluster_treated = enumerate_hierarchical_assignments(
-        clustering, counts
-    )
-    y_rows = _realize(outcomes, treatment)
-    cluster_ids = _row_cluster_ids(clustering.assignment, clustering.num_clusters, len(treatment))
-    tau_cr, tau_cbr, sigma = _statistic_rows(
-        counts, cluster_ids, unit_arm, treatment, cluster_arm, cluster_treated, y_rows,
-        bound=statistic in ("sigma_hat_sq", "reject"),
-    )
+    stack = enumerate_hierarchical_assignments(clustering, counts)
+    stack.y[:] = _realize(outcomes, stack.treatment)
+    tau_cr, tau_cbr, sigma = stack.estimate(len(stack.y), bound=statistic in ("sigma_hat_sq", "reject"))
     delta = tau_cr - tau_cbr
     if statistic == "reject":
         return np.array(
@@ -512,9 +497,8 @@ def check_bernoulli(design: OracleDesign) -> dict:
 def check_law(design: OracleDesign) -> dict:
     """Enumeration visits every design outcome once; marginals are exact."""
     counts = design.counts
-    unit_arm, treatment, cluster_arm, cluster_treated = enumerate_hierarchical_assignments(
-        design.clustering, counts
-    )
+    stack = enumerate_hierarchical_assignments(design.clustering, counts)
+    unit_arm, treatment = stack.unit_arm, stack.treatment
     expected = hierarchical_outcome_count(counts)
     rows = {bytes(np.concatenate([unit_arm[r], treatment[r]])) for r in range(len(unit_arm))}
     unique_ok = len(rows) == expected == len(unit_arm)
@@ -526,11 +510,11 @@ def check_law(design: OracleDesign) -> dict:
     # Conditional independence: within each arm split, the treatment pattern
     # pairs form a full product set.
     factorizes = True
-    arm_keys = [bytes(row) for row in cluster_arm]
+    arm_keys = [bytes(row) for row in stack.cluster_arm]
     for key in set(arm_keys):
         idx = [r for r, k in enumerate(arm_keys) if k == key]
-        cr_patterns = {bytes(treatment[r][unit_arm[r] == 1]) for r in idx}
-        cbr_patterns = {bytes(cluster_treated[r]) for r in idx}
+        cr_patterns = {bytes(treatment[r][unit_arm[r] == ARM_CR]) for r in idx}
+        cbr_patterns = {bytes(stack.cluster_treatment[r]) for r in idx}
         if len(cr_patterns) * len(cbr_patterns) != len(idx):
             factorizes = False
     passed = unique_ok and marg_err <= EXACT_TOL and factorizes

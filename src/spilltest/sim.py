@@ -24,20 +24,20 @@ cuts the replications' seed streams into stacks of a few consecutive draws
 one). Each grid point allocates one set of stack buffers
 (``estimate._DrawStack``: the assignment vectors and outcomes of one stack,
 and the row-offset cluster ids of its cluster totals) and refills them in
-place for every stack. A study supplies one function that fills the buffers
-from a stack of seed streams: one ``hierarchical_assign`` call per stream,
-whose vectors are copied into that stream's row, and the rows' outcomes. A
-ratio or type1 study copies each draw's ``realize_sutva`` outcomes into its
-row; a power study realizes a whole stack's outcomes in one
-``realize_linear`` call, whose neighbor counts come from one lane-packed
-pass over the graph.
-The loop runs the estimator kernel once on the filled rows, and then
-decides each draw in stream order through ``estimate._decide``;
-``analyze`` runs the same kernel and decision. Each draw's outcomes, gap
-and bound are those of that draw alone, so a study counts exactly what
-``analyze`` would decide on each draw, and a non-finite statistic raises.
-The loop keeps the gaps, the variance bounds and both rules' rejection
-counts.
+place for every stack. The loop makes one ``hierarchical_assign`` call per
+stream and puts its vectors in that stream's row; a study supplies only a
+function that writes the stack's outcome rows. A ratio or type1 study
+writes each row's ``realize_sutva`` outcomes; a power study realizes a
+whole stack's outcomes in one ``realize_linear`` call, whose neighbor
+counts come from one lane-packed pass over the graph, with the noise
+streams it spawned beside the assignment streams.
+The loop runs the estimator kernel, ``_DrawStack.estimate``, once on the
+filled rows, and then decides each draw in stream order through
+``estimate._decide``; ``analyze`` runs the same kernel on a one-row stack
+and the same decision. Each draw's outcomes, gap and bound are those of
+that draw alone, so a study counts exactly what ``analyze`` would decide on
+each draw, and a non-finite statistic raises. The loop keeps the gaps, the
+variance bounds and both rules' rejection counts.
 
 Replications derive their seeds from (master seed, study indices), so an
 identical config reproduces an identical report bit for bit, regardless of
@@ -53,7 +53,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Literal, get_args
+from typing import Callable, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -116,6 +116,8 @@ class SimConfig:
             raise ValidationError(f"study config replications={self.replications} is below 2")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie in (0, 1)")
+        if self.threads < 1:
+            raise ValidationError(f"study config threads={self.threads} is below 1")
         defaults = {f.name: f.default for f in fields(self)}
         for name in _TABLE_FIELDS if self.study == "power" else _POWER_FIELDS:
             value = getattr(self, name)
@@ -205,12 +207,6 @@ def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[rank - 1])
 
 
-# A stack of replications of a study: fills row r of the stack buffers with
-# the draw of stream r (``_DrawStack.put`` of its assignment and its
-# outcomes in ``y[r]``), for the first ``len(streams)`` rows.
-_Draw = Callable[[list[np.random.SeedSequence], _DrawStack], None]
-
-
 # A stack of draws is realized and goes to the estimator kernel in one call.
 # Its height is the number of (R, N) float rows that fit in this many bytes,
 # at least one: 8 rows at N = 4000. A grid point allocates the buffers of
@@ -222,20 +218,24 @@ _STACK_BYTES = 2**18
 
 def _replicate(
     cfg: SimConfig,
-    draw: _Draw,
-    streams: list[np.random.SeedSequence],
     clustering: Clustering,
+    counts: DesignCounts,
+    streams: Sequence[np.random.SeedSequence],
+    outcomes: Callable[[_DrawStack, int, int], None],
     setting: int = 0,
     gamma: float = 0.0,
     rho_c: float = 0.0,
 ) -> tuple[SimRow, np.ndarray]:
-    """Run one draw per stream, test each with both decision rules, and
-    summarize the grid point; also returns the per-draw variance bounds.
+    """Draw one assignment per stream, test each draw with both decision
+    rules, and summarize the grid point; also returns the per-draw variance
+    bounds.
 
-    Consecutive draws of the clustering's units share one ``draw`` call and
-    one kernel call (see ``_STACK_BYTES``) on one set of stack buffers, and
-    are then decided one by one in stream order, each exactly as ``analyze``
-    would decide it alone.
+    Consecutive draws of the clustering's units share one set of stack
+    buffers (see ``_STACK_BYTES``): each stream's ``hierarchical_assign``
+    draw is put in its row, ``outcomes(stack, first, h)`` writes the
+    outcome rows of the ``h`` draws from replication ``first`` on, and one
+    kernel call estimates them. The draws are then decided one by one in
+    stream order, each exactly as ``analyze`` would decide it alone.
     """
     n = len(streams)
     deltas = np.empty(n)
@@ -245,9 +245,14 @@ def _replicate(
     height = max(1, _STACK_BYTES // (8 * clustering.num_units))
     stack = _DrawStack(clustering, height)
     for first in range(0, n, height):
-        chunk = streams[first : first + height]
-        draw(chunk, stack)
-        for r, (_, _, delta, bound) in enumerate(stack.estimate(len(chunk)), first):
+        h = min(height, n - first)
+        for r in range(h):
+            stack.put(r, hierarchical_assign(clustering, counts, streams[first + r]))
+        outcomes(stack, first, h)
+        tau_cr, tau_cbr, sigma_hat_sq = stack.estimate(h)
+        estimates = zip(tau_cr.tolist(), tau_cbr.tolist(), sigma_hat_sq.tolist())
+        for r, (t_cr, t_cbr, bound) in enumerate(estimates, first):
+            delta = t_cr - t_cbr
             deltas[r] = delta
             bounds[r] = bound
             decision = _decide(delta, bound, cfg.alpha)
@@ -273,8 +278,8 @@ def _replicate(
     return row, bounds
 
 
-def _sutva_design(cfg: SimConfig) -> tuple[Clustering, DesignCounts, PotentialTable, _Draw, list]:
-    """Block clustering, counts, potential table, draw function and
+def _sutva_design(cfg: SimConfig) -> tuple[Clustering, DesignCounts, PotentialTable, Callable, list]:
+    """Block clustering, counts, potential table, outcome function and
     replication streams of the ratio and type-I studies."""
     clustering = Clustering.from_assignment(np.repeat(np.arange(cfg.num_clusters), cfg.cluster_size))
     counts = cfg.resolved_counts(clustering)
@@ -287,13 +292,11 @@ def _sutva_design(cfg: SimConfig) -> tuple[Clustering, DesignCounts, PotentialTa
     effects = cfg.constant_effect + cfg.effect_unit_sd * rng.standard_normal(clustering.num_units)
     table = PotentialTable(y1=y0 + effects, y0=y0)
 
-    def draw(streams: list[np.random.SeedSequence], stack: _DrawStack) -> None:
-        for r, stream in enumerate(streams):
-            assignment = hierarchical_assign(clustering, counts, stream)
-            stack.put(r, assignment)
-            stack.y[r] = realize_sutva(table, assignment.treatment)
+    def outcomes(stack: _DrawStack, first: int, h: int) -> None:
+        for r in range(h):
+            stack.y[r] = realize_sutva(table, stack.treatment[r])
 
-    return clustering, counts, table, draw, rep_root.spawn(cfg.replications)
+    return clustering, counts, table, outcomes, rep_root.spawn(cfg.replications)
 
 
 def _power_setting_rows(args: tuple[SimConfig, int]) -> list[SimRow]:
@@ -316,16 +319,14 @@ def _power_setting_rows(args: tuple[SimConfig, int]) -> list[SimRow]:
             noise_sd=cfg.noise_sd,
             graph=graph,
         )
-
-        def draw(streams: list[np.random.SeedSequence], stack: _DrawStack) -> None:
-            assign_streams, noise_streams = zip(*(stream.spawn(2) for stream in streams))
-            for r, s in enumerate(assign_streams):
-                stack.put(r, hierarchical_assign(clustering, counts, s))
-            h = len(streams)
-            stack.y[:h] = realize_linear(model, stack.treatment[:h], seed=noise_streams)
-
+        # Each replication's stream spawns its assignment and noise streams.
         streams = gamma_streams[gi].spawn(cfg.replications)
-        rows.append(_replicate(cfg, draw, streams, clustering, setting_index, gamma, rho_c)[0])
+        assign_streams, noise_streams = zip(*(s.spawn(2) for s in streams))
+
+        def outcomes(stack: _DrawStack, first: int, h: int) -> None:
+            stack.y[:h] = realize_linear(model, stack.treatment[:h], seed=noise_streams[first : first + h])
+
+        rows.append(_replicate(cfg, clustering, counts, assign_streams, outcomes, setting_index, gamma, rho_c)[0])
     return rows
 
 
@@ -350,12 +351,12 @@ def run_study(cfg: SimConfig) -> SimReport:
         rows = tuple(row for chunk in chunks for row in chunk)
         return SimReport(config=cfg, rows=rows, wall_clock_seconds=time.perf_counter() - start)
 
-    clustering, counts, table, draw, streams = _sutva_design(cfg)
+    clustering, counts, table, outcomes, streams = _sutva_design(cfg)
     if cfg.study == "ratio":
         reference = theoretical_sutva_variance(table, clustering, counts)
         if reference <= 0:
             raise ValidationError("reference variance is zero; the ratio is undefined")
-    row, bounds = _replicate(cfg, draw, streams, clustering)
+    row, bounds = _replicate(cfg, clustering, counts, streams, outcomes)
     if cfg.study == "ratio":
         ratios = bounds / reference
         ratios_sorted = np.sort(ratios)

@@ -577,6 +577,9 @@ MALFORMED_INPUTS = {
         lambda p: _assign_with(p, strata="".join(f"{c},{int(c >= 4)}\n" for c in range(7)) + f"7,{10**17}\n"),
         "s.csv: every stratum needs at least two clusters: stratum 2 has 0",
     ),
+    "edge-list-declared-n-zero": (
+        lambda p: _cluster_edges(p, "N=0\n"), "g.edges: graph needs at least one unit, got N=0"
+    ),
     "edge-list-declared-n-huge": (
         lambda p: _cluster_edges(p, f"N={10**17}\n0 1\n"),
         f"refusing a graph of {10**17} units and 1 edges (limit 100000000 in all)",
@@ -642,6 +645,22 @@ MALFORMED_INPUTS = {
     ),
     "study-power-cluster-size": (
         _simulate_with_field("fig1b_desk.json", cluster_size=20), "a power study does not read cluster_size=20"
+    ),
+    # A worker count below 1 is refused, from the config or the flag.
+    "study-threads-zero": (
+        _simulate_with_field("fig1b_desk.json", threads=0), "sim.json: study config threads=0 is below 1"
+    ),
+    "study-threads-negative": (
+        _simulate_with_field("fig1b_desk.json", threads=-1), "sim.json: study config threads=-1 is below 1"
+    ),
+    "simulate-threads-flag-zero": (
+        lambda p: [*_simulate_with_field("fig1b_desk.json", replications=2)(p)[:-4], "--threads", 0],
+        "--threads=0 is below 1",
+    ),
+    # A ratio study reads no threads, but the flag is still checked.
+    "simulate-threads-flag-negative": (
+        lambda p: [*_simulate_with_field("fig1a_desk.json", replications=2)(p)[:-4], "--threads", -1],
+        "--threads=-1 is below 1",
     ),
     "study-gamma-grid-empty": (
         _simulate_with_field("fig1b_desk.json", gamma_grid=[]), "power study needs at least one gamma"

@@ -32,11 +32,10 @@ from spilltest import (
 from spilltest.assign import ARM_CBR, ARM_CR, assignment_from_vectors
 from spilltest.estimate import (
     _decide,
+    _DrawStack,
     _eta_moments,
     _eta_quadratic_moments,
-    _row_cluster_ids,
     _small_sample_factors,
-    _statistic_rows,
 )
 from spilltest.oracle import _hierarchical_statistic_rows, enumerate_hierarchical_assignments
 from spilltest.partition import Stratification
@@ -97,12 +96,11 @@ def test_kernel_rows_match_per_draw_formulas(design, rows, seed):
     clustering, counts = design
     draws = [hierarchical_assign(clustering, counts, seed=seed + r) for r in range(rows)]
     y = np.random.default_rng(seed).normal(size=(rows, clustering.num_units)) * 10.0 + 3.0
-    stacked = [
-        np.stack([getattr(a, name) for a in draws])
-        for name in ("unit_arm", "treatment", "cluster_arm", "cluster_treatment")
-    ]
-    args = (counts, _row_cluster_ids(clustering.assignment, clustering.num_clusters, rows), *stacked, y)
-    tau_cr, tau_cbr, none = _statistic_rows(*args, bound=False)
+    stack = _DrawStack(clustering, rows)
+    for r, a in enumerate(draws):
+        stack.put(r, a)
+    stack.y[:] = y
+    tau_cr, tau_cbr, none = stack.estimate(rows, bound=False)
     assert none is None
     for r, a in enumerate(draws):
         assert (tau_cr[r], tau_cbr[r]) == _reference_delta(a, y[r])
@@ -110,11 +108,11 @@ def test_kernel_rows_match_per_draw_formulas(design, rows, seed):
         assert (est.tau_cr, est.tau_cbr, est.delta) == (tau_cr[r], tau_cbr[r], tau_cr[r] - tau_cbr[r])
     if min(counts.n_cr_t, counts.n_cr_c, counts.m_cbr_t, counts.m_cbr_c) < 2:
         with pytest.raises(ValidationError, match=">= 2"):
-            _statistic_rows(*args)
+            stack.estimate(rows)
         with pytest.raises(ValidationError, match=">= 2"):
             empirical_variance_bound(draws[0], y[0])
         return
-    _, _, sigma = _statistic_rows(*args)
+    _, _, sigma = stack.estimate(rows)
     for r, a in enumerate(draws):
         assert sigma[r] == _reference_bound(a, y[r]) == empirical_variance_bound(a, y[r])
 
@@ -125,9 +123,12 @@ def test_kernel_rejects_draw_that_disagrees_with_counts():
     a = hierarchical_assign(clustering, counts, seed=1)
     treatment = a.treatment.copy()
     treatment[np.flatnonzero(a.unit_arm == ARM_CR)[0]] ^= 1
+    stack = _DrawStack(clustering, 1)
+    stack.put(0, a)
+    stack.treatment[0] = treatment
+    stack.y[0] = 1.0
     with pytest.raises(ValidationError, match="design counts"):
-        _statistic_rows(counts, _row_cluster_ids(clustering.assignment, 8, 1), a.unit_arm[None],
-                        treatment[None], a.cluster_arm[None], a.cluster_treatment[None], np.ones((1, 16)))
+        stack.estimate(1)
 
 
 @pytest.mark.parametrize("statistic", ["delta", "tau_cr", "tau_cbr", "sigma_hat_sq"])
@@ -139,7 +140,8 @@ def test_oracle_rows_are_the_shipped_estimator(oracle_design, bound_design, stat
         clustering, counts = bound_design
         table = PotentialTable(y1=rng.normal(size=12), y0=rng.normal(size=12))
     values = _hierarchical_statistic_rows(table, clustering, counts, statistic, 0.05)
-    unit_arm, treatment, _, _ = enumerate_hierarchical_assignments(clustering, counts)
+    stack = enumerate_hierarchical_assignments(clustering, counts)
+    unit_arm, treatment = stack.unit_arm, stack.treatment
     assert len(values) == len(unit_arm)
     for r in range(len(unit_arm)):
         a = assignment_from_vectors(clustering, unit_arm[r], treatment[r])

@@ -92,6 +92,9 @@ def _old_load_edge_list(path):
         if max_id >= declared_n:
             raise ValidationError(f"{path}: unit id {max_id} outside declared N={declared_n}")
         num_units = declared_n
+    # The file is named here too, as in every other refusal.
+    if num_units < 1:
+        raise ValidationError(f"{path}: graph needs at least one unit, got N={num_units}")
     return Graph.from_edges(num_units, np.asarray(pairs, dtype=np.int64).reshape(-1, 2))
 
 

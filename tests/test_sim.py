@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from dataclasses import astuple, fields, replace
@@ -129,11 +130,12 @@ def test_type1_counts_what_analyze_decides():
     row = run_study(cfg).rows[0]
     # Fresh streams, each drawn once: a draw spawns from its stream, so a
     # second draw on the same stream would be another assignment.
-    clustering, *_, draw, streams = sim._sutva_design(cfg)
+    clustering, counts, _, outcomes, streams = sim._sutva_design(cfg)
     stack = estimate._DrawStack(clustering, 1)
     decided = {"chebyshev": [], "gaussian": []}
-    for s in streams:
-        draw([s], stack)
+    for r, s in enumerate(streams):
+        stack.put(0, sim.hierarchical_assign(clustering, counts, s))
+        outcomes(stack, r, 1)
         assignment = assignment_from_vectors(clustering, stack.unit_arm[0], stack.treatment[0])
         for rule, rejects in decided.items():
             rejects.append(analyze(assignment, stack.y[0], alpha=cfg.alpha, decision_rule=rule).reject)
@@ -244,7 +246,7 @@ def test_ratio_row_keeps_the_type1_rejection_rates():
 # ---------------------------------------------------------------------------
 
 
-def _one_draw_replicate(cfg, draw, streams, clustering, setting=0, gamma=0.0, rho_c=0.0):
+def _one_draw_replicate(cfg, clustering, counts, streams, outcomes, setting=0, gamma=0.0, rho_c=0.0):
     """The replication loop as it was before draws were stacked: one draw
     into fresh one-row buffers, one kernel call and one decision per
     stream."""
@@ -255,8 +257,10 @@ def _one_draw_replicate(cfg, draw, streams, clustering, setting=0, gamma=0.0, rh
     rejections_gauss = 0
     for r, stream in enumerate(streams):
         stack = estimate._DrawStack(clustering, 1)
-        draw([stream], stack)
-        _, _, delta, bound = stack.estimate(1)[0]
+        stack.put(0, sim.hierarchical_assign(clustering, counts, stream))
+        outcomes(stack, r, 1)
+        tau_cr, tau_cbr, sigma_hat_sq = stack.estimate(1)
+        delta, bound = float(tau_cr[0]) - float(tau_cbr[0]), float(sigma_hat_sq[0])
         deltas[r] = delta
         bounds[r] = bound
         decision = _decide(delta, bound, cfg.alpha)
@@ -323,12 +327,12 @@ SUTVA_STACKED = dict(seed=4, num_clusters=64, cluster_size=64, effect_unit_sd=0.
 def test_kernel_sees_stacks_of_eight_at_4096_units(monkeypatch):
     heights = []
 
-    def spy(counts, cluster_of, unit_arm, *rest):
-        heights.append(len(unit_arm))
-        return kernel(counts, cluster_of, unit_arm, *rest)
+    def spy(stack, h, bound=True):
+        heights.append(h)
+        return kernel(stack, h, bound)
 
-    kernel = estimate._statistic_rows
-    monkeypatch.setattr(estimate, "_statistic_rows", spy)
+    kernel = estimate._DrawStack.estimate
+    monkeypatch.setattr(estimate._DrawStack, "estimate", spy)
     run_study(SimConfig(study="type1", replications=21, **SUTVA_STACKED))
     assert heights == [8, 8, 5]
 
@@ -393,24 +397,17 @@ def test_stacked_power_study_equals_the_one_draw_loop(extra):
     assert stacked == one_draw
 
 
-def _sutva_draws(cfg, poison=None, **assign_kwargs):
-    # The study's draw function, with one draw's outcomes poisoned, its
-    # clustering and fresh streams.
-    from spilltest import hierarchical_assign, realize_sutva
+def _sutva_draws(cfg, poison=None):
+    # The study's design: its clustering, counts, fresh streams and outcome
+    # function, with the outcomes of replication ``poison`` poisoned.
+    clustering, counts, _, outcomes, streams = sim._sutva_design(cfg)
 
-    clustering, counts, table, _, streams = sim._sutva_design(cfg)
-    drawn = []
+    def poisoned(stack, first, h):
+        outcomes(stack, first, h)
+        if poison is not None and first <= poison < first + h:
+            stack.y[poison - first, 3] = np.inf
 
-    def draw(streams, stack):
-        for r, stream in enumerate(streams):
-            assignment = hierarchical_assign(clustering, counts, stream, **assign_kwargs)
-            stack.put(r, assignment)
-            stack.y[r] = realize_sutva(table, assignment.treatment)
-            if len(drawn) == poison:
-                stack.y[r, 3] = np.inf
-            drawn.append(stream)
-
-    return draw, clustering, streams
+    return clustering, counts, streams, poisoned
 
 
 def test_non_finite_outcome_mid_stack_raises_as_one_draw_loop():
@@ -418,16 +415,16 @@ def test_non_finite_outcome_mid_stack_raises_as_one_draw_loop():
     poison = _stack_height(64 * 64) + 3  # inside the second stack
     errors = []
     for replicate in (sim._replicate, _one_draw_replicate):
-        draw, clustering, streams = _sutva_draws(cfg, poison=poison)
         with pytest.raises(ValidationError, match="non-finite statistic") as exc:
-            replicate(cfg, draw, streams, clustering)
+            replicate(cfg, *_sutva_draws(cfg, poison=poison))
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
 
 
-def test_stack_refuses_draws_with_different_counts():
+def test_stack_refuses_draws_with_different_counts(monkeypatch):
     # Bernoulli draws realize their own treated counts.
     cfg = SimConfig(study="type1", replications=16, **SUTVA_STACKED)
-    draw, clustering, streams = _sutva_draws(cfg, cr_arm_mechanism="bernoulli")
+    bernoulli = functools.partial(sim.hierarchical_assign, cr_arm_mechanism="bernoulli")
+    monkeypatch.setattr(sim, "hierarchical_assign", bernoulli)
     with pytest.raises(ValidationError, match="differ from its stack's first draw"):
-        sim._replicate(cfg, draw, streams, clustering)
+        sim._replicate(cfg, *_sutva_draws(cfg))
