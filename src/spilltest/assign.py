@@ -287,10 +287,13 @@ def stratified_hierarchical_assign(
     substream, so strata are mutually independent.
 
     Raises:
-        ValidationError: Naming the first stratum whose design is infeasible.
+        ValidationError: Naming the first stratum whose design is infeasible,
+            or both lengths when ``counts`` is not one per stratum.
     """
     if stratification.num_strata < 1:
         raise ValidationError("empty stratification")
+    if counts is not None and len(counts) != stratification.num_strata:
+        raise ValidationError(f"got {len(counts)} design counts for {stratification.num_strata} strata")
     if len(stratification.stratum_of) != clustering.num_clusters:
         raise ValidationError("stratification does not cover the clustering")
     _require_balanced(clustering)

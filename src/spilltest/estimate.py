@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from ._errors import ValidationError
-from .assign import ARM_CBR, ARM_CR, DesignCounts, HierarchicalAssignment
+from .assign import ARM_CR, DesignCounts, HierarchicalAssignment
 from .outcomes import PotentialTable
 from .partition import Clustering
 
@@ -135,11 +135,13 @@ class _DrawStack:
     """Buffers for up to ``height`` draws of one clustering, refilled in place,
     and the estimator kernel that reads them.
 
-    Row r holds one draw: its four assignment vectors, copied in by
-    :meth:`put` (or written in the same encoding, ``cluster_treatment`` -1
-    on unit-arm clusters), and its outcomes in unit order in ``y[r]``. The
-    row-offset cluster ids are built once. Row 0 sets the design counts of
-    a fill; a later row whose counts differ is refused.
+    Row r holds one draw: the three assignment vectors the kernel reads,
+    ``unit_arm``, ``treatment`` and ``cluster_treatment``, copied in by
+    :meth:`put` (or written in the same encoding: ``cluster_treatment`` is
+    1 or 0 on cluster-arm clusters and -1 on unit-arm ones, so it also
+    marks each cluster's arm), and its outcomes in unit order in ``y[r]``.
+    The row-offset cluster ids are built once. Row 0 sets the design counts
+    of a fill; a later row whose counts differ is refused.
     """
 
     def __init__(self, clustering: Clustering, height: int) -> None:
@@ -147,7 +149,6 @@ class _DrawStack:
         self.counts: DesignCounts | None = None
         self.unit_arm = np.empty((height, n), dtype=np.int8)
         self.treatment = np.empty((height, n), dtype=np.int8)
-        self.cluster_arm = np.empty((height, m), dtype=np.int8)
         self.cluster_treatment = np.empty((height, m), dtype=np.int8)
         self.y = np.empty((height, n))
         self.cluster_ids = _row_cluster_ids(clustering.assignment, m, height)
@@ -163,7 +164,6 @@ class _DrawStack:
             )
         self.unit_arm[r] = assignment.unit_arm
         self.treatment[r] = assignment.treatment
-        self.cluster_arm[r] = assignment.cluster_arm
         self.cluster_treatment[r] = assignment.cluster_treatment
 
     def estimate(self, h: int, bound: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -183,10 +183,9 @@ class _DrawStack:
         cr = self.unit_arm[:h] == ARM_CR
         z = self.treatment[:h].astype(bool)
         tau_cr, bound_cr = _contrast(y, cr & z, cr & ~z, c.n_cr_t, c.n_cr_c, bound)
-        cbr = self.cluster_arm[:h] == ARM_CBR
-        zc = self.cluster_treatment[:h] == 1
-        y_plus = _cluster_totals(y, self.cluster_ids[:h], cbr.shape[1])
-        diff_cbr, bound_cbr = _contrast(y_plus, cbr & zc, cbr & ~zc, c.m_cbr_t, c.m_cbr_c, bound)
+        zc = self.cluster_treatment[:h]
+        y_plus = _cluster_totals(y, self.cluster_ids[:h], zc.shape[1])
+        diff_cbr, bound_cbr = _contrast(y_plus, zc == 1, zc == 0, c.m_cbr_t, c.m_cbr_c, bound)
         scale = c.m_cbr / c.n_cbr
         with np.errstate(over="ignore", invalid="ignore"):
             tau_cbr = scale * diff_cbr

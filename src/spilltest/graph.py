@@ -264,15 +264,16 @@ def neighborhood_fractions(graph: Graph, clustering: "Clustering") -> np.ndarray
     count as 0 ("no interference received"), which keeps the cluster-level
     mean well defined.
     """
-    n = graph.num_units
-    deg = graph.degrees
+    # An isolated unit has no same-cluster neighbor either: 0 / 1.
+    return _same_cluster_counts(graph, clustering.assignment) / np.maximum(graph.degrees, 1)
+
+
+def _same_cluster_counts(graph: Graph, assignment: np.ndarray) -> np.ndarray:
+    """Per-unit count of neighbors in the unit's own cluster under
+    ``assignment`` (one cluster id per unit), as int64."""
     src = graph.adjacency_sources
-    same = clustering.assignment[src] == clustering.assignment[graph.adjacency_indices]
-    counts = np.bincount(src[same], minlength=n)
-    out = np.zeros(n, dtype=np.float64)
-    nz = deg > 0
-    out[nz] = counts[nz] / deg[nz]
-    return out
+    same = assignment[src] == assignment[graph.adjacency_indices]
+    return np.bincount(src[same], minlength=graph.num_units)
 
 
 def load_edge_list(path: str | Path) -> Graph:

@@ -38,7 +38,10 @@ from .graph import Graph
 from .outcomes import LinearInterferenceModel, PotentialTable, realize_linear, realize_sutva
 from .partition import Clustering
 
-ENUMERATION_CAP = 10_000_000
+# The most cells (draws times units) one enumeration may hold. An
+# enumeration peaks at about 37 bytes per cell (RSS of enumerate_hierarchical
+# on 8 clusters of 3, 92,400 draws), so a call at the cap peaks near 1.1 GB.
+ENUMERATION_CAP = 30_000_000
 
 OutcomeSource = PotentialTable | LinearInterferenceModel
 
@@ -59,10 +62,12 @@ def _fsum_moments(values: np.ndarray) -> ExactMoments:
     return ExactMoments(mean=mean, variance=var, count=count)
 
 
-def _check_cap(count: int) -> None:
-    if count > ENUMERATION_CAP:
+def _check_cap(draws: int, num_units: int) -> None:
+    cells = draws * num_units
+    if cells > ENUMERATION_CAP:
         raise ValidationError(
-            f"enumeration would visit {count} outcomes (cap {ENUMERATION_CAP})"
+            f"enumeration would visit {draws} outcomes of {num_units} units, {cells} cells "
+            f"(cap {ENUMERATION_CAP} cells)"
         )
 
 
@@ -76,11 +81,10 @@ def _subset_matrix(n: int, k: int) -> np.ndarray:
 
 
 def _realize(outcomes: OutcomeSource, z_rows: np.ndarray) -> np.ndarray:
-    """Outcome matrix for every assignment row through the shipped outcome
-    model: a potential table one row at a time, a linear model (which must
-    be noise-free) in one stacked call."""
+    """Outcome matrix for every assignment row, from one stacked call of the
+    shipped outcome model; a linear model must be noise-free."""
     if isinstance(outcomes, PotentialTable):
-        return np.stack([realize_sutva(outcomes, z) for z in z_rows])
+        return realize_sutva(outcomes, z_rows)
     if outcomes.noise_sd != 0.0:
         raise ValidationError("enumeration requires a noise-free outcome model")
     return realize_linear(outcomes, z_rows)
@@ -107,7 +111,7 @@ def enumerate_hierarchical_assignments(clustering: Clustering, counts: DesignCou
         raise ValidationError("design counts do not match the clustering")
     m, n = counts.num_clusters, counts.num_units
     total = hierarchical_outcome_count(counts)
-    _check_cap(total)
+    _check_cap(total, n)
 
     cr_patterns = _subset_matrix(counts.n_cr, counts.n_cr_t)
     cbr_patterns = _subset_matrix(counts.m_cbr, counts.m_cbr_t)
@@ -122,7 +126,6 @@ def enumerate_hierarchical_assignments(clustering: Clustering, counts: DesignCou
         w_units = arm[clustering.assignment]
         block = slice(row, row + r1 * r2)
 
-        stack.cluster_arm[block] = arm
         stack.unit_arm[block] = w_units
 
         z_cr = np.zeros((r1, n), dtype=np.int8)
@@ -143,7 +146,9 @@ def _hierarchical_statistic_rows(
     if statistic not in get_args(Statistic):
         raise ValidationError(f"unknown statistic {statistic!r}")
     stack = enumerate_hierarchical_assignments(clustering, counts)
-    stack.y[:] = _realize(outcomes, stack.treatment)
+    # The realized rows replace the stack's unwritten outcome buffer, so one
+    # (total, N) float array of outcomes is held.
+    stack.y = _realize(outcomes, stack.treatment)
     tau_cr, tau_cbr, sigma = stack.estimate(len(stack.y), bound=statistic in ("sigma_hat_sq", "reject"))
     delta = tau_cr - tau_cbr
     if statistic == "reject":
@@ -172,7 +177,7 @@ def enumerate_complete(outcomes: OutcomeSource, n_t: int) -> ExactMoments:
     n = outcomes.num_units
     if not 1 <= n_t <= n - 1:
         raise ValidationError("complete design needs 1 <= n_t <= N-1")
-    _check_cap(math.comb(n, n_t))
+    _check_cap(math.comb(n, n_t), n)
     z_rows = _subset_matrix(n, n_t)
     treated = z_rows.astype(bool)
     diff, _ = _contrast(_realize(outcomes, z_rows), treated, ~treated, n_t, n - n_t, bound=False)
@@ -186,7 +191,7 @@ def enumerate_cluster(outcomes: OutcomeSource, clustering: Clustering, m_t: int)
     m, n = clustering.num_clusters, clustering.num_units
     if not 1 <= m_t <= m - 1:
         raise ValidationError("cluster design needs 1 <= m_t <= M-1")
-    _check_cap(math.comb(m, m_t))
+    _check_cap(math.comb(m, m_t), n)
     zc_rows = _subset_matrix(m, m_t)
     y_rows = _realize(outcomes, zc_rows[:, clustering.assignment])
     treated = zc_rows.astype(bool)
@@ -510,7 +515,7 @@ def check_law(design: OracleDesign) -> dict:
     # Conditional independence: within each arm split, the treatment pattern
     # pairs form a full product set.
     factorizes = True
-    arm_keys = [bytes(row) for row in stack.cluster_arm]
+    arm_keys = [bytes(row) for row in stack.cluster_treatment < 0]
     for key in set(arm_keys):
         idx = [r for r, k in enumerate(arm_keys) if k == key]
         cr_patterns = {bytes(treatment[r][unit_arm[r] == ARM_CR]) for r in idx}

@@ -94,11 +94,7 @@ class LinearInterferenceModel:
                 length or holds a value other than 0 and 1.
         """
         z = np.asarray(z)
-        rows = z[None] if z.ndim == 1 else z
-        if rows.ndim != 2 or rows.shape[1] != self.graph.num_units:
-            raise ValidationError("assignment length does not match the graph")
-        if not np.all((rows == 0) | (rows == 1)):
-            raise ValidationError("assignment must hold only 0 and 1")
+        rows = _assignment_rows(z, self.graph.num_units, "graph")
         nz, starts, deg = self._neighbor_rows
         out = np.zeros(rows.shape)
         if len(deg):
@@ -132,15 +128,29 @@ class LinearInterferenceModel:
         return rows
 
 
+def _assignment_rows(z: np.ndarray, num_units: int, source: str) -> np.ndarray:
+    """The ``(R, N)`` view of one 0/1 assignment row or of a stack of them;
+    any other shape or value raises ValidationError."""
+    rows = z[None] if z.ndim == 1 else z
+    if rows.ndim != 2 or rows.shape[1] != num_units:
+        raise ValidationError(f"assignment length does not match the {source}")
+    if not np.all((rows == 0) | (rows == 1)):
+        raise ValidationError("assignment must hold only 0 and 1")
+    return rows
+
+
 def realize_sutva(table: PotentialTable, z: np.ndarray) -> np.ndarray:
     """Select each unit's outcome by its own treatment: ``z_i ? y1_i : y0_i``.
 
-    Returns a read-only float64 vector, one outcome per unit.
+    ``z`` holds one 0/1 treatment per unit, or is an ``(R, N)`` stack of
+    such rows. Returns a read-only float64 array of the shape of ``z``,
+    selected in one pass, so row r of a stack is the one-row call on
+    ``z[r]`` bit for bit. Raises ValidationError if a row of ``z`` does not
+    match the table's length or holds a value other than 0 and 1.
     """
     z = np.asarray(z)
-    if len(z) != table.num_units:
-        raise ValidationError("assignment length does not match the potential table")
-    y = np.where(z.astype(bool), table.y1, table.y0)
+    _assignment_rows(z, table.num_units, "potential table")
+    y = np.where(z == 1, table.y1, table.y0)
     y.setflags(write=False)
     return y
 

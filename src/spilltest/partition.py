@@ -20,6 +20,7 @@ import numpy as np
 
 from ._errors import InfeasibleError, ValidationError
 from ._table import ID, INT, read_id_table, write_table
+from .graph import _same_cluster_counts
 
 if TYPE_CHECKING:
     from .graph import Graph
@@ -248,9 +249,7 @@ def rebalance(graph: "Graph", clustering: Clustering) -> Clustering:
         return clustering
     assignment = clustering.assignment.copy()
     sizes = clustering.sizes.copy()
-    src = graph.adjacency_sources
-    same = assignment[src] == assignment[graph.adjacency_indices]
-    conn = np.bincount(src[same], minlength=n)
+    conn = _same_cluster_counts(graph, assignment)
     candidates = np.flatnonzero(np.isin(assignment, oversized))
     # Entries go stale when a unit's count drops (a fresher one is pushed)
     # or its cluster reaches the target; both are skipped on pop.
@@ -278,18 +277,14 @@ def rebalance(graph: "Graph", clustering: Clustering) -> Clustering:
 
 def clustering_metrics(graph: "Graph", clustering: Clustering) -> ClusteringMetrics:
     """Compute quality metrics of a clustering on its graph."""
-    from .graph import neighborhood_fractions
-
     if clustering.num_units != graph.num_units:
         raise ValidationError("clustering does not cover the graph")
-    fracs = neighborhood_fractions(graph, clustering)
-    assignment = clustering.assignment
-    src = graph.adjacency_sources
-    dst = graph.adjacency_indices
-    total = len(dst) // 2
-    internal = int(np.count_nonzero(assignment[src] == assignment[dst])) // 2
+    same = _same_cluster_counts(graph, clustering.assignment)
+    total = graph.num_edges
+    internal = int(same.sum()) // 2
     return ClusteringMetrics(
-        rho_c=float(fracs.mean()),
+        # The mean of neighborhood_fractions, from the same counts.
+        rho_c=float((same / np.maximum(graph.degrees, 1)).mean()),
         internal_edge_fraction=(internal / total) if total else 0.0,
         balance_ratio=float(clustering.sizes.max() / clustering.sizes.min()),
         isolated_units=int(np.count_nonzero(graph.degrees == 0)),
@@ -302,11 +297,10 @@ def cluster_features(
     """Edge-count features per cluster, plus optional user covariate columns."""
     m = clustering.num_clusters
     assignment = clustering.assignment
-    src = graph.adjacency_sources
-    dst = graph.adjacency_indices
-    same = assignment[src] == assignment[dst]
-    internal = np.bincount(assignment[src[same]], minlength=m) // 2
-    boundary = np.bincount(assignment[src[~same]], minlength=m)
+    # Exact integer sums: float64 holds every count below 2**53.
+    same = _same_cluster_counts(graph, assignment)
+    internal = np.bincount(assignment, weights=same, minlength=m).astype(np.int64) // 2
+    boundary = np.bincount(assignment, weights=graph.degrees - same, minlength=m)
     if covariates is None:
         cov = np.empty((m, 0))
     else:

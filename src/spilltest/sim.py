@@ -26,11 +26,12 @@ one). Each grid point allocates one set of stack buffers
 and the row-offset cluster ids of its cluster totals) and refills them in
 place for every stack. The loop makes one ``hierarchical_assign`` call per
 stream and puts its vectors in that stream's row; a study supplies only a
-function that writes the stack's outcome rows. A ratio or type1 study
-writes each row's ``realize_sutva`` outcomes; a power study realizes a
-whole stack's outcomes in one ``realize_linear`` call, whose neighbor
-counts come from one lane-packed pass over the graph, with the noise
-streams it spawned beside the assignment streams.
+function that writes the stack's outcome rows, in one call of its outcome
+model on the stack's treatment rows. A ratio or type1 study selects them
+with one ``realize_sutva`` call; a power study draws them with one
+``realize_linear`` call, whose neighbor counts come from one lane-packed
+pass over the graph, with the noise streams it spawned beside the
+assignment streams.
 The loop runs the estimator kernel, ``_DrawStack.estimate``, once on the
 filled rows, and then decides each draw in stream order through
 ``estimate._decide``; ``analyze`` runs the same kernel on a one-row stack
@@ -293,8 +294,7 @@ def _sutva_design(cfg: SimConfig) -> tuple[Clustering, DesignCounts, PotentialTa
     table = PotentialTable(y1=y0 + effects, y0=y0)
 
     def outcomes(stack: _DrawStack, first: int, h: int) -> None:
-        for r in range(h):
-            stack.y[r] = realize_sutva(table, stack.treatment[r])
+        stack.y[:h] = realize_sutva(table, stack.treatment[:h])
 
     return clustering, counts, table, outcomes, rep_root.spawn(cfg.replications)
 

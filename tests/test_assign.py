@@ -208,6 +208,20 @@ def test_stratified_counts_respected():
         assert not set(parts[0].unit_ids.tolist()) & set(parts[1].unit_ids.tolist())
 
 
+@pytest.mark.parametrize("length", [1, 3])
+def test_stratified_refuses_counts_of_another_length(length):
+    # Too few used to raise a bare IndexError; too many were dropped.
+    clustering = Clustering.from_assignment(np.repeat(np.arange(8), 2))
+    strat = Stratification(
+        num_strata=2,
+        stratum_of=np.array([0, 0, 0, 0, 1, 1, 1, 1]),
+        strata_sizes=np.array([4, 4]),
+    )
+    counts = [DesignCounts.symmetric(8, 4)] * length
+    with pytest.raises(ValidationError, match=f"got {length} design counts for 2 strata"):
+        stratified_hierarchical_assign(clustering, strat, counts, seed=0)
+
+
 def test_stratified_independence_across_strata():
     clustering = Clustering.from_assignment(np.repeat(np.arange(8), 2))
     strat = Stratification(

@@ -522,6 +522,15 @@ MALFORMED_INPUTS = {
         })),
         "n_cr=4.0 is not an integer",
     ),
+    # 8 clusters of 4: 5,405,400 draws of 32 units, over the cap of cells
+    # but not of draws; refused before the enumeration allocates.
+    "design-over-enumeration-cap": (
+        lambda p: _oracle_with_design(p, _design(
+            clustering=np.repeat(np.arange(8), 4).tolist(),
+            counts={**TABLE_CHECK_COUNTS, "n_cr": 16, "n_cbr": 16, "n_cr_t": 8, "n_cr_c": 8},
+        )) + ["--check", "null-variance"],
+        "5405400 outcomes of 32 units",
+    ),
     "alpha-2-constant-outcomes": (_analyze_constant_with_alpha(2), "alpha=2.0 must lie in (0, 1)"),
     "alpha-0-constant-outcomes": (_analyze_constant_with_alpha(0), "alpha=0.0 must lie in (0, 1)"),
     "alpha-negative-constant-outcomes": (_analyze_constant_with_alpha(-1), "alpha=-1.0 must lie in (0, 1)"),
@@ -755,6 +764,58 @@ def test_edited_tables_exit_0_or_1_with_error_line(edited):
             code = run_cli("analyze", "--assignment", paths["assignment"], "--outcomes", paths["outcomes"],
                            "--clusters-file", paths["clusters"], "--out-report", Path(tmp) / "r.json")
     assert code == 0 or (code == 1 and err.getvalue().startswith("error:")), (code, err.getvalue())
+
+
+@st.composite
+def _edited_edge_list(draw):
+    # The bundled edge list (a comment, the header N=8, then one edge a line)
+    # with one random edit, as the bytes to write.
+    lines = fixture_path("cliquepair.edges").read_text().splitlines()
+    edge = st.integers(2, len(lines) - 1)
+    number = st.integers(-5, 50).map(str)
+    edit = draw(st.sampled_from(
+        ["field", "drop-line", "duplicate-line", "add-field", "drop-field", "separator", "header", "bytes"]
+    ))
+    if edit == "field":
+        r = draw(edge)
+        fields = lines[r].split(" ")
+        fields[draw(st.integers(0, 1))] = draw(st.one_of(_DIGIT_FREE, number))
+        lines[r] = " ".join(fields)
+    elif edit == "drop-line":
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    elif edit == "duplicate-line":
+        r = draw(st.integers(0, len(lines) - 1))
+        lines.insert(draw(st.integers(0, len(lines))), lines[r])
+    elif edit == "add-field":
+        r = draw(edge)
+        lines[r] += " " + draw(number)
+    elif edit == "drop-field":
+        r = draw(edge)
+        lines[r] = lines[r].split(" ")[0]
+    elif edit == "separator":
+        r = draw(edge)
+        lines[r] = lines[r].replace(" ", draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)))
+    elif edit == "header":
+        lines[1] = draw(st.sampled_from(["N=", "N = ", "n=", "N:", "# N="])) + draw(st.one_of(_DIGIT_FREE, number))
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    if edit == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bytes(draw(st.lists(st.integers(0x80, 0xFF), min_size=1, max_size=4))) + data[at:]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edited_edge_list())
+def test_edited_edge_lists_exit_0_or_1_with_error_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        edges = Path(tmp) / "g.edges"
+        edges.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli("cluster", "--edges", edges, "--clusters", 2, "--seed", 1, "--rebalance",
+                           "--out-clusters", Path(tmp) / "c.csv", "--out-metrics", Path(tmp) / "m.json")
+    one_error_line = err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    assert code == 0 or (code == 1 and one_error_line and out.getvalue() == ""), (code, err.getvalue())
 
 
 # Each JSON input: a valid object, and a cheap command that reads it from a

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from spilltest import (
     enumerate_hierarchical,
     hierarchical_assign,
 )
+from spilltest import oracle
 from spilltest.assign import assignment_from_vectors
 from spilltest.oracle import (
     CHECKS,
+    ENUMERATION_CAP,
     _fsum_moments,
     _realize,
     _subset_matrix,
@@ -149,7 +152,6 @@ def test_oracle_stack_rows_are_put_rows(oracle_design, bound_design, which):
     for r in range(len(stack.unit_arm)):
         a = assignment_from_vectors(clustering, stack.unit_arm[r], stack.treatment[r])
         assert a.counts == counts
-        assert np.array_equal(stack.cluster_arm[r], a.cluster_arm)
         assert np.array_equal(stack.cluster_treatment[r], a.cluster_treatment)
 
 
@@ -176,6 +178,39 @@ def test_enumeration_cap_reports_required_count():
     table = PotentialTable(y1=np.zeros(30), y0=np.zeros(30))
     with pytest.raises(ValidationError, match=r"\d+ outcomes"):
         enumerate_hierarchical(table, clustering, counts)
+
+
+# Designs under the old cap of 10**7 draws that hold far more than the cap's
+# cells: 8 clusters of 4 (5,405,400 draws of 32 units), the complete design
+# on 30 units with 8 treated, and the cluster design of 24 clusters of 10
+# with 12 treated.
+_OVER_CAP = {
+    "hierarchical": (5_405_400, 32, lambda table: enumerate_hierarchical(
+        table,
+        Clustering.from_assignment(np.repeat(np.arange(8), 4)),
+        DesignCounts(n_cr=16, n_cbr=16, m_cr=4, m_cbr=4, n_cr_t=8, n_cr_c=8, m_cbr_t=2, m_cbr_c=2),
+    )),
+    "complete": (math.comb(30, 8), 30, lambda table: enumerate_complete(table, 8)),
+    "cluster": (math.comb(24, 12), 240, lambda table: enumerate_cluster(
+        table, Clustering.from_assignment(np.repeat(np.arange(24), 10)), 12
+    )),
+}
+
+
+@pytest.mark.parametrize("design", list(_OVER_CAP))
+def test_enumeration_cap_counts_cells_before_allocating(monkeypatch, design):
+    draws, n, enumerate_design = _OVER_CAP[design]
+    assert draws <= 10**7 < draws * n and ENUMERATION_CAP < draws * n
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("allocated before the cap check")
+
+    monkeypatch.setattr(oracle, "_subset_matrix", unreachable)
+    monkeypatch.setattr(oracle, "_DrawStack", unreachable)
+    table = PotentialTable(y1=np.zeros(n), y0=np.zeros(n))
+    message = f"{draws} outcomes of {n} units, {draws * n} cells (cap {ENUMERATION_CAP} cells)"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        enumerate_design(table)
 
 
 def test_enumeration_matches_sampler_frequencies(bound_design):

@@ -41,6 +41,42 @@ def test_realize_sutva_length_mismatch(small_table):
         realize_sutva(small_table, np.array([1, 0]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    n=st.integers(1, 20),
+    dtype=st.sampled_from([np.int8, np.int64, np.float64, bool]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_realize_sutva_stack_equals_the_per_row_calls(rows, n, dtype, seed):
+    rng = np.random.default_rng(seed)
+    table = PotentialTable(y1=rng.normal(size=n), y0=rng.normal(size=n))
+    z = rng.integers(0, 2, size=(rows, n)).astype(dtype)
+    stack = realize_sutva(table, z)
+    assert stack.shape == z.shape and stack.dtype == np.float64 and not stack.flags.writeable
+    assert stack.tobytes() == np.stack([realize_sutva(table, zr) for zr in z]).tobytes()
+
+
+@pytest.mark.parametrize("realizer", ["sutva", "linear"])
+def test_both_realizers_refuse_what_is_not_a_row_or_stack_of_bits(cliquepair_graph, realizer):
+    if realizer == "sutva":
+        table = PotentialTable(y1=np.arange(8.0), y0=np.zeros(8))
+        realize, source = (lambda z: realize_sutva(table, z)), "potential table"
+    else:
+        model = LinearInterferenceModel(alpha=0.0, beta=1.0, gamma=1.0, noise_sd=0.0, graph=cliquepair_graph)
+        realize, source = (lambda z: realize_linear(model, z)), "graph"
+    for bad in (2, -1, 0.5):
+        row = np.array([bad, 0, 1, 0, 1, 0, 1, 0])
+        stack = np.zeros((3, 8))
+        stack[1, 5] = bad
+        for z in (row, stack):
+            with pytest.raises(ValidationError, match="only 0 and 1"):
+                realize(z)
+    for shape in ((7,), (3, 7), (2, 3, 8), ()):
+        with pytest.raises(ValidationError, match=f"does not match the {source}"):
+            realize(np.zeros(shape, dtype=np.int8))
+
+
 @pytest.mark.parametrize("field, value", [("alpha", "x"), ("gamma", True), ("beta", float("nan")), ("noise_sd", None)])
 def test_model_refuses_a_non_number(cliquepair_graph, field, value):
     params = {"alpha": 0.0, "beta": 1.0, "gamma": 0.5, "noise_sd": 0.0, field: value}

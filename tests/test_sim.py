@@ -355,6 +355,20 @@ def test_power_study_realizes_each_stack_in_one_call(monkeypatch):
 
 
 @pytest.mark.parametrize("study", ["ratio", "type1"])
+def test_sutva_study_realizes_each_stack_in_one_call(monkeypatch, study):
+    shapes = []
+
+    def spy(table, z):
+        shapes.append(z.shape)
+        return realize(table, z)
+
+    realize = sim.realize_sutva
+    monkeypatch.setattr(sim, "realize_sutva", spy)
+    run_study(SimConfig(study=study, replications=21, **SUTVA_STACKED))
+    assert shapes == [(8, 4096), (8, 4096), (5, 4096)]
+
+
+@pytest.mark.parametrize("study", ["ratio", "type1"])
 @pytest.mark.parametrize("extra", [0, 1, 2, 13])
 def test_stacked_sutva_studies_equal_the_one_draw_loop(study, extra):
     # 2 replications, one full stack, a stack and one, and a partial last stack.
