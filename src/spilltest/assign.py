@@ -1,9 +1,11 @@
 """The two-arm hierarchical randomization, its persisted form, and its checks.
 
-The hierarchical design first splits clusters between two arms, then
-randomizes treatment inside each arm with a different mechanism: individual
-(complete or re-randomized Bernoulli) assignment in one arm, whole-cluster
-assignment in the other. Comparing the two arms' effect estimates is what
+A draw of the hierarchical design is three randomizations: clusters split
+completely at random between two arms, then the units of one arm treated
+completely at random (or by re-randomized Bernoulli coins), and whole
+clusters of the other treated completely at random. ``_encode`` turns the
+three 0/1 vectors into the vectors the analysis reads, for one draw or a
+stack of enumerated ones. Comparing the two arms' effect estimates is what
 powers the interference test downstream.
 
 Seeding discipline: a master seed expands into named substreams through
@@ -166,12 +168,32 @@ def _bernoulli_rerandomized(num_units: int, p: float, seed: int | np.random.Seed
             return z
 
 
-def _require_balanced(clustering: Clustering) -> None:
+def _require_balanced(clustering: Clustering, counts: DesignCounts | None = None) -> None:
+    """Refuse unequal cluster sizes, and ``counts`` of another N or M."""
     if not clustering.is_balanced:
         raise ValidationError(
-            "analysis requires exactly equal cluster sizes; run rebalance() first "
+            "the design requires exactly equal cluster sizes; run rebalance() first "
             f"(sizes range {int(clustering.sizes.min())}..{int(clustering.sizes.max())})"
         )
+    shape = (clustering.num_units, clustering.num_clusters)
+    if counts is not None and (counts.num_units, counts.num_clusters) != shape:
+        raise ValidationError("design counts do not match the clustering")
+
+
+def _encode(
+    clustering: Clustering, cluster_arm: np.ndarray, cr_z: np.ndarray, cbr_z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(unit_arm, treatment, cluster_treatment)`` of each cluster's arm, the
+    0/1 treatments of the unit arm's units and of the cluster arm's clusters,
+    each in id order: one vector each for one draw, or one row per draw of a
+    stack. ``cluster_treatment`` is -1 on the unit arm's clusters."""
+    of = clustering.assignment
+    unit_arm = cluster_arm[..., of]
+    cluster_treatment = np.full(cluster_arm.shape, -1, dtype=np.int8)
+    cluster_treatment[cluster_arm == ARM_CBR] = cbr_z.ravel()
+    treatment = np.maximum(cluster_treatment, 0)[..., of]
+    treatment[unit_arm == ARM_CR] = cr_z.ravel()
+    return unit_arm, treatment, cluster_treatment
 
 
 def _hierarchical_from_streams(
@@ -184,42 +206,22 @@ def _hierarchical_from_streams(
     provenance: str,
     unit_ids: np.ndarray | None = None,
 ) -> HierarchicalAssignment:
-    # Draw order is fixed: arm split, then each arm from its own stream, so
-    # redrawing one arm's stream cannot shift the other's outcome.
-    _require_balanced(clustering)
-    m = clustering.num_clusters
-    if counts.num_clusters != m or counts.num_units != clustering.num_units:
-        raise ValidationError("design counts do not match the clustering")
-    if counts.cluster_size != int(clustering.sizes[0]):
-        raise ValidationError("design counts assume a different cluster size")
-
-    arm_rng = np.random.default_rng(arm_stream)
-    cluster_arm = np.zeros(m, dtype=np.int8)
-    cluster_arm[arm_rng.choice(m, size=counts.m_cr, replace=False)] = ARM_CR
-    unit_arm = cluster_arm[clustering.assignment]
-
-    treatment = np.zeros(clustering.num_units, dtype=np.int8)
-    cr_units = np.flatnonzero(unit_arm == ARM_CR)
+    # Each randomization draws from its own stream, so redrawing one cannot
+    # shift another's outcome.
+    _require_balanced(clustering, counts)
+    cluster_arm = _complete_randomization(counts.num_clusters, counts.m_cr, arm_stream)
     if cr_arm_mechanism == "complete":
-        treatment[cr_units] = _complete_randomization(counts.n_cr, counts.n_cr_t, cr_stream)
+        cr_z = _complete_randomization(counts.n_cr, counts.n_cr_t, cr_stream)
     elif cr_arm_mechanism == "bernoulli":
-        treatment[cr_units] = _bernoulli_rerandomized(counts.n_cr, counts.n_cr_t / counts.n_cr, cr_stream)
+        cr_z = _bernoulli_rerandomized(counts.n_cr, counts.n_cr_t / counts.n_cr, cr_stream)
         # The coins treat a random number of units; the draw carries the
         # counts it realized, which the analysis checks its buckets against.
-        n_cr_t = int(treatment[cr_units].sum())
+        n_cr_t = int(cr_z.sum())
         counts = replace(counts, n_cr_t=n_cr_t, n_cr_c=counts.n_cr - n_cr_t)
     else:
         raise ValidationError(f"unknown mechanism {cr_arm_mechanism!r}")
-
-    cbr_clusters = np.flatnonzero(cluster_arm == ARM_CBR)
-    cbr_rng = np.random.default_rng(cbr_stream)
-    cluster_treatment = np.full(m, -1, dtype=np.int8)
-    cluster_treatment[cbr_clusters] = 0
-    treated_cbr = cbr_rng.choice(counts.m_cbr, size=counts.m_cbr_t, replace=False)
-    cluster_treatment[cbr_clusters[treated_cbr]] = 1
-    cbr_units = unit_arm == ARM_CBR
-    treatment[cbr_units] = cluster_treatment[clustering.assignment[cbr_units]]
-
+    cbr_z = _complete_randomization(counts.m_cbr, counts.m_cbr_t, cbr_stream)
+    unit_arm, treatment, cluster_treatment = _encode(clustering, cluster_arm, cr_z, cbr_z)
     return HierarchicalAssignment(
         clustering=clustering,
         counts=counts,

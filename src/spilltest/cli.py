@@ -229,15 +229,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         assignments = []
         for s in range(strat.num_strata):
             sub, unit_ids = _sub_clustering(clustering, strat.clusters_in(s))
-            assignments.append(
-                assignment_from_vectors(
-                    sub,
-                    unit_arm[unit_ids],
-                    treatment[unit_ids],
-                    provenance=f"loaded/stratum={s}",
-                    unit_ids=unit_ids,
+            try:
+                a = assignment_from_vectors(
+                    sub, unit_arm[unit_ids], treatment[unit_ids], f"loaded/stratum={s}", unit_ids
                 )
-            )
+            except ValidationError as exc:
+                raise ValidationError(f"stratum {s}: {exc}") from exc
+            assignments.append(a)
         report = analyze_stratified(assignments, y, alpha=args.alpha, decision_rule=args.rule)
     else:
         assignment = assignment_from_vectors(clustering, unit_arm, treatment)

@@ -136,10 +136,11 @@ class _DrawStack:
     and the estimator kernel that reads them.
 
     Row r holds one draw: the three assignment vectors the kernel reads,
-    ``unit_arm``, ``treatment`` and ``cluster_treatment``, copied in by
-    :meth:`put` (or written in the same encoding: ``cluster_treatment`` is
-    1 or 0 on cluster-arm clusters and -1 on unit-arm ones, so it also
-    marks each cluster's arm), and its outcomes in unit order in ``y[r]``.
+    ``unit_arm``, ``treatment`` and ``cluster_treatment``, as
+    ``assign._encode`` writes every draw (``cluster_treatment`` is 1 or 0 on
+    cluster-arm clusters and -1 on unit-arm ones, so it also marks each
+    cluster's arm), copied in by :meth:`put` or written for a whole stack at
+    once; and its outcomes in unit order in ``y[r]``.
     The row-offset cluster ids are built once. Row 0 sets the design counts
     of a fill; a later row whose counts differ is refused.
     """
@@ -462,7 +463,10 @@ def analyze_stratified(
     details = []
     counts_total: dict[str, int] = {}
     for s, a in enumerate(assignments):
-        tau_cr, tau_cbr, delta, bound = _estimate(a, y)
+        try:
+            tau_cr, tau_cbr, delta, bound = _estimate(a, y)
+        except ValidationError as exc:
+            raise ValidationError(f"stratum {s}: {exc}") from exc
         details.append(
             StratumDetail(
                 stratum=s,
@@ -652,7 +656,11 @@ def interference_variance_approx(
         )
     if graph.num_units != clustering.num_units or c.num_units != graph.num_units:
         raise ValidationError("graph, clustering, and counts must agree on N")
-    if model.graph is not graph and model.graph.num_units != graph.num_units:
+    g = model.graph
+    if g is not graph and not (
+        np.array_equal(g.adjacency_indptr, graph.adjacency_indptr)
+        and np.array_equal(g.adjacency_indices, graph.adjacency_indices)
+    ):
         raise ValidationError("model graph does not match the supplied graph")
 
     n = graph.num_units

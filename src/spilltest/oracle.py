@@ -21,7 +21,7 @@ from typing import Callable, Literal, NamedTuple, get_args
 import numpy as np
 
 from ._errors import CheckFailure, ValidationError, build_record, check_fields, read_json
-from .assign import ARM_CBR, ARM_CR, DesignCounts
+from .assign import ARM_CR, DesignCounts, _encode, _require_balanced
 from .estimate import (
     _cluster_totals,
     _contrast,
@@ -102,40 +102,25 @@ def enumerate_hierarchical_assignments(clustering: Clustering, counts: DesignCou
     """All draws of the two-arm design, one stack row per equiprobable
     outcome, in deterministic lexicographic order.
 
-    Every row's assignment vectors are written in the encoding of
-    :meth:`_DrawStack.put`; the outcome rows are left for the caller.
+    The three randomizations of every draw are enumerated, and
+    ``assign._encode`` writes their assignment vectors, as it does for a
+    random draw; the outcome rows are left for the caller.
     """
-    if not clustering.is_balanced:
-        raise ValidationError("enumeration requires an exactly balanced clustering")
-    if counts.num_clusters != clustering.num_clusters or counts.num_units != clustering.num_units:
-        raise ValidationError("design counts do not match the clustering")
-    m, n = counts.num_clusters, counts.num_units
+    _require_balanced(clustering, counts)
     total = hierarchical_outcome_count(counts)
-    _check_cap(total, n)
-
-    cr_patterns = _subset_matrix(counts.n_cr, counts.n_cr_t)
-    cbr_patterns = _subset_matrix(counts.m_cbr, counts.m_cbr_t)
-    r1, r2 = len(cr_patterns), len(cbr_patterns)
-
+    _check_cap(total, counts.num_units)
+    arms = _subset_matrix(counts.num_clusters, counts.m_cr)
+    cr = _subset_matrix(counts.n_cr, counts.n_cr_t)
+    cbr = _subset_matrix(counts.m_cbr, counts.m_cbr_t)
+    a, u, c = len(arms), len(cr), len(cbr)
     stack = _DrawStack(clustering, total)
     stack.counts = counts
-    row = 0
-    for omega in combinations(range(m), counts.m_cr):
-        arm = np.full(m, ARM_CBR, dtype=np.int8)
-        arm[list(omega)] = ARM_CR
-        w_units = arm[clustering.assignment]
-        block = slice(row, row + r1 * r2)
-
-        stack.unit_arm[block] = w_units
-
-        z_cr = np.zeros((r1, n), dtype=np.int8)
-        z_cr[:, w_units == ARM_CR] = cr_patterns
-        zc = np.full((r2, m), -1, dtype=np.int8)
-        zc[:, arm == ARM_CBR] = cbr_patterns
-        stack.cluster_treatment[block] = np.tile(zc, (r1, 1))
-        z_cbr_units = np.maximum(zc, 0)[:, clustering.assignment]
-        stack.treatment[block] = np.repeat(z_cr, r2, axis=0) + np.tile(z_cbr_units, (r1, 1))
-        row += r1 * r2
+    stack.unit_arm, stack.treatment, stack.cluster_treatment = _encode(
+        clustering,
+        np.repeat(arms, u * c, axis=0),
+        np.tile(np.repeat(cr, c, axis=0), (a, 1)),
+        np.tile(cbr, (a * u, 1)),
+    )
     return stack
 
 
@@ -514,10 +499,11 @@ def check_law(design: OracleDesign) -> dict:
     marg_err = float(np.max(np.abs(marginal - closed)))
     # Conditional independence: within each arm split, the treatment pattern
     # pairs form a full product set.
+    splits: dict[bytes, list[int]] = {}
+    for r, key in enumerate(stack.cluster_treatment < 0):
+        splits.setdefault(key.tobytes(), []).append(r)
     factorizes = True
-    arm_keys = [bytes(row) for row in stack.cluster_treatment < 0]
-    for key in set(arm_keys):
-        idx = [r for r, k in enumerate(arm_keys) if k == key]
+    for idx in splits.values():
         cr_patterns = {bytes(treatment[r][unit_arm[r] == ARM_CR]) for r in idx}
         cbr_patterns = {bytes(stack.cluster_treatment[r]) for r in idx}
         if len(cr_patterns) * len(cbr_patterns) != len(idx):

@@ -16,6 +16,7 @@ from spilltest.assign import (
     ARM_CR,
     _bernoulli_rerandomized,
     _complete_randomization,
+    _encode,
     _hierarchical_from_streams,
     assignment_from_vectors,
     load_assignment_vectors,
@@ -188,6 +189,70 @@ def test_substreams_are_independent(clusters8, counts8):
     alt_cr = np.random.SeedSequence(100)
     c = _hierarchical_from_streams(clusters8, counts8, arm, alt_cr, cbr, "complete", "t")
     assert np.array_equal(a.cluster_treatment, c.cluster_treatment)
+
+
+def _reference_draw(clustering, counts, seed, mechanism):
+    """One draw scattered arm by arm from the three spawned streams, as
+    ``_hierarchical_from_streams`` wrote it before ``_encode``; kept as the
+    reference."""
+    arm_stream, cr_stream, cbr_stream = np.random.SeedSequence(seed).spawn(3)
+    m, of = clustering.num_clusters, clustering.assignment
+    cluster_arm = np.zeros(m, dtype=np.int8)
+    cluster_arm[np.random.default_rng(arm_stream).choice(m, size=counts.m_cr, replace=False)] = ARM_CR
+    unit_arm = cluster_arm[of]
+    treatment = np.zeros(clustering.num_units, dtype=np.int8)
+    cr_units = np.flatnonzero(unit_arm == ARM_CR)
+    cr_rng = np.random.default_rng(cr_stream)
+    if mechanism == "complete":
+        treatment[cr_units[cr_rng.choice(counts.n_cr, size=counts.n_cr_t, replace=False)]] = 1
+    else:
+        while True:
+            z = cr_rng.random(counts.n_cr) < counts.n_cr_t / counts.n_cr
+            if 0 < z.sum() < counts.n_cr:
+                break
+        treatment[cr_units] = z
+    cbr_clusters = np.flatnonzero(cluster_arm == ARM_CBR)
+    cluster_treatment = np.full(m, -1, dtype=np.int8)
+    cluster_treatment[cbr_clusters] = 0
+    treated = np.random.default_rng(cbr_stream).choice(counts.m_cbr, size=counts.m_cbr_t, replace=False)
+    cluster_treatment[cbr_clusters[treated]] = 1
+    cbr_units = unit_arm == ARM_CBR
+    treatment[cbr_units] = cluster_treatment[of[cbr_units]]
+    return cluster_arm, unit_arm, cluster_treatment, treatment
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(4, 1), (4, 2), (8, 1), (8, 3), (12, 2), (20, 5)]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["complete", "bernoulli"]),
+)
+def test_draw_matches_arm_by_arm_reference(shape, seed, mechanism):
+    m, k = shape
+    labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(m), k))
+    clustering = Clustering.from_assignment(labels)
+    counts = DesignCounts.symmetric(m * k, m)
+    a = hierarchical_assign(clustering, counts, seed, mechanism)
+    expected = _reference_draw(clustering, counts, seed, mechanism)
+    for got, want in zip((a.cluster_arm, a.unit_arm, a.cluster_treatment, a.treatment), expected):
+        assert got.dtype == np.int8 and np.array_equal(got, want)
+    assert a.counts.n_cr_t == int(expected[3][expected[1] == ARM_CR].sum())
+
+
+def test_encode_stack_equals_its_rows():
+    rng = np.random.default_rng(5)
+    clustering = Clustering.from_assignment(rng.permutation(np.repeat(np.arange(6), 3)))
+    m_cr, n_cr, rows = 2, 6, 7
+    arms = np.array([_complete_randomization(6, m_cr, rng) for _ in range(rows)])
+    cr = rng.integers(0, 2, (rows, n_cr)).astype(np.int8)
+    cbr = rng.integers(0, 2, (rows, 6 - m_cr)).astype(np.int8)
+    stacked = _encode(clustering, arms, cr, cbr)
+    for r in range(rows):
+        for whole, row in zip(stacked, _encode(clustering, arms[r], cr[r], cbr[r])):
+            assert np.array_equal(whole[r], row)
+    unit_arm, treatment, cluster_treatment = stacked
+    assert np.array_equal(cluster_treatment < 0, arms == ARM_CR)
+    assert np.array_equal(unit_arm, arms[:, clustering.assignment])
 
 
 def test_stratified_counts_respected():

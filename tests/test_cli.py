@@ -483,6 +483,16 @@ MALFORMED_INPUTS = {
         ),
         "assignment covers 8 units",
     ),
+    # A refusal inside one stratum names it: stratum 0 holds only unit-arm
+    # clusters, or (interleaved) one treated and one control cluster-arm cluster.
+    "stratum-one-arm": (
+        lambda p: _analyze_with_strata(p, "".join(f"{c},{c // 4}\n" for c in range(8))),
+        "stratum 0: design count n_cbr=0 must be >= 1",
+    ),
+    "stratum-small-bucket": (
+        lambda p: _analyze_with_strata(p, "".join(f"{c},{c % 2}\n" for c in range(8))),
+        "stratum 0: need >= 2 treated and >= 2 control clusters in the cluster arm",
+    ),
     "stratum-duplicate": (
         lambda p: _analyze_with_strata(p, "".join(f"{c},{c // 4}\n" for c in range(8)) + "3,1\n"),
         "duplicate cluster_id 3",

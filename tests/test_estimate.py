@@ -612,6 +612,22 @@ def test_interference_variance_requires_symmetric_design(oracle_design):
         interference_variance_approx(model, graph, clustering, lopsided)
 
 
+def test_interference_variance_refuses_another_graph():
+    # Two block models of the same N: the prediction must not pair one
+    # graph's variance with the other's mean.
+    graph_a, clustering = generate_sbm(SbmSpec(num_blocks=8, block_size=10, p_intra=0.4, p_inter=0.04, seed=2))
+    graph_b, _ = generate_sbm(SbmSpec(num_blocks=8, block_size=10, p_intra=0.1, p_inter=0.01, seed=3))
+    counts = DesignCounts.symmetric(graph_a.num_units, clustering.num_clusters)
+    model = LinearInterferenceModel(alpha=0.0, beta=1.0, gamma=1.0, noise_sd=0.5, graph=graph_a)
+    with pytest.raises(ValidationError, match="model graph does not match"):
+        interference_variance_approx(model, graph_b, clustering, counts)
+    # An equal graph built separately is the model's graph.
+    copy = Graph.from_edges(graph_a.num_units, np.column_stack([graph_a.adjacency_sources, graph_a.adjacency_indices]))
+    assert interference_variance_approx(model, copy, clustering, counts) == interference_variance_approx(
+        model, graph_a, clustering, counts
+    )
+
+
 def test_interference_variance_empty_graph_is_noise_only():
     graph = Graph.from_edges(8, [])
     clustering = Clustering.from_assignment(np.repeat(np.arange(4), 2))
