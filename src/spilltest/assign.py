@@ -370,12 +370,14 @@ def assignment_from_vectors(
     treatment: np.ndarray,
     provenance: str = "loaded",
     unit_ids: np.ndarray | None = None,
+    cluster_ids: np.ndarray | None = None,
 ) -> HierarchicalAssignment:
     """Reconstruct a hierarchical assignment from persisted arm/treatment bits.
 
     Validates the structural invariants: arms constant within clusters,
     treatment constant within cluster-randomized clusters, and both groups
-    non-empty in each arm.
+    non-empty in each arm. For a stratum, ``unit_ids`` and ``cluster_ids``
+    give the global ids of its units and clusters; errors name the latter.
     """
     _require_balanced(clustering)
     unit_arm = np.asarray(unit_arm, dtype=np.int8)
@@ -396,9 +398,10 @@ def assignment_from_vectors(
     bad = np.flatnonzero(mixed_arm | mixed_treatment)
     if len(bad):
         c = int(bad[0])
+        name = c if cluster_ids is None else int(cluster_ids[c])
         if mixed_arm[c]:
-            raise ValidationError(f"cluster {c} spans both arms; assignment is corrupt")
-        raise ValidationError(f"cluster-randomized cluster {c} has mixed treatment")
+            raise ValidationError(f"cluster {name} spans both arms; assignment is corrupt")
+        raise ValidationError(f"cluster-randomized cluster {name} has mixed treatment")
     cluster_treatment[~cbr] = -1
     m_cr = int(np.count_nonzero(cluster_arm == ARM_CR))
     m_cbr = m - m_cr

@@ -228,10 +228,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         inputs.append(args.stratification)
         assignments = []
         for s in range(strat.num_strata):
-            sub, unit_ids = _sub_clustering(clustering, strat.clusters_in(s))
+            cluster_ids = strat.clusters_in(s)
+            sub, unit_ids = _sub_clustering(clustering, cluster_ids)
             try:
                 a = assignment_from_vectors(
-                    sub, unit_arm[unit_ids], treatment[unit_ids], f"loaded/stratum={s}", unit_ids
+                    sub, unit_arm[unit_ids], treatment[unit_ids], f"loaded/stratum={s}", unit_ids, cluster_ids
                 )
             except ValidationError as exc:
                 raise ValidationError(f"stratum {s}: {exc}") from exc

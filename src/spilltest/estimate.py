@@ -16,13 +16,14 @@ bound for stacked draws of a design. It is two arm contrasts
 over the unit arm's outcomes, one over the cluster arm's
 :func:`_cluster_totals`, scaled by ``m_cbr / n_cbr``. The oracle's
 single-mechanism designs run those same two functions. The kernel reads
-only a :class:`_DrawStack`, and every caller fills one: :func:`_estimate`
-puts the analysis's one (assignment, outcomes) draw in a one-row stack, a
-study refills one per grid point with a few consecutive draws at a time,
-and the oracle writes every enumerated draw into one. Each row of the
-result is bit for bit what a one-row stack of that draw gives. One decision
-step, :func:`_decide`, is the whole decision: it checks its inputs and
-turns a gap and its bound into the t-statistic, both p-values and both
+only a :class:`_DrawStack`, which binds the rows its caller holds:
+:func:`_estimate` binds one-row views of the analysis's assignment and a
+copy of its units' outcomes, a study binds one set of buffers per grid
+point and rewrites them a few consecutive draws at a time, and the oracle
+binds every enumerated draw's vectors and realized outcomes. Each row of
+the result is bit for bit what a one-row stack of that draw gives. One
+decision step, :func:`_decide`, is the whole decision: it checks its inputs
+and turns a gap and its bound into the t-statistic, both p-values and both
 rules' verdicts. The analysis reports, the studies' counts and the oracle's
 ``reject`` statistic all read it.
 """
@@ -132,45 +133,33 @@ def _cluster_totals(y: np.ndarray, cluster_ids: np.ndarray, m: int) -> np.ndarra
 
 
 class _DrawStack:
-    """Buffers for up to ``height`` draws of one clustering, refilled in place,
-    and the estimator kernel that reads them.
+    """Stacked draws of one design, bound as the caller holds them, and the
+    estimator kernel that reads them.
 
     Row r holds one draw: the three assignment vectors the kernel reads,
     ``unit_arm``, ``treatment`` and ``cluster_treatment``, as
     ``assign._encode`` writes every draw (``cluster_treatment`` is 1 or 0 on
     cluster-arm clusters and -1 on unit-arm ones, so it also marks each
-    cluster's arm), copied in by :meth:`put` or written for a whole stack at
-    once; and its outcomes in unit order in ``y[r]``.
-    The row-offset cluster ids are built once. Row 0 sets the design counts
-    of a fill; a later row whose counts differ is refused.
+    cluster's arm), and its outcomes in unit order in ``y[r]``. Every row has
+    the bucket sizes of ``counts``. The rows are not copied, so a caller may
+    rewrite them between kernel calls; the stack allocates only the
+    row-offset cluster ids of its cluster totals.
     """
 
-    def __init__(self, clustering: Clustering, height: int) -> None:
-        n, m = clustering.num_units, clustering.num_clusters
-        self.counts: DesignCounts | None = None
-        self.unit_arm = np.empty((height, n), dtype=np.int8)
-        self.treatment = np.empty((height, n), dtype=np.int8)
-        self.cluster_treatment = np.empty((height, m), dtype=np.int8)
-        self.y = np.empty((height, n))
-        self.cluster_ids = _row_cluster_ids(clustering.assignment, m, height)
-
-    def put(self, r: int, assignment: HierarchicalAssignment) -> None:
-        """Copy the assignment's vectors into row ``r``."""
-        if r == 0:
-            self.counts = assignment.counts
-        elif assignment.counts != self.counts:
-            raise ValidationError(
-                f"a draw's design counts {assignment.counts.to_dict()} differ from "
-                f"its stack's first draw {self.counts.to_dict()}"
-            )
-        self.unit_arm[r] = assignment.unit_arm
-        self.treatment[r] = assignment.treatment
-        self.cluster_treatment[r] = assignment.cluster_treatment
+    def __init__(
+        self, clustering: Clustering, counts: DesignCounts, unit_arm: np.ndarray, treatment: np.ndarray,
+        cluster_treatment: np.ndarray, y: np.ndarray,
+    ) -> None:
+        self.counts = counts
+        self.unit_arm = unit_arm
+        self.treatment = treatment
+        self.cluster_treatment = cluster_treatment
+        self.y = y
+        self.cluster_ids = _row_cluster_ids(clustering.assignment, clustering.num_clusters, len(y))
 
     def estimate(self, h: int, bound: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """``(tau_cr, tau_cbr, sigma_hat_sq)`` of each of the first ``h`` rows.
 
-        Every row must hold a draw with the bucket sizes of ``counts``.
         ``sigma_hat_sq`` is None unless ``bound``, which raises
         ValidationError when a bucket holds fewer than two members. Each
         row's values are bit for bit those of a one-row stack of that draw.
@@ -199,19 +188,18 @@ def _estimate(
     assignment: HierarchicalAssignment, y: np.ndarray, bound: bool = True
 ) -> tuple[float, float, float, float | None]:
     """``(tau_cr, tau_cbr, delta, sigma_hat_sq)`` of one draw, from a one-row
-    stack holding the outcomes of the assignment's units.
+    stack of the assignment's own vectors and the outcomes of its units.
 
     ``sigma_hat_sq`` is None unless ``bound``; ``delta`` is the difference
     of the two floats.
     """
+    a = assignment
     y = np.asarray(y, dtype=np.float64)
-    if assignment.unit_ids.max() >= len(y):
-        raise ValidationError(
-            f"outcomes missing for unit {int(assignment.unit_ids.max())}; got {len(y)} values"
-        )
-    stack = _DrawStack(assignment.clustering, 1)
-    stack.put(0, assignment)
-    stack.y[0] = y[assignment.unit_ids]
+    if a.unit_ids.max() >= len(y):
+        raise ValidationError(f"outcomes missing for unit {int(a.unit_ids.max())}; got {len(y)} values")
+    stack = _DrawStack(
+        a.clustering, a.counts, a.unit_arm[None], a.treatment[None], a.cluster_treatment[None], y[None, a.unit_ids]
+    )
     tau_cr, tau_cbr, sigma_hat_sq = stack.estimate(1, bound)
     t_cr, t_cbr = float(tau_cr[0]), float(tau_cbr[0])
     return t_cr, t_cbr, t_cr - t_cbr, None if sigma_hat_sq is None else float(sigma_hat_sq[0])

@@ -98,13 +98,14 @@ def hierarchical_outcome_count(counts: DesignCounts) -> int:
     )
 
 
-def enumerate_hierarchical_assignments(clustering: Clustering, counts: DesignCounts) -> _DrawStack:
-    """All draws of the two-arm design, one stack row per equiprobable
-    outcome, in deterministic lexicographic order.
+def enumerate_hierarchical_assignments(clustering: Clustering, counts: DesignCounts) -> tuple[np.ndarray, ...]:
+    """``(unit_arm, treatment, cluster_treatment)`` of every draw of the
+    two-arm design, one row per equiprobable outcome, in deterministic
+    lexicographic order.
 
     The three randomizations of every draw are enumerated, and
     ``assign._encode`` writes their assignment vectors, as it does for a
-    random draw; the outcome rows are left for the caller.
+    random draw.
     """
     _require_balanced(clustering, counts)
     total = hierarchical_outcome_count(counts)
@@ -113,15 +114,12 @@ def enumerate_hierarchical_assignments(clustering: Clustering, counts: DesignCou
     cr = _subset_matrix(counts.n_cr, counts.n_cr_t)
     cbr = _subset_matrix(counts.m_cbr, counts.m_cbr_t)
     a, u, c = len(arms), len(cr), len(cbr)
-    stack = _DrawStack(clustering, total)
-    stack.counts = counts
-    stack.unit_arm, stack.treatment, stack.cluster_treatment = _encode(
+    return _encode(
         clustering,
         np.repeat(arms, u * c, axis=0),
         np.tile(np.repeat(cr, c, axis=0), (a, 1)),
         np.tile(cbr, (a * u, 1)),
     )
-    return stack
 
 
 def _hierarchical_statistic_rows(
@@ -130,11 +128,10 @@ def _hierarchical_statistic_rows(
     """The statistic on every enumerated draw, computed by the shipped estimator."""
     if statistic not in get_args(Statistic):
         raise ValidationError(f"unknown statistic {statistic!r}")
-    stack = enumerate_hierarchical_assignments(clustering, counts)
-    # The realized rows replace the stack's unwritten outcome buffer, so one
-    # (total, N) float array of outcomes is held.
-    stack.y = _realize(outcomes, stack.treatment)
-    tau_cr, tau_cbr, sigma = stack.estimate(len(stack.y), bound=statistic in ("sigma_hat_sq", "reject"))
+    unit_arm, treatment, cluster_treatment = enumerate_hierarchical_assignments(clustering, counts)
+    y = _realize(outcomes, treatment)
+    stack = _DrawStack(clustering, counts, unit_arm, treatment, cluster_treatment, y)
+    tau_cr, tau_cbr, sigma = stack.estimate(len(y), bound=statistic in ("sigma_hat_sq", "reject"))
     delta = tau_cr - tau_cbr
     if statistic == "reject":
         return np.array(
@@ -487,8 +484,7 @@ def check_bernoulli(design: OracleDesign) -> dict:
 def check_law(design: OracleDesign) -> dict:
     """Enumeration visits every design outcome once; marginals are exact."""
     counts = design.counts
-    stack = enumerate_hierarchical_assignments(design.clustering, counts)
-    unit_arm, treatment = stack.unit_arm, stack.treatment
+    unit_arm, treatment, cluster_treatment = enumerate_hierarchical_assignments(design.clustering, counts)
     expected = hierarchical_outcome_count(counts)
     rows = {bytes(np.concatenate([unit_arm[r], treatment[r]])) for r in range(len(unit_arm))}
     unique_ok = len(rows) == expected == len(unit_arm)
@@ -500,12 +496,12 @@ def check_law(design: OracleDesign) -> dict:
     # Conditional independence: within each arm split, the treatment pattern
     # pairs form a full product set.
     splits: dict[bytes, list[int]] = {}
-    for r, key in enumerate(stack.cluster_treatment < 0):
+    for r, key in enumerate(cluster_treatment < 0):
         splits.setdefault(key.tobytes(), []).append(r)
     factorizes = True
     for idx in splits.values():
         cr_patterns = {bytes(treatment[r][unit_arm[r] == ARM_CR]) for r in idx}
-        cbr_patterns = {bytes(stack.cluster_treatment[r]) for r in idx}
+        cbr_patterns = {bytes(cluster_treatment[r]) for r in idx}
         if len(cr_patterns) * len(cbr_patterns) != len(idx):
             factorizes = False
     passed = unique_ok and marg_err <= EXACT_TOL and factorizes

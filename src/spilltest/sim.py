@@ -21,24 +21,24 @@ noise.
 Every study runs the same replication loop, :func:`_replicate`. The loop
 cuts the replications' seed streams into stacks of a few consecutive draws
 (as many as fit a 256 KiB float array of outcomes, 8 at N = 4000, at least
-one). Each grid point allocates one set of stack buffers
-(``estimate._DrawStack``: the assignment vectors and outcomes of one stack,
-and the row-offset cluster ids of its cluster totals) and refills them in
-place for every stack. The loop makes one ``hierarchical_assign`` call per
-stream and puts its vectors in that stream's row; a study supplies only a
-function that writes the stack's outcome rows, in one call of its outcome
-model on the stack's treatment rows. A ratio or type1 study selects them
-with one ``realize_sutva`` call; a power study draws them with one
-``realize_linear`` call, whose neighbor counts come from one lane-packed
-pass over the graph, with the noise streams it spawned beside the
-assignment streams.
-The loop runs the estimator kernel, ``_DrawStack.estimate``, once on the
-filled rows, and then decides each draw in stream order through
-``estimate._decide``; ``analyze`` runs the same kernel on a one-row stack
-and the same decision. Each draw's outcomes, gap and bound are those of
-that draw alone, so a study counts exactly what ``analyze`` would decide on
-each draw, and a non-finite statistic raises. The loop keeps the gaps, the
-variance bounds and both rules' rejection counts.
+one). Each grid point allocates one set of stack buffers, the assignment
+vectors and outcomes of one stack, and binds them to one
+``estimate._DrawStack``, which adds the row-offset cluster ids of its
+cluster totals. The loop makes one ``hierarchical_assign`` call per stream
+and writes its vectors into that stream's row, in place; a study supplies
+only a function that returns the stack's outcome rows, from one call of
+its outcome model on the stack's treatment rows. A ratio or type1 study
+selects them with one ``realize_sutva`` call; a power study draws them with
+one ``realize_linear`` call, whose neighbor counts come from one
+lane-packed pass over the graph, with the noise streams it spawned beside
+the assignment streams. The loop runs the estimator kernel,
+``_DrawStack.estimate``, once on the written rows, and then decides each
+draw in stream order through ``estimate._decide``; ``analyze`` runs the
+same kernel on a one-row stack and the same decision. Each draw's
+outcomes, gap and bound are those of that draw alone, so a study counts
+exactly what ``analyze`` would decide on each draw, and a non-finite
+statistic raises. The loop keeps the gaps, the variance bounds and both
+rules' rejection counts.
 
 Replications derive their seeds from (master seed, study indices), so an
 identical config reproduces an identical report bit for bit, regardless of
@@ -212,7 +212,7 @@ def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
 # Its height is the number of (R, N) float rows that fit in this many bytes,
 # at least one: 8 rows at N = 4000. A grid point allocates the buffers of
 # one stack (about 0.6 MB at N = 4000, with the assignment vectors and the
-# cluster ids) and refills them; taller stacks ran no faster and raised
+# cluster ids) and rewrites them; taller stacks ran no faster and raised
 # peak memory.
 _STACK_BYTES = 2**18
 
@@ -222,7 +222,7 @@ def _replicate(
     clustering: Clustering,
     counts: DesignCounts,
     streams: Sequence[np.random.SeedSequence],
-    outcomes: Callable[[_DrawStack, int, int], None],
+    outcomes: Callable[[np.ndarray, int], np.ndarray],
     setting: int = 0,
     gamma: float = 0.0,
     rho_c: float = 0.0,
@@ -231,12 +231,12 @@ def _replicate(
     rules, and summarize the grid point; also returns the per-draw variance
     bounds.
 
-    Consecutive draws of the clustering's units share one set of stack
-    buffers (see ``_STACK_BYTES``): each stream's ``hierarchical_assign``
-    draw is put in its row, ``outcomes(stack, first, h)`` writes the
-    outcome rows of the ``h`` draws from replication ``first`` on, and one
-    kernel call estimates them. The draws are then decided one by one in
-    stream order, each exactly as ``analyze`` would decide it alone.
+    One ``_DrawStack`` binds the loop's stack buffers (see ``_STACK_BYTES``)
+    with the first draw's design counts, and a draw of other counts is
+    refused. Each stream's ``hierarchical_assign`` draw is written into its
+    row, ``outcomes(z, first)`` returns the outcome rows of the treatment rows
+    ``z`` from replication ``first`` on, and one kernel call estimates them.
+    The draws are then decided in stream order, each as ``analyze`` would.
     """
     n = len(streams)
     deltas = np.empty(n)
@@ -244,12 +244,23 @@ def _replicate(
     rejections = 0
     rejections_gauss = 0
     height = max(1, _STACK_BYTES // (8 * clustering.num_units))
-    stack = _DrawStack(clustering, height)
+    rows = (height, clustering.num_units)
+    unit_arm, treatment, y = np.empty(rows, dtype=np.int8), np.empty(rows, dtype=np.int8), np.empty(rows)
+    cluster_treatment = np.empty((height, clustering.num_clusters), dtype=np.int8)
+    stack = None
     for first in range(0, n, height):
         h = min(height, n - first)
         for r in range(h):
-            stack.put(r, hierarchical_assign(clustering, counts, streams[first + r]))
-        outcomes(stack, first, h)
+            a = hierarchical_assign(clustering, counts, streams[first + r])
+            if stack is None:
+                stack = _DrawStack(clustering, a.counts, unit_arm, treatment, cluster_treatment, y)
+            elif a.counts != stack.counts:
+                raise ValidationError(
+                    f"a draw's design counts {a.counts.to_dict()} differ from "
+                    f"its stack's first draw {stack.counts.to_dict()}"
+                )
+            unit_arm[r], treatment[r], cluster_treatment[r] = a.unit_arm, a.treatment, a.cluster_treatment
+        y[:h] = outcomes(treatment[:h], first)
         tau_cr, tau_cbr, sigma_hat_sq = stack.estimate(h)
         estimates = zip(tau_cr.tolist(), tau_cbr.tolist(), sigma_hat_sq.tolist())
         for r, (t_cr, t_cbr, bound) in enumerate(estimates, first):
@@ -293,8 +304,8 @@ def _sutva_design(cfg: SimConfig) -> tuple[Clustering, DesignCounts, PotentialTa
     effects = cfg.constant_effect + cfg.effect_unit_sd * rng.standard_normal(clustering.num_units)
     table = PotentialTable(y1=y0 + effects, y0=y0)
 
-    def outcomes(stack: _DrawStack, first: int, h: int) -> None:
-        stack.y[:h] = realize_sutva(table, stack.treatment[:h])
+    def outcomes(z: np.ndarray, first: int) -> np.ndarray:
+        return realize_sutva(table, z)
 
     return clustering, counts, table, outcomes, rep_root.spawn(cfg.replications)
 
@@ -323,8 +334,8 @@ def _power_setting_rows(args: tuple[SimConfig, int]) -> list[SimRow]:
         streams = gamma_streams[gi].spawn(cfg.replications)
         assign_streams, noise_streams = zip(*(s.spawn(2) for s in streams))
 
-        def outcomes(stack: _DrawStack, first: int, h: int) -> None:
-            stack.y[:h] = realize_linear(model, stack.treatment[:h], seed=noise_streams[first : first + h])
+        def outcomes(z: np.ndarray, first: int) -> np.ndarray:
+            return realize_linear(model, z, seed=noise_streams[first : first + len(z)])
 
         rows.append(_replicate(cfg, clustering, counts, assign_streams, outcomes, setting_index, gamma, rho_c)[0])
     return rows

@@ -493,6 +493,21 @@ MALFORMED_INPUTS = {
         lambda p: _analyze_with_strata(p, "".join(f"{c},{c % 2}\n" for c in range(8))),
         "stratum 0: need >= 2 treated and >= 2 control clusters in the cluster arm",
     ),
+    # Unit 10 sits in cluster 5, a treated cluster-arm cluster, which is
+    # cluster 2 of stratum 1 under the interleaved strata: the refusal names
+    # the file's id.
+    "stratum-cluster-spans-arms": (
+        lambda p: _analyze_with_strata(
+            p, "".join(f"{c},{c % 2}\n" for c in range(8)), assignment=_replace_line(11, "10,cr,1")
+        ),
+        "stratum 1: cluster 5 spans both arms",
+    ),
+    "stratum-cluster-mixed-treatment": (
+        lambda p: _analyze_with_strata(
+            p, "".join(f"{c},{c % 2}\n" for c in range(8)), assignment=_replace_line(11, "10,cbr,0")
+        ),
+        "stratum 1: cluster-randomized cluster 5 has mixed treatment",
+    ),
     "stratum-duplicate": (
         lambda p: _analyze_with_strata(p, "".join(f"{c},{c // 4}\n" for c in range(8)) + "3,1\n"),
         "duplicate cluster_id 3",

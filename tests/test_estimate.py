@@ -96,10 +96,14 @@ def test_kernel_rows_match_per_draw_formulas(design, rows, seed):
     clustering, counts = design
     draws = [hierarchical_assign(clustering, counts, seed=seed + r) for r in range(rows)]
     y = np.random.default_rng(seed).normal(size=(rows, clustering.num_units)) * 10.0 + 3.0
-    stack = _DrawStack(clustering, rows)
-    for r, a in enumerate(draws):
-        stack.put(r, a)
-    stack.y[:] = y
+    stack = _DrawStack(
+        clustering,
+        counts,
+        np.stack([a.unit_arm for a in draws]),
+        np.stack([a.treatment for a in draws]),
+        np.stack([a.cluster_treatment for a in draws]),
+        y,
+    )
     tau_cr, tau_cbr, none = stack.estimate(rows, bound=False)
     assert none is None
     for r, a in enumerate(draws):
@@ -123,12 +127,44 @@ def test_kernel_rejects_draw_that_disagrees_with_counts():
     a = hierarchical_assign(clustering, counts, seed=1)
     treatment = a.treatment.copy()
     treatment[np.flatnonzero(a.unit_arm == ARM_CR)[0]] ^= 1
-    stack = _DrawStack(clustering, 1)
-    stack.put(0, a)
-    stack.treatment[0] = treatment
-    stack.y[0] = 1.0
+    stack = _DrawStack(
+        clustering, a.counts, a.unit_arm[None], treatment[None], a.cluster_treatment[None], np.ones((1, 16))
+    )
     with pytest.raises(ValidationError, match="design counts"):
         stack.estimate(1)
+
+
+def test_stacks_bind_their_callers_arrays(monkeypatch, bound_design):
+    # The analysis's one-row stack views the assignment's own vectors, and
+    # the enumeration hands on the arrays the encoder wrote, uncopied.
+    from spilltest import estimate, oracle
+
+    clustering, counts = bound_design
+    a = hierarchical_assign(clustering, counts, seed=3)
+    stacks = []
+
+    def spy(stack, h, bound=True):
+        stacks.append(stack)
+        return kernel(stack, h, bound)
+
+    kernel = _DrawStack.estimate
+    monkeypatch.setattr(estimate._DrawStack, "estimate", spy)
+    analyze(a, rng.normal(size=12))
+    (stack,) = stacks
+    for name in ("unit_arm", "treatment", "cluster_treatment"):
+        assert np.shares_memory(getattr(stack, name), getattr(a, name))
+
+    encoded = []
+
+    def encode(*args):
+        encoded.append(original(*args))
+        return encoded[-1]
+
+    original = oracle._encode
+    monkeypatch.setattr(oracle, "_encode", encode)
+    arrays = enumerate_hierarchical_assignments(clustering, counts)
+    (expected,) = encoded
+    assert len(arrays) == 3 and all(x is y for x, y in zip(arrays, expected))
 
 
 @pytest.mark.parametrize("statistic", ["delta", "tau_cr", "tau_cbr", "sigma_hat_sq"])
@@ -140,8 +176,7 @@ def test_oracle_rows_are_the_shipped_estimator(oracle_design, bound_design, stat
         clustering, counts = bound_design
         table = PotentialTable(y1=rng.normal(size=12), y0=rng.normal(size=12))
     values = _hierarchical_statistic_rows(table, clustering, counts, statistic, 0.05)
-    stack = enumerate_hierarchical_assignments(clustering, counts)
-    unit_arm, treatment = stack.unit_arm, stack.treatment
+    unit_arm, treatment, _ = enumerate_hierarchical_assignments(clustering, counts)
     assert len(values) == len(unit_arm)
     for r in range(len(unit_arm)):
         a = assignment_from_vectors(clustering, unit_arm[r], treatment[r])

@@ -131,14 +131,13 @@ def test_type1_counts_what_analyze_decides():
     # Fresh streams, each drawn once: a draw spawns from its stream, so a
     # second draw on the same stream would be another assignment.
     clustering, counts, _, outcomes, streams = sim._sutva_design(cfg)
-    stack = estimate._DrawStack(clustering, 1)
     decided = {"chebyshev": [], "gaussian": []}
     for r, s in enumerate(streams):
-        stack.put(0, sim.hierarchical_assign(clustering, counts, s))
-        outcomes(stack, r, 1)
-        assignment = assignment_from_vectors(clustering, stack.unit_arm[0], stack.treatment[0])
+        draw = sim.hierarchical_assign(clustering, counts, s)
+        y = outcomes(draw.treatment[None], r)[0]
+        assignment = assignment_from_vectors(clustering, draw.unit_arm, draw.treatment)
         for rule, rejects in decided.items():
-            rejects.append(analyze(assignment, stack.y[0], alpha=cfg.alpha, decision_rule=rule).reject)
+            rejects.append(analyze(assignment, y, alpha=cfg.alpha, decision_rule=rule).reject)
     assert row.rejection_rate == sum(decided["chebyshev"]) / len(streams)
     assert row.rejection_rate_gaussian == sum(decided["gaussian"]) / len(streams)
 
@@ -248,7 +247,7 @@ def test_ratio_row_keeps_the_type1_rejection_rates():
 
 def _one_draw_replicate(cfg, clustering, counts, streams, outcomes, setting=0, gamma=0.0, rho_c=0.0):
     """The replication loop as it was before draws were stacked: one draw
-    into fresh one-row buffers, one kernel call and one decision per
+    in a fresh one-row stack, one kernel call and one decision per
     stream."""
     n = len(streams)
     deltas = np.empty(n)
@@ -256,9 +255,11 @@ def _one_draw_replicate(cfg, clustering, counts, streams, outcomes, setting=0, g
     rejections = 0
     rejections_gauss = 0
     for r, stream in enumerate(streams):
-        stack = estimate._DrawStack(clustering, 1)
-        stack.put(0, sim.hierarchical_assign(clustering, counts, stream))
-        outcomes(stack, r, 1)
+        a = sim.hierarchical_assign(clustering, counts, stream)
+        z = a.treatment[None]
+        stack = estimate._DrawStack(
+            clustering, a.counts, a.unit_arm[None], z, a.cluster_treatment[None], outcomes(z, r)
+        )
         tau_cr, tau_cbr, sigma_hat_sq = stack.estimate(1)
         delta, bound = float(tau_cr[0]) - float(tau_cbr[0]), float(sigma_hat_sq[0])
         deltas[r] = delta
@@ -416,10 +417,11 @@ def _sutva_draws(cfg, poison=None):
     # function, with the outcomes of replication ``poison`` poisoned.
     clustering, counts, _, outcomes, streams = sim._sutva_design(cfg)
 
-    def poisoned(stack, first, h):
-        outcomes(stack, first, h)
-        if poison is not None and first <= poison < first + h:
-            stack.y[poison - first, 3] = np.inf
+    def poisoned(z, first):
+        y = outcomes(z, first).copy()
+        if poison is not None and first <= poison < first + len(z):
+            y[poison - first, 3] = np.inf
+        return y
 
     return clustering, counts, streams, poisoned
 
