@@ -6,7 +6,9 @@ completely at random (or by re-randomized Bernoulli coins), and whole
 clusters of the other treated completely at random. ``_encode`` turns the
 three 0/1 vectors into the vectors the analysis reads, for one draw or a
 stack of enumerated ones. Comparing the two arms' effect estimates is what
-powers the interference test downstream.
+powers the interference test downstream. Drawing a stratified design and
+reloading it from saved vectors split it into strata in one place,
+``_per_stratum``, so both refuse the same inputs.
 
 Seeding discipline: a master seed expands into named substreams through
 ``numpy.random.SeedSequence.spawn`` — child 0 drives the cluster-to-arm
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -254,16 +256,8 @@ def hierarchical_assign(
         ValidationError: Unbalanced clustering (the analysis requires exactly
             equal cluster sizes) or counts inconsistent with it.
     """
-    master = _seed_sequence(seed)
-    arm_stream, cr_stream, cbr_stream = master.spawn(3)
     return _hierarchical_from_streams(
-        clustering,
-        counts,
-        arm_stream,
-        cr_stream,
-        cbr_stream,
-        cr_arm_mechanism,
-        provenance=f"seed={seed}",
+        clustering, counts, *_seed_sequence(seed).spawn(3), cr_arm_mechanism, f"seed={seed}"
     )
 
 
@@ -273,6 +267,27 @@ def _sub_clustering(clustering: Clustering, cluster_subset: np.ndarray) -> tuple
     unit_ids = np.flatnonzero(mask)
     assignment = np.searchsorted(np.sort(cluster_subset), clustering.assignment[unit_ids])
     return Clustering.from_assignment(assignment), unit_ids
+
+
+def _per_stratum(
+    clustering: Clustering,
+    stratification: Stratification,
+    build: Callable[[int, Clustering, np.ndarray, np.ndarray], HierarchicalAssignment],
+) -> list[HierarchicalAssignment]:
+    """``build(s, sub, unit_ids, cluster_ids)`` of each stratum ``s``, ``sub`` relabeled from 0."""
+    listed, m = len(stratification.stratum_of), clustering.num_clusters
+    if listed != m:
+        raise ValidationError(f"stratification does not cover the clustering of {m} clusters: it lists {listed}")
+    _require_balanced(clustering)
+    out: list[HierarchicalAssignment] = []
+    for s in range(stratification.num_strata):
+        cluster_ids = stratification.clusters_in(s)
+        sub, unit_ids = _sub_clustering(clustering, cluster_ids)
+        try:
+            out.append(build(s, sub, unit_ids, cluster_ids))
+        except ValidationError as exc:
+            raise ValidationError(f"stratum {s}: {exc}") from exc
+    return out
 
 
 def stratified_hierarchical_assign(
@@ -296,36 +311,15 @@ def stratified_hierarchical_assign(
         raise ValidationError("empty stratification")
     if counts is not None and len(counts) != stratification.num_strata:
         raise ValidationError(f"got {len(counts)} design counts for {stratification.num_strata} strata")
-    if len(stratification.stratum_of) != clustering.num_clusters:
-        raise ValidationError("stratification does not cover the clustering")
-    _require_balanced(clustering)
-    master = _seed_sequence(seed)
-    streams = master.spawn(stratification.num_strata)
-    out: list[HierarchicalAssignment] = []
-    for s in range(stratification.num_strata):
-        cluster_subset = stratification.clusters_in(s)
-        sub, unit_ids = _sub_clustering(clustering, cluster_subset)
-        try:
-            if counts is None:
-                stratum_counts = DesignCounts.symmetric(sub.num_units, sub.num_clusters)
-            else:
-                stratum_counts = counts[s]
-            arm_stream, cr_stream, cbr_stream = streams[s].spawn(3)
-            out.append(
-                _hierarchical_from_streams(
-                    sub,
-                    stratum_counts,
-                    arm_stream,
-                    cr_stream,
-                    cbr_stream,
-                    cr_arm_mechanism,
-                    provenance=f"seed={seed}/stratum={s}",
-                    unit_ids=unit_ids,
-                )
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"stratum {s}: {exc}") from exc
-    return out
+    streams = _seed_sequence(seed).spawn(stratification.num_strata)
+
+    def draw(s: int, sub: Clustering, unit_ids: np.ndarray, _: np.ndarray) -> HierarchicalAssignment:
+        stratum_counts = DesignCounts.symmetric(sub.num_units, sub.num_clusters) if counts is None else counts[s]
+        return _hierarchical_from_streams(
+            sub, stratum_counts, *streams[s].spawn(3), cr_arm_mechanism, f"seed={seed}", unit_ids
+        )
+
+    return _per_stratum(clustering, stratification, draw)
 
 
 def save_assignment(
@@ -368,7 +362,6 @@ def assignment_from_vectors(
     clustering: Clustering,
     unit_arm: np.ndarray,
     treatment: np.ndarray,
-    provenance: str = "loaded",
     unit_ids: np.ndarray | None = None,
     cluster_ids: np.ndarray | None = None,
 ) -> HierarchicalAssignment:
@@ -378,6 +371,7 @@ def assignment_from_vectors(
     treatment constant within cluster-randomized clusters, and both groups
     non-empty in each arm. For a stratum, ``unit_ids`` and ``cluster_ids``
     give the global ids of its units and clusters; errors name the latter.
+    The assignment's provenance is ``loaded``.
     """
     _require_balanced(clustering)
     unit_arm = np.asarray(unit_arm, dtype=np.int8)
@@ -426,6 +420,20 @@ def assignment_from_vectors(
         unit_arm=unit_arm,
         cluster_treatment=cluster_treatment,
         treatment=treatment,
-        provenance=provenance,
+        provenance="loaded",
         unit_ids=unit_ids,
     )
+
+
+def stratified_assignment_from_vectors(
+    clustering: Clustering, stratification: Stratification, unit_arm: np.ndarray, treatment: np.ndarray
+) -> list[HierarchicalAssignment]:
+    """:func:`assignment_from_vectors` of each stratum, split and refused as
+    :func:`stratified_hierarchical_assign` splits and refuses the design."""
+    if not len(unit_arm) == len(treatment) == clustering.num_units:
+        raise ValidationError("assignment vectors do not match the clustering")
+
+    def load(_: int, sub: Clustering, unit_ids: np.ndarray, cluster_ids: np.ndarray) -> HierarchicalAssignment:
+        return assignment_from_vectors(sub, unit_arm[unit_ids], treatment[unit_ids], unit_ids, cluster_ids)
+
+    return _per_stratum(clustering, stratification, load)

@@ -27,11 +27,11 @@ from ._errors import CheckFailure, SpilltestError, ValidationError, build_record
 from ._table import FLOAT, ID, read_header, read_id_table
 from .assign import (
     DesignCounts,
-    _sub_clustering,
     assignment_from_vectors,
     hierarchical_assign,
     load_assignment_vectors,
     save_assignment,
+    stratified_assignment_from_vectors,
     stratified_hierarchical_assign,
 )
 from .estimate import analyze, analyze_stratified
@@ -226,17 +226,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.stratification:
         strat = load_stratification(args.stratification)
         inputs.append(args.stratification)
-        assignments = []
-        for s in range(strat.num_strata):
-            cluster_ids = strat.clusters_in(s)
-            sub, unit_ids = _sub_clustering(clustering, cluster_ids)
-            try:
-                a = assignment_from_vectors(
-                    sub, unit_arm[unit_ids], treatment[unit_ids], f"loaded/stratum={s}", unit_ids, cluster_ids
-                )
-            except ValidationError as exc:
-                raise ValidationError(f"stratum {s}: {exc}") from exc
-            assignments.append(a)
+        assignments = stratified_assignment_from_vectors(clustering, strat, unit_arm, treatment)
         report = analyze_stratified(assignments, y, alpha=args.alpha, decision_rule=args.rule)
     else:
         assignment = assignment_from_vectors(clustering, unit_arm, treatment)

@@ -444,7 +444,8 @@ def analyze_stratified(
     """Pool independent per-stratum analyses into one decision.
 
     Stratum ``s`` with ``M(s)`` of the ``M`` clusters weighs its gap and arm
-    estimates by ``M(s)/M`` and its variance bound by ``(M(s)/M)**2``.
+    estimates by ``M(s)/M`` and its variance bound by ``(M(s)/M)**2``. All
+    strata carry their design's provenance; the report takes the first's.
     """
     if len(assignments) == 0:
         raise ValidationError("no strata to analyze")
@@ -480,7 +481,7 @@ def analyze_stratified(
         alpha,
         decision_rule,
         counts_total,
-        assignments[0].provenance.split("/stratum=")[0],
+        assignments[0].provenance,
         stratified=True,
         strata=tuple(details),
     )

@@ -294,7 +294,7 @@ def clustering_metrics(graph: "Graph", clustering: Clustering) -> ClusteringMetr
 def cluster_features(
     graph: "Graph", clustering: Clustering, covariates: np.ndarray | None = None
 ) -> ClusterFeatures:
-    """Edge-count features per cluster, plus optional user covariate columns."""
+    """Edge-count features per cluster, plus covariates: ``(M,)`` or ``(M, k)``."""
     m = clustering.num_clusters
     assignment = clustering.assignment
     # Exact integer sums: float64 holds every count below 2**53.
@@ -304,10 +304,10 @@ def cluster_features(
     if covariates is None:
         cov = np.empty((m, 0))
     else:
-        cov = np.atleast_2d(np.asarray(covariates, dtype=np.float64))
-        if cov.shape[0] != m:
-            cov = cov.T
-        if cov.shape[0] != m:
+        cov = np.asarray(covariates, dtype=np.float64)
+        if cov.ndim == 1:
+            cov = cov[:, None]
+        if cov.ndim != 2 or cov.shape[0] != m:
             raise ValidationError("covariates must have one row per cluster")
         if not np.all(np.isfinite(cov)):
             raise ValidationError("covariates must be finite")

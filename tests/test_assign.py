@@ -21,6 +21,7 @@ from spilltest.assign import (
     assignment_from_vectors,
     load_assignment_vectors,
     save_assignment,
+    stratified_assignment_from_vectors,
 )
 from spilltest.partition import Stratification
 
@@ -131,6 +132,44 @@ def test_bernoulli_draw_records_realized_counts():
         assert loaded.counts == a.counts
         assert analyze(a, y).to_dict() == {**analyze(loaded, y).to_dict(), "provenance": a.provenance}
     assert len(realized) > 1
+
+
+@pytest.mark.parametrize("mechanism", ["complete", "bernoulli"])
+def test_stratified_draw_and_its_saved_csv_analyze_alike(tmp_path, mechanism):
+    from spilltest import analyze_stratified
+
+    # Shuffled cluster ids, so each stratum's units are scattered.
+    clustering = Clustering.from_assignment(np.random.default_rng(1).permutation(np.repeat(np.arange(16), 5)))
+    strat = Stratification(num_strata=2, stratum_of=np.arange(16) % 2, strata_sizes=np.array([8, 8]))
+    y = np.random.default_rng(3).normal(size=80)
+    drawn = stratified_hierarchical_assign(clustering, strat, seed=9, cr_arm_mechanism=mechanism)
+    save_assignment(drawn, tmp_path / "a.csv")
+    unit_arm, treatment = load_assignment_vectors(tmp_path / "a.csv")
+    loaded = stratified_assignment_from_vectors(clustering, strat, unit_arm, treatment)
+    assert [a.counts for a in loaded] == [a.counts for a in drawn]
+    assert [a.provenance for a in loaded] == ["loaded", "loaded"]
+    report = analyze_stratified(drawn, y).to_dict()
+    assert report["provenance"] == "seed=9"
+    assert report == {**analyze_stratified(loaded, y).to_dict(), "provenance": "seed=9"}
+    with pytest.raises(ValidationError, match="assignment vectors do not match the clustering"):
+        stratified_assignment_from_vectors(clustering, strat, unit_arm[:-1], treatment[:-1])
+
+
+@pytest.mark.parametrize("listed", [8, 12])
+def test_draw_and_reload_refuse_a_stratification_alike(listed):
+    # A stratification of 8 or 12 clusters on 10 is refused alike by the
+    # draw and by the reload of saved vectors.
+    clustering = Clustering.from_assignment(np.repeat(np.arange(10), 2))
+    strat = Stratification(
+        num_strata=2, stratum_of=np.arange(listed) % 2, strata_sizes=np.array([listed // 2] * 2)
+    )
+    zeros = np.zeros(20, dtype=np.int8)
+    with pytest.raises(ValidationError) as drawn:
+        stratified_hierarchical_assign(clustering, strat, seed=0)
+    with pytest.raises(ValidationError) as loaded:
+        stratified_assignment_from_vectors(clustering, strat, zeros, zeros)
+    expected = f"stratification does not cover the clustering of 10 clusters: it lists {listed}"
+    assert str(drawn.value) == str(loaded.value) == expected
 
 
 def test_hierarchical_rejects_unbalanced(counts8):

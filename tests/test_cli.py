@@ -324,12 +324,24 @@ def _replace_line(number, line):
     return edit
 
 
-def _stratify_with_covariates(tmp_path):
-    clusters, covariates = tmp_path / "c.csv", tmp_path / "cov.csv"
-    clusters.write_text("unit_id,cluster_id\n" + "".join(f"{i},{i // 2}\n" for i in range(8)))
-    covariates.write_text("cluster_id,x\n0,1.0\n1,abc\n2,0.5\n3,2.0\n")
-    return ["stratify", "--edges", fixture_path("cliquepair.edges"), "--clusters-file", clusters,
-            "--strata", 2, "--seed", 1, "--covariates", covariates, "--out-strata", tmp_path / "s.csv"]
+def _stratify_with_covariates(text):
+    # ``stratify`` of the clique pair in 4 clusters of 2, with ``text`` as its
+    # covariates CSV.
+    def build(tmp_path):
+        clusters, covariates = tmp_path / "c.csv", tmp_path / "cov.csv"
+        clusters.write_text("unit_id,cluster_id\n" + "".join(f"{i},{i // 2}\n" for i in range(8)))
+        covariates.write_text(text)
+        return ["stratify", "--edges", fixture_path("cliquepair.edges"), "--clusters-file", clusters,
+                "--strata", 2, "--seed", 1, "--covariates", covariates, "--out-strata", tmp_path / "s.csv"]
+    return build
+
+
+def _append(rows):
+    return lambda text: text + rows
+
+
+# Units 16-47 in clusters 8-15, four to a cluster.
+FOURS = [(u, 8 + (u - 16) // 4) for u in range(16, 48)]
 
 
 def _analyze_with_strata(tmp_path, text, **override):
@@ -512,7 +524,42 @@ MALFORMED_INPUTS = {
         lambda p: _analyze_with_strata(p, "".join(f"{c},{c // 4}\n" for c in range(8)) + "3,1\n"),
         "duplicate cluster_id 3",
     ),
-    "covariate-field": (_stratify_with_covariates, "x 'abc'"),
+    "covariate-field": (_stratify_with_covariates("cluster_id,x\n0,1.0\n1,abc\n2,0.5\n3,2.0\n"), "x 'abc'"),
+    # 5 rows of 4 values for 4 clusters: read as one row per cluster, not
+    # transposed because the column count happens to match.
+    "covariate-rows": (
+        _stratify_with_covariates("cluster_id,a,b,c,d\n" + "".join(f"{c},1.0,2.0,{c}.5,0.0\n" for c in range(5))),
+        "covariates must have one row per cluster",
+    ),
+    # Analyze splits strata as assign does, so it refuses a stratification
+    # that lists only the table's 8 clusters, a valid design on their own, on
+    # a clustering of 10, and one that lists 10 clusters on the table's 8.
+    "stratification-partial": (
+        lambda p: _analyze_with_strata(
+            p, "".join(f"{c},0\n" for c in range(8)),
+            clusters=_append("16,8\n17,8\n18,9\n19,9\n"),
+            assignment=_append("16,cr,1\n17,cr,0\n18,cbr,1\n19,cbr,1\n"),
+            outcomes=_append("16,1.0\n17,2.0\n18,3.0\n19,4.0\n"),
+        ),
+        "stratification does not cover the clustering of 10 clusters: it lists 8",
+    ),
+    "stratification-extra-clusters": (
+        lambda p: _analyze_with_strata(p, "".join(f"{c},0\n" for c in range(10))),
+        "stratification does not cover the clustering of 8 clusters: it lists 10",
+    ),
+    # Stratum 1 is 8 clusters of 4 (units 16-47), a valid design on its own,
+    # beside the table's clusters of 2: refused as unbalanced, as in assign.
+    "stratum-unequal-cluster-sizes": (
+        lambda p: _analyze_with_strata(
+            p, "".join(f"{c},{c // 8}\n" for c in range(16)),
+            clusters=_append("".join(f"{u},{c}\n" for u, c in FOURS)),
+            assignment=_append("".join(
+                f"{u},cr,{u % 2}\n" if c < 12 else f"{u},cbr,{int(c < 14)}\n" for u, c in FOURS
+            )),
+            outcomes=_append("".join(f"{u},{u % 7}.0\n" for u, _ in FOURS)),
+        ),
+        "the design requires exactly equal cluster sizes; run rebalance() first (sizes range 2..4)",
+    ),
     "partial-counts-json": (lambda p: _assign_with_counts(p, json.dumps({"n_cr": 8})), "counts"),
     "non-object-counts-json": (lambda p: _assign_with_counts(p, "[8]"), "counts"),
     "invalid-counts-json": (lambda p: _assign_with_counts(p, "{n_cr: 8"), "counts"),

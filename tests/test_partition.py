@@ -281,6 +281,16 @@ def test_stratify_sorts_and_chunks():
     assert strat.stratum_of.tolist() == [1, 0, 1, 0]
 
 
+def test_cluster_features_covariates_have_one_row_per_cluster():
+    # A vector is one column. A table of M+1 rows and M columns is refused,
+    # not transposed into M rows of M+1 covariates.
+    graph, clustering = Graph.from_edges(4, []), Clustering.from_assignment([0, 1, 2, 3])
+    features = cluster_features(graph, clustering, covariates=np.array([3.0, 1.0, 4.0, 2.0]))
+    assert features.covariates.tolist() == [[3.0], [1.0], [4.0], [2.0]]
+    with pytest.raises(ValidationError, match="covariates must have one row per cluster"):
+        cluster_features(graph, clustering, covariates=np.ones((5, 4)))
+
+
 def test_stratify_requires_two_clusters_per_stratum():
     features = cluster_features(Graph.from_edges(4, []), Clustering.from_assignment([0, 1, 2, 3]))
     with pytest.raises(ValidationError):
