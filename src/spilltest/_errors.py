@@ -1,6 +1,6 @@
 """Exception types shared across the package, the one reader of the JSON
-inputs (design counts, block-model specs, study configs, oracle designs) and
-the one check of their number fields."""
+inputs (design counts, block-model specs, study configs, oracle designs), the
+one check of their number fields and the one check of a seed."""
 
 import json
 import math
@@ -59,6 +59,12 @@ def check_fields(record, what: str) -> None:
             object.__setattr__(record, f.name, tuple(map(_python, value)))
         elif f.type in ("int", "float"):
             object.__setattr__(record, f.name, _python(value))
+
+
+def check_seed(seed, name: str = "seed") -> None:
+    """Refuse a negative integer seed, which numpy's generators cannot take."""
+    if _is_int(seed) and seed < 0:
+        raise ValidationError(f"{name}={seed} is negative")
 
 
 def _python(value):

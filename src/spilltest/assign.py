@@ -26,7 +26,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from ._errors import ValidationError, check_fields
+from ._errors import ValidationError, check_fields, check_seed
 from ._table import BIT, ID, read_id_table, write_table
 from .partition import Clustering, Stratification
 
@@ -39,6 +39,7 @@ CrArmMechanism = Literal["complete", "bernoulli"]
 def _seed_sequence(seed: int | np.random.SeedSequence | None) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
+    check_seed(seed)
     return np.random.SeedSequence(seed)
 
 
@@ -358,6 +359,14 @@ def load_assignment_vectors(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return table["arm"], table["treatment"]
 
 
+def _require_covered(clustering: Clustering, unit_arm: np.ndarray, treatment: np.ndarray) -> None:
+    """Refuse saved vectors of another length than the clustering's."""
+    n = clustering.num_units
+    for vector in (unit_arm, treatment):
+        if len(vector) != n:
+            raise ValidationError(f"assignment covers {len(vector)} units but the clustering has {n}")
+
+
 def assignment_from_vectors(
     clustering: Clustering,
     unit_arm: np.ndarray,
@@ -373,11 +382,10 @@ def assignment_from_vectors(
     give the global ids of its units and clusters; errors name the latter.
     The assignment's provenance is ``loaded``.
     """
+    _require_covered(clustering, unit_arm, treatment)
     _require_balanced(clustering)
     unit_arm = np.asarray(unit_arm, dtype=np.int8)
     treatment = np.asarray(treatment, dtype=np.int8)
-    if len(unit_arm) != clustering.num_units or len(treatment) != clustering.num_units:
-        raise ValidationError("assignment vectors do not match the clustering")
     m = clustering.num_clusters
     of = clustering.assignment
     # Each cluster's value is that of one of its units (whichever the scatter
@@ -430,8 +438,7 @@ def stratified_assignment_from_vectors(
 ) -> list[HierarchicalAssignment]:
     """:func:`assignment_from_vectors` of each stratum, split and refused as
     :func:`stratified_hierarchical_assign` splits and refuses the design."""
-    if not len(unit_arm) == len(treatment) == clustering.num_units:
-        raise ValidationError("assignment vectors do not match the clustering")
+    _require_covered(clustering, unit_arm, treatment)
 
     def load(_: int, sub: Clustering, unit_ids: np.ndarray, cluster_ids: np.ndarray) -> HierarchicalAssignment:
         return assignment_from_vectors(sub, unit_arm[unit_ids], treatment[unit_ids], unit_ids, cluster_ids)

@@ -210,10 +210,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     clustering = load_clustering(args.clusters_file)
     unit_arm, treatment = load_assignment_vectors(args.assignment)
     y = load_outcomes(args.outcomes)
-    if len(unit_arm) != clustering.num_units:
-        raise ValidationError(
-            f"assignment covers {len(unit_arm)} units but the clustering has {clustering.num_units}"
-        )
     if len(y) < clustering.num_units:
         missing = list(range(len(y), clustering.num_units))[:10]
         raise ValidationError(f"outcomes missing for assigned units {missing}")

@@ -25,7 +25,10 @@ the result is bit for bit what a one-row stack of that draw gives. One
 decision step, :func:`_decide`, is the whole decision: it checks its inputs
 and turns a gap and its bound into the t-statistic, both p-values and both
 rules' verdicts. The analysis reports, the studies' counts and the oracle's
-``reject`` statistic all read it.
+``reject`` statistic all read it. One analysis body, :func:`_analyze`, pools
+strata by their shares of the clusters; a plain design is its one-stratum
+case, so :func:`analyze` and :func:`analyze_stratified` differ only in
+whether a report lists its strata and a refusal names one.
 """
 
 from __future__ import annotations
@@ -354,7 +357,8 @@ class StratumDetail:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the decision rests on, ready for serialization."""
+    """Everything the decision rests on, ready for serialization. A plain
+    analysis lists no ``strata``, so ``stratified`` is ``bool(strata)``."""
 
     tau_cr: float
     tau_cbr: float
@@ -368,8 +372,11 @@ class AnalysisReport:
     reject: bool
     counts: dict[str, int]
     provenance: str
-    stratified: bool = False
     strata: tuple[StratumDetail, ...] = ()
+
+    @property
+    def stratified(self) -> bool:
+        return bool(self.strata)
 
     @property
     def decision(self) -> str:
@@ -378,40 +385,62 @@ class AnalysisReport:
     def to_dict(self) -> dict:
         payload = asdict(self)
         payload["decision"] = self.decision
+        payload["stratified"] = self.stratified
         payload["strata"] = [asdict(s) for s in self.strata]
         return payload
 
 
-def _finish_report(
-    tau_cr: float,
-    tau_cbr: float,
-    delta: float,
-    sigma_hat_sq: float,
-    alpha: float,
-    decision_rule: str,
-    counts: dict[str, int],
-    provenance: str,
-    stratified: bool = False,
-    strata: tuple[StratumDetail, ...] = (),
+def _analyze(
+    assignments: Sequence[HierarchicalAssignment], y: np.ndarray, alpha: float, decision_rule: str, stratified: bool
 ) -> AnalysisReport:
+    """The one analysis: stratum ``s``, ``M(s)`` of the ``M`` clusters, weighs
+    its arm estimates and gap by ``M(s)/M`` and its bound by ``(M(s)/M)**2``.
+
+    A plain design is one stratum of share 1.0, so its pool is its own
+    estimates, bit for bit. Only a ``stratified`` analysis names the stratum
+    of a refusal and lists its strata. Counts add up over strata; the report
+    takes the first stratum's provenance.
+    """
     if decision_rule not in ("chebyshev", "gaussian"):
         raise ValidationError(f"unknown decision rule {decision_rule!r}")
-    d = _decide(delta, sigma_hat_sq, alpha)
+    if len(assignments) == 0:
+        raise ValidationError("no strata to analyze")
+    details = []
+    counts: dict[str, int] = {}
+    for s, a in enumerate(assignments):
+        try:
+            estimates = _estimate(a, y)
+        except ValidationError as exc:
+            if not stratified:
+                raise
+            raise ValidationError(f"stratum {s}: {exc}") from exc
+        details.append(StratumDetail(s, *estimates, num_clusters=a.clustering.num_clusters))
+        for key, value in a.counts.to_dict().items():
+            counts[key] = counts.get(key, 0) + value
+    total = sum(d.num_clusters for d in details)
+    shares = [d.num_clusters / total for d in details]
+
+    def pool(values, weights=shares) -> float:
+        # Summed from -0.0, the float that adds nothing, so a lone -0.0 stays.
+        return sum((w * v for w, v in zip(weights, values)), -0.0)
+
+    delta = pool(d.delta for d in details)
+    sigma_hat_sq = pool((d.sigma_hat_sq for d in details), [w * w for w in shares])
+    decided = _decide(delta, sigma_hat_sq, alpha)
     return AnalysisReport(
-        tau_cr=tau_cr,
-        tau_cbr=tau_cbr,
+        tau_cr=pool(d.tau_cr for d in details),
+        tau_cbr=pool(d.tau_cbr for d in details),
         delta=delta,
         sigma_hat_sq=sigma_hat_sq,
-        t_stat=d.t_stat,
-        p_chebyshev=d.p_chebyshev,
-        p_gaussian=d.p_gaussian,
+        t_stat=decided.t_stat,
+        p_chebyshev=decided.p_chebyshev,
+        p_gaussian=decided.p_gaussian,
         alpha=alpha,
         decision_rule=decision_rule,
-        reject=d.reject_chebyshev if decision_rule == "chebyshev" else d.reject_gaussian,
+        reject=decided.reject_chebyshev if decision_rule == "chebyshev" else decided.reject_gaussian,
         counts=counts,
-        provenance=provenance,
-        stratified=stratified,
-        strata=strata,
+        provenance=assignments[0].provenance,
+        strata=tuple(details) if stratified else (),
     )
 
 
@@ -422,17 +451,7 @@ def analyze(
     decision_rule: str = "chebyshev",
 ) -> AnalysisReport:
     """Full single-design analysis: arm estimates, bound, p-values, decision."""
-    tau_cr, tau_cbr, delta, sigma_hat_sq = _estimate(assignment, y)
-    return _finish_report(
-        tau_cr,
-        tau_cbr,
-        delta,
-        sigma_hat_sq,
-        alpha,
-        decision_rule,
-        assignment.counts.to_dict(),
-        assignment.provenance,
-    )
+    return _analyze([assignment], y, alpha, decision_rule, stratified=False)
 
 
 def analyze_stratified(
@@ -441,50 +460,9 @@ def analyze_stratified(
     alpha: float = 0.05,
     decision_rule: str = "chebyshev",
 ) -> AnalysisReport:
-    """Pool independent per-stratum analyses into one decision.
-
-    Stratum ``s`` with ``M(s)`` of the ``M`` clusters weighs its gap and arm
-    estimates by ``M(s)/M`` and its variance bound by ``(M(s)/M)**2``. All
-    strata carry their design's provenance; the report takes the first's.
-    """
-    if len(assignments) == 0:
-        raise ValidationError("no strata to analyze")
-    details = []
-    counts_total: dict[str, int] = {}
-    for s, a in enumerate(assignments):
-        try:
-            tau_cr, tau_cbr, delta, bound = _estimate(a, y)
-        except ValidationError as exc:
-            raise ValidationError(f"stratum {s}: {exc}") from exc
-        details.append(
-            StratumDetail(
-                stratum=s,
-                tau_cr=tau_cr,
-                tau_cbr=tau_cbr,
-                delta=delta,
-                sigma_hat_sq=bound,
-                num_clusters=a.clustering.num_clusters,
-            )
-        )
-        for key, value in a.counts.to_dict().items():
-            counts_total[key] = counts_total.get(key, 0) + value
-    weights = [d.num_clusters for d in details]
-    total = float(sum(weights))
-    shares = [m / total for m in weights]
-    tau_cr = float(sum(w * d.tau_cr for w, d in zip(weights, details)) / total)
-    tau_cbr = float(sum(w * d.tau_cbr for w, d in zip(weights, details)) / total)
-    return _finish_report(
-        tau_cr,
-        tau_cbr,
-        float(sum(w * d.delta for w, d in zip(shares, details))),
-        float(sum(w * w * d.sigma_hat_sq for w, d in zip(shares, details))),
-        alpha,
-        decision_rule,
-        counts_total,
-        assignments[0].provenance,
-        stratified=True,
-        strata=tuple(details),
-    )
+    """Pool independent per-stratum analyses into one decision (see
+    :func:`_analyze`); a refusal names its stratum."""
+    return _analyze(assignments, y, alpha, decision_rule, stratified=True)
 
 
 # ---------------------------------------------------------------------------

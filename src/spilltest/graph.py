@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from ._errors import ParseError, ValidationError, build_record, check_fields, read_json
+from ._errors import ParseError, ValidationError, build_record, check_fields, check_seed, read_json
 
 if TYPE_CHECKING:
     from .partition import Clustering
@@ -160,8 +160,7 @@ class SbmSpec:
 
     def __post_init__(self) -> None:
         check_fields(self, "block-model spec")
-        if self.seed < 0:
-            raise ValidationError(f"block-model spec seed={self.seed} is negative")
+        check_seed(self.seed, "block-model spec seed")
         if self.num_blocks < 1 or self.block_size < 1:
             raise ValidationError("num_blocks and block_size must be positive")
         if self.num_units > _MAX_UNITS_PLUS_EDGES:  # its pair count might pass the float range

@@ -20,7 +20,7 @@ from typing import Callable, Literal, NamedTuple, get_args
 
 import numpy as np
 
-from ._errors import CheckFailure, ValidationError, build_record, check_fields, read_json
+from ._errors import CheckFailure, ValidationError, build_record, check_fields, check_seed, read_json
 from .assign import ARM_CR, DesignCounts, _encode, _require_balanced
 from .estimate import (
     _cluster_totals,
@@ -214,7 +214,8 @@ def bernoulli_vs_cr_variance_gap(table: PotentialTable, n_t: int) -> VarianceGap
 
     The complete design fixes ``n_t`` treated; the re-randomized Bernoulli
     design flips fair-odds coins with ``p = n_t / N`` and rejects degenerate
-    draws. Raises :class:`CheckFailure` if the gap exceeds
+    draws. Both laws' differences in means are the shipped arm contrast.
+    Raises :class:`CheckFailure` if the gap exceeds
     ``5 * (S_t / n_t**2 + S_c / n_c**2)``.
     """
     n = table.num_units
@@ -233,15 +234,20 @@ def bernoulli_vs_cr_variance_gap(table: PotentialTable, n_t: int) -> VarianceGap
     cr_moments = enumerate_complete(table, n_t)
 
     codes = np.arange(2**n, dtype=np.uint32)
-    bits = ((codes[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
+    bits = ((codes[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
     k = bits.sum(axis=1)
     keep = (k > 0) & (k < n)
     bits, k = bits[keep], k[keep]
     log_w = k * math.log(p) + (n - k) * math.log(1.0 - p)
     weights = np.exp(log_w) / (1.0 - degenerate)
-    tau_br = np.where(bits, table.y1, 0).sum(axis=1) / k - np.where(~bits, table.y0, 0).sum(
-        axis=1
-    ) / (n - k)
+    # The draws with one treated count are that complete design's draws, so
+    # the shipped arm contrast estimates each count's rows in one call.
+    y = _realize(table, bits)
+    treated = bits.astype(bool)
+    tau_br = np.empty(len(k))
+    for count in range(1, n):
+        rows = k == count
+        tau_br[rows], _ = _contrast(y[rows], treated[rows], ~treated[rows], count, n - count, bound=False)
     mean_br = math.fsum((weights * tau_br).tolist())
     var_br = math.fsum((weights * (tau_br - mean_br) ** 2).tolist())
 
@@ -289,8 +295,7 @@ class _DesignFile:
 
     def __post_init__(self) -> None:
         check_fields(self, "design")
-        if self.table_seed < 0:
-            raise ValidationError(f"design table_seed={self.table_seed} is negative")
+        check_seed(self.table_seed, "design table_seed")
 
 
 def load_design(path: str | Path) -> OracleDesign:

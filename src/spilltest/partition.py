@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._errors import InfeasibleError, ValidationError
+from ._errors import InfeasibleError, ValidationError, check_seed
 from ._table import ID, INT, read_id_table, write_table
 from .graph import _same_cluster_counts
 
@@ -160,11 +160,15 @@ def ldg_restream(
         raise ValidationError("need at least one cluster")
     if m > n:
         raise ValidationError(f"cannot build {m} non-empty clusters from {n} units")
-    if leniency < 0:
-        raise ValidationError("leniency must be non-negative")
+    if not (math.isfinite(leniency) and leniency >= 0):
+        raise ValidationError(f"leniency={leniency} must be a finite non-negative number")
     if iterations < 1:
         raise ValidationError("need at least one streaming pass")
-    capacity = math.ceil((n / m) * (1.0 + leniency))
+    check_seed(seed)
+    size_cap = (n / m) * (1.0 + leniency)
+    if not math.isfinite(size_cap):
+        raise ValidationError(f"leniency={leniency} leaves no finite cluster capacity")
+    capacity = math.ceil(size_cap)
     if capacity * m < n:
         raise InfeasibleError(f"capacity {capacity} x {m} clusters cannot hold {n} units")
 
@@ -333,6 +337,7 @@ def stratify_clusters(features: ClusterFeatures, num_strata: int, seed: int | No
         raise ValidationError("need at least one stratum")
     if m < 2 * num_strata:
         raise ValidationError(f"{m} clusters cannot fill {num_strata} strata of >= 2")
+    check_seed(seed)
     sd = mat.std(axis=0)
     sd[sd == 0] = 1.0
     composite = ((mat - mat.mean(axis=0)) / sd).sum(axis=1)

@@ -58,7 +58,7 @@ from typing import Callable, Literal, Sequence, get_args
 
 import numpy as np
 
-from ._errors import ValidationError, build_record, check_fields, read_json
+from ._errors import ValidationError, build_record, check_fields, check_seed, read_json
 from .assign import DesignCounts, hierarchical_assign
 from .estimate import _decide, _DrawStack, theoretical_sutva_variance
 from .graph import _MAX_UNITS_PLUS_EDGES, SbmSpec, generate_sbm, neighborhood_fractions
@@ -110,8 +110,7 @@ class SimConfig:
         check_fields(self, "study config")
         if self.study not in get_args(StudyKind):
             raise ValidationError(f"unknown study {self.study!r}")
-        if self.seed < 0:
-            raise ValidationError(f"study config seed={self.seed} is negative")
+        check_seed(self.seed, "study config seed")
         # A study reports the spread of its draws, which one draw lacks.
         if self.replications < 2:
             raise ValidationError(f"study config replications={self.replications} is below 2")

@@ -1,9 +1,13 @@
 """The package's public surface: exactly the names the pipeline, the studies
-and the oracle use, listed explicitly; and the README's library example."""
+and the oracle use, listed explicitly; the README's library example; and the
+one seed check of every seeded function."""
 
 import importlib
 import re
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import spilltest
 
@@ -88,3 +92,21 @@ def test_readme_library_example_runs(capsys):
     assert len(printed) == 2
     assert printed[1].split()[-1] == namespace["report"].decision
 
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-1)])
+def test_seeded_functions_refuse_a_negative_seed(seed):
+    # Refused by the package, as the JSON inputs refuse one, not by numpy.
+    spec = spilltest.SbmSpec(num_blocks=8, block_size=4, p_intra=0.5, p_inter=0.05, seed=1)
+    graph, clustering = spilltest.generate_sbm(spec)
+    features = spilltest.cluster_features(graph, clustering)
+    strat = spilltest.stratify_clusters(features, 2, seed=0)
+    counts = spilltest.DesignCounts.symmetric(graph.num_units, clustering.num_clusters)
+    calls = [
+        lambda: spilltest.ldg_restream(graph, 8, seed=seed),
+        lambda: spilltest.stratify_clusters(features, 2, seed=seed),
+        lambda: spilltest.hierarchical_assign(clustering, counts, seed=seed),
+        lambda: spilltest.stratified_hierarchical_assign(clustering, strat, seed=seed),
+    ]
+    for call in calls:
+        with pytest.raises(spilltest.ValidationError, match="^seed=-1 is negative$"):
+            call()

@@ -151,7 +151,7 @@ def test_stratified_draw_and_its_saved_csv_analyze_alike(tmp_path, mechanism):
     report = analyze_stratified(drawn, y).to_dict()
     assert report["provenance"] == "seed=9"
     assert report == {**analyze_stratified(loaded, y).to_dict(), "provenance": "seed=9"}
-    with pytest.raises(ValidationError, match="assignment vectors do not match the clustering"):
+    with pytest.raises(ValidationError, match="assignment covers 79 units but the clustering has 80"):
         stratified_assignment_from_vectors(clustering, strat, unit_arm[:-1], treatment[:-1])
 
 

@@ -658,6 +658,29 @@ MALFORMED_INPUTS = {
         lambda p: _assign_with(p, strata="".join(f"{c},{int(c >= 4)}\n" for c in range(7)) + f"7,{10**17}\n"),
         "s.csv: every stratum needs at least two clusters: stratum 2 has 0",
     ),
+    # A leniency that is not finite, or whose capacity is not (2 units a
+    # cluster times 1 + 1e308), is refused before ceil() reads it.
+    "cluster-leniency-nan": (
+        lambda p: [*_cluster_edges(p, "N=4\n0 1\n2 3\n"), "--leniency", "nan"],
+        "leniency=nan must be a finite non-negative number",
+    ),
+    "cluster-leniency-inf": (
+        lambda p: [*_cluster_edges(p, "N=4\n0 1\n2 3\n"), "--leniency", "inf"],
+        "leniency=inf must be a finite non-negative number",
+    ),
+    "cluster-leniency-huge": (
+        lambda p: [*_cluster_edges(p, "N=4\n0 1\n2 3\n"), "--leniency", "1e308"],
+        "leniency=1e+308 leaves no finite cluster capacity",
+    ),
+    # A negative seed is refused as the JSON inputs refuse one, not by numpy.
+    "cluster-seed-negative": (
+        lambda p: [*_cluster_edges(p, "N=4\n0 1\n2 3\n"), "--seed", -1], "error: seed=-1 is negative"
+    ),
+    "stratify-seed-negative": (
+        lambda p: [*_stratify_with_covariates("cluster_id,x\n0,1.0\n1,2.0\n2,0.5\n3,2.0\n")(p), "--seed", -1],
+        "error: seed=-1 is negative",
+    ),
+    "assign-seed-negative": (lambda p: [*_assign_with(p), "--seed", -1], "error: seed=-1 is negative"),
     "edge-list-declared-n-zero": (
         lambda p: _cluster_edges(p, "N=0\n"), "g.edges: graph needs at least one unit, got N=0"
     ),

@@ -1,9 +1,10 @@
+import json
 import math
 import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spilltest import (
@@ -373,6 +374,42 @@ def test_analyze_stratified_weights_strata_by_cluster_count():
     assert alone.reject == single.reject
     with pytest.raises(ValidationError, match="no strata"):
         analyze_stratified([], y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(8, 2), (12, 3), (16, 3), (20, 5)]),
+    mechanism=st.sampled_from(["complete", "bernoulli"]),
+    rule=st.sampled_from(["chebyshev", "gaussian"]),
+    seed=st.integers(0, 10_000),
+    scale=st.sampled_from([1e-3, 1.0, 7.5, 1e6]),
+)
+def test_plain_analysis_is_the_one_stratum_pool(shape, mechanism, rule, seed, scale):
+    # A plain report is the pool of its one stratum, bit for bit (compared
+    # as JSON text, so that -0.0 and 0.0 differ), apart from the strata.
+    m, k = shape
+    clustering = Clustering.from_assignment(np.repeat(np.arange(m), k))
+    counts = DesignCounts.symmetric(m * k, m)
+    a = hierarchical_assign(clustering, counts, seed=seed, cr_arm_mechanism=mechanism)
+    assume(min(a.counts.n_cr_t, a.counts.n_cr_c) >= 2)
+    y = scale * np.random.default_rng(seed).normal(size=m * k) + 3.0
+    plain = analyze(a, y, decision_rule=rule).to_dict()
+    pooled = analyze_stratified([a], y, decision_rule=rule).to_dict()
+    assert (plain.pop("stratified"), plain.pop("strata")) == (False, [])
+    assert (pooled.pop("stratified"), len(pooled.pop("strata"))) == (True, 1)
+    assert json.dumps(plain, sort_keys=True) == json.dumps(pooled, sort_keys=True)
+
+
+def test_plain_refusal_names_no_stratum(oracle_design):
+    # The bundled design's cluster arm holds one cluster of each treatment.
+    _, clustering, counts, _, _ = oracle_design
+    a = hierarchical_assign(clustering, counts, seed=0)
+    y = np.arange(8, dtype=np.float64)
+    refusal = "need >= 2 treated and >= 2 control clusters in the cluster arm"
+    with pytest.raises(ValidationError, match=f"^{refusal}$"):
+        analyze(a, y)
+    with pytest.raises(ValidationError, match=f"^stratum 0: {refusal}$"):
+        analyze_stratified([a], y)
 
 
 def test_gaussian_p_value_reference_points():

@@ -293,6 +293,26 @@ def test_variance_gap_random_tables_within_bound():
         assert gap.gap <= gap.bound
 
 
+def test_variance_gap_runs_the_shipped_contrast_once_per_treated_count(monkeypatch):
+    # The coin design's draws with k treated are the complete design's, so
+    # each k from 1 to N-1 is one call of the shipped arm contrast over all
+    # C(N, k) of its draws, after the complete design's own call.
+    calls = []
+
+    def spy(values, treated, control, n_t, n_c, bound):
+        calls.append((n_t, n_c, len(values), bound))
+        return contrast(values, treated, control, n_t, n_c, bound)
+
+    contrast = oracle._contrast
+    monkeypatch.setattr(oracle, "_contrast", spy)
+    local = np.random.default_rng(5)
+    n = 8
+    bernoulli_vs_cr_variance_gap(PotentialTable(y1=local.normal(size=n), y0=local.normal(size=n)), 4)
+    assert calls == [(4, 4, math.comb(n, 4), False)] + [
+        (k, n - k, math.comb(n, k), False) for k in range(1, n)
+    ]
+
+
 def test_variance_gap_preconditions():
     table = PotentialTable(y1=np.zeros(24), y0=np.zeros(24))
     with pytest.raises(ValidationError, match="N <= 20"):
