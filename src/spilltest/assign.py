@@ -129,14 +129,14 @@ class HierarchicalAssignment:
 
     ``cluster_arm`` and ``unit_arm`` are 1 on the individually randomized arm
     and 0 on the cluster-randomized arm. ``cluster_treatment`` is meaningful
-    only for clusters in the cluster-randomized arm (-1 elsewhere).
+    only for clusters in the cluster-randomized arm (-1 elsewhere), so
+    ``cluster_arm`` derives from it.
     ``unit_ids`` maps back to global unit ids when the assignment covers a
     stratum rather than the whole population.
     """
 
     clustering: Clustering
     counts: DesignCounts
-    cluster_arm: np.ndarray
     unit_arm: np.ndarray
     cluster_treatment: np.ndarray
     treatment: np.ndarray
@@ -146,8 +146,12 @@ class HierarchicalAssignment:
     def __post_init__(self) -> None:
         if self.unit_ids is None:
             object.__setattr__(self, "unit_ids", np.arange(self.clustering.num_units))
-        for arr in (self.cluster_arm, self.unit_arm, self.cluster_treatment, self.treatment, self.unit_ids):
+        for arr in (self.unit_arm, self.cluster_treatment, self.treatment, self.unit_ids):
             arr.setflags(write=False)
+
+    @property
+    def cluster_arm(self) -> np.ndarray:
+        return np.where(self.cluster_treatment < 0, ARM_CR, ARM_CBR).astype(np.int8)
 
 
 def _complete_randomization(num_units: int, n_t: int, seed: int | np.random.SeedSequence) -> np.ndarray:
@@ -228,7 +232,6 @@ def _hierarchical_from_streams(
     return HierarchicalAssignment(
         clustering=clustering,
         counts=counts,
-        cluster_arm=cluster_arm,
         unit_arm=unit_arm,
         cluster_treatment=cluster_treatment,
         treatment=treatment,
@@ -308,8 +311,6 @@ def stratified_hierarchical_assign(
         ValidationError: Naming the first stratum whose design is infeasible,
             or both lengths when ``counts`` is not one per stratum.
     """
-    if stratification.num_strata < 1:
-        raise ValidationError("empty stratification")
     if counts is not None and len(counts) != stratification.num_strata:
         raise ValidationError(f"got {len(counts)} design counts for {stratification.num_strata} strata")
     streams = _seed_sequence(seed).spawn(stratification.num_strata)
@@ -424,7 +425,6 @@ def assignment_from_vectors(
     return HierarchicalAssignment(
         clustering=clustering,
         counts=counts,
-        cluster_arm=cluster_arm,
         unit_arm=unit_arm,
         cluster_treatment=cluster_treatment,
         treatment=treatment,

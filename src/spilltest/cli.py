@@ -210,14 +210,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     clustering = load_clustering(args.clusters_file)
     unit_arm, treatment = load_assignment_vectors(args.assignment)
     y = load_outcomes(args.outcomes)
-    if len(y) < clustering.num_units:
-        missing = list(range(len(y), clustering.num_units))[:10]
-        raise ValidationError(f"outcomes missing for assigned units {missing}")
-    if len(y) > clustering.num_units:
-        extra = list(range(clustering.num_units, len(y)))[:10]
-        raise ValidationError(
-            f"outcomes given for units outside the {clustering.num_units}-unit clustering: {extra}"
-        )
     inputs = [args.clusters_file, args.assignment, args.outcomes]
     if args.stratification:
         strat = load_stratification(args.stratification)

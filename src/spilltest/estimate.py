@@ -405,6 +405,19 @@ def _analyze(
         raise ValidationError(f"unknown decision rule {decision_rule!r}")
     if len(assignments) == 0:
         raise ValidationError("no strata to analyze")
+    # The strata hold design units 0..N-1 once each, and y one outcome each.
+    ids = np.concatenate([a.unit_ids for a in assignments])
+    n = len(ids)
+    covered = np.bincount(ids, minlength=n)
+    for bad in (covered > 1, covered[:n] == 0):
+        if bad.any():
+            u = int(np.argmax(bad))
+            raise ValidationError(f"unit {u} is in {int(covered[u])} strata, not exactly one")
+    if len(y) < n:
+        raise ValidationError(f"outcomes missing for assigned units {list(range(len(y), n)[:10])}")
+    if len(y) > n:
+        extra = list(range(n, len(y))[:10])
+        raise ValidationError(f"outcomes given for units outside the {n}-unit clustering: {extra}")
     details = []
     counts: dict[str, int] = {}
     for s, a in enumerate(assignments):

@@ -1,5 +1,9 @@
 """Balanced graph clustering, clustering quality metrics, and stratification.
 
+A clustering and a stratification are each a label vector: one group id per
+member, every id from 0 up holding enough members. Both are built through
+one validator, which derives the group count and sizes from the labels.
+
 The clusterer is a restreaming linear deterministic greedy: units stream in a
 seed-shuffled order and each one joins the cluster holding most of its
 neighbors, discounted by how full that cluster already is. Later passes
@@ -26,39 +30,50 @@ if TYPE_CHECKING:
     from .graph import Graph
 
 
+def _set_labels(obj, labels: str, sizes: str, noun: str, min_size: int, short: str) -> None:
+    """Set ``obj``'s label vector field ``labels`` read-only, and ``sizes`` to
+    its group sizes, once every group ``0..K-1`` holds ``min_size`` members;
+    ``short`` words the refusal of the first short group from its id and size."""
+    arr = np.asarray(getattr(obj, labels))
+    if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iu":
+        raise ValidationError(f"{labels} must be a non-empty 1-d integer array")
+    arr = arr.astype(np.int64, copy=False)
+    low = int(arr.min())
+    if low < 0:
+        raise ValidationError(f"negative {noun} id {low}")
+    k = int(arr.max()) + 1
+    # Groups 0..j can all be full only if (j + 1) * min_size members fill
+    # them, so the first short group lies below ``cap``: a label vector with
+    # a huge id is refused without one counter per id.
+    cap = min(k, len(arr) // min_size + 1)
+    counts = np.bincount(arr if cap == k else arr[arr < cap], minlength=cap)
+    below = np.flatnonzero(counts < min_size)
+    if len(below):
+        raise ValidationError(short.format(int(below[0]), int(counts[below[0]])))
+    for name, value in ((labels, arr), (sizes, counts)):
+        value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class Clustering:
-    """Surjective map of units onto clusters ``0..M-1``, every cluster non-empty."""
+    """Surjective map of units onto clusters ``0..M-1``, every cluster non-empty;
+    it holds only the labels, and ``sizes`` and ``num_clusters`` derive from them."""
 
-    num_clusters: int
     assignment: np.ndarray
-    sizes: np.ndarray = field(compare=False)
+    sizes: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.num_clusters < 1:
-            raise ValidationError("clustering needs at least one cluster")
-        empty = np.flatnonzero(self.sizes <= 0)
-        if len(empty):
-            raise ValidationError(f"every cluster must be non-empty: cluster {int(empty[0])} has no units")
-        if int(self.sizes.sum()) != len(self.assignment):
-            raise ValidationError("cluster sizes do not sum to the unit count")
-        self.assignment.setflags(write=False)
-        self.sizes.setflags(write=False)
+        short = "every cluster must be non-empty: cluster {} has no units"
+        _set_labels(self, "assignment", "sizes", "cluster", 1, short)
 
     @classmethod
     def from_assignment(cls, assignment: np.ndarray | list[int]) -> "Clustering":
-        arr = np.asarray(assignment, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValidationError("assignment must be a non-empty 1-d array")
-        if arr.min() < 0:
-            raise ValidationError("negative cluster id")
-        m = int(arr.max()) + 1
-        if m > len(arr):
-            # Some cluster is empty; name it without one counter per id.
-            empty = _first_unused(np.unique(arr))
-            raise ValidationError(f"every cluster must be non-empty: cluster {empty} has no units")
-        sizes = np.bincount(arr, minlength=m).astype(np.int64)
-        return cls(num_clusters=m, assignment=arr, sizes=sizes)
+        return cls(assignment)
+
+    @property
+    def num_clusters(self) -> int:
+        return len(self.sizes)
 
     @property
     def num_units(self) -> int:
@@ -76,12 +91,6 @@ class Clustering:
         return np.bincount(self.assignment, weights=values, minlength=self.num_clusters)
 
 
-def _first_unused(ids: np.ndarray) -> int:
-    """The smallest non-negative integer missing from sorted, distinct ``ids``."""
-    gaps = np.flatnonzero(ids != np.arange(len(ids)))
-    return int(gaps[0]) if len(gaps) else len(ids)
-
-
 @dataclass(frozen=True)
 class ClusteringMetrics:
     """Quality summary of a clustering against a graph."""
@@ -94,23 +103,19 @@ class ClusteringMetrics:
 
 @dataclass(frozen=True)
 class Stratification:
-    """Map of clusters onto strata; every stratum holds at least two clusters."""
+    """Map of clusters onto strata; every stratum holds at least two clusters. It
+    holds only the labels; ``strata_sizes`` and ``num_strata`` derive from them."""
 
-    num_strata: int
     stratum_of: np.ndarray
-    strata_sizes: np.ndarray = field(compare=False)
+    strata_sizes: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        short = np.flatnonzero(self.strata_sizes < 2)
-        if len(short):
-            s = int(short[0])
-            raise ValidationError(
-                f"every stratum needs at least two clusters: stratum {s} has {int(self.strata_sizes[s])}"
-            )
-        if int(self.strata_sizes.sum()) != len(self.stratum_of):
-            raise ValidationError("strata sizes do not sum to the cluster count")
-        self.stratum_of.setflags(write=False)
-        self.strata_sizes.setflags(write=False)
+        short = "every stratum needs at least two clusters: stratum {} has {}"
+        _set_labels(self, "stratum_of", "strata_sizes", "stratum", 2, short)
+
+    @property
+    def num_strata(self) -> int:
+        return len(self.strata_sizes)
 
     def clusters_in(self, stratum: int) -> np.ndarray:
         return np.flatnonzero(self.stratum_of == stratum)
@@ -223,7 +228,7 @@ def ldg_restream(
         assignment[moved] = c
         sizes[donor] -= 1
         sizes[c] += 1
-    return Clustering(num_clusters=m, assignment=assignment, sizes=sizes)
+    return Clustering(assignment)
 
 
 def rebalance(graph: "Graph", clustering: Clustering) -> Clustering:
@@ -276,7 +281,7 @@ def rebalance(graph: "Graph", clustering: Clustering) -> Clustering:
             for j in nbrs[nbr_clusters == origin].tolist():
                 conn[j] -= 1
                 heapq.heappush(heap, (int(conn[j]), j))
-    return Clustering(num_clusters=m, assignment=assignment, sizes=sizes)
+    return Clustering(assignment)
 
 
 def clustering_metrics(graph: "Graph", clustering: Clustering) -> ClusteringMetrics:
@@ -359,7 +364,7 @@ def stratify_clusters(features: ClusterFeatures, num_strata: int, seed: int | No
     for s, size in enumerate(sizes):
         stratum_of[order[start : start + size]] = s
         start += size
-    return Stratification(num_strata=num_strata, stratum_of=stratum_of, strata_sizes=sizes)
+    return Stratification(stratum_of)
 
 
 def save_clustering(clustering: Clustering, path: str | Path) -> None:
@@ -404,19 +409,7 @@ def load_stratification(path: str | Path) -> Stratification:
             a negative stratum id, or a stratum of fewer than two clusters.
     """
     table = read_id_table(path, {"cluster_id": ID, "stratum_id": INT}, empty="empty stratification")
-    stratum_of = table["stratum_id"]
-    if stratum_of.min() < 0:
-        raise ValidationError(f"{path}: negative stratum_id {int(stratum_of.min())}")
-    num_strata = int(stratum_of.max()) + 1
-    if num_strata > len(stratum_of):
-        # Some stratum is empty; name the first short one without one
-        # counter per id.
-        ids, sizes = np.unique(stratum_of, return_counts=True)
-        s = min([_first_unused(ids), *ids[sizes < 2].tolist()])
-        count = int(sizes[ids == s].sum())
-        raise ValidationError(f"{path}: every stratum needs at least two clusters: stratum {s} has {count}")
-    sizes = np.bincount(stratum_of, minlength=num_strata).astype(np.int64)
     try:
-        return Stratification(num_strata=num_strata, stratum_of=stratum_of, strata_sizes=sizes)
+        return Stratification(table["stratum_id"])
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

@@ -140,7 +140,7 @@ def test_stratified_draw_and_its_saved_csv_analyze_alike(tmp_path, mechanism):
 
     # Shuffled cluster ids, so each stratum's units are scattered.
     clustering = Clustering.from_assignment(np.random.default_rng(1).permutation(np.repeat(np.arange(16), 5)))
-    strat = Stratification(num_strata=2, stratum_of=np.arange(16) % 2, strata_sizes=np.array([8, 8]))
+    strat = Stratification(np.arange(16) % 2)
     y = np.random.default_rng(3).normal(size=80)
     drawn = stratified_hierarchical_assign(clustering, strat, seed=9, cr_arm_mechanism=mechanism)
     save_assignment(drawn, tmp_path / "a.csv")
@@ -160,9 +160,7 @@ def test_draw_and_reload_refuse_a_stratification_alike(listed):
     # A stratification of 8 or 12 clusters on 10 is refused alike by the
     # draw and by the reload of saved vectors.
     clustering = Clustering.from_assignment(np.repeat(np.arange(10), 2))
-    strat = Stratification(
-        num_strata=2, stratum_of=np.arange(listed) % 2, strata_sizes=np.array([listed // 2] * 2)
-    )
+    strat = Stratification(np.arange(listed) % 2)
     zeros = np.zeros(20, dtype=np.int8)
     with pytest.raises(ValidationError) as drawn:
         stratified_hierarchical_assign(clustering, strat, seed=0)
@@ -296,11 +294,7 @@ def test_encode_stack_equals_its_rows():
 
 def test_stratified_counts_respected():
     clustering = Clustering.from_assignment(np.repeat(np.arange(8), 2))
-    strat = Stratification(
-        num_strata=2,
-        stratum_of=np.array([0, 0, 0, 0, 1, 1, 1, 1]),
-        strata_sizes=np.array([4, 4]),
-    )
+    strat = Stratification(np.array([0, 0, 0, 0, 1, 1, 1, 1]))
     for seed in range(25):
         parts = stratified_hierarchical_assign(clustering, strat, seed=seed)
         assert len(parts) == 2
@@ -316,11 +310,7 @@ def test_stratified_counts_respected():
 def test_stratified_refuses_counts_of_another_length(length):
     # Too few used to raise a bare IndexError; too many were dropped.
     clustering = Clustering.from_assignment(np.repeat(np.arange(8), 2))
-    strat = Stratification(
-        num_strata=2,
-        stratum_of=np.array([0, 0, 0, 0, 1, 1, 1, 1]),
-        strata_sizes=np.array([4, 4]),
-    )
+    strat = Stratification(np.array([0, 0, 0, 0, 1, 1, 1, 1]))
     counts = [DesignCounts.symmetric(8, 4)] * length
     with pytest.raises(ValidationError, match=f"got {length} design counts for 2 strata"):
         stratified_hierarchical_assign(clustering, strat, counts, seed=0)
@@ -328,11 +318,7 @@ def test_stratified_refuses_counts_of_another_length(length):
 
 def test_stratified_independence_across_strata():
     clustering = Clustering.from_assignment(np.repeat(np.arange(8), 2))
-    strat = Stratification(
-        num_strata=2,
-        stratum_of=np.array([0, 0, 0, 0, 1, 1, 1, 1]),
-        strata_sizes=np.array([4, 4]),
-    )
+    strat = Stratification(np.array([0, 0, 0, 0, 1, 1, 1, 1]))
     draws = 3000
     first_arm = np.empty(draws)
     second_arm = np.empty(draws)
@@ -346,9 +332,7 @@ def test_stratified_independence_across_strata():
 
 def test_stratified_single_stratum_matches_plain_law():
     clustering = Clustering.from_assignment(np.repeat(np.arange(4), 2))
-    strat = Stratification(
-        num_strata=1, stratum_of=np.zeros(4, dtype=np.int64), strata_sizes=np.array([4])
-    )
+    strat = Stratification(np.zeros(4, dtype=np.int64))
     parts = stratified_hierarchical_assign(clustering, strat, seed=0)
     assert len(parts) == 1
     a = parts[0]
@@ -360,11 +344,7 @@ def test_stratified_infeasible_names_stratum():
     # Stratum 0 is a workable 4-cluster design; stratum 1 has an odd cluster
     # count and cannot split into equal arms.
     clustering = Clustering.from_assignment(np.repeat(np.arange(7), 2))
-    strat = Stratification(
-        num_strata=2,
-        stratum_of=np.array([0, 0, 0, 0, 1, 1, 1]),
-        strata_sizes=np.array([4, 3]),
-    )
+    strat = Stratification(np.array([0, 0, 0, 0, 1, 1, 1]))
     with pytest.raises(ValidationError, match="stratum 1"):
         stratified_hierarchical_assign(clustering, strat, seed=0)
 

@@ -349,9 +349,7 @@ def test_analyze_stratified_weights_strata_by_cluster_count():
     local = np.random.default_rng(5)
     sizes = [8, 12, 16]
     clustering = Clustering.from_assignment(np.repeat(np.arange(sum(sizes)), 2))
-    strat = Stratification(
-        num_strata=3, stratum_of=np.repeat(np.arange(3), sizes), strata_sizes=np.array(sizes)
-    )
+    strat = Stratification(np.repeat(np.arange(3), sizes))
     parts = stratified_hierarchical_assign(clustering, strat, seed=4)
     y = local.normal(size=clustering.num_units)
     report = analyze_stratified(parts, y)
@@ -363,17 +361,55 @@ def test_analyze_stratified_weights_strata_by_cluster_count():
     assert report.sigma_hat_sq == pytest.approx(
         sum(w * w * b for w, b in zip(weights, bounds)), rel=1e-12
     )
-    # Two equal strata: the mean gap, and a quarter of the summed bounds.
-    halves = analyze_stratified(parts[1:2] * 2, y)
-    assert halves.delta == pytest.approx(deltas[1], rel=1e-12)
-    assert halves.sigma_hat_sq == pytest.approx(bounds[1] / 2, rel=1e-12)
-    # One stratum: its own analysis, unchanged.
-    alone = analyze_stratified(parts[:1], y)
-    single = analyze(parts[0], y)
-    assert (alone.delta, alone.sigma_hat_sq) == (single.delta, single.sigma_hat_sq)
-    assert alone.reject == single.reject
+    # One stratum pooled twice, or alone, is not the design the outcomes cover.
+    with pytest.raises(ValidationError, match="^unit 16 is in 2 strata, not exactly one$"):
+        analyze_stratified(parts[1:2] * 2, y)
+    with pytest.raises(ValidationError, match=r"^outcomes given for units outside the 16-unit clustering: \[16, "):
+        analyze_stratified(parts[:1], y)
     with pytest.raises(ValidationError, match="no strata"):
         analyze_stratified([], y)
+    # Two equal strata: the mean gap, and a quarter of the summed bounds.
+    clustering = Clustering.from_assignment(np.repeat(np.arange(24), 2))
+    halves = stratified_hierarchical_assign(clustering, Stratification(np.repeat([0, 1], 12)), seed=4)
+    y = local.normal(size=clustering.num_units)
+    report = analyze_stratified(halves, y)
+    deltas = [delta_statistic(p, y).delta for p in halves]
+    bounds = [empirical_variance_bound(p, y) for p in halves]
+    assert report.delta == pytest.approx((deltas[0] + deltas[1]) / 2, rel=1e-12)
+    assert report.sigma_hat_sq == pytest.approx((bounds[0] + bounds[1]) / 4, rel=1e-12)
+
+
+def _sixteen_of_thirty_two():
+    # A 16-unit design, and a 32-unit design of two 16-unit strata.
+    plain = hierarchical_assign(Clustering.from_assignment(np.repeat(np.arange(8), 2)), DesignCounts.symmetric(16, 8))
+    clustering = Clustering.from_assignment(np.repeat(np.arange(16), 2))
+    parts = stratified_hierarchical_assign(clustering, Stratification(np.repeat([0, 1], 8)), seed=2)
+    return plain, parts, np.random.default_rng(6).normal(size=32)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("plain-extra", r"^outcomes given for units outside the 16-unit clustering: \[16, 17, 18, 19\]$"),
+    ("plain-short", r"^outcomes missing for assigned units \[10, 11, 12, 13, 14, 15\]$"),
+    ("stratum-twice", "^unit 0 is in 2 strata, not exactly one$"),
+    ("first-stratum-alone", r"^outcomes given for units outside the 16-unit clustering: \[16, 17, "),
+    ("second-stratum-alone", "^unit 0 is in 0 strata, not exactly one$"),
+])
+def test_analysis_refuses_outcomes_not_covering_each_design_unit_once(case, message):
+    # Unchecked, these end in a report: extra outcomes are dropped, and a
+    # stratum is pooled twice or stands for the whole design.
+    plain, (p0, p1), y = _sixteen_of_thirty_two()
+    call = {
+        "plain-extra": lambda: analyze(plain, y[:20]),
+        "plain-short": lambda: analyze(plain, y[:10]),
+        "stratum-twice": lambda: analyze_stratified([p0, p0], y),
+        "first-stratum-alone": lambda: analyze_stratified([p0], y),
+        "second-stratum-alone": lambda: analyze_stratified([p1], y),
+    }[case]
+    with pytest.raises(ValidationError, match=message):
+        call()
+    # The same parts and outcomes, whole, are analyzed.
+    analyze(plain, y[:16])
+    analyze_stratified([p0, p1], y)
 
 
 @settings(max_examples=60, deadline=None)
@@ -581,11 +617,7 @@ def test_analyze_refuses_non_finite_statistic(bad):
 
 def test_analyze_stratified_pools_strata():
     clustering = Clustering.from_assignment(np.repeat(np.arange(16), 2))
-    strat = Stratification(
-        num_strata=2,
-        stratum_of=np.array([0] * 8 + [1] * 8),
-        strata_sizes=np.array([8, 8]),
-    )
+    strat = Stratification(np.array([0] * 8 + [1] * 8))
     parts = stratified_hierarchical_assign(clustering, strat, seed=3)
     y = rng.normal(size=32)
     report = analyze_stratified(parts, y)

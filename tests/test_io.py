@@ -143,9 +143,7 @@ def _old_load_clustering(path):
 
 def _old_load_stratification(path):
     stratum_of = _old_id_rows(path, ("cluster_id", "stratum_id"), "empty stratification")
-    num_strata = int(stratum_of.max()) + 1
-    sizes = np.bincount(stratum_of, minlength=num_strata).astype(np.int64)
-    return Stratification(num_strata=num_strata, stratum_of=stratum_of, strata_sizes=sizes)
+    return Stratification(stratum_of)
 
 
 def _old_load_assignment_vectors(path):
@@ -586,8 +584,7 @@ def test_writers_match_row_by_row_writers(tmp_path, n, pairs, seed):
                       [[i, int(c)] for i, c in enumerate(clustering.assignment)])
     assert (tmp_path / "new_c.csv").read_bytes() == (tmp_path / "old_c.csv").read_bytes()
 
-    strat = Stratification(num_strata=2, stratum_of=rng.permutation(np.repeat([0, 1], 4)),
-                           strata_sizes=np.array([4, 4]))
+    strat = Stratification(rng.permutation(np.repeat([0, 1], 4)))
     save_stratification(strat, tmp_path / "new_s.csv")
     _old_save_id_rows(tmp_path / "old_s.csv", ["cluster_id", "stratum_id"],
                       [[c, int(s)] for c, s in enumerate(strat.stratum_of)])

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spilltest import (
@@ -19,6 +19,7 @@ from spilltest import (
     stratify_clusters,
 )
 from spilltest.partition import (
+    Stratification,
     load_clustering,
     load_stratification,
     save_clustering,
@@ -364,3 +365,74 @@ def test_ids_past_the_row_count_name_the_first_short_group(tmp_path):
     path.write_text(f"cluster_id,stratum_id\n0,0\n1,0\n2,1\n3,1\n4,{10**17}\n")
     with pytest.raises(ValidationError, match="stratum 2 has 0"):
         load_stratification(path)
+
+
+# Label vectors with gaps, negative ids, a huge id, groups of one member,
+# and vectors that are empty or 2-d.
+SMALL_LABELS = st.lists(st.integers(0, 3), max_size=12)
+LABEL_VECTORS = st.one_of(
+    SMALL_LABELS,
+    SMALL_LABELS,
+    st.tuples(SMALL_LABELS, st.sampled_from([-1, -2, 10**17])).map(lambda p: [*p[0], p[1]]),
+    st.lists(st.integers(0, 3), min_size=2, max_size=2).map(lambda v: [v, v]),
+).map(lambda v: np.array(v, dtype=np.int64))
+
+# Each partition type: constructor, loader, CSV header, least group size, and
+# its (labels, sizes, group count).
+PARTITIONS = {
+    "cluster": (
+        Clustering.from_assignment, load_clustering, "unit_id,cluster_id", 1,
+        lambda p: (p.assignment, p.sizes, p.num_clusters),
+    ),
+    "stratum": (
+        Stratification, load_stratification, "cluster_id,stratum_id", 2,
+        lambda p: (p.stratum_of, p.strata_sizes, p.num_strata),
+    ),
+}
+
+
+def _built(build, arg):
+    try:
+        return build(arg), None
+    except ValidationError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(labels=LABEL_VECTORS)
+def test_partitions_and_their_loaders_accept_the_same_label_vectors(tmp_path, labels):
+    for noun, (build, load, header, min_size, fields) in PARTITIONS.items():
+        made, message = _built(build, labels)
+        ok = labels.ndim == 1 and labels.size > 0 and labels.min() >= 0 and labels.max() < 100
+        assert (made is not None) == (ok and np.bincount(labels).min() >= min_size), (noun, labels, message)
+        if made is not None:
+            got_labels, sizes, count = fields(made)
+            assert count == labels.max() + 1
+            assert sizes.dtype == np.int64 and np.array_equal(sizes, np.bincount(labels))
+            assert not got_labels.flags.writeable and not sizes.flags.writeable
+        if labels.ndim != 1 or labels.size == 0:
+            continue  # a CSV holds neither
+        path = tmp_path / f"{noun}.csv"
+        path.write_text(header + "\n" + "".join(f"{i},{v}\n" for i, v in enumerate(labels.tolist())))
+        loaded, loaded_message = _built(load, path)
+        if made is None:
+            assert loaded_message == f"{path}: {message}"
+        else:
+            for got, want in zip(fields(loaded), fields(made)):
+                assert np.array_equal(got, want)
+
+
+def test_partitions_take_only_their_labels():
+    # Counts and sizes beside the labels could disagree with them.
+    labels = np.repeat(np.arange(8), 4)
+    labels[-4:] = 6
+    with pytest.raises(TypeError):
+        Clustering(num_clusters=8, assignment=labels, sizes=np.full(8, 4))
+    assert Clustering(labels).sizes.tolist() == [4] * 6 + [8]
+    with pytest.raises(ValidationError, match="^every cluster must be non-empty: cluster 2 has no units$"):
+        Clustering(np.array([0, 0, 1, 1, 3, 3]))
+    with pytest.raises(TypeError):
+        Stratification(num_strata=1, stratum_of=np.repeat([0, 1], 8), strata_sizes=[16])
+    assert Stratification(np.repeat([0, 1], 8)).num_strata == 2
+    with pytest.raises(ValidationError, match="^negative stratum id -1$"):
+        Stratification(np.array([0, 0, -1]))
