@@ -4,11 +4,12 @@ A draw of the hierarchical design is three randomizations: clusters split
 completely at random between two arms, then the units of one arm treated
 completely at random (or by re-randomized Bernoulli coins), and whole
 clusters of the other treated completely at random. ``_encode`` turns the
-three 0/1 vectors into the vectors the analysis reads, for one draw or a
-stack of enumerated ones. Comparing the two arms' effect estimates is what
-powers the interference test downstream. Drawing a stratified design and
-reloading it from saved vectors split it into strata in one place,
-``_per_stratum``, so both refuse the same inputs.
+three 0/1 vectors into the two a draw is, as its saved file holds them:
+each unit's arm and treatment, for one draw or a stack of enumerated ones.
+Comparing the two arms' effect estimates is what powers the interference
+test downstream. Drawing a stratified design and reloading it from saved
+vectors split it into strata in one place, ``_per_stratum``, so both
+refuse the same inputs.
 
 Seeding discipline: a master seed expands into named substreams through
 ``numpy.random.SeedSequence.spawn`` — child 0 drives the cluster-to-arm
@@ -127,10 +128,10 @@ class DesignCounts:
 class HierarchicalAssignment:
     """One draw of the two-arm design, with enough structure to analyze it.
 
-    ``cluster_arm`` and ``unit_arm`` are 1 on the individually randomized arm
-    and 0 on the cluster-randomized arm. ``cluster_treatment`` is meaningful
-    only for clusters in the cluster-randomized arm (-1 elsewhere), so
-    ``cluster_arm`` derives from it.
+    The draw is what ``save_assignment`` writes: ``unit_arm``, 1 on the
+    individually randomized arm and 0 on the cluster-randomized arm and
+    constant within clusters, and the 0/1 ``treatment``, constant within
+    cluster-arm clusters.
     ``unit_ids`` maps back to global unit ids when the assignment covers a
     stratum rather than the whole population.
     """
@@ -138,7 +139,6 @@ class HierarchicalAssignment:
     clustering: Clustering
     counts: DesignCounts
     unit_arm: np.ndarray
-    cluster_treatment: np.ndarray
     treatment: np.ndarray
     provenance: str
     unit_ids: np.ndarray = field(default=None)  # type: ignore[assignment]
@@ -146,12 +146,8 @@ class HierarchicalAssignment:
     def __post_init__(self) -> None:
         if self.unit_ids is None:
             object.__setattr__(self, "unit_ids", np.arange(self.clustering.num_units))
-        for arr in (self.unit_arm, self.cluster_treatment, self.treatment, self.unit_ids):
+        for arr in (self.unit_arm, self.treatment, self.unit_ids):
             arr.setflags(write=False)
-
-    @property
-    def cluster_arm(self) -> np.ndarray:
-        return np.where(self.cluster_treatment < 0, ARM_CR, ARM_CBR).astype(np.int8)
 
 
 def _complete_randomization(num_units: int, n_t: int, seed: int | np.random.SeedSequence) -> np.ndarray:
@@ -189,18 +185,17 @@ def _require_balanced(clustering: Clustering, counts: DesignCounts | None = None
 
 def _encode(
     clustering: Clustering, cluster_arm: np.ndarray, cr_z: np.ndarray, cbr_z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(unit_arm, treatment, cluster_treatment)`` of each cluster's arm, the
-    0/1 treatments of the unit arm's units and of the cluster arm's clusters,
-    each in id order: one vector each for one draw, or one row per draw of a
-    stack. ``cluster_treatment`` is -1 on the unit arm's clusters."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(unit_arm, treatment)`` of each cluster's arm, the 0/1 treatments of
+    the unit arm's units and of the cluster arm's clusters, each in id order:
+    one vector each for one draw, or one row per draw of a stack."""
     of = clustering.assignment
     unit_arm = cluster_arm[..., of]
-    cluster_treatment = np.full(cluster_arm.shape, -1, dtype=np.int8)
-    cluster_treatment[cluster_arm == ARM_CBR] = cbr_z.ravel()
-    treatment = np.maximum(cluster_treatment, 0)[..., of]
+    cluster_z = np.zeros(cluster_arm.shape, dtype=np.int8)
+    cluster_z[cluster_arm == ARM_CBR] = cbr_z.ravel()
+    treatment = cluster_z[..., of]
     treatment[unit_arm == ARM_CR] = cr_z.ravel()
-    return unit_arm, treatment, cluster_treatment
+    return unit_arm, treatment
 
 
 def _hierarchical_from_streams(
@@ -228,12 +223,11 @@ def _hierarchical_from_streams(
     else:
         raise ValidationError(f"unknown mechanism {cr_arm_mechanism!r}")
     cbr_z = _complete_randomization(counts.m_cbr, counts.m_cbr_t, cbr_stream)
-    unit_arm, treatment, cluster_treatment = _encode(clustering, cluster_arm, cr_z, cbr_z)
+    unit_arm, treatment = _encode(clustering, cluster_arm, cr_z, cbr_z)
     return HierarchicalAssignment(
         clustering=clustering,
         counts=counts,
         unit_arm=unit_arm,
-        cluster_treatment=cluster_treatment,
         treatment=treatment,
         provenance=provenance,
         unit_ids=unit_ids,
@@ -405,13 +399,12 @@ def assignment_from_vectors(
         if mixed_arm[c]:
             raise ValidationError(f"cluster {name} spans both arms; assignment is corrupt")
         raise ValidationError(f"cluster-randomized cluster {name} has mixed treatment")
-    cluster_treatment[~cbr] = -1
     m_cr = int(np.count_nonzero(cluster_arm == ARM_CR))
     m_cbr = m - m_cr
     cr_mask = unit_arm == ARM_CR
     n_cr = int(np.count_nonzero(cr_mask))
     n_cr_t = int(treatment[cr_mask].sum())
-    m_cbr_t = int(np.count_nonzero(cluster_treatment == 1))
+    m_cbr_t = int(np.count_nonzero(cbr & (cluster_treatment == 1)))
     counts = DesignCounts(
         n_cr=n_cr,
         n_cbr=clustering.num_units - n_cr,
@@ -426,7 +419,6 @@ def assignment_from_vectors(
         clustering=clustering,
         counts=counts,
         unit_arm=unit_arm,
-        cluster_treatment=cluster_treatment,
         treatment=treatment,
         provenance="loaded",
         unit_ids=unit_ids,

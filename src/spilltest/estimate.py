@@ -16,19 +16,21 @@ bound for stacked draws of a design. It is two arm contrasts
 over the unit arm's outcomes, one over the cluster arm's
 :func:`_cluster_totals`, scaled by ``m_cbr / n_cbr``. The oracle's
 single-mechanism designs run those same two functions. The kernel reads
-only a :class:`_DrawStack`, which binds the rows its caller holds:
-:func:`_estimate` binds one-row views of the analysis's assignment and a
-copy of its units' outcomes, a study binds one set of buffers per grid
-point and rewrites them a few consecutive draws at a time, and the oracle
-binds every enumerated draw's vectors and realized outcomes. Each row of
-the result is bit for bit what a one-row stack of that draw gives. One
-decision step, :func:`_decide`, is the whole decision: it checks its inputs
-and turns a gap and its bound into the t-statistic, both p-values and both
-rules' verdicts. The analysis reports, the studies' counts and the oracle's
-``reject`` statistic all read it. One analysis body, :func:`_analyze`, pools
-strata by their shares of the clusters; a plain design is its one-stratum
-case, so :func:`analyze` and :func:`analyze_stratified` differ only in
-whether a report lists its strata and a refusal names one.
+only a :class:`_DrawStack`, which binds the rows its caller holds, each a
+draw's unit arms and treatments, as its saved file holds them, and its
+outcomes: :func:`_estimate` binds one-row views of the analysis's
+assignment and a copy of its units' outcomes, a study binds one set of
+buffers per grid point and rewrites them a few draws at a time, and the
+oracle binds every enumerated draw. Each row of the result is bit for bit
+what a one-row stack of that draw gives. One decision step,
+:func:`_decide`, is the whole decision: it checks its inputs and turns a
+gap and its bound into the t-statistic, both p-values and both rules'
+verdicts, reading a gap within the outcomes' :func:`_rounding_floor` as
+none. The analysis reports, the studies' counts and the oracle's ``reject``
+statistic all read it. One analysis body, :func:`_analyze`, pools strata
+by their shares of the clusters; a plain design is its one-stratum case,
+so :func:`analyze` and :func:`analyze_stratified` differ only in whether a
+report lists its strata and a refusal names one.
 """
 
 from __future__ import annotations
@@ -94,12 +96,12 @@ class DeltaEstimate:
 
 
 def _bucket(values: np.ndarray, mask: np.ndarray, size: int) -> np.ndarray:
+    # A row of other counts would lend members to, or borrow from, the next.
+    if (np.add.reduce(mask, axis=1, dtype=np.int32) != size).any():
+        raise ValidationError("assignment does not match its design counts")
     # Row-major boolean gather keeps each draw's members in id order, so the
     # reductions below see the same values in the same order as one draw.
-    picked = values[mask]
-    if picked.size != size * len(values):
-        raise ValidationError("assignment does not match its design counts")
-    return picked.reshape(len(values), size)
+    return values[mask].reshape(len(values), size)
 
 
 def _contrast(
@@ -139,26 +141,29 @@ class _DrawStack:
     """Stacked draws of one design, bound as the caller holds them, and the
     estimator kernel that reads them.
 
-    Row r holds one draw: the three assignment vectors the kernel reads,
-    ``unit_arm``, ``treatment`` and ``cluster_treatment``, as
-    ``assign._encode`` writes every draw (``cluster_treatment`` is 1 or 0 on
-    cluster-arm clusters and -1 on unit-arm ones, so it also marks each
-    cluster's arm), and its outcomes in unit order in ``y[r]``. Every row has
-    the bucket sizes of ``counts``. The rows are not copied, so a caller may
-    rewrite them between kernel calls; the stack allocates only the
-    row-offset cluster ids of its cluster totals.
+    Row r holds one draw, as its saved file does: each unit's arm and 0/1
+    treatment in ``unit_arm[r]`` and ``treatment[r]``, and its outcomes in
+    unit order in ``y[r]``. ``assign._encode`` and
+    ``assign.assignment_from_vectors`` keep arms constant within clusters
+    and treatments within cluster-arm clusters, so the kernel reads each
+    cluster's from one of its units. A row without the bucket sizes of
+    ``counts`` is refused. The rows are not copied, so a caller may rewrite
+    them between kernel calls; the stack allocates only the row-offset
+    cluster ids of its cluster totals and one unit id per cluster.
     """
 
     def __init__(
         self, clustering: Clustering, counts: DesignCounts, unit_arm: np.ndarray, treatment: np.ndarray,
-        cluster_treatment: np.ndarray, y: np.ndarray,
+        y: np.ndarray,
     ) -> None:
         self.counts = counts
         self.unit_arm = unit_arm
         self.treatment = treatment
-        self.cluster_treatment = cluster_treatment
         self.y = y
         self.cluster_ids = _row_cluster_ids(clustering.assignment, clustering.num_clusters, len(y))
+        # One unit of each cluster, whichever the scatter keeps.
+        self.one = np.empty(clustering.num_clusters, dtype=np.intp)
+        self.one[clustering.assignment] = np.arange(clustering.num_units)
 
     def estimate(self, h: int, bound: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """``(tau_cr, tau_cbr, sigma_hat_sq)`` of each of the first ``h`` rows.
@@ -176,9 +181,9 @@ class _DrawStack:
         cr = self.unit_arm[:h] == ARM_CR
         z = self.treatment[:h].astype(bool)
         tau_cr, bound_cr = _contrast(y, cr & z, cr & ~z, c.n_cr_t, c.n_cr_c, bound)
-        zc = self.cluster_treatment[:h]
-        y_plus = _cluster_totals(y, self.cluster_ids[:h], zc.shape[1])
-        diff_cbr, bound_cbr = _contrast(y_plus, zc == 1, zc == 0, c.m_cbr_t, c.m_cbr_c, bound)
+        cbr, zc = ~cr[:, self.one], z[:, self.one]
+        y_plus = _cluster_totals(y, self.cluster_ids[:h], len(self.one))
+        diff_cbr, bound_cbr = _contrast(y_plus, cbr & zc, cbr & ~zc, c.m_cbr_t, c.m_cbr_c, bound)
         scale = c.m_cbr / c.n_cbr
         with np.errstate(over="ignore", invalid="ignore"):
             tau_cbr = scale * diff_cbr
@@ -187,22 +192,35 @@ class _DrawStack:
             return tau_cr, tau_cbr, bound_cr + scale**2 * bound_cbr
 
 
+def _design_outcomes(assignments: Sequence[HierarchicalAssignment], y: np.ndarray) -> np.ndarray:
+    """``y`` as floats, once the assignments, one per stratum, are checked to
+    hold the design's units 0..N-1 once each, and ``y`` one outcome each."""
+    ids = np.concatenate([a.unit_ids for a in assignments])
+    n = len(ids)
+    covered = np.bincount(ids, minlength=n)
+    for bad in (covered > 1, covered[:n] == 0):
+        if bad.any():
+            u = int(np.argmax(bad))
+            raise ValidationError(f"unit {u} is in {int(covered[u])} strata, not exactly one")
+    if len(y) < n:
+        raise ValidationError(f"outcomes missing for assigned units {list(range(len(y), n)[:10])}")
+    if len(y) > n:
+        extra = list(range(n, len(y))[:10])
+        raise ValidationError(f"outcomes given for units outside the {n}-unit clustering: {extra}")
+    return np.asarray(y, dtype=np.float64)
+
+
 def _estimate(
     assignment: HierarchicalAssignment, y: np.ndarray, bound: bool = True
 ) -> tuple[float, float, float, float | None]:
     """``(tau_cr, tau_cbr, delta, sigma_hat_sq)`` of one draw, from a one-row
-    stack of the assignment's own vectors and the outcomes of its units.
+    stack of the assignment's own vectors and its units' outcomes in ``y``.
 
     ``sigma_hat_sq`` is None unless ``bound``; ``delta`` is the difference
     of the two floats.
     """
     a = assignment
-    y = np.asarray(y, dtype=np.float64)
-    if a.unit_ids.max() >= len(y):
-        raise ValidationError(f"outcomes missing for unit {int(a.unit_ids.max())}; got {len(y)} values")
-    stack = _DrawStack(
-        a.clustering, a.counts, a.unit_arm[None], a.treatment[None], a.cluster_treatment[None], y[None, a.unit_ids]
-    )
+    stack = _DrawStack(a.clustering, a.counts, a.unit_arm[None], a.treatment[None], y[None, a.unit_ids])
     tau_cr, tau_cbr, sigma_hat_sq = stack.estimate(1, bound)
     t_cr, t_cbr = float(tau_cr[0]), float(tau_cbr[0])
     return t_cr, t_cbr, t_cr - t_cbr, None if sigma_hat_sq is None else float(sigma_hat_sq[0])
@@ -213,9 +231,10 @@ def delta_statistic(assignment: HierarchicalAssignment, y: np.ndarray) -> DeltaE
 
     The first arm's estimate is a plain difference in means over its units;
     the second is ``(m_cbr / n_cbr)`` times the treated-minus-control contrast
-    of its cluster totals. Single-member buckets are allowed.
+    of its cluster totals. Single-member buckets are allowed. ``y`` is
+    read, and refused, as :func:`analyze` reads it: a stratum is no design.
     """
-    tau_cr, tau_cbr, delta, _ = _estimate(assignment, y, bound=False)
+    tau_cr, tau_cbr, delta, _ = _estimate(assignment, _design_outcomes([assignment], y), bound=False)
     return DeltaEstimate(tau_cr, tau_cbr, delta)
 
 
@@ -231,9 +250,10 @@ def empirical_variance_bound(assignment: HierarchicalAssignment, y: np.ndarray) 
     ``S_tc``, ``S_plus_tc`` from :func:`variance_components`), which is
     negative when treatment effects cluster together; about half of random
     heterogeneous potential tables fall below the variance (acceptance
-    criterion 4). Every bucket must hold at least two observations.
+    criterion 4). Every bucket must hold at least two observations; ``y``
+    is read as :func:`delta_statistic` reads it.
     """
-    return _estimate(assignment, y)[3]
+    return _estimate(assignment, _design_outcomes([assignment], y))[3]
 
 
 def _small_sample_factors(counts: DesignCounts) -> tuple[float, float]:
@@ -303,13 +323,20 @@ class _Decision(NamedTuple):
     reject_gaussian: bool
 
 
-def _decide(delta: float, sigma_hat_sq: float, alpha: float) -> _Decision:
+def _rounding_floor(y: np.ndarray) -> np.ndarray:
+    """``N * eps * max|y|`` per row of ``N`` outcomes: about what rounding alone leaves in a gap."""
+    return y.shape[-1] * np.finfo(np.float64).eps * np.abs(y).max(axis=-1)
+
+
+def _decide(delta: float, sigma_hat_sq: float, alpha: float, floor: float) -> _Decision:
     """The whole decision: a gap and its bound in, both rules' verdicts out.
 
     Chebyshev's p-value is ``min(1, sigma_hat_sq / delta**2)``, and its rule
     rejects iff ``|delta| >= sqrt(sigma_hat_sq / alpha)``; the Gaussian rule
-    reads ``delta / sqrt(sigma_hat_sq)`` as a standard normal. A zero bound
-    leaves no room for chance, so any nonzero gap rejects under both rules.
+    reads ``delta / sqrt(sigma_hat_sq)`` as a standard normal. A gap within
+    ``floor`` (:func:`_rounding_floor`) over a bound within ``floor**2`` is
+    none: t is 0, both p-values 1, and neither rule rejects. Past it, a zero
+    bound leaves no room for chance, so any gap rejects under both rules.
     Raises ValidationError for alpha outside (0, 1), a non-finite statistic,
     which supports no decision, or a negative bound.
     """
@@ -319,6 +346,8 @@ def _decide(delta: float, sigma_hat_sq: float, alpha: float) -> _Decision:
         raise ValidationError(f"non-finite statistic: delta={delta!r}, sigma_hat_sq={sigma_hat_sq!r}")
     if sigma_hat_sq < 0:
         raise ValidationError("variance bound cannot be negative")
+    if abs(delta) <= floor and sigma_hat_sq <= floor * floor:
+        return _Decision(0.0, 1.0, 1.0, False, False)
     sigma = math.sqrt(sigma_hat_sq)
     # Below sigma the p-value is 1; from sigma up, delta * delta is at least
     # about sigma_hat_sq, so the square cannot underflow to zero. Where the
@@ -405,19 +434,7 @@ def _analyze(
         raise ValidationError(f"unknown decision rule {decision_rule!r}")
     if len(assignments) == 0:
         raise ValidationError("no strata to analyze")
-    # The strata hold design units 0..N-1 once each, and y one outcome each.
-    ids = np.concatenate([a.unit_ids for a in assignments])
-    n = len(ids)
-    covered = np.bincount(ids, minlength=n)
-    for bad in (covered > 1, covered[:n] == 0):
-        if bad.any():
-            u = int(np.argmax(bad))
-            raise ValidationError(f"unit {u} is in {int(covered[u])} strata, not exactly one")
-    if len(y) < n:
-        raise ValidationError(f"outcomes missing for assigned units {list(range(len(y), n)[:10])}")
-    if len(y) > n:
-        extra = list(range(n, len(y))[:10])
-        raise ValidationError(f"outcomes given for units outside the {n}-unit clustering: {extra}")
+    y = _design_outcomes(assignments, y)
     details = []
     counts: dict[str, int] = {}
     for s, a in enumerate(assignments):
@@ -439,7 +456,7 @@ def _analyze(
 
     delta = pool(d.delta for d in details)
     sigma_hat_sq = pool((d.sigma_hat_sq for d in details), [w * w for w in shares])
-    decided = _decide(delta, sigma_hat_sq, alpha)
+    decided = _decide(delta, sigma_hat_sq, alpha, float(_rounding_floor(y)))
     return AnalysisReport(
         tau_cr=pool(d.tau_cr for d in details),
         tau_cbr=pool(d.tau_cbr for d in details),

@@ -27,6 +27,7 @@ from .estimate import (
     _contrast,
     _decide,
     _DrawStack,
+    _rounding_floor,
     _row_cluster_ids,
     expected_cluster_estimate_linear,
     expected_delta_linear,
@@ -98,10 +99,9 @@ def hierarchical_outcome_count(counts: DesignCounts) -> int:
     )
 
 
-def enumerate_hierarchical_assignments(clustering: Clustering, counts: DesignCounts) -> tuple[np.ndarray, ...]:
-    """``(unit_arm, treatment, cluster_treatment)`` of every draw of the
-    two-arm design, one row per equiprobable outcome, in deterministic
-    lexicographic order.
+def enumerate_hierarchical_assignments(clustering: Clustering, counts: DesignCounts) -> tuple[np.ndarray, np.ndarray]:
+    """``(unit_arm, treatment)`` of every draw of the two-arm design, one row
+    per equiprobable outcome, in deterministic lexicographic order.
 
     The three randomizations of every draw are enumerated, and
     ``assign._encode`` writes their assignment vectors, as it does for a
@@ -128,15 +128,14 @@ def _hierarchical_statistic_rows(
     """The statistic on every enumerated draw, computed by the shipped estimator."""
     if statistic not in get_args(Statistic):
         raise ValidationError(f"unknown statistic {statistic!r}")
-    unit_arm, treatment, cluster_treatment = enumerate_hierarchical_assignments(clustering, counts)
+    unit_arm, treatment = enumerate_hierarchical_assignments(clustering, counts)
     y = _realize(outcomes, treatment)
-    stack = _DrawStack(clustering, counts, unit_arm, treatment, cluster_treatment, y)
+    stack = _DrawStack(clustering, counts, unit_arm, treatment, y)
     tau_cr, tau_cbr, sigma = stack.estimate(len(y), bound=statistic in ("sigma_hat_sq", "reject"))
     delta = tau_cr - tau_cbr
     if statistic == "reject":
-        return np.array(
-            [float(_decide(float(d), float(s), alpha).reject_chebyshev) for d, s in zip(delta, sigma)]
-        )
+        decisions = zip(delta.tolist(), sigma.tolist(), _rounding_floor(y).tolist())
+        return np.array([float(_decide(d, s, alpha, floor).reject_chebyshev) for d, s, floor in decisions])
     return {"tau_cr": tau_cr, "tau_cbr": tau_cbr, "delta": delta, "sigma_hat_sq": sigma}[statistic]
 
 
@@ -489,7 +488,7 @@ def check_bernoulli(design: OracleDesign) -> dict:
 def check_law(design: OracleDesign) -> dict:
     """Enumeration visits every design outcome once; marginals are exact."""
     counts = design.counts
-    unit_arm, treatment, cluster_treatment = enumerate_hierarchical_assignments(design.clustering, counts)
+    unit_arm, treatment = enumerate_hierarchical_assignments(design.clustering, counts)
     expected = hierarchical_outcome_count(counts)
     rows = {bytes(np.concatenate([unit_arm[r], treatment[r]])) for r in range(len(unit_arm))}
     unique_ok = len(rows) == expected == len(unit_arm)
@@ -501,12 +500,12 @@ def check_law(design: OracleDesign) -> dict:
     # Conditional independence: within each arm split, the treatment pattern
     # pairs form a full product set.
     splits: dict[bytes, list[int]] = {}
-    for r, key in enumerate(cluster_treatment < 0):
+    for r, key in enumerate(unit_arm):
         splits.setdefault(key.tobytes(), []).append(r)
     factorizes = True
     for idx in splits.values():
         cr_patterns = {bytes(treatment[r][unit_arm[r] == ARM_CR]) for r in idx}
-        cbr_patterns = {bytes(cluster_treatment[r]) for r in idx}
+        cbr_patterns = {bytes(treatment[r][unit_arm[r] != ARM_CR]) for r in idx}
         if len(cr_patterns) * len(cbr_patterns) != len(idx):
             factorizes = False
     passed = unique_ok and marg_err <= EXACT_TOL and factorizes

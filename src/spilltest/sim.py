@@ -21,21 +21,20 @@ noise.
 Every study runs the same replication loop, :func:`_replicate`. The loop
 cuts the replications' seed streams into stacks of a few consecutive draws
 (as many as fit a 256 KiB float array of outcomes, 8 at N = 4000, at least
-one). Each grid point allocates one set of stack buffers, the assignment
-vectors and outcomes of one stack, and binds them to one
-``estimate._DrawStack``, which adds the row-offset cluster ids of its
-cluster totals. The loop makes one ``hierarchical_assign`` call per stream
-and writes its vectors into that stream's row, in place; a study supplies
-only a function that returns the stack's outcome rows, from one call of
-its outcome model on the stack's treatment rows. A ratio or type1 study
-selects them with one ``realize_sutva`` call; a power study draws them with
-one ``realize_linear`` call, whose neighbor counts come from one
-lane-packed pass over the graph, with the noise streams it spawned beside
-the assignment streams. The loop runs the estimator kernel,
+one). Each grid point allocates one set of stack buffers, the units' arms,
+treatments and outcomes of one stack, and binds them once, with the
+design's counts, to one ``estimate._DrawStack``. The loop makes one
+``hierarchical_assign`` call per stream and writes its two vectors into
+that stream's row, in place; a study supplies only a function that returns
+the stack's outcome rows, from one call of its outcome model on the
+stack's treatment rows. A ratio or type1 study selects them with one
+``realize_sutva`` call; a power study draws them with one
+``realize_linear`` call, whose neighbor counts come from one lane-packed
+pass over the graph, with the noise streams it spawned beside the
+assignment streams. The loop runs the estimator kernel,
 ``_DrawStack.estimate``, once on the written rows, and then decides each
-draw in stream order through ``estimate._decide``; ``analyze`` runs the
-same kernel on a one-row stack and the same decision. Each draw's
-outcomes, gap and bound are those of that draw alone, so a study counts
+draw in stream order through ``estimate._decide`` with the rounding floor
+of its outcomes, as ``analyze`` decides a one-row stack. So a study counts
 exactly what ``analyze`` would decide on each draw, and a non-finite
 statistic raises. The loop keeps the gaps, the variance bounds and both
 rules' rejection counts.
@@ -60,7 +59,7 @@ import numpy as np
 
 from ._errors import ValidationError, build_record, check_fields, check_seed, read_json
 from .assign import DesignCounts, hierarchical_assign
-from .estimate import _decide, _DrawStack, theoretical_sutva_variance
+from .estimate import _decide, _DrawStack, _rounding_floor, theoretical_sutva_variance
 from .graph import _MAX_UNITS_PLUS_EDGES, SbmSpec, generate_sbm, neighborhood_fractions
 from .outcomes import LinearInterferenceModel, PotentialTable, realize_linear, realize_sutva
 from .partition import Clustering
@@ -231,9 +230,9 @@ def _replicate(
     bounds.
 
     One ``_DrawStack`` binds the loop's stack buffers (see ``_STACK_BYTES``)
-    with the first draw's design counts, and a draw of other counts is
-    refused. Each stream's ``hierarchical_assign`` draw is written into its
-    row, ``outcomes(z, first)`` returns the outcome rows of the treatment rows
+    with the design's counts, and its kernel refuses a draw of other counts.
+    Each stream's ``hierarchical_assign`` draw is written into its row,
+    ``outcomes(z, first)`` returns the outcome rows of the treatment rows
     ``z`` from replication ``first`` on, and one kernel call estimates them.
     The draws are then decided in stream order, each as ``analyze`` would.
     """
@@ -245,28 +244,20 @@ def _replicate(
     height = max(1, _STACK_BYTES // (8 * clustering.num_units))
     rows = (height, clustering.num_units)
     unit_arm, treatment, y = np.empty(rows, dtype=np.int8), np.empty(rows, dtype=np.int8), np.empty(rows)
-    cluster_treatment = np.empty((height, clustering.num_clusters), dtype=np.int8)
-    stack = None
+    stack = _DrawStack(clustering, counts, unit_arm, treatment, y)
     for first in range(0, n, height):
         h = min(height, n - first)
         for r in range(h):
             a = hierarchical_assign(clustering, counts, streams[first + r])
-            if stack is None:
-                stack = _DrawStack(clustering, a.counts, unit_arm, treatment, cluster_treatment, y)
-            elif a.counts != stack.counts:
-                raise ValidationError(
-                    f"a draw's design counts {a.counts.to_dict()} differ from "
-                    f"its stack's first draw {stack.counts.to_dict()}"
-                )
-            unit_arm[r], treatment[r], cluster_treatment[r] = a.unit_arm, a.treatment, a.cluster_treatment
+            unit_arm[r], treatment[r] = a.unit_arm, a.treatment
         y[:h] = outcomes(treatment[:h], first)
         tau_cr, tau_cbr, sigma_hat_sq = stack.estimate(h)
-        estimates = zip(tau_cr.tolist(), tau_cbr.tolist(), sigma_hat_sq.tolist())
-        for r, (t_cr, t_cbr, bound) in enumerate(estimates, first):
+        estimates = zip(tau_cr.tolist(), tau_cbr.tolist(), sigma_hat_sq.tolist(), _rounding_floor(y[:h]).tolist())
+        for r, (t_cr, t_cbr, bound, floor) in enumerate(estimates, first):
             delta = t_cr - t_cbr
             deltas[r] = delta
             bounds[r] = bound
-            decision = _decide(delta, bound, cfg.alpha)
+            decision = _decide(delta, bound, cfg.alpha, floor)
             rejections += decision.reject_chebyshev
             rejections_gauss += decision.reject_gaussian
     rate = rejections / n

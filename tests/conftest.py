@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spilltest import Clustering, DesignCounts, Graph
+from spilltest.assign import ARM_CBR
 from spilltest.oracle import load_design
 
 # One (criterion, passed, detail) entry per acceptance criterion, printed at
@@ -40,6 +41,21 @@ def bincount_fractions(graph: Graph, z) -> np.ndarray:
     nz = deg > 0
     out[nz] = treated[nz] / deg[nz]
     return out
+
+
+def cluster_bits(a) -> tuple[np.ndarray, np.ndarray]:
+    """Each cluster's arm, and its treatment (-1 on unit-arm clusters), read
+    from every member of the draw ``a``; raises ValueError for a cluster
+    that spans both arms or a cluster-arm cluster of mixed treatment."""
+    m = a.clustering.num_clusters
+    arm = np.empty(m, dtype=np.int8)
+    treatment = np.full(m, -1, dtype=np.int8)
+    for c in range(m):
+        members = a.clustering.assignment == c
+        (arm[c],) = np.unique(a.unit_arm[members])
+        if arm[c] == ARM_CBR:
+            (treatment[c],) = np.unique(a.treatment[members])
+    return arm, treatment
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,8 @@ effects correlate within clusters. The criterion is kept red rather than
 weakened.
 """
 
+import csv
+import io
 import json
 import math
 import time
@@ -21,10 +23,12 @@ from hypothesis import strategies as st
 
 from conftest import fixture_path, record_criterion
 from spilltest import (
+    Clustering,
     DesignCounts,
     LinearInterferenceModel,
     PotentialTable,
     SbmSpec,
+    analyze,
     bernoulli_vs_cr_variance_gap,
     binomial_negative_moment,
     delta_statistic,
@@ -39,6 +43,7 @@ from spilltest import (
     neighborhood_fractions,
     realize_linear,
 )
+from spilltest.assign import ARM_CBR
 from spilltest.cli import main as cli_main
 from spilltest.estimate import (
     _decide,
@@ -273,7 +278,7 @@ def test_criterion_9_p_values_at_every_scale(delta, sigma_hat_sq, alpha):
     # a p-value, and the Chebyshev verdict is the threshold rule, with the
     # threshold taken as sqrt(sigma_hat_sq) / sqrt(alpha) where the plain
     # quotient overflows.
-    decision = _decide(delta, sigma_hat_sq, alpha)
+    decision = _decide(delta, sigma_hat_sq, alpha, 0.0)
     assert 0.0 <= decision.p_chebyshev <= 1.0
     assert 0.0 <= decision.p_gaussian <= 1.0
     quotient = sigma_hat_sq / alpha
@@ -288,7 +293,7 @@ def test_criterion_9_p_values_at_every_scale(delta, sigma_hat_sq, alpha):
 def test_criterion_9_decision_at_the_float_maximum(delta, p_chebyshev):
     # sigma_hat_sq / alpha and delta * delta overflow to inf here; the gap
     # lies ten or more bound-widths out, so both rules reject.
-    decision = _decide(delta, 1e308, 0.05)
+    decision = _decide(delta, 1e308, 0.05, 0.0)
     assert decision.p_chebyshev == pytest.approx(p_chebyshev, rel=1e-12)
     assert decision.reject_chebyshev and decision.reject_gaussian
 
@@ -311,6 +316,47 @@ def test_criterion_9_cli_analyze_at_subnormal_scale(tmp_path):
     assert payload["delta"] != 0.0 and payload["delta"] * payload["delta"] == 0.0
     assert payload["sigma_hat_sq"] > 0.0
     assert payload["p_chebyshev"] == 1.0 and payload["decision"] == "fail-to-reject"
+
+
+def test_rounding_of_a_constant_effect_is_no_evidence():
+    # 8 clusters of 20 units, 4 in each arm, half of each arm treated. Under
+    # y = 0.3 + 0.1 z both arm estimates are 0.1 up to rounding, and every
+    # bucket variance is 0: the report keeps the rounded gap and the zero
+    # bound, and neither rule rejects. A real gap still rejects.
+    clustering = Clustering.from_assignment(np.repeat(np.arange(8), 20))
+    counts = DesignCounts(n_cr=80, n_cbr=80, m_cr=4, m_cbr=4, n_cr_t=40, n_cr_c=40, m_cbr_t=2, m_cbr_c=2)
+    nonzero = 0
+    for seed in range(200):
+        a = hierarchical_assign(clustering, counts, seed)
+        y = 0.3 + 0.1 * a.treatment
+        for rule in ("chebyshev", "gaussian"):
+            report = analyze(a, y, decision_rule=rule)
+            # A few ulps of the 0.1 effect.
+            assert abs(report.delta) < 1e-15 and report.sigma_hat_sq == 0.0, seed
+            assert (report.t_stat, report.p_chebyshev, report.p_gaussian) == (0.0, 1.0, 1.0), seed
+            assert not report.reject, seed
+        nonzero += report.delta != 0
+    assert nonzero > 0
+    # A cluster-arm effect 1e-13 larger is a gap seven times the floor
+    # (160 * eps * 0.4 = 1.4e-14) over a zero bound, and both rules reject.
+    y = 0.3 + (0.1 + 1e-13 * (a.unit_arm == ARM_CBR)) * a.treatment
+    for rule in ("chebyshev", "gaussian"):
+        report = analyze(a, y, decision_rule=rule)
+        assert report.delta == pytest.approx(-1e-13, rel=1e-3) and report.sigma_hat_sq <= 1e-30
+        assert report.reject
+
+
+def test_type1_study_of_a_constant_effect_exits_zero(tmp_path):
+    # Every draw's gap is rounding alone, so no draw is a false rejection.
+    config = tmp_path / "type1.json"
+    config.write_text(json.dumps({
+        "study": "type1", "replications": 50, "seed": 1, "num_clusters": 8, "cluster_size": 20,
+        "constant_effect": 0.1, "y0_cluster_sd": 0.0, "y0_unit_sd": 0.0,
+    }))
+    out = tmp_path / "type1.csv"
+    assert cli_main(["simulate", "--config", str(config), "--threads", "1", "--out-csv", str(out)]) == 0
+    (row,) = csv.DictReader(io.StringIO(out.read_text()))
+    assert float(row["rejection_rate"]) == float(row["rejection_rate_gaussian"]) == 0.0
 
 
 def test_criterion_10_variance_prediction_vs_monte_carlo():

@@ -51,7 +51,7 @@ REMOVED = {
 REMOVED_ATTRIBUTES = {
     "spilltest.Graph": ["edges", "degree", "to_sparse"],
     "spilltest.Clustering": ["members"],
-    "spilltest.HierarchicalAssignment": ["mechanism", "cluster_ids", "num_units"],
+    "spilltest.HierarchicalAssignment": ["mechanism", "cluster_ids", "num_units", "cluster_treatment", "cluster_arm"],
     "spilltest.LinearInterferenceModel": ["realized_total_effect"],
     "spilltest.SbmSpec": ["to_json"],
     "spilltest.ClusteringMetrics": ["to_json"],

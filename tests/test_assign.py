@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import cluster_bits
 from spilltest import (
     Clustering,
     DesignCounts,
@@ -97,12 +98,9 @@ def test_hierarchical_count_contract(clusters8, counts8):
         cr = a.unit_arm == 1
         assert cr.sum() == 4
         assert a.treatment[cr].sum() == 2
-        cbr_treated_clusters = ((a.cluster_arm == 0) & (a.cluster_treatment == 1)).sum()
-        assert cbr_treated_clusters == 1
-        # Treatment constant within cluster-arm clusters.
-        for c in np.flatnonzero(a.cluster_arm == 0):
-            members = np.flatnonzero(clusters8.assignment == c)
-            assert len(set(a.treatment[members].tolist())) == 1
+        # cluster_bits refuses a cluster-arm cluster of mixed treatment.
+        cluster_arm, cluster_treatment = cluster_bits(a)
+        assert ((cluster_arm == 0) & (cluster_treatment == 1)).sum() == 1
 
 
 def test_hierarchical_bernoulli_mechanism(clusters8, counts8):
@@ -225,7 +223,8 @@ def test_substreams_are_independent(clusters8, counts8):
     # And changing the unit-arm stream leaves the cluster arm's split alone.
     alt_cr = np.random.SeedSequence(100)
     c = _hierarchical_from_streams(clusters8, counts8, arm, alt_cr, cbr, "complete", "t")
-    assert np.array_equal(a.cluster_treatment, c.cluster_treatment)
+    assert np.array_equal(a.unit_arm, c.unit_arm)
+    assert np.array_equal(a.treatment[~cr_units], c.treatment[~cr_units])
 
 
 def _reference_draw(clustering, counts, seed, mechanism):
@@ -255,7 +254,7 @@ def _reference_draw(clustering, counts, seed, mechanism):
     cluster_treatment[cbr_clusters[treated]] = 1
     cbr_units = unit_arm == ARM_CBR
     treatment[cbr_units] = cluster_treatment[of[cbr_units]]
-    return cluster_arm, unit_arm, cluster_treatment, treatment
+    return unit_arm, treatment
 
 
 @settings(max_examples=150, deadline=None)
@@ -271,9 +270,9 @@ def test_draw_matches_arm_by_arm_reference(shape, seed, mechanism):
     counts = DesignCounts.symmetric(m * k, m)
     a = hierarchical_assign(clustering, counts, seed, mechanism)
     expected = _reference_draw(clustering, counts, seed, mechanism)
-    for got, want in zip((a.cluster_arm, a.unit_arm, a.cluster_treatment, a.treatment), expected):
+    for got, want in zip((a.unit_arm, a.treatment), expected):
         assert got.dtype == np.int8 and np.array_equal(got, want)
-    assert a.counts.n_cr_t == int(expected[3][expected[1] == ARM_CR].sum())
+    assert a.counts.n_cr_t == int(expected[1][expected[0] == ARM_CR].sum())
 
 
 def test_encode_stack_equals_its_rows():
@@ -287,9 +286,15 @@ def test_encode_stack_equals_its_rows():
     for r in range(rows):
         for whole, row in zip(stacked, _encode(clustering, arms[r], cr[r], cbr[r])):
             assert np.array_equal(whole[r], row)
-    unit_arm, treatment, cluster_treatment = stacked
-    assert np.array_equal(cluster_treatment < 0, arms == ARM_CR)
-    assert np.array_equal(unit_arm, arms[:, clustering.assignment])
+    unit_arm, treatment = stacked
+    of = clustering.assignment
+    assert np.array_equal(unit_arm, arms[:, of])
+    for r in range(rows):
+        cr_units = unit_arm[r] == ARM_CR
+        cluster_z = np.zeros(6, dtype=np.int8)
+        cluster_z[arms[r] == ARM_CBR] = cbr[r]
+        assert np.array_equal(treatment[r][cr_units], cr[r])
+        assert np.array_equal(treatment[r][~cr_units], cluster_z[of][~cr_units])
 
 
 def test_stratified_counts_respected():
@@ -324,8 +329,9 @@ def test_stratified_independence_across_strata():
     second_arm = np.empty(draws)
     for seed in range(draws):
         parts = stratified_hierarchical_assign(clustering, strat, seed=seed)
-        first_arm[seed] = parts[0].cluster_arm[0]
-        second_arm[seed] = parts[1].cluster_arm[0]
+        # Unit 0 of each stratum is in its cluster 0.
+        first_arm[seed] = parts[0].unit_arm[0]
+        second_arm[seed] = parts[1].unit_arm[0]
     corr = np.corrcoef(first_arm, second_arm)[0, 1]
     assert abs(corr) < 4.0 / np.sqrt(draws)
 
@@ -358,7 +364,8 @@ def test_assignment_csv_round_trip(tmp_path, clusters8, counts8):
     assert np.array_equal(treatment, a.treatment)
     rebuilt = assignment_from_vectors(clusters8, unit_arm, treatment)
     assert rebuilt.counts == a.counts
-    assert np.array_equal(rebuilt.cluster_treatment, a.cluster_treatment)
+    assert np.array_equal(rebuilt.unit_arm, a.unit_arm)
+    assert np.array_equal(rebuilt.treatment, a.treatment)
 
 
 def test_assignment_from_vectors_rejects_corrupt(clusters8):
@@ -415,5 +422,6 @@ def test_assignment_from_vectors_matches_per_cluster_loop(m, size, seed, flips):
     except ValidationError as exc:  # design counts the loop never checked
         assert "design count" in str(exc) or "unbalanced" in str(exc) or "treated" in str(exc), str(exc)
         return
-    assert np.array_equal(rebuilt.cluster_arm, cluster_arm)
-    assert np.array_equal(rebuilt.cluster_treatment, cluster_treatment)
+    assert np.array_equal(rebuilt.unit_arm, unit_arm) and np.array_equal(rebuilt.treatment, treatment)
+    assert rebuilt.counts.m_cr == np.count_nonzero(cluster_arm == ARM_CR)
+    assert rebuilt.counts.m_cbr_t == np.count_nonzero(cluster_treatment == 1)

@@ -1,12 +1,14 @@
 import json
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import cluster_bits
 from spilltest import (
     Clustering,
     DesignCounts,
@@ -52,8 +54,9 @@ def _reference_delta(a, y):
     y_cr, z_cr = local[cr], z[cr]
     tau_cr = float(y_cr[z_cr].mean() - y_cr[~z_cr].mean())
     y_plus = np.bincount(a.clustering.assignment, weights=local, minlength=a.clustering.num_clusters)
-    cbr = a.cluster_arm == ARM_CBR
-    zc = a.cluster_treatment[cbr] == 1
+    cluster_arm, cluster_treatment = cluster_bits(a)
+    cbr = cluster_arm == ARM_CBR
+    zc = cluster_treatment[cbr] == 1
     yp = y_plus[cbr]
     tau_cbr = float(a.counts.m_cbr / a.counts.n_cbr * (yp[zc].mean() - yp[~zc].mean()))
     return tau_cr, tau_cbr
@@ -65,8 +68,9 @@ def _reference_bound(a, y):
     z = a.treatment.astype(bool)
     y_t, y_c = local[cr & z], local[cr & ~z]
     y_plus = np.bincount(a.clustering.assignment, weights=local, minlength=a.clustering.num_clusters)
-    cbr = a.cluster_arm == ARM_CBR
-    zc = a.cluster_treatment[cbr] == 1
+    cluster_arm, cluster_treatment = cluster_bits(a)
+    cbr = cluster_arm == ARM_CBR
+    zc = cluster_treatment[cbr] == 1
     yp_t, yp_c = y_plus[cbr][zc], y_plus[cbr][~zc]
     v_t, v_c, vp_t, vp_c = (float(np.var(x, ddof=1)) for x in (y_t, y_c, yp_t, yp_c))
     return (
@@ -102,7 +106,6 @@ def test_kernel_rows_match_per_draw_formulas(design, rows, seed):
         counts,
         np.stack([a.unit_arm for a in draws]),
         np.stack([a.treatment for a in draws]),
-        np.stack([a.cluster_treatment for a in draws]),
         y,
     )
     tau_cr, tau_cbr, none = stack.estimate(rows, bound=False)
@@ -128,11 +131,39 @@ def test_kernel_rejects_draw_that_disagrees_with_counts():
     a = hierarchical_assign(clustering, counts, seed=1)
     treatment = a.treatment.copy()
     treatment[np.flatnonzero(a.unit_arm == ARM_CR)[0]] ^= 1
-    stack = _DrawStack(
-        clustering, a.counts, a.unit_arm[None], treatment[None], a.cluster_treatment[None], np.ones((1, 16))
-    )
+    stack = _DrawStack(clustering, a.counts, a.unit_arm[None], treatment[None], np.ones((1, 16)))
     with pytest.raises(ValidationError, match="design counts"):
         stack.estimate(1)
+
+
+def _off_by_one_rows(a, arm):
+    # Two copies of the draw ``a``: the first treats one more unit (or
+    # cluster) of ``arm``, the second one fewer, so the stack's total is
+    # still that of two draws of ``a.counts``.
+    treatment = np.stack([a.treatment, a.treatment])
+    for row, z in ((0, 0), (1, 1)):
+        unit = np.flatnonzero((a.unit_arm == arm) & (a.treatment == z))[0]
+        flip = a.clustering.assignment == a.clustering.assignment[unit] if arm == ARM_CBR else unit
+        treatment[row, flip] = 1 - z
+    return treatment
+
+
+@pytest.mark.parametrize("arm", [ARM_CR, ARM_CBR])
+@pytest.mark.parametrize("bound", [True, False])
+def test_kernel_refuses_each_row_of_other_counts(arm, bound):
+    # Rows of 5 and 3 treated unit-arm units (or 3 and 1 treated clusters)
+    # where the counts say 4 (or 2): unchecked, one row's bucket lends a
+    # member to the other's.
+    clustering = Clustering.from_assignment(np.repeat(np.arange(8), 2))
+    counts = DesignCounts(n_cr=8, n_cbr=8, m_cr=4, m_cbr=4, n_cr_t=4, n_cr_c=4, m_cbr_t=2, m_cbr_c=2)
+    a = hierarchical_assign(clustering, counts, seed=1)
+    treatment = _off_by_one_rows(a, arm)
+    assert [int(np.count_nonzero(t[a.unit_arm == arm])) for t in treatment] == (
+        [5, 3] if arm == ARM_CR else [6, 2]
+    )
+    stack = _DrawStack(clustering, counts, np.stack([a.unit_arm] * 2), treatment, rng.normal(size=(2, 16)))
+    with pytest.raises(ValidationError, match="^assignment does not match its design counts$"):
+        stack.estimate(2, bound)
 
 
 def test_stacks_bind_their_callers_arrays(monkeypatch, bound_design):
@@ -152,7 +183,7 @@ def test_stacks_bind_their_callers_arrays(monkeypatch, bound_design):
     monkeypatch.setattr(estimate._DrawStack, "estimate", spy)
     analyze(a, rng.normal(size=12))
     (stack,) = stacks
-    for name in ("unit_arm", "treatment", "cluster_treatment"):
+    for name in ("unit_arm", "treatment"):
         assert np.shares_memory(getattr(stack, name), getattr(a, name))
 
     encoded = []
@@ -165,7 +196,7 @@ def test_stacks_bind_their_callers_arrays(monkeypatch, bound_design):
     monkeypatch.setattr(oracle, "_encode", encode)
     arrays = enumerate_hierarchical_assignments(clustering, counts)
     (expected,) = encoded
-    assert len(arrays) == 3 and all(x is y for x, y in zip(arrays, expected))
+    assert len(arrays) == 2 and all(x is y for x, y in zip(arrays, expected))
 
 
 @pytest.mark.parametrize("statistic", ["delta", "tau_cr", "tau_cbr", "sigma_hat_sq"])
@@ -177,7 +208,7 @@ def test_oracle_rows_are_the_shipped_estimator(oracle_design, bound_design, stat
         clustering, counts = bound_design
         table = PotentialTable(y1=rng.normal(size=12), y0=rng.normal(size=12))
     values = _hierarchical_statistic_rows(table, clustering, counts, statistic, 0.05)
-    unit_arm, treatment, _ = enumerate_hierarchical_assignments(clustering, counts)
+    unit_arm, treatment = enumerate_hierarchical_assignments(clustering, counts)
     assert len(values) == len(unit_arm)
     for r in range(len(unit_arm)):
         a = assignment_from_vectors(clustering, unit_arm[r], treatment[r])
@@ -343,6 +374,11 @@ def test_bound_tight_for_constant_effect(bound_design):
     assert bound_mom.mean == pytest.approx(var_mom.variance, abs=1e-10)
 
 
+def _stratum_alone(part, y):
+    # A stratum's draw as a plain design of its own units, and their outcomes.
+    return replace(part, unit_ids=None), y[part.unit_ids]
+
+
 def test_analyze_stratified_weights_strata_by_cluster_count():
     # Strata of 8, 12 and 16 two-unit clusters: the pooled gap weighs each
     # stratum's gap by M(s)/M and its bound by (M(s)/M)**2.
@@ -354,8 +390,8 @@ def test_analyze_stratified_weights_strata_by_cluster_count():
     y = local.normal(size=clustering.num_units)
     report = analyze_stratified(parts, y)
     weights = [m / sum(sizes) for m in sizes]
-    deltas = [delta_statistic(p, y).delta for p in parts]
-    bounds = [empirical_variance_bound(p, y) for p in parts]
+    deltas = [delta_statistic(*_stratum_alone(p, y)).delta for p in parts]
+    bounds = [empirical_variance_bound(*_stratum_alone(p, y)) for p in parts]
     assert [d.num_clusters for d in report.strata] == sizes
     assert report.delta == pytest.approx(sum(w * d for w, d in zip(weights, deltas)), rel=1e-12)
     assert report.sigma_hat_sq == pytest.approx(
@@ -373,8 +409,8 @@ def test_analyze_stratified_weights_strata_by_cluster_count():
     halves = stratified_hierarchical_assign(clustering, Stratification(np.repeat([0, 1], 12)), seed=4)
     y = local.normal(size=clustering.num_units)
     report = analyze_stratified(halves, y)
-    deltas = [delta_statistic(p, y).delta for p in halves]
-    bounds = [empirical_variance_bound(p, y) for p in halves]
+    deltas = [delta_statistic(*_stratum_alone(p, y)).delta for p in halves]
+    bounds = [empirical_variance_bound(*_stratum_alone(p, y)) for p in halves]
     assert report.delta == pytest.approx((deltas[0] + deltas[1]) / 2, rel=1e-12)
     assert report.sigma_hat_sq == pytest.approx((bounds[0] + bounds[1]) / 4, rel=1e-12)
 
@@ -410,6 +446,28 @@ def test_analysis_refuses_outcomes_not_covering_each_design_unit_once(case, mess
     # The same parts and outcomes, whole, are analyzed.
     analyze(plain, y[:16])
     analyze_stratified([p0, p1], y)
+
+
+@pytest.mark.parametrize("statistic", [delta_statistic, empirical_variance_bound])
+@pytest.mark.parametrize("case, message", [
+    ("plain-extra", r"^outcomes given for units outside the 16-unit clustering: \[16, 17, 18, 19\]$"),
+    ("plain-short", r"^outcomes missing for assigned units \[10, 11, 12, 13, 14, 15\]$"),
+    ("first-stratum-alone", r"^outcomes given for units outside the 16-unit clustering: \[16, 17, "),
+    ("second-stratum-alone", "^unit 0 is in 0 strata, not exactly one$"),
+])
+def test_statistics_refuse_outcomes_not_covering_the_design(statistic, case, message):
+    # They read the outcomes as analyze does: with 20 outcomes for 16 units
+    # they returned the values of the first 16.
+    plain, (p0, p1), y = _sixteen_of_thirty_two()
+    draw, outcomes = {
+        "plain-extra": (plain, y[:20]),
+        "plain-short": (plain, y[:10]),
+        "first-stratum-alone": (p0, y),
+        "second-stratum-alone": (p1, y),
+    }[case]
+    with pytest.raises(ValidationError, match=message):
+        statistic(draw, outcomes)
+    statistic(plain, y[:16])
 
 
 @settings(max_examples=60, deadline=None)
@@ -525,15 +583,29 @@ def _decide_cases():
 def test_chebyshev_rule():
     # At bound 1 and alpha 0.05 the threshold is sqrt(20) ~ 4.4721, and the
     # p-value is min(1, 1 / delta**2).
-    assert _decide(4.48, 1.0, 0.05).reject_chebyshev
-    assert not _decide(4.47, 1.0, 0.05).reject_chebyshev
-    assert not _decide(0.0, 1.0, 0.05).reject_chebyshev
-    assert _decide(2.0, 1.0, 0.05).p_chebyshev == pytest.approx(0.25)
-    assert _decide(0.5, 1.0, 0.05).p_chebyshev == 1.0
+    assert _decide(4.48, 1.0, 0.05, 0.0).reject_chebyshev
+    assert not _decide(4.47, 1.0, 0.05, 0.0).reject_chebyshev
+    assert not _decide(0.0, 1.0, 0.05, 0.0).reject_chebyshev
+    assert _decide(2.0, 1.0, 0.05, 0.0).p_chebyshev == pytest.approx(0.25)
+    assert _decide(0.5, 1.0, 0.05, 0.0).p_chebyshev == 1.0
     with pytest.raises(ValidationError, match="alpha=1.5"):
-        _decide(1.0, 1.0, 1.5)
+        _decide(1.0, 1.0, 1.5, 0.0)
     with pytest.raises(ValidationError, match="cannot be negative"):
-        _decide(1.0, -1.0, 0.05)
+        _decide(1.0, -1.0, 0.05, 0.0)
+
+
+def test_decide_reads_a_gap_within_the_rounding_floor_as_zero():
+    # A gap and a bound within the floor (and its square) are no evidence;
+    # the checks before it still refuse, and a gap or bound past it decides
+    # as without a floor.
+    assert tuple(_decide(-1.5e-16, 0.0, 0.05, 1e-14)) == (0.0, 1.0, 1.0, False, False)
+    assert tuple(_decide(1e-14, 1e-28, 0.05, 1e-14)) == (0.0, 1.0, 1.0, False, False)
+    assert _decide(1e-13, 0.0, 0.05, 1.4e-14)[3:] == (True, True)
+    assert _decide(1e-15, 1e-27, 0.05, 1e-14) == _decide(1e-15, 1e-27, 0.05, 0.0)
+    with pytest.raises(ValidationError, match="non-finite"):
+        _decide(math.nan, 0.0, 0.05, 1e-14)
+    with pytest.raises(ValidationError, match="cannot be negative"):
+        _decide(0.0, -1e-30, 0.05, 1e-14)
 
 
 def test_decide_matches_report_reference_and_study_counts():
@@ -541,7 +613,7 @@ def test_decide_matches_report_reference_and_study_counts():
     overflow_differs = 0
     for delta, bound, alpha in _decide_cases():
         case = (delta, bound, alpha)
-        decided = _outcome(_decide, *case)
+        decided = _outcome(_decide, *case, 0.0)
         if delta == bound == 1e308:
             # delta * delta and bound / alpha overflow to inf, so both
             # references read a gap 1e154 bound-widths out as no evidence;
@@ -622,7 +694,7 @@ def test_analyze_stratified_pools_strata():
     y = rng.normal(size=32)
     report = analyze_stratified(parts, y)
     assert report.stratified and len(report.strata) == 2
-    per = [delta_statistic(p, y).delta for p in parts]
+    per = [delta_statistic(*_stratum_alone(p, y)).delta for p in parts]
     assert report.delta == pytest.approx(sum(per) / 2)
 
 

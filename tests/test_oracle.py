@@ -130,7 +130,7 @@ def test_enumeration_refuses_out_of_range_counts_and_unknown_statistic(oracle_de
 def test_hierarchical_outcome_count(oracle_design):
     _, clustering, counts, _, _ = oracle_design
     assert hierarchical_outcome_count(counts) == 72
-    w, z, _ = enumerate_hierarchical_assignments(clustering, counts)
+    w, z = enumerate_hierarchical_assignments(clustering, counts)
     assert len(w) == 72
     # All outcomes distinct (each visited exactly once => uniform law).
     patterns = {bytes(np.concatenate([w[r], z[r]])) for r in range(72)}
@@ -139,19 +139,18 @@ def test_hierarchical_outcome_count(oracle_design):
 
 @pytest.mark.parametrize("which", ["bundled", "bound"])
 def test_enumerated_rows_are_assignment_vectors(oracle_design, bound_design, which):
-    # Every entry of every row is written, in the encoding of a
-    # HierarchicalAssignment: the vectors assignment_from_vectors
-    # reconstructs from the row's unit bits, with cluster_treatment -1 on
-    # unit-arm clusters.
+    # Every row is a draw of the design, as a HierarchicalAssignment holds
+    # it: assignment_from_vectors accepts its unit vectors with the design's
+    # counts and keeps them as they are.
     _, clustering, counts, _, _ = oracle_design
     if which == "bound":
         clustering, counts = bound_design
-    unit_arm, treatment, cluster_treatment = enumerate_hierarchical_assignments(clustering, counts)
+    unit_arm, treatment = enumerate_hierarchical_assignments(clustering, counts)
     assert len(unit_arm) == hierarchical_outcome_count(counts)
     for r in range(len(unit_arm)):
         a = assignment_from_vectors(clustering, unit_arm[r], treatment[r])
         assert a.counts == counts
-        assert np.array_equal(cluster_treatment[r], a.cluster_treatment)
+        assert np.array_equal(a.unit_arm, unit_arm[r]) and np.array_equal(a.treatment, treatment[r])
 
 
 def test_hierarchical_sutva_mean_is_zero(oracle_design):

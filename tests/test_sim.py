@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import bincount_fractions, fixture_path
 from spilltest import SbmSpec, ValidationError, estimate, sim
-from spilltest.estimate import _decide
+from spilltest.estimate import _decide, _rounding_floor
 from spilltest.sim import SimConfig, SimRow, run_study
 
 
@@ -257,14 +257,13 @@ def _one_draw_replicate(cfg, clustering, counts, streams, outcomes, setting=0, g
     for r, stream in enumerate(streams):
         a = sim.hierarchical_assign(clustering, counts, stream)
         z = a.treatment[None]
-        stack = estimate._DrawStack(
-            clustering, a.counts, a.unit_arm[None], z, a.cluster_treatment[None], outcomes(z, r)
-        )
+        y = outcomes(z, r)
+        stack = estimate._DrawStack(clustering, a.counts, a.unit_arm[None], z, y)
         tau_cr, tau_cbr, sigma_hat_sq = stack.estimate(1)
         delta, bound = float(tau_cr[0]) - float(tau_cbr[0]), float(sigma_hat_sq[0])
         deltas[r] = delta
         bounds[r] = bound
-        decision = _decide(delta, bound, cfg.alpha)
+        decision = _decide(delta, bound, cfg.alpha, float(_rounding_floor(y[0])))
         rejections += decision.reject_chebyshev
         rejections_gauss += decision.reject_gaussian
     rate = rejections / n
@@ -442,5 +441,5 @@ def test_stack_refuses_draws_with_different_counts(monkeypatch):
     cfg = SimConfig(study="type1", replications=16, **SUTVA_STACKED)
     bernoulli = functools.partial(sim.hierarchical_assign, cr_arm_mechanism="bernoulli")
     monkeypatch.setattr(sim, "hierarchical_assign", bernoulli)
-    with pytest.raises(ValidationError, match="differ from its stack's first draw"):
+    with pytest.raises(ValidationError, match="^assignment does not match its design counts$"):
         sim._replicate(cfg, *_sutva_draws(cfg))
