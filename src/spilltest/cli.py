@@ -400,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     except SpilltestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

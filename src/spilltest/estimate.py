@@ -10,27 +10,26 @@ expectation for a constant effect but not conservative in general: when
 treatment effects cluster together its expectation falls below the variance
 of the gap (acceptance criterion 4), and the test can then exceed its level.
 
-One kernel, :meth:`_DrawStack.estimate`, computes both estimates and the
-bound for stacked draws of a design. It is two arm contrasts
-(:func:`_contrast`, a difference in means and its plug-in variance): one
-over the unit arm's outcomes, one over the cluster arm's
-:func:`_cluster_totals`, scaled by ``m_cbr / n_cbr``. The oracle's
-single-mechanism designs run those same two functions. The kernel reads
-only a :class:`_DrawStack`, which binds the rows its caller holds, each a
-draw's unit arms and treatments, as its saved file holds them, and its
-outcomes: :func:`_estimate` binds one-row views of the analysis's
-assignment and a copy of its units' outcomes, a study binds one set of
-buffers per grid point and rewrites them a few draws at a time, and the
-oracle binds every enumerated draw. Each row of the result is bit for bit
-what a one-row stack of that draw gives. One decision step,
-:func:`_decide`, is the whole decision: it checks its inputs and turns a
-gap and its bound into the t-statistic, both p-values and both rules'
-verdicts, reading a gap within the outcomes' :func:`_rounding_floor` as
-none. The analysis reports, the studies' counts and the oracle's ``reject``
-statistic all read it. One analysis body, :func:`_analyze`, pools strata
-by their shares of the clusters; a plain design is its one-stratum case,
-so :func:`analyze` and :func:`analyze_stratified` differ only in whether a
-report lists its strata and a refusal names one.
+One kernel, :func:`_estimate_rows`, computes both estimates and the bound
+for rows of draws of a design. It is two arm contrasts (:func:`_contrast`,
+a difference in means and its plug-in variance): one over the unit arm's
+outcomes, one over the cluster arm's :func:`_cluster_totals`, scaled by
+``m_cbr / n_cbr``. The oracle's single-mechanism designs run those same two
+functions. The kernel reads every row its caller passes, each a draw's unit
+arms and treatments, as its saved file holds them, and its outcomes:
+:func:`_estimate` passes one-row views of the analysis's assignment and a
+copy of its units' outcomes, a study passes the rows of its buffers that a
+few draws have just written, and the oracle passes every enumerated draw.
+Each row of the result is bit for bit what a one-row call on that draw
+gives. One decision step, :func:`_decide`, is the whole decision: it checks
+its inputs and turns a gap and its bound into the t-statistic, both
+p-values and both rules' verdicts, reading a gap within the outcomes'
+:func:`_rounding_floor` as none. The analysis reports, the studies' counts
+and the oracle's ``reject`` statistic all read it. One analysis body,
+:func:`_analyze`, pools strata by their shares of the clusters; a plain
+design is its one-stratum case, so :func:`analyze` and
+:func:`analyze_stratified` differ only in whether a report lists its strata
+and a refusal names one.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from ._errors import ValidationError
-from .assign import ARM_CR, DesignCounts, HierarchicalAssignment
+from .assign import ARM_CR, DesignCounts, HierarchicalAssignment, _require_balanced
 from .outcomes import PotentialTable
 from .partition import Clustering
 
@@ -124,22 +123,19 @@ def _contrast(
         return diff, v_t.var(axis=1, ddof=1) / n_t + v_c.var(axis=1, ddof=1) / n_c
 
 
-def _row_cluster_ids(cluster_of: np.ndarray, m: int, rows: int) -> np.ndarray:
-    """The ``(rows, N)`` cluster ids of stacked draws, row r offset by
-    ``r * m``, so that one bincount totals every row's clusters."""
-    return cluster_of + m * np.arange(rows)[:, None]
+def _cluster_totals(y: np.ndarray, clustering: Clustering) -> np.ndarray:
+    """The ``(R, M)`` cluster totals of ``(R, N)`` outcome rows, from one
+    bincount over cluster ids offset by ``r * M`` in row r."""
+    rows, m = len(y), clustering.num_clusters
+    ids = clustering.assignment + m * np.arange(rows)[:, None]
+    return np.bincount(ids.ravel(), weights=y.ravel(), minlength=rows * m).reshape(rows, m)
 
 
-def _cluster_totals(y: np.ndarray, cluster_ids: np.ndarray, m: int) -> np.ndarray:
-    """The ``(R, m)`` cluster totals of ``(R, N)`` outcome rows, from one
-    bincount over their row-offset cluster ids (:func:`_row_cluster_ids`)."""
-    rows = len(y)
-    return np.bincount(cluster_ids.ravel(), weights=y.ravel(), minlength=rows * m).reshape(rows, m)
-
-
-class _DrawStack:
-    """Stacked draws of one design, bound as the caller holds them, and the
-    estimator kernel that reads them.
+def _estimate_rows(
+    clustering: Clustering, counts: DesignCounts, unit_arm: np.ndarray, treatment: np.ndarray, y: np.ndarray,
+    bound: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The estimator kernel: ``(tau_cr, tau_cbr, sigma_hat_sq)`` of each row.
 
     Row r holds one draw, as its saved file does: each unit's arm and 0/1
     treatment in ``unit_arm[r]`` and ``treatment[r]``, and its outcomes in
@@ -147,54 +143,38 @@ class _DrawStack:
     ``assign.assignment_from_vectors`` keep arms constant within clusters
     and treatments within cluster-arm clusters, so the kernel reads each
     cluster's from one of its units. A row without the bucket sizes of
-    ``counts`` is refused. The rows are not copied, so a caller may rewrite
-    them between kernel calls; the stack allocates only the row-offset
-    cluster ids of its cluster totals and one unit id per cluster.
+    ``counts`` is refused. ``sigma_hat_sq`` is None unless ``bound``, which
+    raises ValidationError when a bucket holds fewer than two members. Each
+    row's values are bit for bit those of a one-row call on that draw.
     """
-
-    def __init__(
-        self, clustering: Clustering, counts: DesignCounts, unit_arm: np.ndarray, treatment: np.ndarray,
-        y: np.ndarray,
-    ) -> None:
-        self.counts = counts
-        self.unit_arm = unit_arm
-        self.treatment = treatment
-        self.y = y
-        self.cluster_ids = _row_cluster_ids(clustering.assignment, clustering.num_clusters, len(y))
-        # One unit of each cluster, whichever the scatter keeps.
-        self.one = np.empty(clustering.num_clusters, dtype=np.intp)
-        self.one[clustering.assignment] = np.arange(clustering.num_units)
-
-    def estimate(self, h: int, bound: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """``(tau_cr, tau_cbr, sigma_hat_sq)`` of each of the first ``h`` rows.
-
-        ``sigma_hat_sq`` is None unless ``bound``, which raises
-        ValidationError when a bucket holds fewer than two members. Each
-        row's values are bit for bit those of a one-row stack of that draw.
-        """
-        c = self.counts
-        if bound and (c.n_cr_t < 2 or c.n_cr_c < 2):
-            raise ValidationError("need >= 2 treated and >= 2 control units in the unit-randomized arm")
-        if bound and (c.m_cbr_t < 2 or c.m_cbr_c < 2):
-            raise ValidationError("need >= 2 treated and >= 2 control clusters in the cluster arm")
-        y = self.y[:h]
-        cr = self.unit_arm[:h] == ARM_CR
-        z = self.treatment[:h].astype(bool)
-        tau_cr, bound_cr = _contrast(y, cr & z, cr & ~z, c.n_cr_t, c.n_cr_c, bound)
-        cbr, zc = ~cr[:, self.one], z[:, self.one]
-        y_plus = _cluster_totals(y, self.cluster_ids[:h], len(self.one))
-        diff_cbr, bound_cbr = _contrast(y_plus, cbr & zc, cbr & ~zc, c.m_cbr_t, c.m_cbr_c, bound)
-        scale = c.m_cbr / c.n_cbr
-        with np.errstate(over="ignore", invalid="ignore"):
-            tau_cbr = scale * diff_cbr
-            if not bound:
-                return tau_cr, tau_cbr, None
-            return tau_cr, tau_cbr, bound_cr + scale**2 * bound_cbr
+    c = counts
+    if bound and (c.n_cr_t < 2 or c.n_cr_c < 2):
+        raise ValidationError("need >= 2 treated and >= 2 control units in the unit-randomized arm")
+    if bound and (c.m_cbr_t < 2 or c.m_cbr_c < 2):
+        raise ValidationError("need >= 2 treated and >= 2 control clusters in the cluster arm")
+    cr = unit_arm == ARM_CR
+    z = treatment.astype(bool)
+    tau_cr, bound_cr = _contrast(y, cr & z, cr & ~z, c.n_cr_t, c.n_cr_c, bound)
+    # One unit of each cluster, whichever the scatter keeps.
+    one = np.empty(clustering.num_clusters, dtype=np.intp)
+    one[clustering.assignment] = np.arange(clustering.num_units)
+    cbr, zc = ~cr[:, one], z[:, one]
+    y_plus = _cluster_totals(y, clustering)
+    diff_cbr, bound_cbr = _contrast(y_plus, cbr & zc, cbr & ~zc, c.m_cbr_t, c.m_cbr_c, bound)
+    scale = c.m_cbr / c.n_cbr
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau_cbr = scale * diff_cbr
+        if not bound:
+            return tau_cr, tau_cbr, None
+        return tau_cr, tau_cbr, bound_cr + scale**2 * bound_cbr
 
 
 def _design_outcomes(assignments: Sequence[HierarchicalAssignment], y: np.ndarray) -> np.ndarray:
     """``y`` as floats, once the assignments, one per stratum, are checked to
-    hold the design's units 0..N-1 once each, and ``y`` one outcome each."""
+    hold the design's units 0..N-1 once each, and ``y`` to be one vector of
+    one outcome each."""
+    if np.ndim(y) != 1:
+        raise ValidationError(f"outcomes must be one vector, got shape {np.shape(y)}")
     ids = np.concatenate([a.unit_ids for a in assignments])
     n = len(ids)
     covered = np.bincount(ids, minlength=n)
@@ -213,15 +193,16 @@ def _design_outcomes(assignments: Sequence[HierarchicalAssignment], y: np.ndarra
 def _estimate(
     assignment: HierarchicalAssignment, y: np.ndarray, bound: bool = True
 ) -> tuple[float, float, float, float | None]:
-    """``(tau_cr, tau_cbr, delta, sigma_hat_sq)`` of one draw, from a one-row
-    stack of the assignment's own vectors and its units' outcomes in ``y``.
+    """``(tau_cr, tau_cbr, delta, sigma_hat_sq)`` of one draw, from one-row
+    views of the assignment's own vectors and its units' outcomes in ``y``.
 
     ``sigma_hat_sq`` is None unless ``bound``; ``delta`` is the difference
     of the two floats.
     """
     a = assignment
-    stack = _DrawStack(a.clustering, a.counts, a.unit_arm[None], a.treatment[None], y[None, a.unit_ids])
-    tau_cr, tau_cbr, sigma_hat_sq = stack.estimate(1, bound)
+    tau_cr, tau_cbr, sigma_hat_sq = _estimate_rows(
+        a.clustering, a.counts, a.unit_arm[None], a.treatment[None], y[None, a.unit_ids], bound
+    )
     t_cr, t_cbr = float(tau_cr[0]), float(tau_cbr[0])
     return t_cr, t_cbr, t_cr - t_cbr, None if sigma_hat_sq is None else float(sigma_hat_sq[0])
 
@@ -273,12 +254,12 @@ def fisher_null_variance(y: np.ndarray, clustering: Clustering, counts: DesignCo
     Under the sharp null (identical potential outcomes) the design is the
     only source of randomness, so the variance is computable from the
     observed outcomes alone: it is :func:`theoretical_sutva_variance` of the
-    table with ``y1 = y0 = y``. Matches full enumeration exactly on balanced
-    designs.
+    table with ``y1 = y0 = y``. Matches full enumeration exactly; a design
+    that ``hierarchical_assign`` refuses is refused here too.
     """
     y = np.asarray(y, dtype=np.float64)
-    if len(y) != clustering.num_units or counts.num_units != clustering.num_units:
-        raise ValidationError("outcomes, clustering, and counts must agree on N")
+    if len(y) != clustering.num_units:
+        raise ValidationError("outcomes and clustering must agree on N")
     return theoretical_sutva_variance(PotentialTable(y1=y, y0=y), clustering, counts)
 
 
@@ -291,8 +272,10 @@ def theoretical_sutva_variance(
     plus the exact small-sample correction from sampling whole clusters into
     the unit-randomized arm; matches full enumeration. Needs the full table,
     so this is an oracle/simulation quantity rather than something estimable
-    from one experiment.
+    from one experiment. A design that ``hierarchical_assign`` refuses is
+    refused here too.
     """
+    _require_balanced(clustering, counts)
     comps = variance_components(table, clustering)
     c = counts
     sigma2_cr = comps.s_t / c.n_cr_t + comps.s_c / c.n_cr_c - comps.s_tc / c.n_cr
@@ -503,6 +486,8 @@ def analyze_stratified(
 def _rho_and_coverage(graph: "Graph", clustering: Clustering) -> tuple[float, float]:
     from .graph import neighborhood_fractions
 
+    if graph.num_units != clustering.num_units:
+        raise ValidationError("graph and clustering must agree on N")
     rho = float(neighborhood_fractions(graph, clustering).mean())
     non_isolated = float(np.count_nonzero(graph.degrees > 0)) / graph.num_units
     return rho, non_isolated
@@ -545,8 +530,10 @@ def expected_delta_linear(
     The direct effect cancels between arms; what remains is the interference
     soaked up by the cluster-randomized arm, slightly offset by the
     finite-sample drag in the other arm. Approximately ``-gamma * rho_c``
-    for many clusters.
+    for many clusters. A design that ``hierarchical_assign`` refuses is
+    refused here too.
     """
+    _require_balanced(clustering, counts)
     rho, f = _rho_and_coverage(model.graph, clustering)
     m = counts.num_clusters
     cr_part = -(rho + (f - rho) * (counts.m_cr - 1) / (m - 1)) / (counts.n_cr - 1)
@@ -643,16 +630,18 @@ def interference_variance_approx(
     coefficient alone; it is computed from exact cluster-split moments of a
     neighborhood mass matrix, treating units inside the individually
     randomized arm as independently assigned (error of relative order
-    ``1/n_cr``). The observation-noise part is exact.
+    ``1/n_cr``). The observation-noise part is exact. A design that
+    ``hierarchical_assign`` refuses is refused here too.
     """
+    _require_balanced(clustering, counts)
     c = counts
     if not (c.m_cr == c.m_cbr and c.n_cr_t == c.n_cr_c and c.m_cbr_t == c.m_cbr_c):
         raise ValidationError(
             "variance prediction supports only the symmetric design "
             "(equal arms, half treated within each arm)"
         )
-    if graph.num_units != clustering.num_units or c.num_units != graph.num_units:
-        raise ValidationError("graph, clustering, and counts must agree on N")
+    if graph.num_units != clustering.num_units:
+        raise ValidationError("graph and clustering must agree on N")
     g = model.graph
     if g is not graph and not (
         np.array_equal(g.adjacency_indptr, graph.adjacency_indptr)

@@ -26,9 +26,8 @@ from .estimate import (
     _cluster_totals,
     _contrast,
     _decide,
-    _DrawStack,
+    _estimate_rows,
     _rounding_floor,
-    _row_cluster_ids,
     expected_cluster_estimate_linear,
     expected_delta_linear,
     expected_diff_in_means_linear,
@@ -130,8 +129,8 @@ def _hierarchical_statistic_rows(
         raise ValidationError(f"unknown statistic {statistic!r}")
     unit_arm, treatment = enumerate_hierarchical_assignments(clustering, counts)
     y = _realize(outcomes, treatment)
-    stack = _DrawStack(clustering, counts, unit_arm, treatment, y)
-    tau_cr, tau_cbr, sigma = stack.estimate(len(y), bound=statistic in ("sigma_hat_sq", "reject"))
+    bound = statistic in ("sigma_hat_sq", "reject")
+    tau_cr, tau_cbr, sigma = _estimate_rows(clustering, counts, unit_arm, treatment, y, bound)
     delta = tau_cr - tau_cbr
     if statistic == "reject":
         decisions = zip(delta.tolist(), sigma.tolist(), _rounding_floor(y).tolist())
@@ -176,7 +175,7 @@ def enumerate_cluster(outcomes: OutcomeSource, clustering: Clustering, m_t: int)
     zc_rows = _subset_matrix(m, m_t)
     y_rows = _realize(outcomes, zc_rows[:, clustering.assignment])
     treated = zc_rows.astype(bool)
-    y_plus = _cluster_totals(y_rows, _row_cluster_ids(clustering.assignment, m, len(y_rows)), m)
+    y_plus = _cluster_totals(y_rows, clustering)
     diff, _ = _contrast(y_plus, treated, ~treated, m_t, m - m_t, bound=False)
     return _fsum_moments((m / n) * diff)
 

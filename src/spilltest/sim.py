@@ -22,22 +22,22 @@ Every study runs the same replication loop, :func:`_replicate`. The loop
 cuts the replications' seed streams into stacks of a few consecutive draws
 (as many as fit a 256 KiB float array of outcomes, 8 at N = 4000, at least
 one). Each grid point allocates one set of stack buffers, the units' arms,
-treatments and outcomes of one stack, and binds them once, with the
-design's counts, to one ``estimate._DrawStack``. The loop makes one
+treatments and outcomes of one stack. The loop makes one
 ``hierarchical_assign`` call per stream and writes its two vectors into
 that stream's row, in place; a study supplies only a function that returns
-the stack's outcome rows, from one call of its outcome model on the
-stack's treatment rows. A ratio or type1 study selects them with one
+the stack's outcome rows, from one call of its outcome model on the stack's
+treatment rows. A ratio or type1 study selects them with one
 ``realize_sutva`` call; a power study draws them with one
 ``realize_linear`` call, whose neighbor counts come from one lane-packed
 pass over the graph, with the noise streams it spawned beside the
 assignment streams. The loop runs the estimator kernel,
-``_DrawStack.estimate``, once on the written rows, and then decides each
-draw in stream order through ``estimate._decide`` with the rounding floor
-of its outcomes, as ``analyze`` decides a one-row stack. So a study counts
-exactly what ``analyze`` would decide on each draw, and a non-finite
-statistic raises. The loop keeps the gaps, the variance bounds and both
-rules' rejection counts.
+``estimate._estimate_rows``, once on the written rows with the design's
+counts, and then decides each draw in stream order through
+``estimate._decide`` with the rounding floor of its outcomes, as
+``analyze`` decides its one draw. So a study counts exactly what
+``analyze`` would decide on each draw, and a non-finite statistic raises.
+The loop keeps the gaps, the variance bounds and both rules' rejection
+counts.
 
 Replications derive their seeds from (master seed, study indices), so an
 identical config reproduces an identical report bit for bit, regardless of
@@ -59,7 +59,7 @@ import numpy as np
 
 from ._errors import ValidationError, build_record, check_fields, check_seed, read_json
 from .assign import DesignCounts, hierarchical_assign
-from .estimate import _decide, _DrawStack, _rounding_floor, theoretical_sutva_variance
+from .estimate import _decide, _estimate_rows, _rounding_floor, theoretical_sutva_variance
 from .graph import _MAX_UNITS_PLUS_EDGES, SbmSpec, generate_sbm, neighborhood_fractions
 from .outcomes import LinearInterferenceModel, PotentialTable, realize_linear, realize_sutva
 from .partition import Clustering
@@ -209,9 +209,10 @@ def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
 # A stack of draws is realized and goes to the estimator kernel in one call.
 # Its height is the number of (R, N) float rows that fit in this many bytes,
 # at least one: 8 rows at N = 4000. A grid point allocates the buffers of
-# one stack (about 0.6 MB at N = 4000, with the assignment vectors and the
-# cluster ids) and rewrites them; taller stacks ran no faster and raised
-# peak memory.
+# one stack (about 0.3 MB at N = 4000, with the assignment vectors) and
+# rewrites them; each kernel call adds its own temporaries, such as the
+# rows' offset cluster ids. Taller stacks ran no faster and raised peak
+# memory.
 _STACK_BYTES = 2**18
 
 
@@ -229,11 +230,11 @@ def _replicate(
     rules, and summarize the grid point; also returns the per-draw variance
     bounds.
 
-    One ``_DrawStack`` binds the loop's stack buffers (see ``_STACK_BYTES``)
-    with the design's counts, and its kernel refuses a draw of other counts.
-    Each stream's ``hierarchical_assign`` draw is written into its row,
+    The loop allocates one stack of buffers (see ``_STACK_BYTES``). Each
+    stream's ``hierarchical_assign`` draw is written into its row,
     ``outcomes(z, first)`` returns the outcome rows of the treatment rows
-    ``z`` from replication ``first`` on, and one kernel call estimates them.
+    ``z`` from replication ``first`` on, and one kernel call estimates the
+    written rows with the design's counts, refusing a draw of other counts.
     The draws are then decided in stream order, each as ``analyze`` would.
     """
     n = len(streams)
@@ -244,14 +245,13 @@ def _replicate(
     height = max(1, _STACK_BYTES // (8 * clustering.num_units))
     rows = (height, clustering.num_units)
     unit_arm, treatment, y = np.empty(rows, dtype=np.int8), np.empty(rows, dtype=np.int8), np.empty(rows)
-    stack = _DrawStack(clustering, counts, unit_arm, treatment, y)
     for first in range(0, n, height):
         h = min(height, n - first)
         for r in range(h):
             a = hierarchical_assign(clustering, counts, streams[first + r])
             unit_arm[r], treatment[r] = a.unit_arm, a.treatment
         y[:h] = outcomes(treatment[:h], first)
-        tau_cr, tau_cbr, sigma_hat_sq = stack.estimate(h)
+        tau_cr, tau_cbr, sigma_hat_sq = _estimate_rows(clustering, counts, unit_arm[:h], treatment[:h], y[:h])
         estimates = zip(tau_cr.tolist(), tau_cbr.tolist(), sigma_hat_sq.tolist(), _rounding_floor(y[:h]).tolist())
         for r, (t_cr, t_cbr, bound, floor) in enumerate(estimates, first):
             delta = t_cr - t_cbr

@@ -36,7 +36,9 @@ REMOVED = {
         "chebyshev_p_value", "chebyshev_decision", "stratified_delta", "SutvaVariance",
         "EnumerationSpec", "enumerate_moments",
     ],
-    "spilltest.estimate": ["chebyshev_p_value", "chebyshev_decision", "stratified_delta", "SutvaVariance"],
+    "spilltest.estimate": [
+        "chebyshev_p_value", "chebyshev_decision", "stratified_delta", "SutvaVariance", "_DrawStack", "_row_cluster_ids",
+    ],
     "spilltest.sim": ["run_ratio_study", "run_power_study", "run_type1_study"],
     "spilltest.oracle": ["EnumerationSpec", "enumerate_moments"],
     "spilltest.graph": ["neighborhood_fraction_in_cluster"],

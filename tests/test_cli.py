@@ -778,6 +778,17 @@ MALFORMED_INPUTS = {
         _simulate_with_field("fig1a_desk.json", num_clusters=10**17),
         f"refusing a study of {20 * 10**17} units (limit 100000000)",
     ),
+    # A directory is no file to read or write: refused with its OS error.
+    "cluster-edges-directory": (
+        lambda p: ["cluster", "--edges", p, "--clusters", 2, "--seed", 1,
+                   "--out-clusters", p / "c.csv", "--out-metrics", p / "m.json"],
+        "Is a directory",
+    ),
+    "oracle-design-directory": (lambda p: ["oracle", "--design", p], "Is a directory"),
+    "graph-out-edges-directory": (
+        lambda p: [arg if arg != p / "g.edges" else p for arg in _graph_spec_text(p, json.dumps(TINY_SPEC))],
+        "Is a directory",
+    ),
     # 10^13 units: refused before any array is made.
     "graph-spec-too-large": (
         _graph_with_spec(num_blocks=10**7, block_size=10**6), "refusing a block model of 10000000000000 units"

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import statistics
 from dataclasses import replace
 
@@ -35,7 +36,7 @@ from spilltest import (
 from spilltest.assign import ARM_CBR, ARM_CR, assignment_from_vectors
 from spilltest.estimate import (
     _decide,
-    _DrawStack,
+    _estimate_rows,
     _eta_moments,
     _eta_quadratic_moments,
     _small_sample_factors,
@@ -101,14 +102,8 @@ def test_kernel_rows_match_per_draw_formulas(design, rows, seed):
     clustering, counts = design
     draws = [hierarchical_assign(clustering, counts, seed=seed + r) for r in range(rows)]
     y = np.random.default_rng(seed).normal(size=(rows, clustering.num_units)) * 10.0 + 3.0
-    stack = _DrawStack(
-        clustering,
-        counts,
-        np.stack([a.unit_arm for a in draws]),
-        np.stack([a.treatment for a in draws]),
-        y,
-    )
-    tau_cr, tau_cbr, none = stack.estimate(rows, bound=False)
+    unit_arm, treatment = np.stack([a.unit_arm for a in draws]), np.stack([a.treatment for a in draws])
+    tau_cr, tau_cbr, none = _estimate_rows(clustering, counts, unit_arm, treatment, y, bound=False)
     assert none is None
     for r, a in enumerate(draws):
         assert (tau_cr[r], tau_cbr[r]) == _reference_delta(a, y[r])
@@ -116,11 +111,11 @@ def test_kernel_rows_match_per_draw_formulas(design, rows, seed):
         assert (est.tau_cr, est.tau_cbr, est.delta) == (tau_cr[r], tau_cbr[r], tau_cr[r] - tau_cbr[r])
     if min(counts.n_cr_t, counts.n_cr_c, counts.m_cbr_t, counts.m_cbr_c) < 2:
         with pytest.raises(ValidationError, match=">= 2"):
-            stack.estimate(rows)
+            _estimate_rows(clustering, counts, unit_arm, treatment, y)
         with pytest.raises(ValidationError, match=">= 2"):
             empirical_variance_bound(draws[0], y[0])
         return
-    _, _, sigma = stack.estimate(rows)
+    _, _, sigma = _estimate_rows(clustering, counts, unit_arm, treatment, y)
     for r, a in enumerate(draws):
         assert sigma[r] == _reference_bound(a, y[r]) == empirical_variance_bound(a, y[r])
 
@@ -131,9 +126,8 @@ def test_kernel_rejects_draw_that_disagrees_with_counts():
     a = hierarchical_assign(clustering, counts, seed=1)
     treatment = a.treatment.copy()
     treatment[np.flatnonzero(a.unit_arm == ARM_CR)[0]] ^= 1
-    stack = _DrawStack(clustering, a.counts, a.unit_arm[None], treatment[None], np.ones((1, 16)))
     with pytest.raises(ValidationError, match="design counts"):
-        stack.estimate(1)
+        _estimate_rows(clustering, a.counts, a.unit_arm[None], treatment[None], np.ones((1, 16)))
 
 
 def _off_by_one_rows(a, arm):
@@ -161,30 +155,29 @@ def test_kernel_refuses_each_row_of_other_counts(arm, bound):
     assert [int(np.count_nonzero(t[a.unit_arm == arm])) for t in treatment] == (
         [5, 3] if arm == ARM_CR else [6, 2]
     )
-    stack = _DrawStack(clustering, counts, np.stack([a.unit_arm] * 2), treatment, rng.normal(size=(2, 16)))
+    y = rng.normal(size=(2, 16))
     with pytest.raises(ValidationError, match="^assignment does not match its design counts$"):
-        stack.estimate(2, bound)
+        _estimate_rows(clustering, counts, np.stack([a.unit_arm] * 2), treatment, y, bound)
 
 
 def test_stacks_bind_their_callers_arrays(monkeypatch, bound_design):
-    # The analysis's one-row stack views the assignment's own vectors, and
-    # the enumeration hands on the arrays the encoder wrote, uncopied.
+    # The analysis passes the kernel one-row views of the assignment's own
+    # vectors, and the enumeration hands on the arrays the encoder wrote,
+    # uncopied.
     from spilltest import estimate, oracle
 
     clustering, counts = bound_design
     a = hierarchical_assign(clustering, counts, seed=3)
-    stacks = []
+    calls = []
 
-    def spy(stack, h, bound=True):
-        stacks.append(stack)
-        return kernel(stack, h, bound)
+    def spy(*args):
+        calls.append(args)
+        return _estimate_rows(*args)
 
-    kernel = _DrawStack.estimate
-    monkeypatch.setattr(estimate._DrawStack, "estimate", spy)
+    monkeypatch.setattr(estimate, "_estimate_rows", spy)
     analyze(a, rng.normal(size=12))
-    (stack,) = stacks
-    for name in ("unit_arm", "treatment"):
-        assert np.shares_memory(getattr(stack, name), getattr(a, name))
+    ((_, _, unit_arm, treatment, _, _),) = calls
+    assert np.shares_memory(unit_arm, a.unit_arm) and np.shares_memory(treatment, a.treatment)
 
     encoded = []
 
@@ -468,6 +461,23 @@ def test_statistics_refuse_outcomes_not_covering_the_design(statistic, case, mes
     with pytest.raises(ValidationError, match=message):
         statistic(draw, outcomes)
     statistic(plain, y[:16])
+
+
+@pytest.mark.parametrize("statistic", [
+    analyze,
+    lambda a, y: analyze_stratified([a], y),
+    delta_statistic,
+    empirical_variance_bound,
+], ids=["analyze", "analyze_stratified", "delta_statistic", "empirical_variance_bound"])
+@pytest.mark.parametrize("shape", [(16, 1), (1, 16), (16, 2), ()])
+def test_outcomes_must_be_one_vector(statistic, shape):
+    # A column of outcomes ended in numpy's TypeError, and a (16, 2) array
+    # in a reshape error.
+    plain, _, y = _sixteen_of_thirty_two()
+    outcomes = np.resize(y[:16], shape) if shape else np.float64(1.0)
+    message = f"^outcomes must be one vector, got shape {re.escape(str(shape))}$"
+    with pytest.raises(ValidationError, match=message):
+        statistic(plain, outcomes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -777,6 +787,57 @@ def test_eta_quadratic_moments_brute_force():
         vals = np.asarray(vals)
         assert mean_f == pytest.approx(vals.mean(), abs=1e-12)
         assert var_f == pytest.approx(vals.var(), abs=1e-12)
+
+
+_CLOSED_FORMS = {
+    "interference_variance_approx": lambda model, table, clustering, counts: interference_variance_approx(
+        model, model.graph, clustering, counts
+    ),
+    "expected_delta_linear": lambda model, table, clustering, counts: expected_delta_linear(model, clustering, counts),
+    "theoretical_sutva_variance": lambda model, table, clustering, counts: theoretical_sutva_variance(
+        table, clustering, counts
+    ),
+    "fisher_null_variance": lambda model, table, clustering, counts: fisher_null_variance(table.y0, clustering, counts),
+}
+
+
+@pytest.mark.parametrize("form", list(_CLOSED_FORMS))
+@pytest.mark.parametrize("case", ["wrong-m", "unbalanced"])
+def test_closed_forms_refuse_a_design_assign_refuses(form, case):
+    # 8 clusters of 2 with the counts of 4 clusters of 4, or clusters of 3
+    # and 1 among clusters of 2: each closed form returned a number for a
+    # design that hierarchical_assign refuses.
+    graph = Graph.from_edges(16, [(u, (u + 1) % 16) for u in range(16)])
+    model = LinearInterferenceModel(alpha=0.0, beta=1.0, gamma=1.0, noise_sd=0.5, graph=graph)
+    table = PotentialTable(y1=np.arange(16.0) + 1.0, y0=np.arange(16.0) % 5)
+    pairs = np.repeat(np.arange(8), 2)
+    clustering, counts, message = {
+        "wrong-m": (Clustering(pairs), DesignCounts.symmetric(16, 4), "^design counts do not match the clustering$"),
+        "unbalanced": (
+            Clustering(np.concatenate([[0, 0, 0, 1], pairs[4:]])),
+            DesignCounts.symmetric(16, 8),
+            r"^the design requires exactly equal cluster sizes; run rebalance\(\) first \(sizes range 1\.\.3\)$",
+        ),
+    }[case]
+    with pytest.raises(ValidationError, match=message):
+        hierarchical_assign(clustering, counts, seed=1)
+    with pytest.raises(ValidationError, match=message):
+        _CLOSED_FORMS[form](model, table, clustering, counts)
+    _CLOSED_FORMS[form](model, table, Clustering(pairs), DesignCounts.symmetric(16, 8))
+
+
+@pytest.mark.parametrize("units", [8, 24])
+def test_linear_closed_forms_refuse_a_graph_of_other_n(units):
+    # On 24 units, expected_delta_linear returned -0.52 for a 16-unit graph;
+    # on 8 it raised an IndexError.
+    graph = Graph.from_edges(16, [(u, (u + 1) % 16) for u in range(16)])
+    model = LinearInterferenceModel(alpha=0.0, beta=1.0, gamma=1.0, noise_sd=0.5, graph=graph)
+    clustering = Clustering(np.repeat(np.arange(units // 2), 2))
+    counts = DesignCounts.symmetric(units, units // 2)
+    with pytest.raises(ValidationError, match="^graph and clustering must agree on N$"):
+        expected_delta_linear(model, clustering, counts)
+    with pytest.raises(ValidationError, match="^graph and clustering must agree on N$"):
+        interference_variance_approx(model, graph, clustering, counts)
 
 
 def test_interference_variance_requires_symmetric_design(oracle_design):

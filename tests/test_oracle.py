@@ -204,7 +204,7 @@ def test_enumeration_cap_counts_cells_before_allocating(monkeypatch, design):
         raise AssertionError("allocated before the cap check")
 
     monkeypatch.setattr(oracle, "_subset_matrix", unreachable)
-    monkeypatch.setattr(oracle, "_DrawStack", unreachable)
+    monkeypatch.setattr(oracle, "_estimate_rows", unreachable)
     table = PotentialTable(y1=np.zeros(n), y0=np.zeros(n))
     message = f"{draws} outcomes of {n} units, {draws * n} cells (cap {ENUMERATION_CAP} cells)"
     with pytest.raises(ValidationError, match=re.escape(message)):

@@ -246,9 +246,8 @@ def test_ratio_row_keeps_the_type1_rejection_rates():
 
 
 def _one_draw_replicate(cfg, clustering, counts, streams, outcomes, setting=0, gamma=0.0, rho_c=0.0):
-    """The replication loop as it was before draws were stacked: one draw
-    in a fresh one-row stack, one kernel call and one decision per
-    stream."""
+    """The replication loop as it was before draws were stacked: one draw,
+    one kernel call on its one-row views and one decision per stream."""
     n = len(streams)
     deltas = np.empty(n)
     bounds = np.empty(n)
@@ -258,8 +257,7 @@ def _one_draw_replicate(cfg, clustering, counts, streams, outcomes, setting=0, g
         a = sim.hierarchical_assign(clustering, counts, stream)
         z = a.treatment[None]
         y = outcomes(z, r)
-        stack = estimate._DrawStack(clustering, a.counts, a.unit_arm[None], z, y)
-        tau_cr, tau_cbr, sigma_hat_sq = stack.estimate(1)
+        tau_cr, tau_cbr, sigma_hat_sq = estimate._estimate_rows(clustering, a.counts, a.unit_arm[None], z, y)
         delta, bound = float(tau_cr[0]) - float(tau_cbr[0]), float(sigma_hat_sq[0])
         deltas[r] = delta
         bounds[r] = bound
@@ -327,12 +325,11 @@ SUTVA_STACKED = dict(seed=4, num_clusters=64, cluster_size=64, effect_unit_sd=0.
 def test_kernel_sees_stacks_of_eight_at_4096_units(monkeypatch):
     heights = []
 
-    def spy(stack, h, bound=True):
-        heights.append(h)
-        return kernel(stack, h, bound)
+    def spy(clustering, counts, unit_arm, treatment, y):
+        heights.append(len(y))
+        return estimate._estimate_rows(clustering, counts, unit_arm, treatment, y)
 
-    kernel = estimate._DrawStack.estimate
-    monkeypatch.setattr(estimate._DrawStack, "estimate", spy)
+    monkeypatch.setattr(sim, "_estimate_rows", spy)
     run_study(SimConfig(study="type1", replications=21, **SUTVA_STACKED))
     assert heights == [8, 8, 5]
 
