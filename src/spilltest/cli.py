@@ -10,6 +10,7 @@ check ran and its assertion failed.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -79,6 +80,29 @@ def _manifest(args: argparse.Namespace, inputs: list[str | Path], outputs: list[
 
 def _write_json(path: str | Path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse an output path that is a directory, lies in no directory, or
+    names the same file as another output, before any output is written, so
+    that a refused command leaves no partial outputs.
+
+    The output paths are the ``out_*`` arguments; a path that cannot be
+    written is refused with the :class:`OSError` a write to it would raise.
+    """
+    flags: dict[Path, str] = {}
+    for key, value in vars(args).items():
+        if not key.startswith("out_") or value is None:
+            continue
+        path = Path(value)
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if not path.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+        flag = "--" + key.replace("_", "-")
+        earlier = flags.setdefault(path.resolve(), flag)
+        if earlier != flag:
+            raise ValidationError(f"{earlier} and {flag} both name {value}")
 
 
 def _fixture_path(name: str) -> Path:
@@ -393,6 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
+        _check_outputs(args)
         return args.func(args)
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)

@@ -41,7 +41,9 @@ counts.
 
 Replications derive their seeds from (master seed, study indices), so an
 identical config reproduces an identical report bit for bit, regardless of
-worker count.
+worker count. The worker pool is imported only when a power study of more
+than one block model asks for more than one worker, so importing this module
+loads no process machinery.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Literal, Sequence, get_args
 
@@ -345,6 +346,8 @@ def run_study(cfg: SimConfig) -> SimReport:
     if cfg.study == "power":
         tasks = [(cfg, i) for i in range(len(cfg.sbm))]
         if cfg.threads > 1 and len(tasks) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=min(cfg.threads, len(tasks))) as pool:
                 chunks = list(pool.map(_power_setting_rows, tasks))
         else:

@@ -3,7 +3,11 @@ and the oracle use, listed explicitly; the README's library example; and the
 one seed check of every seeded function."""
 
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +71,32 @@ def test_all_is_the_explicit_public_list():
     assert len(spilltest.__all__) == len(set(spilltest.__all__))
     for name in spilltest.__all__:
         assert hasattr(spilltest, name), name
+
+
+def _modules_loaded_by(code: str) -> list[str]:
+    # A fresh interpreter, so that no earlier test has loaded a module.
+    env = {**os.environ, "PYTHONPATH": str(Path(spilltest.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_public_names_load_their_module_on_first_use():
+    package = [m for m in _modules_loaded_by("import spilltest") if m.startswith("spilltest.")]
+    assert package == []
+    loaded = _modules_loaded_by("import spilltest\nspilltest.load_edge_list")
+    assert [m for m in loaded if m.startswith("spilltest.")] == ["spilltest._errors", "spilltest.graph"]
+    loaded = _modules_loaded_by("import spilltest.sim")
+    assert "concurrent.futures" not in loaded and "multiprocessing" not in loaded
+    for name in spilltest.__all__:
+        value = getattr(spilltest, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value, name
+    assert set(spilltest.__all__) <= set(dir(spilltest))
+    namespace: dict = {}
+    exec("from spilltest import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC)
 
 
 def test_removed_names_are_gone():

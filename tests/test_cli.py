@@ -164,14 +164,66 @@ def test_analyze_constant_outcomes_fail_to_reject(workspace):
 
 
 def test_simulate_command_deterministic(tmp_path):
+    # A power study of two block models: with --threads 2 they go to two
+    # worker processes, the only study that starts any.
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({
-        "study": "type1", "replications": 80, "seed": 3, "num_clusters": 8, "cluster_size": 4,
+        "study": "power", "replications": 30, "seed": 5,
+        "sbm": [
+            {"num_blocks": 8, "block_size": 10, "p_intra": 0.4, "p_inter": 0.04, "seed": 2},
+            {"num_blocks": 8, "block_size": 10, "p_intra": 0.2, "p_inter": 0.1, "seed": 3},
+        ],
+        "gamma_grid": [0.0, 1.0], "noise_sd": 1.0,
     }))
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     assert run_cli("simulate", "--config", cfg, "--out-csv", out1, "--threads", 1) == 0
     assert run_cli("simulate", "--config", cfg, "--out-csv", out2, "--threads", 2) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _type1_study(ws, edges, clusters):
+    cfg = ws / "type1.json"
+    cfg.write_text(json.dumps({"study": "type1", "replications": 20, "seed": 3, "num_clusters": 8, "cluster_size": 4}))
+    return ["simulate", "--config", cfg]
+
+
+# Each command that writes more than one file: its inputs, and its output
+# flags in the order it writes them.
+MULTI_OUTPUT_COMMANDS = {
+    "graph": (lambda ws, edges, clusters: ["graph", "--spec", ws / "sbm.json"],
+              ("--out-edges", "--out-clusters", "--out-meta")),
+    "cluster": (lambda ws, edges, clusters: ["cluster", "--edges", edges, "--clusters", 8, "--seed", 1],
+                ("--out-clusters", "--out-metrics")),
+    "stratify": (lambda ws, edges, clusters: ["stratify", "--edges", edges, "--clusters-file", clusters,
+                                              "--strata", 2, "--seed", 5],
+                 ("--out-strata", "--out-meta")),
+    "assign": (lambda ws, edges, clusters: ["assign", "--clusters-file", clusters, "--seed", 44],
+               ("--out-assignment", "--out-counts")),
+    "simulate": (_type1_study, ("--out-json", "--out-csv")),
+}
+
+
+@pytest.mark.parametrize("fault", ["directory", "missing-parent"])
+@pytest.mark.parametrize("command", list(MULTI_OUTPUT_COMMANDS))
+def test_unwritable_last_output_leaves_no_output(workspace, capsys, command, fault):
+    # The output written last is an existing directory, or a file in a
+    # directory that does not exist: the command writes none of its outputs.
+    edges, clusters, *_ = build_pipeline(workspace)
+    inputs, flags = MULTI_OUTPUT_COMMANDS[command]
+    out = workspace / "out"
+    out.mkdir()
+    last = out / "blocker"
+    if fault == "directory":
+        last.mkdir()
+    else:
+        last = last / "x"
+    paths = [out / f"output{i}" for i in range(len(flags) - 1)] + [last]
+    capsys.readouterr()
+    assert run_cli(*inputs(workspace, edges, clusters), *(a for pair in zip(flags, paths) for a in pair)) == 1
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(last) in err
+    assert [p.name for p in out.iterdir()] == (["blocker"] if fault == "directory" else [])
 
 
 def test_simulate_rejects_malformed_config(tmp_path):
@@ -788,6 +840,12 @@ MALFORMED_INPUTS = {
     "graph-out-edges-directory": (
         lambda p: [arg if arg != p / "g.edges" else p for arg in _graph_spec_text(p, json.dumps(TINY_SPEC))],
         "Is a directory",
+    ),
+    # Two outputs in one file: the later would overwrite the earlier.
+    "graph-outputs-same-file": (
+        lambda p: [arg if arg != p / "meta.json" else p / "g.edges"
+                   for arg in _graph_spec_text(p, json.dumps(TINY_SPEC))],
+        "--out-edges and --out-meta both name",
     ),
     # 10^13 units: refused before any array is made.
     "graph-spec-too-large": (
