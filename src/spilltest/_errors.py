@@ -62,8 +62,11 @@ def check_fields(record, what: str) -> None:
 
 
 def check_seed(seed, name: str = "seed") -> None:
-    """Refuse a negative integer seed, which numpy's generators cannot take."""
-    if _is_int(seed) and seed < 0:
+    """Refuse a seed that is not a non-negative integer: ``None`` would draw
+    fresh entropy, and numpy's generators cannot take a negative one."""
+    if not _is_int(seed):
+        raise ValidationError(f"{name}={seed!r} is not an integer")
+    if seed < 0:
         raise ValidationError(f"{name}={seed} is negative")
 
 

@@ -37,7 +37,7 @@ ARM_CBR = 0  # cluster-randomized arm
 CrArmMechanism = Literal["complete", "bernoulli"]
 
 
-def _seed_sequence(seed: int | np.random.SeedSequence | None) -> np.random.SeedSequence:
+def _seed_sequence(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
     check_seed(seed)
@@ -237,7 +237,7 @@ def _hierarchical_from_streams(
 def hierarchical_assign(
     clustering: Clustering,
     counts: DesignCounts,
-    seed: int | np.random.SeedSequence | None = 0,
+    seed: int | np.random.SeedSequence = 0,
     cr_arm_mechanism: CrArmMechanism = "complete",
 ) -> HierarchicalAssignment:
     """Draw the two-arm design: cluster arm split, then within-arm treatment.
@@ -259,12 +259,19 @@ def hierarchical_assign(
     )
 
 
-def _sub_clustering(clustering: Clustering, cluster_subset: np.ndarray) -> tuple[Clustering, np.ndarray]:
-    """Restrict to the given clusters, relabeling both units and clusters."""
-    mask = np.isin(clustering.assignment, cluster_subset)
-    unit_ids = np.flatnonzero(mask)
-    assignment = np.searchsorted(np.sort(cluster_subset), clustering.assignment[unit_ids])
-    return Clustering.from_assignment(assignment), unit_ids
+def _sub_clustering(clustering: Clustering, stratification: Stratification) -> list[tuple]:
+    """``(sub, unit_ids, cluster_ids)`` of each stratum, its global ids in id
+    order and ``sub`` labeling a cluster by its rank among them, from one
+    stable sort of the clusters by stratum and one of the units. The clusters
+    must be of equal size: the unit cuts are the cluster cuts times it."""
+    of, sizes = clustering.assignment, stratification.strata_sizes
+    cluster_ids = np.argsort(stratification.stratum_of, kind="stable")
+    unit_ids = np.argsort(stratification.stratum_of[of], kind="stable")
+    rank = np.empty_like(cluster_ids)
+    rank[cluster_ids] = np.arange(len(cluster_ids)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cuts = np.cumsum(sizes)[:-1]
+    units = np.split(unit_ids, cuts * clustering.sizes[0])
+    return [(Clustering(rank[of[u]]), u, c) for u, c in zip(units, np.split(cluster_ids, cuts))]
 
 
 def _per_stratum(
@@ -278,9 +285,7 @@ def _per_stratum(
         raise ValidationError(f"stratification does not cover the clustering of {m} clusters: it lists {listed}")
     _require_balanced(clustering)
     out: list[HierarchicalAssignment] = []
-    for s in range(stratification.num_strata):
-        cluster_ids = stratification.clusters_in(s)
-        sub, unit_ids = _sub_clustering(clustering, cluster_ids)
+    for s, (sub, unit_ids, cluster_ids) in enumerate(_sub_clustering(clustering, stratification)):
         try:
             out.append(build(s, sub, unit_ids, cluster_ids))
         except ValidationError as exc:
@@ -292,7 +297,7 @@ def stratified_hierarchical_assign(
     clustering: Clustering,
     stratification: Stratification,
     counts: Sequence[DesignCounts] | None = None,
-    seed: int | np.random.SeedSequence | None = 0,
+    seed: int | np.random.SeedSequence = 0,
     cr_arm_mechanism: CrArmMechanism = "complete",
 ) -> list[HierarchicalAssignment]:
     """Run an independent hierarchical draw inside every stratum.

@@ -13,10 +13,11 @@ of the gap (acceptance criterion 4), and the test can then exceed its level.
 One kernel, :func:`_estimate_rows`, computes both estimates and the bound
 for rows of draws of a design. It is two arm contrasts (:func:`_contrast`,
 a difference in means and its plug-in variance): one over the unit arm's
-outcomes, one over the cluster arm's :func:`_cluster_totals`, scaled by
-``m_cbr / n_cbr``. The oracle's single-mechanism designs run those same two
-functions. The kernel reads every row its caller passes, each a draw's unit
-arms and treatments, as its saved file holds them, and its outcomes:
+outcomes, one over the cluster arm's totals from
+:meth:`Clustering.cluster_sums`, scaled by ``m_cbr / n_cbr``. The oracle's
+single-mechanism designs run those same two functions. The kernel reads
+every row its caller passes, each a draw's unit arms and treatments, as its
+saved file holds them, and its outcomes:
 :func:`_estimate` passes one-row views of the analysis's assignment and a
 copy of its units' outcomes, a study passes the rows of its buffers that a
 few draws have just written, and the oracle passes every enumerated draw.
@@ -73,8 +74,7 @@ def variance_components(table: PotentialTable, clustering: Clustering) -> Varian
     y1, y0 = table.y1, table.y0
     if len(y1) != clustering.num_units:
         raise ValidationError("potential table does not cover the clustering")
-    y1p = clustering.cluster_sums(y1)
-    y0p = clustering.cluster_sums(y0)
+    y1p, y0p = clustering.cluster_sums(np.stack([y1, y0]))
     return VarianceComponents(
         s_t=_sample_var(y1),
         s_c=_sample_var(y0),
@@ -123,14 +123,6 @@ def _contrast(
         return diff, v_t.var(axis=1, ddof=1) / n_t + v_c.var(axis=1, ddof=1) / n_c
 
 
-def _cluster_totals(y: np.ndarray, clustering: Clustering) -> np.ndarray:
-    """The ``(R, M)`` cluster totals of ``(R, N)`` outcome rows, from one
-    bincount over cluster ids offset by ``r * M`` in row r."""
-    rows, m = len(y), clustering.num_clusters
-    ids = clustering.assignment + m * np.arange(rows)[:, None]
-    return np.bincount(ids.ravel(), weights=y.ravel(), minlength=rows * m).reshape(rows, m)
-
-
 def _estimate_rows(
     clustering: Clustering, counts: DesignCounts, unit_arm: np.ndarray, treatment: np.ndarray, y: np.ndarray,
     bound: bool = True,
@@ -159,7 +151,7 @@ def _estimate_rows(
     one = np.empty(clustering.num_clusters, dtype=np.intp)
     one[clustering.assignment] = np.arange(clustering.num_units)
     cbr, zc = ~cr[:, one], z[:, one]
-    y_plus = _cluster_totals(y, clustering)
+    y_plus = clustering.cluster_sums(y)
     diff_cbr, bound_cbr = _contrast(y_plus, cbr & zc, cbr & ~zc, c.m_cbr_t, c.m_cbr_c, bound)
     scale = c.m_cbr / c.n_cbr
     with np.errstate(over="ignore", invalid="ignore"):
@@ -241,8 +233,6 @@ def _small_sample_factors(counts: DesignCounts) -> tuple[float, float]:
     # Expected within-arm sample variance of a cluster sample of units is
     # a * S - b * S_plus; both factors are exact for equal cluster sizes.
     n = counts.num_units
-    if counts.n_cr < 2:
-        raise ValidationError("unit-randomized arm needs at least two units")
     a = (counts.n_cr / (counts.n_cr - 1)) * ((n - 1) / n)
     b = counts.m_cbr / (n * (counts.n_cr - 1))
     return a, b
@@ -617,10 +607,7 @@ class InterferenceVarianceEstimate:
 
 
 def interference_variance_approx(
-    model: "LinearInterferenceModel",
-    graph: "Graph",
-    clustering: Clustering,
-    counts: DesignCounts,
+    model: "LinearInterferenceModel", clustering: Clustering, counts: DesignCounts
 ) -> InterferenceVarianceEstimate:
     """Predict the design variance of the gap without running the experiment.
 
@@ -630,25 +617,18 @@ def interference_variance_approx(
     coefficient alone; it is computed from exact cluster-split moments of a
     neighborhood mass matrix, treating units inside the individually
     randomized arm as independently assigned (error of relative order
-    ``1/n_cr``). The observation-noise part is exact. A design that
-    ``hierarchical_assign`` refuses is refused here too.
+    ``1/n_cr``). The observation-noise part is exact. The graph is the
+    model's. A design that ``hierarchical_assign`` refuses is refused here
+    too, as is a graph of another N.
     """
-    _require_balanced(clustering, counts)
+    expected_delta = expected_delta_linear(model, clustering, counts)
     c = counts
     if not (c.m_cr == c.m_cbr and c.n_cr_t == c.n_cr_c and c.m_cbr_t == c.m_cbr_c):
         raise ValidationError(
             "variance prediction supports only the symmetric design "
             "(equal arms, half treated within each arm)"
         )
-    if graph.num_units != clustering.num_units:
-        raise ValidationError("graph and clustering must agree on N")
-    g = model.graph
-    if g is not graph and not (
-        np.array_equal(g.adjacency_indptr, graph.adjacency_indptr)
-        and np.array_equal(g.adjacency_indices, graph.adjacency_indices)
-    ):
-        raise ValidationError("model graph does not match the supplied graph")
-
+    graph = model.graph
     n = graph.num_units
     m = clustering.num_clusters
     s = c.m_cbr
@@ -705,5 +685,5 @@ def interference_variance_approx(
         variance=structural + noise,
         structural=structural,
         noise=noise,
-        expected_delta=expected_delta_linear(model, clustering, counts),
+        expected_delta=expected_delta,
     )

@@ -23,7 +23,6 @@ import numpy as np
 from ._errors import CheckFailure, ValidationError, build_record, check_fields, check_seed, read_json
 from .assign import ARM_CR, DesignCounts, _encode, _require_balanced
 from .estimate import (
-    _cluster_totals,
     _contrast,
     _decide,
     _estimate_rows,
@@ -175,7 +174,7 @@ def enumerate_cluster(outcomes: OutcomeSource, clustering: Clustering, m_t: int)
     zc_rows = _subset_matrix(m, m_t)
     y_rows = _realize(outcomes, zc_rows[:, clustering.assignment])
     treated = zc_rows.astype(bool)
-    y_plus = _cluster_totals(y_rows, clustering)
+    y_plus = clustering.cluster_sums(y_rows)
     diff, _ = _contrast(y_plus, treated, ~treated, m_t, m - m_t, bound=False)
     return _fsum_moments((m / n) * diff)
 

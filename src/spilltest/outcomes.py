@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ._errors import ValidationError, check_fields
+from ._errors import ValidationError, check_fields, check_seed
 from ._table import FLOAT, ID, read_id_table
 
 if TYPE_CHECKING:
@@ -158,7 +158,7 @@ def realize_sutva(table: PotentialTable, z: np.ndarray) -> np.ndarray:
 def realize_linear(
     model: LinearInterferenceModel,
     z: np.ndarray,
-    seed: int | np.random.SeedSequence | None | Sequence[int | np.random.SeedSequence | None] = 0,
+    seed: int | np.random.SeedSequence | Sequence[int | np.random.SeedSequence] = 0,
 ) -> np.ndarray:
     """Draw outcomes from the linear interference model; deterministic per seed.
 
@@ -174,7 +174,8 @@ def realize_linear(
 
     Raises:
         ValidationError: If ``z`` does not match the graph, or a noisy
-            model's stack does not get one seed per row.
+            model gets a stack without one seed per row, or a seed that is
+            neither a non-negative integer nor a ``SeedSequence``.
     """
     z = np.asarray(z)
     fractions = model.treated_neighbor_fractions(z)
@@ -195,6 +196,8 @@ def realize_linear(
         # One reused row, not an (R, N) array of noise.
         noise = np.empty(model.num_units)
         for row, s in zip(y.reshape(-1, model.num_units), seeds):
+            if not isinstance(s, np.random.SeedSequence):
+                check_seed(s)
             np.random.default_rng(s).standard_normal(out=noise)
             noise *= model.noise_sd
             row += noise

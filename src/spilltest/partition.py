@@ -84,11 +84,16 @@ class Clustering:
         return bool(np.all(self.sizes == self.sizes[0]))
 
     def cluster_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-cluster sums of a unit-level vector."""
+        """Per-cluster sums of one unit vector, or the ``(R, M)`` sums of an
+        ``(R, N)`` stack, from one bincount over cluster ids offset by
+        ``r * M`` in row r; row r is bit for bit its one-row call."""
         values = np.asarray(values, dtype=np.float64)
-        if len(values) != self.num_units:
+        if values.ndim not in (1, 2) or values.shape[-1] != self.num_units:
             raise ValidationError("value vector length does not match unit count")
-        return np.bincount(self.assignment, weights=values, minlength=self.num_clusters)
+        rows, m = values.size // self.num_units, self.num_clusters
+        ids = self.assignment + m * np.arange(rows)[:, None]
+        sums = np.bincount(ids.ravel(), weights=values.ravel(), minlength=rows * m)
+        return sums.reshape(values.shape[:-1] + (m,))
 
 
 @dataclass(frozen=True)
@@ -117,9 +122,6 @@ class Stratification:
     def num_strata(self) -> int:
         return len(self.strata_sizes)
 
-    def clusters_in(self, stratum: int) -> np.ndarray:
-        return np.flatnonzero(self.stratum_of == stratum)
-
 
 @dataclass(frozen=True)
 class ClusterFeatures:
@@ -141,7 +143,7 @@ def ldg_restream(
     num_clusters: int,
     leniency: float = 0.0,
     iterations: int = 1,
-    seed: int | None = 0,
+    seed: int = 0,
 ) -> Clustering:
     """Partition a graph into size-capped clusters by restreaming greedy passes.
 
@@ -327,7 +329,7 @@ def cluster_features(
     )
 
 
-def stratify_clusters(features: ClusterFeatures, num_strata: int, seed: int | None = 0) -> Stratification:
+def stratify_clusters(features: ClusterFeatures, num_strata: int, seed: int = 0) -> Stratification:
     """Group clusters into strata of near-equal, preferably even, sizes.
 
     Clusters are ranked by a composite covariate (the sum of z-scored feature

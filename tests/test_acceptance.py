@@ -364,7 +364,7 @@ def test_criterion_10_variance_prediction_vs_monte_carlo():
     graph, clustering = generate_sbm(spec)
     counts = DesignCounts.symmetric(graph.num_units, clustering.num_clusters)
     model = LinearInterferenceModel(alpha=0.0, beta=1.0, gamma=0.5, noise_sd=1.0, graph=graph)
-    predicted = interference_variance_approx(model, graph, clustering, counts)
+    predicted = interference_variance_approx(model, clustering, counts)
     draws = 10_000
     reps = np.random.SeedSequence(31_415).spawn(draws)
     deltas = np.empty(draws)

@@ -42,6 +42,7 @@ REMOVED = {
     ],
     "spilltest.estimate": [
         "chebyshev_p_value", "chebyshev_decision", "stratified_delta", "SutvaVariance", "_DrawStack", "_row_cluster_ids",
+        "_cluster_totals",
     ],
     "spilltest.sim": ["run_ratio_study", "run_power_study", "run_type1_study"],
     "spilltest.oracle": ["EnumerationSpec", "enumerate_moments"],
@@ -57,6 +58,7 @@ REMOVED = {
 REMOVED_ATTRIBUTES = {
     "spilltest.Graph": ["edges", "degree", "to_sparse"],
     "spilltest.Clustering": ["members"],
+    "spilltest.Stratification": ["clusters_in"],
     "spilltest.HierarchicalAssignment": ["mechanism", "cluster_ids", "num_units", "cluster_treatment", "cluster_arm"],
     "spilltest.LinearInterferenceModel": ["realized_total_effect"],
     "spilltest.SbmSpec": ["to_json"],
@@ -125,20 +127,40 @@ def test_readme_library_example_runs(capsys):
     assert printed[1].split()[-1] == namespace["report"].decision
 
 
-@pytest.mark.parametrize("seed", [-1, np.int64(-1)])
-def test_seeded_functions_refuse_a_negative_seed(seed):
-    # Refused by the package, as the JSON inputs refuse one, not by numpy.
+def _seeded_calls():
     spec = spilltest.SbmSpec(num_blocks=8, block_size=4, p_intra=0.5, p_inter=0.05, seed=1)
     graph, clustering = spilltest.generate_sbm(spec)
     features = spilltest.cluster_features(graph, clustering)
     strat = spilltest.stratify_clusters(features, 2, seed=0)
     counts = spilltest.DesignCounts.symmetric(graph.num_units, clustering.num_clusters)
-    calls = [
-        lambda: spilltest.ldg_restream(graph, 8, seed=seed),
-        lambda: spilltest.stratify_clusters(features, 2, seed=seed),
-        lambda: spilltest.hierarchical_assign(clustering, counts, seed=seed),
-        lambda: spilltest.stratified_hierarchical_assign(clustering, strat, seed=seed),
-    ]
-    for call in calls:
+    model = spilltest.LinearInterferenceModel(alpha=0.0, beta=1.0, gamma=0.5, noise_sd=1.0, graph=graph)
+    z = spilltest.hierarchical_assign(clustering, counts, seed=1).treatment
+    return {
+        "ldg_restream": lambda seed: spilltest.ldg_restream(graph, 8, seed=seed),
+        "stratify_clusters": lambda seed: spilltest.stratify_clusters(features, 2, seed=seed),
+        "hierarchical_assign": lambda seed: spilltest.hierarchical_assign(clustering, counts, seed=seed),
+        "stratified_hierarchical_assign": lambda seed: spilltest.stratified_hierarchical_assign(
+            clustering, strat, seed=seed
+        ),
+        "realize_linear": lambda seed: spilltest.realize_linear(model, z, seed=seed),
+        "realize_linear-row": lambda seed: spilltest.realize_linear(model, np.stack([z, z]), seed=[1, seed]),
+    }
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-1)])
+def test_seeded_functions_refuse_a_negative_seed(seed):
+    # Refused by the package, as the JSON inputs refuse one, not by numpy.
+    for call in _seeded_calls().values():
         with pytest.raises(spilltest.ValidationError, match="^seed=-1 is negative$"):
-            call()
+            call(seed)
+
+
+@pytest.mark.parametrize("function", list(_seeded_calls()))
+def test_seeded_functions_refuse_a_seed_that_is_not_an_integer(function):
+    # seed=None drew fresh entropy, so two calls returned different draws;
+    # a bool is no seed either.
+    call = _seeded_calls()[function]
+    for seed in (None, True):
+        with pytest.raises(spilltest.ValidationError, match=f"^seed={seed} is not an integer$"):
+            call(seed)
+    call(np.int64(3))

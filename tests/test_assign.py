@@ -19,6 +19,7 @@ from spilltest.assign import (
     _complete_randomization,
     _encode,
     _hierarchical_from_streams,
+    _sub_clustering,
     assignment_from_vectors,
     load_assignment_vectors,
     save_assignment,
@@ -309,6 +310,38 @@ def test_stratified_counts_respected():
             assert a.treatment[cr].sum() == a.counts.n_cr_t
         # Strata cover disjoint unit sets.
         assert not set(parts[0].unit_ids.tolist()) & set(parts[1].unit_ids.tolist())
+
+
+def _reference_sub_clustering(clustering, stratification):
+    # The split as it was made stratum by stratum, in O(N) each: the
+    # stratum's clusters, its units by np.isin, and each unit's cluster
+    # relabeled by its rank among the stratum's clusters.
+    out = []
+    for s in range(stratification.num_strata):
+        cluster_ids = np.flatnonzero(stratification.stratum_of == s)
+        unit_ids = np.flatnonzero(np.isin(clustering.assignment, cluster_ids))
+        local = np.searchsorted(np.sort(cluster_ids), clustering.assignment[unit_ids])
+        out.append((local, unit_ids, cluster_ids))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(2, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_sub_clustering_matches_per_stratum_reference(strata, per_stratum, size, seed):
+    # Permuted cluster labels over the units and stratum labels over the
+    # clusters, strata of unequal sizes.
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, per_stratum + 1, strata)
+    m = int(sizes.sum())
+    clustering = Clustering(rng.permutation(np.repeat(np.arange(m), size)))
+    stratification = Stratification(rng.permutation(np.repeat(np.arange(strata), sizes)))
+    got = _sub_clustering(clustering, stratification)
+    want = _reference_sub_clustering(clustering, stratification)
+    assert len(got) == len(want) == strata
+    for (sub, unit_ids, cluster_ids), (local, ref_units, ref_clusters) in zip(got, want):
+        assert np.array_equal(sub.assignment, local)
+        assert np.array_equal(unit_ids, ref_units)
+        assert np.array_equal(cluster_ids, ref_clusters)
 
 
 @pytest.mark.parametrize("length", [1, 3])

@@ -241,8 +241,7 @@ def test_simulate_study_mismatch(tmp_path):
 
 
 def test_simulate_checks_study_properties(tmp_path):
-    # A small power study must come out monotone within tolerance (exit 0);
-    # a doctored report raises the property failure (exit 2).
+    # A small power study must come out monotone within tolerance (exit 0).
     cfg = tmp_path / "power.json"
     cfg.write_text(json.dumps({
         "study": "power", "replications": 40, "seed": 4,
@@ -252,24 +251,56 @@ def test_simulate_checks_study_properties(tmp_path):
     assert run_cli("simulate", "--config", cfg, "--out-csv", tmp_path / "p.csv",
                    "--threads", 1) == 0
 
+
+# A doctored report of each study kind that its property check refuses: its
+# config, its rows as (gamma, rejection_rate, mc_se, ratio_mean), and the
+# start of the failure.
+DOCTORED_STUDIES = {
+    "power": ({"sbm": [{"num_blocks": 8, "block_size": 10, "p_intra": 0.4, "p_inter": 0.04, "seed": 2}],
+               "gamma_grid": [0.0, 1.0]},
+              [(0.0, 0.9, 0.0, 0.0), (1.0, 0.1, 0.0, 0.0)], "power not monotone in gamma"),
+    "ratio": ({"num_clusters": 8, "cluster_size": 4}, [(0.0, 0.0, 0.01, 1.5)],
+              "mean bound/variance ratio 1.5000 is not 1"),
+    "type1": ({"num_clusters": 8, "cluster_size": 4}, [(0.0, 0.2, 0.0, 0.0)],
+              "false-rejection rate 0.2000 exceeds alpha + 3 SE"),
+}
+
+
+@pytest.mark.parametrize("study", list(DOCTORED_STUDIES))
+def test_simulate_exits_2_when_a_study_check_fails(tmp_path, monkeypatch, capsys, study):
     import spilltest.cli as cli_mod
-    from spilltest.sim import SimRow
+    from spilltest.sim import SimReport, SimRow
+
+    settings_, rows, message = DOCTORED_STUDIES[study]
+    cfg = tmp_path / f"{study}.json"
+    cfg.write_text(json.dumps({"study": study, "replications": 400, "seed": 4, **settings_}))
 
     def doctored(cfg_obj):
-        row = dict(study="power", setting=0, rho_c=0.4, replications=40,
-                   rejection_rate_gaussian=0.0, mc_se=0.0, mean_delta=0.0, delta_se=0.0,
-                   mean_sigma_hat_sq=1.0, ratio_mean=0.0, ratio_q10=0.0, ratio_q90=0.0)
-        rows = (SimRow(gamma=0.0, rejection_rate=0.9, **row),
-                SimRow(gamma=1.0, rejection_rate=0.1, **row))
-        from spilltest.sim import SimReport
-        return SimReport(config=cfg_obj, rows=rows)
+        return SimReport(config=cfg_obj, rows=tuple(
+            SimRow(study=study, setting=0, gamma=gamma, rho_c=0.4, replications=400,
+                   rejection_rate=rate, rejection_rate_gaussian=0.0, mc_se=se, mean_delta=0.0,
+                   delta_se=0.0, mean_sigma_hat_sq=1.0, ratio_mean=ratio, ratio_q10=0.0, ratio_q90=0.0)
+            for gamma, rate, se, ratio in rows
+        ))
 
-    original = cli_mod.run_study
-    cli_mod.run_study = doctored
-    try:
-        assert run_cli("simulate", "--config", cfg, "--out-csv", tmp_path / "bad.csv") == 2
-    finally:
-        cli_mod.run_study = original
+    monkeypatch.setattr(cli_mod, "run_study", doctored)
+    capsys.readouterr()
+    assert run_cli("simulate", "--config", cfg, "--out-csv", tmp_path / "bad.csv") == 2
+    assert capsys.readouterr().err.startswith(f"check failed: {message}")
+
+
+def test_simulate_prints_its_csv_without_outputs(tmp_path, capsys):
+    # With no --out-* the study's CSV goes to stdout, exactly as --out-csv
+    # writes it.
+    cfg = tmp_path / "type1.json"
+    cfg.write_text(json.dumps({"study": "type1", "replications": 20, "seed": 3, "num_clusters": 8, "cluster_size": 4}))
+    capsys.readouterr()
+    assert run_cli("simulate", "--config", cfg) == 0
+    printed = capsys.readouterr().out
+    assert run_cli("simulate", "--config", cfg, "--out-csv", tmp_path / "r.csv") == 0
+    assert capsys.readouterr().out == ""
+    assert printed == (tmp_path / "r.csv").read_text(encoding="utf-8")
+    assert printed.startswith("study,")
 
 
 def test_oracle_command_passes_and_writes_report(tmp_path):
@@ -325,6 +356,38 @@ def test_bernoulli_counts_match_assignment(tmp_path, stratified):
         assert counts["n_cr_t"] == sum(t for arm, t in mine if arm == "cr")
         assert counts["n_cr_c"] == sum(1 - t for arm, t in mine if arm == "cr")
     assert any(c["n_cr_t"] != c["n_cr"] // 2 for c in recorded)
+
+
+@pytest.mark.parametrize("stratified", [False, True])
+def test_assign_draws_the_counts_file(tmp_path, stratified):
+    # Counts that are not the symmetric default: 8 of the unit arm's 20
+    # units treated. Stratified, every stratum draws the file's counts.
+    strata_count = 2 if stratified else 1
+    clusters = tmp_path / "c.csv"
+    clusters.write_text("unit_id,cluster_id\n" + "".join(f"{i},{i // 5}\n" for i in range(40 * strata_count)))
+    given = {"n_cr": 20, "n_cbr": 20, "m_cr": 4, "m_cbr": 4, "n_cr_t": 8, "n_cr_c": 12, "m_cbr_t": 2, "m_cbr_c": 2}
+    counts_file = tmp_path / "counts_in.json"
+    counts_file.write_text(json.dumps(given))
+    assignment, counts = tmp_path / "a.csv", tmp_path / "k.json"
+    args = ["assign", "--clusters-file", clusters, "--counts", counts_file, "--seed", 3,
+            "--out-assignment", assignment, "--out-counts", counts]
+    strata_args = []
+    if stratified:
+        strata = tmp_path / "s.csv"
+        strata.write_text("cluster_id,stratum_id\n" + "".join(f"{c},{c % 2}\n" for c in range(16)))
+        strata_args = ["--stratification", strata]
+    assert run_cli(*args, *strata_args) == 0
+    payload = json.loads(counts.read_text())
+    assert payload["counts"] == ({"strata": [given, given]} if stratified else given)
+    digests = payload["manifest"]["input_digests"]
+    assert digests[str(counts_file)] == spilltest.cli._digest(counts_file)
+    outcomes = tmp_path / "y.csv"
+    rng = np.random.default_rng(2)
+    outcomes.write_text("unit_id,y\n" + "".join(f"{i},{rng.normal()!r}\n" for i in range(40 * strata_count)))
+    report = tmp_path / "r.json"
+    assert run_cli("analyze", "--assignment", assignment, "--outcomes", outcomes,
+                   "--clusters-file", clusters, *strata_args, "--out-report", report) == 0
+    assert json.loads(report.read_text())["report"]["stratified"] == stratified
 
 
 def test_stratified_cli_round_trip(tmp_path):

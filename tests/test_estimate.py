@@ -791,7 +791,7 @@ def test_eta_quadratic_moments_brute_force():
 
 _CLOSED_FORMS = {
     "interference_variance_approx": lambda model, table, clustering, counts: interference_variance_approx(
-        model, model.graph, clustering, counts
+        model, clustering, counts
     ),
     "expected_delta_linear": lambda model, table, clustering, counts: expected_delta_linear(model, clustering, counts),
     "theoretical_sutva_variance": lambda model, table, clustering, counts: theoretical_sutva_variance(
@@ -837,7 +837,7 @@ def test_linear_closed_forms_refuse_a_graph_of_other_n(units):
     with pytest.raises(ValidationError, match="^graph and clustering must agree on N$"):
         expected_delta_linear(model, clustering, counts)
     with pytest.raises(ValidationError, match="^graph and clustering must agree on N$"):
-        interference_variance_approx(model, graph, clustering, counts)
+        interference_variance_approx(model, clustering, counts)
 
 
 def test_interference_variance_requires_symmetric_design(oracle_design):
@@ -846,23 +846,7 @@ def test_interference_variance_requires_symmetric_design(oracle_design):
         n_cr=2, n_cbr=6, m_cr=1, m_cbr=3, n_cr_t=1, n_cr_c=1, m_cbr_t=1, m_cbr_c=2
     )
     with pytest.raises(ValidationError, match="symmetric"):
-        interference_variance_approx(model, graph, clustering, lopsided)
-
-
-def test_interference_variance_refuses_another_graph():
-    # Two block models of the same N: the prediction must not pair one
-    # graph's variance with the other's mean.
-    graph_a, clustering = generate_sbm(SbmSpec(num_blocks=8, block_size=10, p_intra=0.4, p_inter=0.04, seed=2))
-    graph_b, _ = generate_sbm(SbmSpec(num_blocks=8, block_size=10, p_intra=0.1, p_inter=0.01, seed=3))
-    counts = DesignCounts.symmetric(graph_a.num_units, clustering.num_clusters)
-    model = LinearInterferenceModel(alpha=0.0, beta=1.0, gamma=1.0, noise_sd=0.5, graph=graph_a)
-    with pytest.raises(ValidationError, match="model graph does not match"):
-        interference_variance_approx(model, graph_b, clustering, counts)
-    # An equal graph built separately is the model's graph.
-    copy = Graph.from_edges(graph_a.num_units, np.column_stack([graph_a.adjacency_sources, graph_a.adjacency_indices]))
-    assert interference_variance_approx(model, copy, clustering, counts) == interference_variance_approx(
-        model, graph_a, clustering, counts
-    )
+        interference_variance_approx(model, clustering, lopsided)
 
 
 def test_interference_variance_empty_graph_is_noise_only():
@@ -870,7 +854,7 @@ def test_interference_variance_empty_graph_is_noise_only():
     clustering = Clustering.from_assignment(np.repeat(np.arange(4), 2))
     counts = DesignCounts.symmetric(8, 4)
     model = LinearInterferenceModel(alpha=0.0, beta=1.0, gamma=2.0, noise_sd=1.5, graph=graph)
-    est = interference_variance_approx(model, graph, clustering, counts)
+    est = interference_variance_approx(model, clustering, counts)
     expected_noise = 1.5**2 * (1 / 2 + 1 / 2 + 1 / 2 + 1 / 2)
     assert est.structural == pytest.approx(0.0, abs=1e-15)
     assert est.variance == pytest.approx(expected_noise)
@@ -905,7 +889,7 @@ def test_interference_variance_exact_mean(oracle_design):
         isolated = max(isolated, int(np.count_nonzero(graph.degrees == 0)))
         counts = DesignCounts.symmetric(graph.num_units, clustering.num_clusters)
         model = LinearInterferenceModel(alpha=0.3, beta=1.0, gamma=1.7, noise_sd=0.5, graph=graph)
-        est = interference_variance_approx(model, graph, clustering, counts)
+        est = interference_variance_approx(model, clustering, counts)
         assert est.expected_delta == expected_delta_linear(model, clustering, counts)
         assert est.expected_delta == pytest.approx(
             _reference_interference_mean(model, graph, clustering, counts), abs=1e-12
@@ -937,7 +921,7 @@ def test_interference_variance_tracks_monte_carlo_mid_scale():
     )
     counts = DesignCounts.symmetric(graph.num_units, clustering.num_clusters)
     model = LinearInterferenceModel(alpha=0.2, beta=1.0, gamma=1.0, noise_sd=0.0, graph=graph)
-    est = interference_variance_approx(model, graph, clustering, counts)
+    est = interference_variance_approx(model, clustering, counts)
     draws = 4000
     reps = np.random.SeedSequence(2025).spawn(draws)
     deltas = np.empty(draws)

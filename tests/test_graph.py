@@ -18,6 +18,7 @@ from spilltest import (
     neighborhood_fractions,
     save_edge_list,
 )
+from spilltest.graph import _bernoulli_slots
 
 
 def test_load_edge_list_basic(tmp_path):
@@ -196,6 +197,32 @@ def test_sbm_extreme_probabilities_are_exact(p):
             expected_intra = intra if p_intra == 1.0 else 0
             expected_inter = n * (n - 1) // 2 - intra if p_inter == 1.0 else 0
             assert (int(same.sum()), int((~same).sum())) == (expected_intra, expected_inter)
+
+
+class _FixedGaps:
+    """A generator whose geometric draws are the next gaps of a fixed sequence."""
+
+    def __init__(self, gaps):
+        self.gaps, self.used, self.batches = gaps, 0, 0
+
+    def geometric(self, p, size):
+        out = self.gaps[self.used : self.used + size]
+        assert len(out) == size
+        self.used += size
+        self.batches += 1
+        return out
+
+
+@pytest.mark.parametrize("gaps, batches", [([1], 99), ([1, 3, 2, 7, 1, 1, 40], 12)])
+def test_bernoulli_slots_joins_its_batches(gaps, batches):
+    # A gap of 1 at p = 0.01 makes every slot a success, so the loop needs
+    # many batches, each sized for the slots left; the slots are the running
+    # sum of the gaps across batches, cut below the total.
+    rng = _FixedGaps(np.resize(np.array(gaps, dtype=np.int64), 20_000))
+    slots = _bernoulli_slots(rng, 0.01, 5000)
+    expected = np.cumsum(rng.gaps) - 1
+    assert np.array_equal(slots, expected[expected < 5000])
+    assert rng.batches == batches
 
 
 def test_sbm_single_unit_blocks_and_single_block():
