@@ -10,10 +10,10 @@ __version__ = "0.1.0"
 
 # Each public name, by the module that defines it.
 _MODULES = {
-    "_errors": ("CheckFailure", "InfeasibleError", "ParseError", "SpilltestError", "ValidationError"),
+    "_errors": ("CheckFailure", "ParseError", "SpilltestError", "ValidationError"),
     "graph": ("Graph", "SbmSpec", "generate_sbm", "load_edge_list", "neighborhood_fractions", "save_edge_list"),
     "partition": (
-        "Clustering", "ClusteringMetrics", "ClusterFeatures", "Stratification", "cluster_features",
+        "Clustering", "ClusteringMetrics", "Stratification", "cluster_features",
         "clustering_metrics", "ldg_restream", "rebalance", "stratify_clusters",
     ),
     "assign": ("DesignCounts", "HierarchicalAssignment", "hierarchical_assign", "stratified_hierarchical_assign"),

@@ -21,10 +21,6 @@ class ParseError(ValidationError):
     """A file could not be parsed; message carries the offending line number."""
 
 
-class InfeasibleError(ValidationError):
-    """Requested parameters admit no valid solution."""
-
-
 class CheckFailure(SpilltestError):
     """A verification check ran to completion and its assertion failed."""
 

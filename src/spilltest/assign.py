@@ -21,7 +21,7 @@ the other.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Literal, Sequence
 
@@ -65,7 +65,7 @@ class DesignCounts:
 
     def __post_init__(self) -> None:
         check_fields(self, "design count")
-        for name, value in asdict(self).items():
+        for name, value in self.to_dict().items():
             if value < 1:
                 raise ValidationError(f"design count {name}={value} must be >= 1")
         if self.n_cr_t + self.n_cr_c != self.n_cr:
@@ -121,7 +121,7 @@ class DesignCounts:
         )
 
     def to_dict(self) -> dict[str, int]:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -323,21 +323,35 @@ def stratified_hierarchical_assign(
     return _per_stratum(clustering, stratification, draw)
 
 
+def _unit_ids(assignments: Sequence[HierarchicalAssignment]) -> np.ndarray:
+    """The unit ids of ``assignments``, one per stratum, in their order, once
+    they are checked to be the design's units 0..N-1, each exactly once."""
+    ids = np.concatenate([a.unit_ids for a in assignments])
+    n = len(ids)
+    covered = np.bincount(ids, minlength=n)
+    for bad in (covered > 1, covered[:n] == 0):
+        if bad.any():
+            u = int(np.argmax(bad))
+            raise ValidationError(f"unit {u} is in {int(covered[u])} strata, not exactly one")
+    return ids
+
+
 def save_assignment(
     assignments: HierarchicalAssignment | Sequence[HierarchicalAssignment], path: str | Path
 ) -> None:
-    """Persist as CSV with columns ``unit_id,arm,treatment`` (arm: cr | cbr)."""
+    """Persist as CSV with columns ``unit_id,arm,treatment`` (arm: cr | cbr),
+    one row per unit in id order; the strata must hold units 0..N-1 once each."""
     if isinstance(assignments, HierarchicalAssignment):
         assignments = [assignments]
-    units = np.concatenate([a.unit_ids for a in assignments])
-    arms = np.concatenate([a.unit_arm for a in assignments])
-    treatment = np.concatenate([a.treatment for a in assignments])
-    order = np.lexsort((treatment, arms, units))
-    words = np.where(arms[order] == ARM_CR, "cr", "cbr")
+    units = _unit_ids(assignments)
+    position = np.empty_like(units)
+    position[units] = np.arange(len(units))
+    arms = np.concatenate([a.unit_arm for a in assignments])[position]
+    treatment = np.concatenate([a.treatment for a in assignments])[position]
     write_table(
         path,
         ["unit_id", "arm", "treatment"],
-        [units[order].tolist(), words.tolist(), treatment[order].tolist()],
+        [list(range(len(units))), np.where(arms == ARM_CR, "cr", "cbr").tolist(), treatment.tolist()],
         "%d,%s,%d\r\n",
     )
 
@@ -392,11 +406,12 @@ def assignment_from_vectors(
     # keeps); a cluster holds one value when no unit differs from it.
     cluster_arm = np.empty(m, dtype=np.int8)
     cluster_arm[of] = unit_arm
-    mixed_arm = np.bincount(of, weights=unit_arm != cluster_arm[of], minlength=m) > 0
     cluster_treatment = np.empty(m, dtype=np.int8)
     cluster_treatment[of] = treatment
+    differs = np.stack([unit_arm != cluster_arm[of], treatment != cluster_treatment[of]])
+    mixed_arm, mixed_treatment = clustering.cluster_sums(differs) > 0
     cbr = cluster_arm == ARM_CBR
-    mixed_treatment = cbr & (np.bincount(of, weights=treatment != cluster_treatment[of], minlength=m) > 0)
+    mixed_treatment &= cbr
     bad = np.flatnonzero(mixed_arm | mixed_treatment)
     if len(bad):
         c = int(bad[0])

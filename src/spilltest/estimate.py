@@ -36,13 +36,13 @@ and a refusal names one.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from ._errors import ValidationError
-from .assign import ARM_CR, DesignCounts, HierarchicalAssignment, _require_balanced
+from .assign import ARM_CR, DesignCounts, HierarchicalAssignment, _require_balanced, _unit_ids
 from .outcomes import PotentialTable
 from .partition import Clustering
 
@@ -167,13 +167,7 @@ def _design_outcomes(assignments: Sequence[HierarchicalAssignment], y: np.ndarra
     one outcome each."""
     if np.ndim(y) != 1:
         raise ValidationError(f"outcomes must be one vector, got shape {np.shape(y)}")
-    ids = np.concatenate([a.unit_ids for a in assignments])
-    n = len(ids)
-    covered = np.bincount(ids, minlength=n)
-    for bad in (covered > 1, covered[:n] == 0):
-        if bad.any():
-            u = int(np.argmax(bad))
-            raise ValidationError(f"unit {u} is in {int(covered[u])} strata, not exactly one")
+    n = len(_unit_ids(assignments))
     if len(y) < n:
         raise ValidationError(f"outcomes missing for assigned units {list(range(len(y), n)[:10])}")
     if len(y) > n:
@@ -385,10 +379,11 @@ class AnalysisReport:
         return "reject" if self.reject else "fail-to-reject"
 
     def to_dict(self) -> dict:
-        payload = asdict(self)
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["counts"] = dict(self.counts)
+        payload["strata"] = [{f.name: getattr(s, f.name) for f in fields(s)} for s in self.strata]
         payload["decision"] = self.decision
         payload["stratified"] = self.stratified
-        payload["strata"] = [asdict(s) for s in self.strata]
         return payload
 
 

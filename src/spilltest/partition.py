@@ -3,6 +3,10 @@
 A clustering and a stratification are each a label vector: one group id per
 member, every id from 0 up holding enough members. Both are built through
 one validator, which derives the group count and sizes from the labels.
+Every per-cluster total of a unit vector comes from ``Clustering.cluster_sums``.
+Stratification reads plain arrays: ``cluster_features`` returns the
+``(M, 2 + k)`` matrix of edge counts and covariates, and
+``stratify_clusters`` takes any finite matrix with one row per cluster.
 
 The clusterer is a restreaming linear deterministic greedy: units stream in a
 seed-shuffled order and each one joins the cluster holding most of its
@@ -22,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._errors import InfeasibleError, ValidationError, check_seed
+from ._errors import ValidationError, check_seed
 from ._table import ID, INT, read_id_table, write_table
 from .graph import _same_cluster_counts
 
@@ -123,21 +127,6 @@ class Stratification:
         return len(self.strata_sizes)
 
 
-@dataclass(frozen=True)
-class ClusterFeatures:
-    """Per-cluster descriptors used for stratification."""
-
-    internal_edges: np.ndarray
-    boundary_edges: np.ndarray
-    covariates: np.ndarray  # shape (M, k); may have zero columns
-
-    def matrix(self) -> np.ndarray:
-        cols = [self.internal_edges.astype(np.float64), self.boundary_edges.astype(np.float64)]
-        if self.covariates.size:
-            cols.extend(self.covariates.T.astype(np.float64))
-        return np.column_stack(cols)
-
-
 def ldg_restream(
     graph: "Graph",
     num_clusters: int,
@@ -175,9 +164,8 @@ def ldg_restream(
     size_cap = (n / m) * (1.0 + leniency)
     if not math.isfinite(size_cap):
         raise ValidationError(f"leniency={leniency} leaves no finite cluster capacity")
+    # size_cap >= fl(n / m), so capacity * m >= n for any n below 2**53.
     capacity = math.ceil(size_cap)
-    if capacity * m < n:
-        raise InfeasibleError(f"capacity {capacity} x {m} clusters cannot hold {n} units")
 
     rng = np.random.default_rng(seed)
     indptr = graph.adjacency_indptr.tolist()
@@ -219,8 +207,9 @@ def ldg_restream(
             assignment[i] = best
             sizes[best] += 1
         previous = assignment
+    # The last pass counted the sizes of the assignment it leaves.
     assignment = np.array(previous, dtype=np.int64)
-    sizes = np.bincount(assignment, minlength=m).astype(np.int64)
+    sizes = np.array(sizes, dtype=np.int64)
 
     # Greedy passes can leave clusters empty on degenerate inputs; park one
     # spare unit in each empty cluster so the Clustering invariant holds.
@@ -304,41 +293,38 @@ def clustering_metrics(graph: "Graph", clustering: Clustering) -> ClusteringMetr
 
 def cluster_features(
     graph: "Graph", clustering: Clustering, covariates: np.ndarray | None = None
-) -> ClusterFeatures:
-    """Edge-count features per cluster, plus covariates: ``(M,)`` or ``(M, k)``."""
+) -> np.ndarray:
+    """The ``(M, 2 + k)`` float64 matrix :func:`stratify_clusters` reads: each
+    cluster's internal edge count, its boundary edge count, then its ``k``
+    covariates, given as ``(M,)`` (one column) or ``(M, k)``."""
     m = clustering.num_clusters
-    assignment = clustering.assignment
-    # Exact integer sums: float64 holds every count below 2**53.
-    same = _same_cluster_counts(graph, assignment)
-    internal = np.bincount(assignment, weights=same, minlength=m).astype(np.int64) // 2
-    boundary = np.bincount(assignment, weights=graph.degrees - same, minlength=m)
-    if covariates is None:
-        cov = np.empty((m, 0))
-    else:
-        cov = np.asarray(covariates, dtype=np.float64)
-        if cov.ndim == 1:
-            cov = cov[:, None]
-        if cov.ndim != 2 or cov.shape[0] != m:
-            raise ValidationError("covariates must have one row per cluster")
-        if not np.all(np.isfinite(cov)):
-            raise ValidationError("covariates must be finite")
-    return ClusterFeatures(
-        internal_edges=internal.astype(np.int64),
-        boundary_edges=boundary.astype(np.int64),
-        covariates=cov,
-    )
+    same = _same_cluster_counts(graph, clustering.assignment)
+    edges = clustering.cluster_sums(np.stack([same, graph.degrees - same]))
+    # Each internal edge counts from both ends, so the first sum is even and,
+    # below 2**53, exact in float64.
+    edges[0] //= 2
+    cov = np.empty((m, 0)) if covariates is None else np.asarray(covariates, dtype=np.float64)
+    if cov.ndim == 1:
+        cov = cov[:, None]
+    if cov.ndim != 2 or cov.shape[0] != m:
+        raise ValidationError("covariates must have one row per cluster")
+    return np.column_stack([edges.T, cov])
 
 
-def stratify_clusters(features: ClusterFeatures, num_strata: int, seed: int = 0) -> Stratification:
+def stratify_clusters(features: np.ndarray, num_strata: int, seed: int = 0) -> Stratification:
     """Group clusters into strata of near-equal, preferably even, sizes.
 
-    Clusters are ranked by a composite covariate (the sum of z-scored feature
-    columns) and chunked into ``num_strata`` contiguous blocks. Block sizes
-    start at ``M // L`` with remainders spread from the first stratum, then
-    single clusters shift between adjacent strata to make sizes even where
-    possible. Ties in the composite break in seed-shuffled order.
+    ``features`` is any finite ``(M, f)`` matrix, one row per cluster, such
+    as :func:`cluster_features` returns. Clusters are ranked by a composite
+    covariate (the sum of z-scored feature columns) and chunked into
+    ``num_strata`` contiguous blocks. Block sizes start at ``M // L`` with
+    remainders spread from the first stratum, then single clusters shift
+    between adjacent strata to make sizes even where possible. Ties in the
+    composite break in seed-shuffled order.
     """
-    mat = features.matrix()
+    mat = np.asarray(features, dtype=np.float64)
+    if mat.ndim != 2 or not np.isfinite(mat).all():
+        raise ValidationError("features must be a 2-d matrix of finite numbers, one row per cluster")
     m = mat.shape[0]
     if num_strata < 1:
         raise ValidationError("need at least one stratum")
@@ -362,10 +348,7 @@ def stratify_clusters(features: ClusterFeatures, num_strata: int, seed: int = 0)
             sizes[s + 1] -= 1
 
     stratum_of = np.empty(m, dtype=np.int64)
-    start = 0
-    for s, size in enumerate(sizes):
-        stratum_of[order[start : start + size]] = s
-        start += size
+    stratum_of[order] = np.repeat(np.arange(num_strata), sizes)
     return Stratification(stratum_of)
 
 

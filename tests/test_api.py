@@ -16,9 +16,9 @@ import pytest
 import spilltest
 
 PUBLIC = [
-    "CheckFailure", "InfeasibleError", "ParseError", "SpilltestError", "ValidationError",
+    "CheckFailure", "ParseError", "SpilltestError", "ValidationError",
     "Graph", "SbmSpec", "generate_sbm", "load_edge_list", "neighborhood_fractions", "save_edge_list",
-    "Clustering", "ClusteringMetrics", "ClusterFeatures", "Stratification", "cluster_features",
+    "Clustering", "ClusteringMetrics", "Stratification", "cluster_features",
     "clustering_metrics", "ldg_restream", "rebalance", "stratify_clusters",
     "DesignCounts", "HierarchicalAssignment", "hierarchical_assign", "stratified_hierarchical_assign",
     "LinearInterferenceModel", "PotentialTable", "realize_linear", "realize_sutva",
@@ -38,7 +38,7 @@ REMOVED = {
         "cluster_randomization", "complete_randomization", "bernoulli_rerandomized",
         "marginal_treatment_probability", "ObservedOutcomes", "save_outcomes", "total_treatment_effect",
         "chebyshev_p_value", "chebyshev_decision", "stratified_delta", "SutvaVariance",
-        "EnumerationSpec", "enumerate_moments",
+        "EnumerationSpec", "enumerate_moments", "ClusterFeatures", "InfeasibleError",
     ],
     "spilltest.estimate": [
         "chebyshev_p_value", "chebyshev_decision", "stratified_delta", "SutvaVariance", "_DrawStack", "_row_cluster_ids",
@@ -47,7 +47,8 @@ REMOVED = {
     "spilltest.sim": ["run_ratio_study", "run_power_study", "run_type1_study"],
     "spilltest.oracle": ["EnumerationSpec", "enumerate_moments"],
     "spilltest.graph": ["neighborhood_fraction_in_cluster"],
-    "spilltest.partition": ["design_score", "subsample_clusters"],
+    "spilltest.partition": ["design_score", "subsample_clusters", "ClusterFeatures", "InfeasibleError"],
+    "spilltest._errors": ["ClusterFeatures", "InfeasibleError"],
     "spilltest.assign": [
         "SimpleAssignment", "cluster_randomization", "complete_randomization", "bernoulli_rerandomized",
         "marginal_treatment_probability",

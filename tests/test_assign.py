@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,11 @@ def test_hierarchical_count_contract(clusters8, counts8):
         # cluster_bits refuses a cluster-arm cluster of mixed treatment.
         cluster_arm, cluster_treatment = cluster_bits(a)
         assert ((cluster_arm == 0) & (cluster_treatment == 1)).sum() == 1
+
+
+def test_hierarchical_refuses_an_unknown_mechanism(clusters8, counts8):
+    with pytest.raises(ValidationError, match="^unknown mechanism 'x'$"):
+        hierarchical_assign(clusters8, counts8, cr_arm_mechanism="x")
 
 
 def test_hierarchical_bernoulli_mechanism(clusters8, counts8):
@@ -399,6 +406,18 @@ def test_assignment_csv_round_trip(tmp_path, clusters8, counts8):
     assert rebuilt.counts == a.counts
     assert np.array_equal(rebuilt.unit_arm, a.unit_arm)
     assert np.array_equal(rebuilt.treatment, a.treatment)
+
+
+def test_save_assignment_writes_only_what_the_reader_accepts(tmp_path, clusters8, counts8):
+    # Each unit 0..N-1 exactly once: a stratum saved twice, or one stratum
+    # of units that are not 0..n-1, would write a file the reader refuses.
+    a = hierarchical_assign(clusters8, counts8, seed=13)
+    path = tmp_path / "a.csv"
+    with pytest.raises(ValidationError, match="^unit 0 is in 2 strata, not exactly one$"):
+        save_assignment([a, a], path)
+    with pytest.raises(ValidationError, match="^unit 0 is in 0 strata, not exactly one$"):
+        save_assignment(replace(a, unit_ids=np.arange(8) + 2), path)
+    assert not path.exists()
 
 
 def test_assignment_from_vectors_rejects_corrupt(clusters8):

@@ -321,6 +321,13 @@ def test_oracle_failure_exit_code(monkeypatch):
     assert run_cli("oracle", "--check", "means") == 2
 
 
+def test_oracle_design_without_edges_passes(tmp_path, capsys):
+    # A design with no edges is read as a graph of isolated units.
+    assert run_cli(*_oracle_with_design(tmp_path, _design(edges=[]))) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and all(line.startswith("PASS ") for line in lines)
+
+
 def test_oracle_report_keys_bundled_design_by_name(tmp_path):
     # Two installs of one commit must write the same report, so the bundled
     # design's digest is keyed by a name and not by where it is installed.
@@ -917,6 +924,26 @@ MALFORMED_INPUTS = {
     # 10^200 blocks: more unit pairs than a float holds.
     "graph-spec-beyond-float": (
         _graph_with_spec(num_blocks=10**200), f"refusing a block model of {5 * 10**200} units"
+    ),
+    # A probability of 401 digits is an integer beyond the float range.
+    "graph-spec-p-intra-huge": (_graph_with_spec(p_intra=10**400), "p_intra=1" + "0" * 400 + " is not a finite number"),
+    "counts-cluster-buckets": (
+        lambda p: _assign_with_counts(p, json.dumps({**TABLE_CHECK_COUNTS, "m_cbr_t": 3})),
+        "k.json: treated + control must equal the arm's cluster count",
+    ),
+    "assign-uneven-units": (
+        lambda p: _assign_with(p, clusters=lambda t: t.splitlines()[0] + "\n" + "".join(f"{u},{u % 4}\n" for u in range(10))),
+        "error: 10 units do not split evenly over 4 clusters",
+    ),
+    "study-alpha-above-one": (_simulate_with_field("fig1a_desk.json", alpha=1.5), "sim.json: alpha must lie in (0, 1)"),
+    "study-sbm-not-a-list": (
+        _simulate_with_field("fig1b_desk.json", sbm=5), "sim.json: study config sbm=5 is not a list of block-model specs"
+    ),
+    "design-edge-negative": (
+        lambda p: _oracle_with_design(p, _design(edges=[[0, -1]])), "d.json: bad design: negative unit id in edge list"
+    ),
+    "design-edge-triple": (
+        lambda p: _oracle_with_design(p, _design(edges=[[0, 1, 2]])), "d.json: bad design: edges must be pairs of unit ids"
     ),
 }
 

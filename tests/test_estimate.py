@@ -686,6 +686,15 @@ def test_analyze_report_fields():
     assert gaussian.reject == (gaussian.p_gaussian < 0.05)
     payload = report.to_dict()
     assert "sigma_hat_sq" in payload and payload["decision"] == report.decision
+    assert list(payload) == [
+        "tau_cr", "tau_cbr", "delta", "sigma_hat_sq", "t_stat", "p_chebyshev", "p_gaussian", "alpha",
+        "decision_rule", "reject", "counts", "provenance", "strata", "decision", "stratified",
+    ]
+    # The payload's counts are its own: editing them leaves the report as it was.
+    payload["counts"]["n_cr"] = 0
+    assert report.counts["n_cr"] == 8
+    with pytest.raises(ValidationError, match="^unknown decision rule 'x'$"):
+        analyze(a, y, decision_rule="x")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

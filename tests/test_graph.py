@@ -93,6 +93,9 @@ def test_from_edges_validation():
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(ValidationError, match="self-loop"):
         Graph.from_edges(2, [(1, 1)])
+    for unit in (-1, 2):
+        with pytest.raises(ValidationError, match=f"^unit id {unit} out of range for N=2$"):
+            Graph.from_edges(2, [(0, 1)]).neighbors(unit)
 
 
 @settings(max_examples=50, deadline=None)

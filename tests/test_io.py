@@ -369,6 +369,12 @@ def tables(draw, name):
         records[target] = records[target][:cut]
         if cut == 0:
             features.add("blank_line")
+            # A blank row is skipped, or, at the end, reads as the final
+            # line ending: either way its id is gone from the table.
+            if not any(records):
+                features.add("empty")
+            elif order[target] < n - 1:
+                features.add("gap")
         elif all(header.index(c) < cut for c in typed):
             features.add("short_row_extra")
     elif fault == "short_row_extra" and extras:

@@ -163,6 +163,8 @@ def test_model_validation(cliquepair_graph):
         LinearInterferenceModel(alpha=0.0, beta=1.0, gamma=0.0, noise_sd=-1.0, graph=cliquepair_graph)
     with pytest.raises(ValidationError):
         PotentialTable(y1=np.array([1.0, np.nan]), y0=np.array([0.0, 0.0]))
+    with pytest.raises(ValidationError, match="^y1 and y0 must be equal-length non-empty vectors$"):
+        PotentialTable(y1=np.zeros(3), y0=np.zeros(4))
     model = LinearInterferenceModel(alpha=0.0, beta=1.0, gamma=1.0, noise_sd=0.0, graph=cliquepair_graph)
     for bad in (0.5, 2, -1, np.nan):
         z = np.array([bad, 0, 1, 0, 1, 0, 1, 0])

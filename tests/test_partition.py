@@ -230,6 +230,9 @@ def test_clustering_invariants():
     c = Clustering.from_assignment([0, 1, 0, 1])
     assert c.is_balanced
     assert c.cluster_sums(np.array([1.0, 2.0, 3.0, 4.0])).tolist() == [4.0, 6.0]
+    for wrong in (np.ones(3), np.ones((2, 5)), np.ones((1, 1, 4))):
+        with pytest.raises(ValidationError, match="^value vector length does not match unit count$"):
+            c.cluster_sums(wrong)
 
 
 def test_metrics_single_cluster(cliquepair_graph):
@@ -239,6 +242,11 @@ def test_metrics_single_cluster(cliquepair_graph):
     assert m.internal_edge_fraction == 1.0
     assert m.balance_ratio == 1.0
     assert m.isolated_units == 0
+
+
+def test_metrics_refuse_a_graph_of_another_size(cliquepair_graph):
+    with pytest.raises(ValidationError, match="^clustering does not cover the graph$"):
+        clustering_metrics(cliquepair_graph, Clustering.from_assignment([0, 0, 1, 1]))
 
 
 def test_metrics_singletons(cliquepair_graph):
@@ -287,7 +295,7 @@ def test_cluster_features_covariates_have_one_row_per_cluster():
     # not transposed into M rows of M+1 covariates.
     graph, clustering = Graph.from_edges(4, []), Clustering.from_assignment([0, 1, 2, 3])
     features = cluster_features(graph, clustering, covariates=np.array([3.0, 1.0, 4.0, 2.0]))
-    assert features.covariates.tolist() == [[3.0], [1.0], [4.0], [2.0]]
+    assert features[:, 2:].tolist() == [[3.0], [1.0], [4.0], [2.0]]
     with pytest.raises(ValidationError, match="covariates must have one row per cluster"):
         cluster_features(graph, clustering, covariates=np.ones((5, 4)))
 
@@ -296,6 +304,47 @@ def test_stratify_requires_two_clusters_per_stratum():
     features = cluster_features(Graph.from_edges(4, []), Clustering.from_assignment([0, 1, 2, 3]))
     with pytest.raises(ValidationError):
         stratify_clusters(features, 3)
+    with pytest.raises(ValidationError, match="^need at least one stratum$"):
+        stratify_clusters(features, 0)
+
+
+@pytest.mark.parametrize("features", [np.ones(8), np.ones((2, 4, 1)), [[0.0, 1.0]] * 3 + [[np.nan, 1.0]],
+                                      [[0.0, 1.0]] * 3 + [[np.inf, 1.0]]])
+def test_stratify_refuses_features_that_are_not_a_finite_matrix(features):
+    with pytest.raises(ValidationError, match="^features must be a 2-d matrix of finite numbers"):
+        stratify_clusters(features, 2)
+
+
+def test_stratify_takes_any_finite_matrix():
+    # Integer rows are read as floats; a matrix of no columns ranks every
+    # cluster alike, so the seed alone orders them.
+    ints = stratify_clusters(np.array([[3], [1], [4], [2]]), 2, seed=0)
+    assert ints.stratum_of.tolist() == [1, 0, 1, 0]
+    assert stratify_clusters(np.empty((6, 0)), 3, seed=1).strata_sizes.tolist() == [2, 2, 2]
+
+
+@pytest.mark.parametrize(
+    "design, with_covariates, labels",
+    [
+        ("clique", False, [0, 1, 1, 0]),
+        ("clique", True, [0, 1, 0, 1]),
+        ("sbm", False, [3, 2, 0, 0, 1, 3, 0, 4, 1, 4, 2, 0]),
+        ("sbm", True, [0, 3, 0, 2, 1, 4, 1, 4, 0, 3, 2, 0]),
+    ],
+)
+def test_stratum_labels_are_pinned(cliquepair_graph, design, with_covariates, labels):
+    # Labels pinned from an earlier implementation that kept the features
+    # as separate columns: the matrix must rank, chunk and break ties as it did.
+    if design == "clique":
+        graph, clustering, strata, seed = cliquepair_graph, Clustering.from_assignment([0, 0, 1, 1, 2, 2, 3, 3]), 2, 3
+    else:
+        graph, clustering = generate_sbm(SbmSpec(num_blocks=12, block_size=5, p_intra=0.5, p_inter=0.05, seed=3))
+        strata, seed = 5, 2
+    m = clustering.num_clusters
+    covariates = (np.arange(m)[:, None] * [7, 3, 5]) % [11, 4, 9] if with_covariates else None
+    features = cluster_features(graph, clustering, covariates)
+    assert features.dtype == np.float64 and features.shape == (m, 5 if with_covariates else 2)
+    assert stratify_clusters(features, strata, seed=seed).stratum_of.tolist() == labels
 
 
 @settings(max_examples=30, deadline=None)
@@ -329,8 +378,9 @@ def test_stratify_partition_property(num_clusters, num_strata, seed):
 def test_cluster_features_edge_counts(cliquepair_graph):
     c = Clustering.from_assignment([0, 0, 0, 0, 1, 1, 1, 1])
     f = cluster_features(cliquepair_graph, c)
-    assert f.internal_edges.tolist() == [6, 6]
-    assert f.boundary_edges.tolist() == [1, 1]
+    assert f.dtype == np.float64
+    # Internal edge counts, then boundary edge counts.
+    assert f.tolist() == [[6.0, 1.0], [6.0, 1.0]]
 
 
 def test_clustering_csv_round_trip(tmp_path):
