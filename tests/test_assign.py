@@ -417,6 +417,8 @@ def test_save_assignment_writes_only_what_the_reader_accepts(tmp_path, clusters8
         save_assignment([a, a], path)
     with pytest.raises(ValidationError, match="^unit 0 is in 0 strata, not exactly one$"):
         save_assignment(replace(a, unit_ids=np.arange(8) + 2), path)
+    with pytest.raises(ValidationError, match=r"^unit id -1 is negative; unit ids run 0\.\.N-1$"):
+        save_assignment(replace(a, unit_ids=np.arange(8) - 1), path)
     assert not path.exists()
 
 

@@ -480,6 +480,19 @@ def test_outcomes_must_be_one_vector(statistic, shape):
         statistic(plain, outcomes)
 
 
+@pytest.mark.parametrize("statistic", [
+    analyze,
+    lambda a, y: analyze_stratified([a], y),
+    delta_statistic,
+    empirical_variance_bound,
+], ids=["analyze", "analyze_stratified", "delta_statistic", "empirical_variance_bound"])
+def test_negative_unit_id_is_refused(statistic):
+    # The ids went to np.bincount, whose bare ValueError named no unit.
+    plain, _, y = _sixteen_of_thirty_two()
+    with pytest.raises(ValidationError, match=r"^unit id -1 is negative; unit ids run 0\.\.N-1$"):
+        statistic(replace(plain, unit_ids=np.arange(16) - 1), y[:16])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     shape=st.sampled_from([(8, 2), (12, 3), (16, 3), (20, 5)]),
