@@ -16,7 +16,10 @@ Seeding discipline: a master seed expands into named substreams through
 split, child 1 the individually randomized arm, child 2 the
 cluster-randomized arm; stratified designs give each stratum its own spawned
 child first. Substreams are independent, so redrawing one arm never perturbs
-the other.
+the other. A ``numpy.random.Generator`` given as the seed of
+``hierarchical_assign`` drives all three randomizations in turn instead, and
+is left advanced past them: consecutive calls on one generator are the
+consecutive draws of a Monte Carlo study, with no substreams to spawn.
 """
 
 from __future__ import annotations
@@ -150,7 +153,12 @@ class HierarchicalAssignment:
             arr.setflags(write=False)
 
 
-def _complete_randomization(num_units: int, n_t: int, seed: int | np.random.SeedSequence) -> np.ndarray:
+# What a randomization draws from: ``np.random.default_rng`` builds a
+# generator from a seed and returns a given generator as it is.
+RandomSource = int | np.random.SeedSequence | np.random.Generator
+
+
+def _complete_randomization(num_units: int, n_t: int, seed: RandomSource) -> np.ndarray:
     """Treat exactly ``n_t`` of ``num_units`` units, uniformly at random."""
     if not 1 <= n_t <= num_units - 1:
         raise ValidationError(f"n_t={n_t} must leave both groups non-empty (N={num_units})")
@@ -160,7 +168,7 @@ def _complete_randomization(num_units: int, n_t: int, seed: int | np.random.Seed
     return z
 
 
-def _bernoulli_rerandomized(num_units: int, p: float, seed: int | np.random.SeedSequence) -> np.ndarray:
+def _bernoulli_rerandomized(num_units: int, p: float, seed: RandomSource) -> np.ndarray:
     """Independent coin flips, redrawn until neither group is empty."""
     if not 0.0 < p < 1.0:
         raise ValidationError(f"p={p} must lie strictly inside (0, 1)")
@@ -205,15 +213,15 @@ def _encode(
 def _hierarchical_from_streams(
     clustering: Clustering,
     counts: DesignCounts,
-    arm_stream: np.random.SeedSequence,
-    cr_stream: np.random.SeedSequence,
-    cbr_stream: np.random.SeedSequence,
+    arm_stream: RandomSource,
+    cr_stream: RandomSource,
+    cbr_stream: RandomSource,
     cr_arm_mechanism: CrArmMechanism,
     provenance: str,
     unit_ids: np.ndarray | None = None,
 ) -> HierarchicalAssignment:
-    # Each randomization draws from its own stream, so redrawing one cannot
-    # shift another's outcome.
+    # Each randomization draws from its stream, in this order; given three
+    # streams, redrawing one cannot shift another's outcome.
     _require_balanced(clustering, counts)
     cluster_arm = _complete_randomization(counts.num_clusters, counts.m_cr, arm_stream)
     if cr_arm_mechanism == "complete":
@@ -241,7 +249,7 @@ def _hierarchical_from_streams(
 def hierarchical_assign(
     clustering: Clustering,
     counts: DesignCounts,
-    seed: int | np.random.SeedSequence = 0,
+    seed: int | np.random.SeedSequence | np.random.Generator = 0,
     cr_arm_mechanism: CrArmMechanism = "complete",
 ) -> HierarchicalAssignment:
     """Draw the two-arm design: cluster arm split, then within-arm treatment.
@@ -251,13 +259,21 @@ def hierarchical_assign(
     treated by complete randomization (or re-randomized Bernoulli with the
     matching treated fraction, after which the draw's ``counts`` hold the
     realized ``n_cr_t``/``n_cr_c``), and the other arm's clusters are split
-    ``m_cbr_t`` treated / ``m_cbr_c`` control uniformly. The two within-arm
-    draws come from independent seed substreams.
+    ``m_cbr_t`` treated / ``m_cbr_c`` control uniformly.
+
+    An integer or ``SeedSequence`` seed spawns three substreams, one per
+    randomization, and the provenance reads ``seed=<seed>``. A
+    ``numpy.random.Generator`` draws the split, then the two within-arm
+    randomizations, from itself, and is left advanced past them, so
+    consecutive calls on one generator are independent draws of the design
+    with no per-draw seeding cost; the provenance reads ``generator``.
 
     Raises:
         ValidationError: Unbalanced clustering (the analysis requires exactly
             equal cluster sizes) or counts inconsistent with it.
     """
+    if isinstance(seed, np.random.Generator):
+        return _hierarchical_from_streams(clustering, counts, seed, seed, seed, cr_arm_mechanism, "generator")
     return _hierarchical_from_streams(
         clustering, counts, *_seed_sequence(seed).spawn(3), cr_arm_mechanism, f"seed={seed}"
     )

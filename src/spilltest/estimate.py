@@ -151,9 +151,7 @@ def _estimate_rows(
     cr = unit_arm == ARM_CR
     z = treatment.astype(bool)
     tau_cr, bound_cr = _contrast(y, cr & z, cr & ~z, c.n_cr_t, c.n_cr_c, bound)
-    # One unit of each cluster, whichever the scatter keeps.
-    one = np.empty(clustering.num_clusters, dtype=np.intp)
-    one[clustering.assignment] = np.arange(clustering.num_units)
+    one = clustering.unit_of_each
     cbr, zc = ~cr[:, one], z[:, one]
     y_plus = clustering.cluster_sums(y)
     diff_cbr, bound_cbr = _contrast(y_plus, cbr & zc, cbr & ~zc, c.m_cbr_t, c.m_cbr_c, bound)

@@ -106,6 +106,14 @@ def test_hierarchical_count_contract(clusters8, counts8):
         assert ((cluster_arm == 0) & (cluster_treatment == 1)).sum() == 1
 
 
+def test_stratified_draw_refuses_a_generator(clusters8):
+    # Only the unstratified draw takes a generator; a stratified one spawns
+    # a stream per stratum from an integer seed.
+    strata = Stratification(np.array([0, 0, 1, 1]))
+    with pytest.raises(ValidationError, match=r"^seed=Generator\(PCG64\) at 0x[0-9A-Fa-f]+ is not an integer$"):
+        stratified_hierarchical_assign(clusters8, strata, seed=np.random.default_rng(0))
+
+
 def test_hierarchical_refuses_an_unknown_mechanism(clusters8, counts8):
     with pytest.raises(ValidationError, match="^unknown mechanism 'x'$"):
         hierarchical_assign(clusters8, counts8, cr_arm_mechanism="x")

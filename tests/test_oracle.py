@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from spilltest import (
     Clustering,
@@ -15,9 +16,11 @@ from spilltest import (
     enumerate_complete,
     enumerate_hierarchical,
     hierarchical_assign,
+    realize_sutva,
 )
 from spilltest import oracle
 from spilltest.assign import assignment_from_vectors
+from spilltest.estimate import _estimate_rows
 from spilltest.oracle import (
     CHECKS,
     ENUMERATION_CAP,
@@ -228,6 +231,45 @@ def test_enumeration_matches_sampler_frequencies(bound_design):
     assert abs(values.mean() - exact.mean) <= 4 * se
     var_se = exact.variance * math.sqrt(2.0 / (draws - 1))
     assert abs(values.var(ddof=1) - exact.variance) <= 4 * var_se
+
+
+def test_one_generator_matches_the_enumerated_moments(bound_design):
+    # Consecutive draws on one generator, as a study's stack makes them:
+    # exact moments of delta vs 2e4 draws.
+    clustering, counts = bound_design
+    table_rng = np.random.default_rng(7)
+    table = PotentialTable(y1=table_rng.normal(size=12), y0=table_rng.normal(size=12))
+    exact = enumerate_hierarchical(table, clustering, counts)
+    draws = 20_000
+    generator = np.random.default_rng(43)
+    sample = [hierarchical_assign(clustering, counts, generator) for _ in range(draws)]
+    unit_arm = np.stack([a.unit_arm for a in sample])
+    treatment = np.stack([a.treatment for a in sample])
+    tau_cr, tau_cbr, _ = _estimate_rows(
+        clustering, counts, unit_arm, treatment, realize_sutva(table, treatment), bound=False
+    )
+    values = tau_cr - tau_cbr
+    se = values.std(ddof=1) / math.sqrt(draws)
+    assert abs(values.mean() - exact.mean) <= 4 * se
+    var_se = exact.variance * math.sqrt(2.0 / (draws - 1))
+    assert abs(values.var(ddof=1) - exact.variance) <= 4 * var_se
+
+
+def test_one_generator_draws_every_outcome_equally_often():
+    # 4 clusters of 2: 6 arm splits x 6 unit-arm treatments x 2 cluster-arm
+    # treatments, 72 equiprobable outcomes, each about 278 times in 2e4 draws.
+    clustering = Clustering(np.repeat(np.arange(4), 2))
+    counts = DesignCounts(n_cr=4, n_cbr=4, m_cr=2, m_cbr=2, n_cr_t=2, n_cr_c=2, m_cbr_t=1, m_cbr_c=1)
+    unit_arm, treatment = enumerate_hierarchical_assignments(clustering, counts)
+    seen = {a.tobytes() + t.tobytes(): 0 for a, t in zip(unit_arm, treatment)}
+    assert len(seen) == hierarchical_outcome_count(counts) == 72
+    generator = np.random.default_rng(44)
+    for _ in range(20_000):
+        draw = hierarchical_assign(clustering, counts, generator)
+        seen[draw.unit_arm.tobytes() + draw.treatment.tobytes()] += 1  # a KeyError is an outcome not enumerated
+    assert draw.provenance == "generator"
+    assert min(seen.values()) > 0
+    assert stats.chisquare(list(seen.values())).pvalue > 0.001
 
 
 def test_enumerated_rejection_rate_is_conservative(bound_design):

@@ -117,6 +117,22 @@ def test_type1_constant_outcomes_never_reject():
     assert report.rows[0].mean_delta == 0.0
 
 
+def _stack_height(num_units):
+    return max(1, sim._STACK_BYTES // (8 * num_units))
+
+
+def _study_draws(clustering, counts, root, replications):
+    """A grid point's draws in replication order, as the study makes them:
+    the draws of stack k, in row order, from one generator seeded with child
+    k of ``root``. The children come from ``root.spawn``; the loop builds
+    child k without spawning, so the two must agree."""
+    height = _stack_height(clustering.num_units)
+    for k, child in enumerate(root.spawn(-(-replications // height))):
+        rng = np.random.default_rng(child)
+        for _ in range(min(height, replications - k * height)):
+            yield sim.hierarchical_assign(clustering, counts, rng)
+
+
 def test_type1_counts_what_analyze_decides():
     # Noise-free constant effect: gaps and bounds sit at rounding level, and
     # the study must count exactly the draws that analyze rejects.
@@ -128,18 +144,18 @@ def test_type1_counts_what_analyze_decides():
         constant_effect=0.1, y0_cluster_sd=0.0, y0_unit_sd=0.0,
     )
     row = run_study(cfg).rows[0]
-    # Fresh streams, each drawn once: a draw spawns from its stream, so a
-    # second draw on the same stream would be another assignment.
-    clustering, counts, _, outcomes, streams = sim._sutva_design(cfg)
+    # A fresh root: the study's draws again, every one of the 50, each
+    # decided by analyze.
+    clustering, counts, _, outcomes, root = sim._sutva_design(cfg)
     decided = {"chebyshev": [], "gaussian": []}
-    for r, s in enumerate(streams):
-        draw = sim.hierarchical_assign(clustering, counts, s)
+    for r, draw in enumerate(_study_draws(clustering, counts, root, cfg.replications)):
         y = outcomes(draw.treatment[None], r)[0]
         assignment = assignment_from_vectors(clustering, draw.unit_arm, draw.treatment)
         for rule, rejects in decided.items():
             rejects.append(analyze(assignment, y, alpha=cfg.alpha, decision_rule=rule).reject)
-    assert row.rejection_rate == sum(decided["chebyshev"]) / len(streams)
-    assert row.rejection_rate_gaussian == sum(decided["gaussian"]) / len(streams)
+    assert len(decided["chebyshev"]) == len(decided["gaussian"]) == cfg.replications == 50
+    assert row.rejection_rate == sum(decided["chebyshev"]) / cfg.replications
+    assert row.rejection_rate_gaussian == sum(decided["gaussian"]) / cfg.replications
 
 
 def test_study_refuses_non_finite_statistic():
@@ -245,16 +261,16 @@ def test_ratio_row_keeps_the_type1_rejection_rates():
 # ---------------------------------------------------------------------------
 
 
-def _one_draw_replicate(cfg, clustering, counts, streams, outcomes, setting=0, gamma=0.0, rho_c=0.0):
+def _one_draw_replicate(cfg, clustering, counts, root, outcomes, setting=0, gamma=0.0, rho_c=0.0):
     """The replication loop as it was before draws were stacked: one draw,
-    one kernel call on its one-row views and one decision per stream."""
-    n = len(streams)
+    one kernel call on its one-row views and one decision per replication.
+    It draws what the stacked loop draws (see ``_study_draws``)."""
+    n = cfg.replications
     deltas = np.empty(n)
     bounds = np.empty(n)
     rejections = 0
     rejections_gauss = 0
-    for r, stream in enumerate(streams):
-        a = sim.hierarchical_assign(clustering, counts, stream)
+    for r, a in enumerate(_study_draws(clustering, counts, root, n)):
         z = a.treatment[None]
         y = outcomes(z, r)
         tau_cr, tau_cbr, sigma_hat_sq = estimate._estimate_rows(clustering, a.counts, a.unit_arm[None], z, y)
@@ -289,10 +305,6 @@ def _row_bits(row):
     return tuple(np.float64(v).tobytes() if isinstance(v, float) else v for v in astuple(row))
 
 
-def _stack_height(num_units):
-    return max(1, sim._STACK_BYTES // (8 * num_units))
-
-
 def _per_row_realize_linear(model, z, seed):
     """Each row's outcomes from the weighted-bincount neighbor counts and its
     own noise generator: a reference that shares no code with the stacked
@@ -309,7 +321,7 @@ def _per_row_realize_linear(model, z, seed):
 
 def _rows_both_ways(cfg):
     # The one-draw run realizes a power study's outcomes row by row through
-    # the reference above. Each run_study call spawns its own streams.
+    # the reference above. Each run_study call makes its own seed roots.
     stacked = run_study(cfg).rows
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_replicate", _one_draw_replicate)
@@ -409,9 +421,10 @@ def test_stacked_power_study_equals_the_one_draw_loop(extra):
 
 
 def _sutva_draws(cfg, poison=None):
-    # The study's design: its clustering, counts, fresh streams and outcome
-    # function, with the outcomes of replication ``poison`` poisoned.
-    clustering, counts, _, outcomes, streams = sim._sutva_design(cfg)
+    # The study's design: its clustering, counts, a fresh replication root
+    # and its outcome function, with the outcomes of replication ``poison``
+    # poisoned.
+    clustering, counts, _, outcomes, root = sim._sutva_design(cfg)
 
     def poisoned(z, first):
         y = outcomes(z, first).copy()
@@ -419,7 +432,7 @@ def _sutva_draws(cfg, poison=None):
             y[poison - first, 3] = np.inf
         return y
 
-    return clustering, counts, streams, poisoned
+    return clustering, counts, root, poisoned
 
 
 def test_non_finite_outcome_mid_stack_raises_as_one_draw_loop():
@@ -440,3 +453,23 @@ def test_stack_refuses_draws_with_different_counts(monkeypatch):
     monkeypatch.setattr(sim, "hierarchical_assign", bernoulli)
     with pytest.raises(ValidationError, match="^assignment does not match its design counts$"):
         sim._replicate(cfg, *_sutva_draws(cfg))
+
+
+def test_rows_do_not_depend_on_where_the_replications_end(monkeypatch):
+    # Stacks of 8 at 4096 units: 16 replications end on a full stack, 21 run
+    # on into a third. The first 16 gaps and bounds must keep their bits, so
+    # contiguous stack ranges can go to workers.
+    decided = []
+
+    def spy(delta, bound, alpha, floor):
+        decided[-1].append((delta, bound))
+        return decide(delta, bound, alpha, floor)
+
+    decide = sim._decide
+    monkeypatch.setattr(sim, "_decide", spy)
+    for replications in (16, 21):
+        decided.append([])
+        run_study(SimConfig(study="type1", replications=replications, **SUTVA_STACKED))
+    short, long = (np.array(d) for d in decided)
+    assert short.shape == (16, 2) and long.shape == (21, 2)
+    assert short.tobytes() == long[:16].tobytes()
