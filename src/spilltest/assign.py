@@ -148,7 +148,7 @@ class HierarchicalAssignment:
 
     def __post_init__(self) -> None:
         if self.unit_ids is None:
-            object.__setattr__(self, "unit_ids", np.arange(self.clustering.num_units))
+            object.__setattr__(self, "unit_ids", self.clustering._unit_ids)
         for arr in (self.unit_arm, self.treatment, self.unit_ids):
             arr.setflags(write=False)
 
