@@ -12,7 +12,10 @@ The clusterer is a restreaming linear deterministic greedy: units stream in a
 seed-shuffled order and each one joins the cluster holding most of its
 neighbors, discounted by how full that cluster already is. Later passes
 restream units against the standing assignment, which monotonically tightens
-the partition in practice. Neighbor counting runs in numpy, one block of the
+the partition in practice. When no cluster with room holds a neighbor, a
+unit takes the lowest-id cluster with room, so the first pass fills clusters
+to capacity in stream order; it is computed in O(N) without reading the
+graph. In later passes neighbor counting runs in numpy, one block of the
 stream at a time; Python only scores each unit's candidate clusters, in
 stream order, so the blocks change no placement.
 """
@@ -36,10 +39,11 @@ if TYPE_CHECKING:
     from .graph import Graph
 
 # Units per block of the LDG stream: one numpy gather and count per block.
-# On a 10^5-unit planted partition (M = 1000, 2 passes; 2 Xeon cores,
-# numpy 2.4) blocks of 128 and 256 took 0.41-0.46 s, 64 took 0.51 s (numpy
-# calls per block) and 512-2048 took 0.49-0.55 s (more neighbors streamed
-# earlier in their own block, counted in Python).
+# On a 10^5-unit planted partition (M = 1000, 2 passes, of which the second
+# streams blocks; 2 Xeon cores, numpy 2.4) blocks of 128 took 0.27-0.37 s
+# and 256 took 0.26-0.29 s (medians 0.279 and 0.276 s, 128 faster in 5 of
+# 10 alternating rounds); 512 took 0.32-0.36 s, slower in 10 of 10 (more
+# neighbors streamed earlier in their own block, counted in Python).
 _LDG_BLOCK = 256
 
 
@@ -166,24 +170,35 @@ def ldg_restream(
     Each pass visits units in a fresh seed-shuffled order. A unit scores every
     cluster as ``(neighbors already in the cluster) * (1 - size / capacity)``
     and joins the best non-full one, lowest cluster id on ties, where
-    ``capacity = ceil((N / num_clusters) * (1 + leniency))``. Passes after the
-    first pull each unit out of its standing cluster and re-place it against
-    the current state of the partition.
+    ``capacity = ceil((N / num_clusters) * (1 + leniency))``. When no non-full
+    cluster scores above zero it takes the lowest-id non-full cluster. Passes
+    after the first pull each unit out of its standing cluster and re-place
+    it against the current state of the partition.
+
+    Under that lowest-id fallback the first pass is a fill in stream order
+    and never reads the graph. No unit has a cluster before the pass places
+    it, and at every visit the clusters below the lowest non-full one are
+    full and those above it empty. So the only non-full cluster that can
+    hold a neighbor, and score above zero, is the one the fallback takes,
+    and the unit at stream position i joins cluster ``i // capacity``. The
+    first pass sets that in O(N); its permutation is still drawn, so later
+    passes see the same stream. A fallback that picks another cluster would
+    make the first pass read the graph again.
 
     Only the clusters holding a unit's neighbors can score above zero. A
-    pass streams its order in blocks of ``_LDG_BLOCK`` units: numpy gathers
-    a block's adjacency and counts each unit's neighbors per standing
-    cluster (its placement in this pass if streamed in an earlier block,
-    else its cluster from the previous pass), leaving out the neighbors
-    streamed earlier in the same block. Those are counted at the unit's
-    visit, under the cluster they have just joined. So every visit sees the
-    counts a unit-by-unit stream gives it, and since a choice depends only
-    on those counts and the sizes at the visit, blocks change no placement.
-    The visit scores each candidate cluster; when none has room it takes the
-    lowest-id non-full cluster, which only moves up within a pass. A pass
-    costs O(N + E) numpy work plus one Python step per distinct candidate
-    cluster of each unit. Parking, below, adds one sort of the labels and
-    O(M) per empty cluster, and runs only when a cluster is left empty.
+    later pass streams its order in blocks of ``_LDG_BLOCK`` units: numpy
+    gathers a block's adjacency and counts each unit's neighbors per
+    standing cluster (its placement in this pass if streamed in an earlier
+    block, else its cluster from the previous pass), leaving out the
+    neighbors streamed earlier in the same block. Those are counted at the
+    unit's visit, under the cluster they have just joined. So every visit
+    sees the counts a unit-by-unit stream gives it, and since a choice
+    depends only on those counts and the sizes at the visit, blocks change
+    no placement. The visit scores each candidate cluster; the fallback's
+    cluster only moves up within a pass. A later pass costs O(N + E) numpy
+    work plus one Python step per distinct candidate cluster of each unit.
+    Parking, below, adds one sort of the labels and O(log M) per empty
+    cluster, and runs only when a cluster is left empty.
 
     Deterministic given ``seed``.
     """
@@ -205,18 +220,22 @@ def ldg_restream(
     capacity = math.ceil(size_cap)
 
     rng = np.random.default_rng(seed)
+    # The first pass in closed form (see the docstring).
+    order = rng.permutation(n)
+    # A unit's standing cluster: its placement in this pass once its block
+    # is streamed, else its cluster from the previous pass.
+    standing = np.empty(n, dtype=np.int64)
+    standing[order] = np.arange(n) // capacity
+    sizes = np.bincount(standing, minlength=m)
     indptr = graph.adjacency_indptr
     indices = graph.adjacency_indices
     degrees = graph.degrees
     # Keep the fill penalty as size * (-1 / capacity) + 1: an algebraically
     # equal form rounds differently and can change which cluster wins a tie.
     neg_inv_capacity = -1.0 / capacity
-    # A unit's standing cluster: its placement in this pass once its block
-    # is streamed, else its cluster from the previous pass, else -1. Each
-    # pass refills capacity from zero.
-    standing = np.full(n, -1, dtype=np.int64)
     rank = np.empty(n, dtype=np.int64)
-    for _ in range(iterations):
+    for _ in range(iterations - 1):
+        # Each pass refills capacity from zero.
         sizes = [0] * m
         first_open = 0
         order = rng.permutation(n)
@@ -229,9 +248,8 @@ def ldg_restream(
             nbrs = indices[np.repeat(indptr[units] - offsets, lens) + np.arange(len(owner))]
             nbr_pos = rank[nbrs] - start
             early = (nbr_pos >= 0) & (nbr_pos < owner)
-            cur = standing[nbrs]
-            counted = ~early & (cur >= 0)
-            keys, key_counts = np.unique(owner[counted] * m + cur[counted], return_counts=True)
+            counted = ~early
+            keys, key_counts = np.unique(owner[counted] * m + standing[nbrs[counted]], return_counts=True)
             key_owner, key_cluster = np.divmod(keys, m)
             ends = np.cumsum(np.bincount(key_owner, minlength=len(units))).tolist()
             candidates = list(zip(key_cluster.tolist(), key_counts.tolist()))
@@ -271,23 +289,29 @@ def ldg_restream(
             standing[units] = placed
     # The last pass counted the sizes of the assignment it leaves.
     assignment = standing
-    sizes = np.array(sizes, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
 
     # Greedy passes can leave clusters empty on degenerate inputs; park one
     # spare unit in each empty cluster so the Clustering invariant holds.
-    # Each donor gives its lowest-id remaining unit; no unit moves into a
-    # donor (a parked cluster holds one unit, and the largest holds two or
-    # more), so one stable sort of the labels lists every donor's units.
+    # The donor is the largest cluster, lowest id on ties, popped from a heap
+    # of (-size, id) over the clusters of two or more units: while a cluster
+    # is empty the largest holds two or more, and a parked cluster holds one.
+    # So no unit moves into a donor, each donor gives its lowest-id remaining
+    # unit, and one stable sort of the labels lists every donor's units.
     empty = np.flatnonzero(sizes == 0)
     if len(empty):
         members = np.argsort(assignment, kind="stable")
-        next_member = np.cumsum(sizes) - sizes
-        for c in empty.tolist():
-            donor = int(np.argmax(sizes))
-            assignment[members[next_member[donor]]] = c
+        next_member = (np.cumsum(sizes) - sizes).tolist()
+        donors = np.flatnonzero(sizes >= 2)
+        heap = list(zip((-sizes[donors]).tolist(), donors.tolist()))
+        heapq.heapify(heap)
+        moved = []
+        for _ in range(len(empty)):
+            neg_size, donor = heap[0]
+            heapq.heapreplace(heap, (neg_size + 1, donor))
+            moved.append(next_member[donor])
             next_member[donor] += 1
-            sizes[donor] -= 1
-            sizes[c] += 1
+        assignment[members[moved]] = empty
     return Clustering(assignment)
 
 

@@ -1,14 +1,16 @@
 """LDG's block loop against the per-neighbor loop it replaced.
 
-``partition.ldg_restream`` counts the standing clusters of each block of the
-stream's neighbors with numpy and scores only each unit's candidate
-clusters in Python. A neighbor streamed earlier in the same block is counted
-at the unit's visit, under the cluster it has just joined. The reference
-below is the loop it replaced: one dict of neighbor counts per unit, filled
-neighbor by neighbor, and a parking loop that rescans every label per empty
-cluster. The tests hold the two to the same assignment, bit for bit, across
-block boundaries. The CI step "Clusterings keep their bits" runs the CLI
-``cluster`` both ways on a 10^5-unit graph, through :func:`reference_ldg`.
+``partition.ldg_restream`` computes its first pass as a fill in stream order,
+without reading the graph. In later passes it counts the standing clusters
+of each block of the stream's neighbors with numpy and scores only each
+unit's candidate clusters in Python. A neighbor streamed earlier in the same
+block is counted at the unit's visit, under the cluster it has just joined.
+The reference below is the loop it replaced: every pass, the first included,
+fills one dict of neighbor counts per unit, neighbor by neighbor, and a
+parking loop rescans every label per empty cluster. The tests hold the two
+to the same assignment, bit for bit, across block boundaries. The CI step
+"Clusterings keep their bits" runs the CLI ``cluster`` both ways on a
+10^5-unit graph, in two configs, through :func:`reference_ldg`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spilltest
 from spilltest import Clustering, Graph, SbmSpec, cli, generate_sbm, ldg_restream, partition
@@ -136,6 +140,37 @@ def test_block_loop_equals_the_neighbor_loop_across_blocks(n, leniency):
     for m in sorted({1, max(1, n // 40), max(1, n // 7), n}):
         for iterations in (1, 2, 4):
             _same(g, m, leniency, iterations, seed=n + iterations)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (12, 3), (300, 10), (1000, 40), (3000, 1000)])
+def test_one_reference_pass_is_a_fill_in_stream_order(n, m):
+    # The claim the shipped first pass rests on, checked on the reference
+    # loop, which reads the graph: with capacity N / M nothing is parked,
+    # and the unit at stream position i lands in cluster i // capacity.
+    for seed in range(4):
+        g = _random_graph(n, 5 * n, seed=seed)
+        fill = np.empty(n, dtype=np.int64)
+        fill[np.random.default_rng(seed).permutation(n)] = np.arange(n) // (n // m)
+        reference = reference_ldg_restream(g, m, leniency=0.0, iterations=1, seed=seed).assignment
+        assert reference.tobytes() == fill.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 400).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.floats(0.0, 8.0),
+    st.sampled_from([0.0, 0.05, 0.5, 2.0]),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+# Nine units in four clusters of three: the first pass fills three clusters
+# and leaves one empty, so parking runs at leniency 0.
+@example((9, 4), 2.0, 0.0, 1, 0)
+@example((9, 4), 2.0, 0.0, 3, 5)
+def test_shipped_ldg_equals_the_reference_on_random_inputs(n_m, mean_degree, leniency, iterations, seed):
+    n, m = n_m
+    g = _random_graph(n, int(mean_degree * n / 2), seed=seed)
+    _same(g, m, leniency, iterations, seed)
 
 
 @pytest.mark.parametrize("iterations", [1, 2, 3, 4])
