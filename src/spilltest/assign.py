@@ -424,12 +424,10 @@ def assignment_from_vectors(
     treatment = np.asarray(treatment, dtype=np.int8)
     m = clustering.num_clusters
     of = clustering.assignment
-    # Each cluster's value is that of one of its units (whichever the scatter
-    # keeps); a cluster holds one value when no unit differs from it.
-    cluster_arm = np.empty(m, dtype=np.int8)
-    cluster_arm[of] = unit_arm
-    cluster_treatment = np.empty(m, dtype=np.int8)
-    cluster_treatment[of] = treatment
+    # Each cluster's value is that of one of its units; a cluster holds one
+    # value when no unit differs from it.
+    cluster_arm = unit_arm[clustering.unit_of_each]
+    cluster_treatment = treatment[clustering.unit_of_each]
     differs = np.stack([unit_arm != cluster_arm[of], treatment != cluster_treatment[of]])
     mixed_arm, mixed_treatment = clustering.cluster_sums(differs) > 0
     cbr = cluster_arm == ARM_CBR

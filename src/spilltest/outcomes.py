@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -160,49 +160,45 @@ def realize_sutva(table: PotentialTable, z: np.ndarray) -> np.ndarray:
 def realize_linear(
     model: LinearInterferenceModel,
     z: np.ndarray,
-    seed: int | np.random.SeedSequence | Sequence[int | np.random.SeedSequence] = 0,
+    seed: int | np.random.SeedSequence | np.random.Generator = 0,
 ) -> np.ndarray:
     """Draw outcomes from the linear interference model; deterministic per seed.
 
-    ``z`` holds one 0/1 treatment per unit, with one ``seed``; or it is an
-    ``(R, N)`` stack of such rows, with a sequence of R seeds, one per row.
-    Returns a read-only float64 array of the shape of ``z``: one outcome per
-    unit and row. Row r of a stack equals the one-row call on ``z[r]`` with
-    ``seed[r]``, bit for bit: the neighbor counts of the whole stack come
-    from one lane-packed pass (see
-    :meth:`LinearInterferenceModel.treated_neighbor_fractions`), and each
-    row's noise from its own generator. A noise-free model draws nothing
-    from ``seed``.
+    ``z`` holds one 0/1 treatment per unit, or is an ``(R, N)`` stack of
+    such rows. Returns a read-only float64 array of the shape of ``z``: one
+    outcome per unit and row. The stack's neighbor counts come from one
+    lane-packed pass (see
+    :meth:`LinearInterferenceModel.treated_neighbor_fractions`), and its
+    noise from one generator (``seed`` itself, or ``default_rng(seed)``),
+    row after row: row r equals the r-th of R one-row calls on one
+    generator, bit for bit. A noise-free model draws nothing. Overflowing
+    outcomes are left non-finite, without a warning.
 
     Raises:
         ValidationError: If ``z`` does not match the graph, or a noisy
-            model gets a stack without one seed per row, or a seed that is
-            neither a non-negative integer nor a ``SeedSequence``.
+            model gets a seed that is neither a non-negative integer, a
+            ``SeedSequence`` nor a ``Generator``.
     """
     z = np.asarray(z)
     fractions = model.treated_neighbor_fractions(z)
-    # alpha + beta * z + gamma * fractions, built in one array: the same
-    # operations on the same operands as the expression, so the same bits.
-    y = z.astype(np.float64)
-    y *= model.beta
-    y += model.alpha
-    fractions *= model.gamma
-    y += fractions
-    if model.noise_sd > 0:
-        if z.ndim == 1:
-            seeds = [seed]
-        elif np.ndim(seed) == 1 and len(seed) == len(z):
-            seeds = seed
-        else:
-            raise ValidationError(f"a stack of {len(z)} assignments needs one seed per row")
-        # One reused row, not an (R, N) array of noise.
-        noise = np.empty(model.num_units)
-        for row, s in zip(y.reshape(-1, model.num_units), seeds):
-            if not isinstance(s, np.random.SeedSequence):
-                check_seed(s)
-            np.random.default_rng(s).standard_normal(out=noise)
-            noise *= model.noise_sd
-            row += noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        # alpha + beta * z + gamma * fractions, built in one array: the same
+        # operations on the same operands as the expression, so the same bits.
+        y = z.astype(np.float64)
+        y *= model.beta
+        y += model.alpha
+        fractions *= model.gamma
+        y += fractions
+        if model.noise_sd > 0:
+            if not isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+                check_seed(seed)
+            rng = np.random.default_rng(seed)
+            # One reused row, not an (R, N) array of noise.
+            noise = np.empty(model.num_units)
+            for row in y.reshape(-1, model.num_units):
+                rng.standard_normal(out=noise)
+                noise *= model.noise_sd
+                row += noise
     y.setflags(write=False)
     return y
 

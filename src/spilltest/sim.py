@@ -26,12 +26,12 @@ outcomes of one stack. Each stack draws from one generator of its own: the
 loop makes one ``hierarchical_assign`` call per replication on it, in row
 order, and writes the draw's two vectors into its row, in place; a study
 supplies only a function that returns the stack's outcome rows, from one
-call of its outcome model on the stack's treatment rows. A ratio or type1
-study selects them with one ``realize_sutva`` call; a power study draws them
-with one ``realize_linear`` call, whose neighbor counts come from one
-lane-packed pass over the graph, and whose noise comes from one spawned
-stream per replication, since ``realize_linear`` takes one seed per row. The
-loop runs the estimator kernel, ``estimate._estimate_rows``, once on the
+call of its outcome model on the stack's treatment rows and the stack's
+generator. A ratio or type1 study selects them with one ``realize_sutva``
+call and draws nothing; a power study draws them with one ``realize_linear``
+call, whose neighbor counts come from one lane-packed pass over the graph,
+and whose noise the stack's generator draws after the stack's assignments.
+The loop runs the estimator kernel, ``estimate._estimate_rows``, once on the
 written rows with the design's counts, and then decides each draw in
 replication order through ``estimate._decide`` with the rounding floor of
 its outcomes, as ``analyze`` decides its one draw. So a study counts exactly
@@ -42,19 +42,20 @@ rejection counts.
 Replications derive their seeds from (master seed, study indices, stack
 index): stack k's generator is seeded with child k of the grid point's
 replication root, the child ``SeedSequence.spawn`` would number k, built
-without spawning the others. So an identical config reproduces an identical
-report bit for bit, regardless of worker count, and the draws of a stack do
-not depend on how many replications follow it. They do depend on the stack
-height, which the unit count sets (see ``_STACK_BYTES``): the same config at
-another N, or another ``_STACK_BYTES``, cuts the draws into other stacks.
-The worker pool is imported only when a power study of more than one block
-model asks for more than one worker, so importing this module loads no
-process machinery.
+without spawning the others; it draws the stack's assignments and then its
+noise. So an identical config reproduces an identical report bit for bit,
+regardless of worker count, and the draws of a stack do not depend on how
+many replications follow it. They do depend on the stack height, which the
+unit count sets (see ``_STACK_BYTES``): the same config at another N, or
+another ``_STACK_BYTES``, cuts the draws into other stacks. The worker pool
+is imported only when a power study of more than one block model asks for
+more than one worker, so importing this module loads no process machinery.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -120,6 +121,12 @@ class SimConfig:
         # A study reports the spread of its draws, which one draw lacks.
         if self.replications < 2:
             raise ValidationError(f"study config replications={self.replications} is below 2")
+        # Each replication keeps a gap and a bound, so the count is bounded
+        # as a study's units are.
+        if self.replications > _MAX_UNITS_PLUS_EDGES:
+            raise ValidationError(
+                f"refusing a study of {self.replications} replications (limit {_MAX_UNITS_PLUS_EDGES})"
+            )
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must lie in (0, 1)")
         if self.threads < 1:
@@ -228,7 +235,7 @@ def _replicate(
     clustering: Clustering,
     counts: DesignCounts,
     root: np.random.SeedSequence,
-    outcomes: Callable[[np.ndarray, int], np.ndarray],
+    outcomes: Callable[[np.ndarray, np.random.Generator], np.ndarray],
     setting: int = 0,
     gamma: float = 0.0,
     rho_c: float = 0.0,
@@ -239,12 +246,12 @@ def _replicate(
 
     The loop allocates one stack of buffers (see ``_STACK_BYTES``). Stack k
     draws from one generator, seeded with child k of ``root``; its
-    ``hierarchical_assign`` draws are written into its rows in order,
-    ``outcomes(z, first)`` returns the outcome rows of the treatment rows
-    ``z`` from replication ``first`` on, and one kernel call estimates the
-    written rows with the design's counts, refusing a draw of other counts.
-    The draws are then decided in replication order, each as ``analyze``
-    would.
+    ``hierarchical_assign`` draws are written into its rows in order, then
+    ``outcomes(z, rng)`` returns the outcome rows of the treatment rows
+    ``z``, drawing any noise from the stack's generator ``rng``, and one
+    kernel call estimates the written rows with the design's counts,
+    refusing a draw of other counts. The draws are then decided in
+    replication order, each as ``analyze`` would.
     """
     n = cfg.replications
     deltas = np.empty(n)
@@ -263,7 +270,7 @@ def _replicate(
         for r in range(h):
             a = hierarchical_assign(clustering, counts, rng)
             unit_arm[r], treatment[r] = a.unit_arm, a.treatment
-        y[:h] = outcomes(treatment[:h], first)
+        y[:h] = outcomes(treatment[:h], rng)
         tau_cr, tau_cbr, sigma_hat_sq = _estimate_rows(clustering, counts, unit_arm[:h], treatment[:h], y[:h])
         estimates = zip(tau_cr.tolist(), tau_cbr.tolist(), sigma_hat_sq.tolist(), _rounding_floor(y[:h]).tolist())
         for r, (t_cr, t_cbr, bound, floor) in enumerate(estimates, first):
@@ -309,7 +316,7 @@ def _sutva_design(
     effects = cfg.constant_effect + cfg.effect_unit_sd * rng.standard_normal(clustering.num_units)
     table = PotentialTable(y1=y0 + effects, y0=y0)
 
-    def outcomes(z: np.ndarray, first: int) -> np.ndarray:
+    def outcomes(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return realize_sutva(table, z)
 
     return clustering, counts, table, outcomes, rep_root
@@ -318,7 +325,8 @@ def _sutva_design(
 def _power_setting_rows(args: tuple[SimConfig, int]) -> list[SimRow]:
     cfg, setting_index = args
     # Child ``setting_index`` of the master seed is the setting's stream, and
-    # its child 1 roots the gamma streams; its child 0 is left unused.
+    # its child 1 roots the gamma streams; its child 0 is left unused. Each
+    # gamma's stream is its grid point's replication root.
     gamma_root = np.random.SeedSequence(cfg.seed, spawn_key=(setting_index, 1))
 
     graph, clustering = generate_sbm(cfg.sbm[setting_index])
@@ -326,8 +334,7 @@ def _power_setting_rows(args: tuple[SimConfig, int]) -> list[SimRow]:
     rho_c = float(neighborhood_fractions(graph, clustering).mean())
 
     rows = []
-    gamma_streams = gamma_root.spawn(len(cfg.gamma_grid))
-    for gi, gamma in enumerate(cfg.gamma_grid):
+    for gamma, rep_root in zip(cfg.gamma_grid, gamma_root.spawn(len(cfg.gamma_grid))):
         model = LinearInterferenceModel(
             alpha=cfg.baseline,
             beta=cfg.direct_effect,
@@ -335,15 +342,8 @@ def _power_setting_rows(args: tuple[SimConfig, int]) -> list[SimRow]:
             noise_sd=cfg.noise_sd,
             graph=graph,
         )
-        # The gamma's stream roots the assignment stacks (child 0) and the
-        # replications' noise streams (child 1).
-        assign_root, noise_root = gamma_streams[gi].spawn(2)
-        noise_streams = noise_root.spawn(cfg.replications)
-
-        def outcomes(z: np.ndarray, first: int) -> np.ndarray:
-            return realize_linear(model, z, seed=noise_streams[first : first + len(z)])
-
-        rows.append(_replicate(cfg, clustering, counts, assign_root, outcomes, setting_index, gamma, rho_c)[0])
+        outcomes = functools.partial(realize_linear, model)
+        rows.append(_replicate(cfg, clustering, counts, rep_root, outcomes, setting_index, gamma, rho_c)[0])
     return rows
 
 

@@ -144,7 +144,7 @@ def _seeded_calls():
             clustering, strat, seed=seed
         ),
         "realize_linear": lambda seed: spilltest.realize_linear(model, z, seed=seed),
-        "realize_linear-row": lambda seed: spilltest.realize_linear(model, np.stack([z, z]), seed=[1, seed]),
+        "realize_linear-row": lambda seed: spilltest.realize_linear(model, np.stack([z, z]), seed=seed),
     }
 
 

@@ -756,6 +756,13 @@ MALFORMED_INPUTS = {
         "replications=1 is below 2",
     ),
     "study-seed-string": (_simulate_with_field("fig1a_desk.json", seed="x"), "seed='x'"),
+    # Refused before the study allocates a gap and a bound per replication.
+    "study-replications-huge": (
+        _simulate_with_field(
+            "fig1a_desk.json", study="type1", replications=10**12, seed=1, num_clusters=8, cluster_size=4
+        ),
+        "refusing a study of 1000000000000 replications (limit 100000000)",
+    ),
     "study-clustering-source": (
         _simulate_with_field("fig1b_desk.json", clustering_source="bogus"), "bad study config fields"
     ),
@@ -967,7 +974,7 @@ def test_malformed_inputs_exit_1_with_error_line(tmp_path, capsys, case):
     build, named = MALFORMED_INPUTS[case]
     assert run_cli(*build(tmp_path)) == 1
     out, err = capsys.readouterr()
-    assert err.startswith("error:") and named in err
+    assert err.startswith("error:") and named in err and err.count("\n") == 1
     assert out == ""
 
 
@@ -1150,6 +1157,15 @@ OVERFLOW_INPUTS = {
     "analyze": (
         lambda p: _table_inputs(p, outcomes=_huge_outcomes),
         "error: non-finite statistic: delta=0.0, sigma_hat_sq=inf\n",
+    ),
+    # A power study's outcomes overflow in their noise, or in alpha + beta.
+    "simulate-power-noise": (
+        _simulate_with_field("fig1b_desk.json", replications=20, noise_sd=1e308),
+        "error: non-finite statistic: delta=nan, sigma_hat_sq=nan\n",
+    ),
+    "simulate-power-affine": (
+        _simulate_with_field("fig1b_desk.json", replications=20, baseline=1e308, direct_effect=1e308),
+        "error: non-finite statistic: delta=nan, sigma_hat_sq=nan\n",
     ),
 }
 

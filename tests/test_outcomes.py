@@ -248,17 +248,28 @@ def test_realize_linear_stack_equals_the_per_row_calls(cliquepair_graph):
     # Max degree 4: 3-bit lanes, 21 rows to a word, so 25 rows take two words.
     model = LinearInterferenceModel(alpha=0.3, beta=1.5, gamma=0.7, noise_sd=2.0, graph=cliquepair_graph)
     z = np.random.default_rng(3).integers(0, 2, size=(25, 8))
-    seeds = [*range(12), *np.random.SeedSequence(9).spawn(13)]
-    stack = realize_linear(model, z, seed=seeds)
+    stack = realize_linear(model, z, seed=np.random.default_rng(9))
     assert stack.shape == z.shape and stack.dtype == np.float64 and not stack.flags.writeable
-    rows = [realize_linear(model, zr, seed=s) for zr, s in zip(z, seeds)]
+    # One generator fills the rows in order, as 25 one-row calls on it do.
+    rng = np.random.default_rng(9)
+    rows = [realize_linear(model, zr, seed=rng) for zr in z]
     assert stack.tobytes() == np.stack(rows).tobytes()
-    for bad in (0, seeds[:-1]):
-        with pytest.raises(ValidationError, match="needs one seed per row"):
-            realize_linear(model, z, seed=bad)
+    # An integer or SeedSequence seed builds that one generator.
+    for seed in (11, np.random.SeedSequence(11)):
+        rng = np.random.default_rng(seed)
+        rows = [realize_linear(model, zr, seed=rng) for zr in z]
+        assert realize_linear(model, z, seed=seed).tobytes() == np.stack(rows).tobytes()
     for shape in ((25, 7), (2, 25, 8), ()):
         with pytest.raises(ValidationError, match="does not match the graph"):
             model.treated_neighbor_fractions(np.zeros(shape))
+
+
+def test_noise_free_realize_linear_leaves_the_generator_where_it_was(cliquepair_graph):
+    model = LinearInterferenceModel(alpha=0.3, beta=1.5, gamma=0.7, noise_sd=0.0, graph=cliquepair_graph)
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    realize_linear(model, np.ones((3, 8), dtype=np.int8), seed=rng)
+    assert rng.bit_generator.state == state
 
 
 def test_outcomes_csv_round_trip(tmp_path):

@@ -71,6 +71,10 @@ def test_config_validation():
         SimConfig(study="ratio", replications=5, seed=1)  # no clustering shape
     with pytest.raises(ValidationError, match="unknown study 'bogus'"):
         SimConfig(study="bogus", replications=1, seed=0)
+    # Refused before the loop allocates a gap and a bound per replication.
+    with pytest.raises(ValidationError, match=r"^refusing a study of 1000000000000 replications \(limit 100000000\)$"):
+        SimConfig(study="type1", replications=10**12, seed=1, num_clusters=8, cluster_size=2)
+    SimConfig(study="type1", replications=10**8, seed=1, num_clusters=8, cluster_size=2)
 
 
 # A non-default value in each field that a power study, or a ratio or type1
@@ -122,15 +126,19 @@ def _stack_height(num_units):
 
 
 def _study_draws(clustering, counts, root, replications):
-    """A grid point's draws in replication order, as the study makes them:
-    the draws of stack k, in row order, from one generator seeded with child
-    k of ``root``. The children come from ``root.spawn``; the loop builds
-    child k without spawning, so the two must agree."""
+    """A grid point's draws in replication order, each with its stack's
+    generator, as the study makes them: the draws of stack k, in row order,
+    from one generator seeded with child k of ``root``, all made before the
+    first is yielded, so that noise drawn from the generator follows the
+    stack's assignments. The children come from ``root.spawn``; the loop
+    builds child k without spawning, so the two must agree."""
     height = _stack_height(clustering.num_units)
     for k, child in enumerate(root.spawn(-(-replications // height))):
         rng = np.random.default_rng(child)
-        for _ in range(min(height, replications - k * height)):
-            yield sim.hierarchical_assign(clustering, counts, rng)
+        h = min(height, replications - k * height)
+        draws = [sim.hierarchical_assign(clustering, counts, rng) for _ in range(h)]
+        for a in draws:
+            yield a, rng
 
 
 def test_type1_counts_what_analyze_decides():
@@ -148,8 +156,8 @@ def test_type1_counts_what_analyze_decides():
     # decided by analyze.
     clustering, counts, _, outcomes, root = sim._sutva_design(cfg)
     decided = {"chebyshev": [], "gaussian": []}
-    for r, draw in enumerate(_study_draws(clustering, counts, root, cfg.replications)):
-        y = outcomes(draw.treatment[None], r)[0]
+    for draw, rng in _study_draws(clustering, counts, root, cfg.replications):
+        y = outcomes(draw.treatment[None], rng)[0]
         assignment = assignment_from_vectors(clustering, draw.unit_arm, draw.treatment)
         for rule, rejects in decided.items():
             rejects.append(analyze(assignment, y, alpha=cfg.alpha, decision_rule=rule).reject)
@@ -264,15 +272,16 @@ def test_ratio_row_keeps_the_type1_rejection_rates():
 def _one_draw_replicate(cfg, clustering, counts, root, outcomes, setting=0, gamma=0.0, rho_c=0.0):
     """The replication loop as it was before draws were stacked: one draw,
     one kernel call on its one-row views and one decision per replication.
-    It draws what the stacked loop draws (see ``_study_draws``)."""
+    It draws what the stacked loop draws (see ``_study_draws``): each row's
+    outcomes, in row order, from the stack's generator."""
     n = cfg.replications
     deltas = np.empty(n)
     bounds = np.empty(n)
     rejections = 0
     rejections_gauss = 0
-    for r, a in enumerate(_study_draws(clustering, counts, root, n)):
+    for r, (a, rng) in enumerate(_study_draws(clustering, counts, root, n)):
         z = a.treatment[None]
-        y = outcomes(z, r)
+        y = outcomes(z, rng)
         tau_cr, tau_cbr, sigma_hat_sq = estimate._estimate_rows(clustering, a.counts, a.unit_arm[None], z, y)
         delta, bound = float(tau_cr[0]) - float(tau_cbr[0]), float(sigma_hat_sq[0])
         deltas[r] = delta
@@ -306,15 +315,16 @@ def _row_bits(row):
 
 
 def _per_row_realize_linear(model, z, seed):
-    """Each row's outcomes from the weighted-bincount neighbor counts and its
-    own noise generator: a reference that shares no code with the stacked
-    lane-packed kernel."""
+    """Each row's outcomes from the weighted-bincount neighbor counts, with
+    the rows' noise drawn in row order from one generator: a reference that
+    shares no code with the stacked lane-packed kernel."""
+    rng = np.random.default_rng(seed)
     rows = []
-    for zr, s in zip(z, seed):
+    for zr in z:
         fractions = bincount_fractions(model.graph, zr)
         y = model.alpha + model.beta * zr.astype(np.float64) + model.gamma * fractions
         if model.noise_sd > 0:
-            y = y + model.noise_sd * np.random.default_rng(s).standard_normal(len(y))
+            y = y + model.noise_sd * rng.standard_normal(len(y))
         rows.append(y)
     return np.stack(rows)
 
@@ -423,13 +433,16 @@ def test_stacked_power_study_equals_the_one_draw_loop(extra):
 def _sutva_draws(cfg, poison=None):
     # The study's design: its clustering, counts, a fresh replication root
     # and its outcome function, with the outcomes of replication ``poison``
-    # poisoned.
+    # poisoned. The function counts the rows it has returned.
     clustering, counts, _, outcomes, root = sim._sutva_design(cfg)
+    first = 0
 
-    def poisoned(z, first):
-        y = outcomes(z, first).copy()
+    def poisoned(z, rng):
+        nonlocal first
+        y = outcomes(z, rng).copy()
         if poison is not None and first <= poison < first + len(z):
             y[poison - first, 3] = np.inf
+        first += len(z)
         return y
 
     return clustering, counts, root, poisoned
@@ -455,10 +468,8 @@ def test_stack_refuses_draws_with_different_counts(monkeypatch):
         sim._replicate(cfg, *_sutva_draws(cfg))
 
 
-def test_rows_do_not_depend_on_where_the_replications_end(monkeypatch):
-    # Stacks of 8 at 4096 units: 16 replications end on a full stack, 21 run
-    # on into a third. The first 16 gaps and bounds must keep their bits, so
-    # contiguous stack ranges can go to workers.
+def _gaps_and_bounds(monkeypatch, configs):
+    # Each study's (gap, bound) per draw, in the order the loop decides them.
     decided = []
 
     def spy(delta, bound, alpha, floor):
@@ -467,9 +478,37 @@ def test_rows_do_not_depend_on_where_the_replications_end(monkeypatch):
 
     decide = sim._decide
     monkeypatch.setattr(sim, "_decide", spy)
-    for replications in (16, 21):
+    for cfg in configs:
         decided.append([])
-        run_study(SimConfig(study="type1", replications=replications, **SUTVA_STACKED))
-    short, long = (np.array(d) for d in decided)
+        run_study(cfg)
+    return [np.array(d) for d in decided]
+
+
+def test_rows_do_not_depend_on_where_the_replications_end(monkeypatch):
+    # Stacks of 8 at 4096 units: 16 replications end on a full stack, 21 run
+    # on into a third. The first 16 gaps and bounds must keep their bits, so
+    # contiguous stack ranges can go to workers.
+    configs = [SimConfig(study="type1", replications=r, **SUTVA_STACKED) for r in (16, 21)]
+    short, long = _gaps_and_bounds(monkeypatch, configs)
     assert short.shape == (16, 2) and long.shape == (21, 2)
     assert short.tobytes() == long[:16].tobytes()
+
+
+def test_power_rows_do_not_depend_on_where_the_replications_end(monkeypatch):
+    # The 960-unit model stacks 34 draws: 34 replications end on a full
+    # stack, 40 run on into a second. A stack's noise follows its
+    # assignments on its generator, so the first 34 gaps and bounds must
+    # keep their bits.
+    sbm = (SbmSpec(num_blocks=8, block_size=120, p_intra=0.05, p_inter=0.005, seed=3),)
+    configs = [tiny_power_config(replications=r, gamma_grid=(0.5,), sbm=sbm) for r in (34, 40)]
+    short, long = _gaps_and_bounds(monkeypatch, configs)
+    assert short.shape == (34, 2) and long.shape == (40, 2)
+    assert short.tobytes() == long[:34].tobytes()
+
+
+def test_power_study_refuses_overflowing_noise():
+    # Outcomes past the float range make a non-finite statistic, which the
+    # decision refuses; building them warns of nothing (pytest turns a
+    # RuntimeWarning into an error).
+    with pytest.raises(ValidationError, match="non-finite statistic"):
+        run_study(tiny_power_config(replications=5, noise_sd=1e308))
